@@ -2,14 +2,13 @@
 
 Exit codes: 0 success, 1 usage, 2 verification failure, 3 size guard
 exceeded, 4 I/O error.  Identical invocations produce byte-identical
-output files regardless of the parallelism degree.
+output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cyclotomic import CycloValue
@@ -22,14 +21,11 @@ from .orbits import (
     two_sided_orbit_partition_g,
 )
 from .sct import (
-    algebra_group_sct,
     alternate_theta,
     ambient_group,
     intersection_check,
     standard_theta,
-    supercharacters,
-    superclasses,
-    verify_algebra_axioms,
+    theory,
     verify_axioms,
     verify_duality,
     verify_induction,
@@ -72,12 +68,6 @@ def _add_spec_args(sub):
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--poset", help="poset file (first line n, then 'i j' generators)")
     sub.add_argument("--force", action="store_true", help="override the size guards")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="parallelism degree (default: SUPERCHAR_THREADS or 1)",
-    )
 
 
 def _spec_from_args(args) -> GroupSpec:
@@ -90,14 +80,11 @@ def _spec_from_args(args) -> GroupSpec:
     return GroupSpec(family=args.family, n=args.n, p=args.p, e=args.e, k=k, poset=poset)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        n = int(os.environ.get("SUPERCHAR_THREADS", "1"))
-    if n < 1:
-        raise _UsageError("parallelism degree must be >= 1")
-    return n
+def _tables(bg, args):
+    """The superclass and supercharacter tables for the --springer and
+    --theta flags; the UT family has no Springer choice and uses g - 1."""
+    theta = alternate_theta(bg) if args.theta == "alternate" else standard_theta(bg)
+    return theory(bg, args.springer, theta)
 
 
 def _spec_json(spec: GroupSpec) -> dict:
@@ -156,24 +143,14 @@ def _table_csv(classes, rows) -> str:
 
 def cmd_table(args) -> int:
     spec = _spec_from_args(args)
-    threads = _threads(args)
     bg = build_group(spec, force=args.force)
-    if spec.family == "UT":
-        th = algebra_group_sct(bg, threads=threads)
-        classes, rows = th.classes, th.rows
-        theta_name = th.theta.name
-        springer = "g-1"
-    else:
-        theta = alternate_theta(bg) if args.theta == "alternate" else standard_theta(bg)
-        sct = superclasses(bg, args.springer, threads=threads)
-        scht = supercharacters(bg, args.springer, theta, sc_table=sct, threads=threads)
-        classes, rows = sct.classes, scht.rows
-        theta_name = theta.name
-        springer = args.springer
+    sct, scht = _tables(bg, args)
     if args.format == "csv":
-        _write_output(args, _table_csv(classes, rows))
+        _write_output(args, _table_csv(sct.classes, scht.rows))
     else:
-        payload = _table_payload(spec, springer, theta_name, classes, rows)
+        payload = _table_payload(
+            spec, sct.record.springer_name, scht.theta.name, sct.classes, scht.rows
+        )
         _write_output(args, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
@@ -191,19 +168,14 @@ _INVOLUTION_CHECKS = [
     "theta-independence",
 ]
 _UNITARY_CHECKS = ["unitary-formula", "ennola-degrees", "degree-audit"]
+_ALGEBRA_CHECKS = ["axioms", "induction"]
 _OPTIONAL_CHECKS = ["subfield-independence"]
 
 
 def _run_check(name, bg, args, state) -> list:
-    threads = _threads(args)
-
     def tables():
         if "tables" not in state:
-            theta = (
-                alternate_theta(bg) if args.theta == "alternate" else standard_theta(bg)
-            )
-            sct = superclasses(bg, args.springer, threads=threads)
-            scht = supercharacters(bg, args.springer, theta, sc_table=sct, threads=threads)
+            sct, scht = _tables(bg, args)
             if args.inject_fault:
                 row = scht.rows[min(1, len(scht.rows) - 1)]
                 cid = min(1, len(row.values) - 1)
@@ -222,7 +194,7 @@ def _run_check(name, bg, args, state) -> list:
     if name == "duality":
         return verify_duality(bg).results
     if name == "intersection":
-        return intersection_check(bg, args.springer, threads=threads).results
+        return intersection_check(bg, args.springer).results
     if name == "springer-independence":
         return verify_springer_independence(bg).results
     if name == "theta-independence":
@@ -257,28 +229,21 @@ def _run_check(name, bg, args, state) -> list:
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    threads = _threads(args)
     bg = build_group(spec, force=args.force)
-    if spec.family == "UT":
-        if args.check and args.check not in ("axioms",):
-            raise _UsageError("family UT supports only the 'axioms' check")
-        th = algebra_group_sct(bg, threads=threads)
-        results = verify_algebra_axioms(bg, th).results
-    else:
-        checks = list(_INVOLUTION_CHECKS)
-        if spec.family == "UU":
-            checks += _UNITARY_CHECKS
-        if args.check:
-            valid = checks + _OPTIONAL_CHECKS
-            if args.check not in valid:
-                raise _UsageError(
-                    f"unknown or inapplicable check {args.check!r}; choose from {valid}"
-                )
-            checks = [args.check]
-        state: dict = {}
-        results = []
-        for name in checks:
-            results.extend(_run_check(name, bg, args, state))
+    checks = list(_ALGEBRA_CHECKS if spec.family == "UT" else _INVOLUTION_CHECKS)
+    if spec.family == "UU":
+        checks += _UNITARY_CHECKS
+    if args.check:
+        valid = checks + _OPTIONAL_CHECKS
+        if args.check not in valid:
+            raise _UsageError(
+                f"unknown or inapplicable check {args.check!r}; choose from {valid}"
+            )
+        checks = [args.check]
+    state: dict = {}
+    results = []
+    for name in checks:
+        results.extend(_run_check(name, bg, args, state))
     lines = [f"== verify {spec.label()} =="]
     lines += [r.line() for r in results]
     failed = [r for r in results if r.passed is False]
@@ -295,19 +260,18 @@ def cmd_verify(args) -> int:
 
 def cmd_orbits(args) -> int:
     spec = _spec_from_args(args)
-    threads = _threads(args)
     bg = build_group(spec, force=args.force)
     if args.space in ("u", "dual") and spec.family == "UT":
         raise _UsageError("family UT has no involution; use --space two-sided")
     if args.space == "u":
-        oi = orbit_partition_u(bg, threads=threads)
+        oi = orbit_partition_u(bg)
         lines = orbit_dump_lines(oi)
     elif args.space == "dual":
-        oi = orbit_partition_dual(bg, threads=threads)
+        oi = orbit_partition_dual(bg)
         lines = orbit_dump_lines(oi)
     else:
         amb = ambient_group(bg) if spec.family != "UT" else bg
-        oi = two_sided_orbit_partition_g(amb, threads=threads)
+        oi = two_sided_orbit_partition_g(amb)
         lines = orbit_dump_lines(oi)
     _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -318,13 +282,10 @@ def cmd_orbits(args) -> int:
 
 def cmd_unitary_check(args) -> int:
     spec = _spec_from_args(args)
-    threads = _threads(args)
     if spec.family != "UU":
         raise _UsageError("unitary-check requires --family UU")
     bg = build_group(spec, force=args.force)
-    theta = alternate_theta(bg) if args.theta == "alternate" else standard_theta(bg)
-    sct = superclasses(bg, args.springer, threads=threads)
-    scht = supercharacters(bg, args.springer, theta, sc_table=sct, threads=threads)
+    sct, scht = _tables(bg, args)
     lines = []
     grid = formula_grid_check(bg, sct, scht)
     lines += grid.lines()

@@ -37,8 +37,8 @@ FAMILIES = ("UT", "UO", "USp", "UU")
 U_SPACE_GUARD = 1 << 20
 G_SPACE_GUARD = 1 << 24
 _CLOSURE_EXHAUSTIVE_LIMIT = 128
-_CLOSURE_SAMPLES = 512
-_SAMPLE_SEED = 20240813
+CLOSURE_SAMPLES = 512
+SAMPLE_SEED = 20240813
 
 _KIND_BY_FAMILY = {"UO": "orthogonal", "USp": "symplectic", "UU": "unitary"}
 
@@ -283,10 +283,6 @@ class BuiltGroup:
         ax = a * x
         return x + ax + (x + ax) * ad
 
-    def act_unipotent(self, g: TriMatrix, u: TriMatrix) -> TriMatrix:
-        """g . (1+x) read on the group side: 1 + g x g^dagger."""
-        return self.act(g, u.nilpotent_part()).as_unipotent()
-
     # -- u and U ---------------------------------------------------------------
 
     def _build_u(self):
@@ -327,10 +323,10 @@ class BuiltGroup:
         if self.order_U <= _CLOSURE_EXHAUSTIVE_LIMIT:
             pairs = itertools.product(self.U, repeat=2)
         else:
-            rng = random.Random(_SAMPLE_SEED)
+            rng = random.Random(SAMPLE_SEED)
             pairs = (
                 (self.U[rng.randrange(self.order_U)], self.U[rng.randrange(self.order_U)])
-                for _ in range(_CLOSURE_SAMPLES)
+                for _ in range(CLOSURE_SAMPLES)
             )
         for a, b in pairs:
             if (a * b).serialize() not in self.U_index:

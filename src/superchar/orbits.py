@@ -2,17 +2,14 @@
 
 The engine works on coordinate tuples over the scalar field: each
 generator's action is linear, so it is applied as a precomputed matrix.
-Orbits are found by union-find over generator images, which makes the
-image computation embarrassingly parallel while keeping the output
-deterministic (the merge is associative and the final order is a
-canonical sort).  A naive full-group sweep is kept as a test oracle for
-generator sufficiency.
+Orbits are found by union-find over generator images; the output is
+deterministic because the final order is a canonical sort.  A naive
+full-group sweep is kept as a test oracle for generator sufficiency.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import SizeGuardError
@@ -74,7 +71,7 @@ class OrbitIndex:
         return [self.space[i] for i in self.orbits[orbit_id].members]
 
 
-def partition_space(space, maps, canon_key=None, threads: int = 1) -> OrbitIndex:
+def partition_space(space, maps, canon_key=None) -> OrbitIndex:
     """Partition ``space`` into orbits of the group generated by ``maps``.
 
     Every map must send the space into itself; since the generators have
@@ -84,9 +81,8 @@ def partition_space(space, maps, canon_key=None, threads: int = 1) -> OrbitIndex
     index = {v: i for i, v in enumerate(space)}
     uf = UnionFind(len(space))
     for mp in maps:
-        images = _apply_map(space, mp, threads)
-        for i, img in enumerate(images):
-            j = index.get(img)
+        for i, v in enumerate(space):
+            j = index.get(mp(v))
             if j is None:
                 raise AssertionError("generator image left the space")
             uf.union(i, j)
@@ -107,16 +103,6 @@ def partition_space(space, maps, canon_key=None, threads: int = 1) -> OrbitIndex
         for i in members:
             orbit_of[i] = oid
     return OrbitIndex(space, orbits, orbit_of)
-
-
-def _apply_map(space, mp, threads: int):
-    if threads <= 1 or len(space) < 2048:
-        return [mp(v) for v in space]
-    chunk = (len(space) + threads - 1) // threads
-    parts = [space[i : i + chunk] for i in range(0, len(space), chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda part: [mp(v) for v in part], parts))
-    return [img for part in results for img in part]
 
 
 # -- matrices of the linear actions ---------------------------------------
@@ -207,7 +193,7 @@ def _u_canon_key(bg: BuiltGroup):
     return lambda coords: unflatten(combine(coords)).serialize()
 
 
-def orbit_partition_u(bg: BuiltGroup, threads: int = 1) -> OrbitIndex:
+def orbit_partition_u(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G acting by g . x = g x g^dagger on the enumerated u."""
 
     def build():
@@ -216,7 +202,6 @@ def orbit_partition_u(bg: BuiltGroup, threads: int = 1) -> OrbitIndex:
             _u_space_list(bg),
             _maps_from_matrices(mats, bg.sc),
             canon_key=_u_canon_key(bg),
-            threads=threads,
         )
 
     return _cached(bg, "u", build)
@@ -230,22 +215,22 @@ def _dual_space_list(bg: BuiltGroup):
     return list(itertools.product(bg.sc.elements, repeat=dim))
 
 
-def orbit_partition_dual(bg: BuiltGroup, threads: int = 1) -> OrbitIndex:
+def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G on the full dual space of u; (g.lam)(x) = lam(g^{-1}.x)."""
 
     def build():
         maps = _dual_maps(bg, bg.G_gens, u_action_matrix)
-        return partition_space(_dual_space_list(bg), maps, threads=threads)
+        return partition_space(_dual_space_list(bg), maps)
 
     return _cached(bg, "dual", build)
 
 
-def h_orbit_partition_dual(bg: BuiltGroup, threads: int = 1) -> OrbitIndex:
+def h_orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """The same dual space partitioned by the normal subgroup H."""
 
     def build():
         maps = _dual_maps(bg, bg.H_gens, u_action_matrix)
-        return partition_space(_dual_space_list(bg), maps, threads=threads)
+        return partition_space(_dual_space_list(bg), maps)
 
     return _cached(bg, "dual_h", build)
 
@@ -298,7 +283,7 @@ def _g_canon_key(bg: BuiltGroup):
     return lambda flat: unflatten(flat).serialize()
 
 
-def two_sided_orbit_partition_g(bg: BuiltGroup, threads: int = 1) -> OrbitIndex:
+def two_sided_orbit_partition_g(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G x G acting by (g, h) . x = g x h^{-1} on g."""
 
     def build():
@@ -308,27 +293,26 @@ def two_sided_orbit_partition_g(bg: BuiltGroup, threads: int = 1) -> OrbitIndex:
             _g_space_list(bg),
             _maps_from_matrices(mats, bg.sc),
             canon_key=_g_canon_key(bg),
-            threads=threads,
         )
 
     return _cached(bg, "g2", build)
 
 
-def two_sided_orbit_partition_g_dual(bg: BuiltGroup, threads: int = 1) -> OrbitIndex:
+def two_sided_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits on g* under ((g,h).lam)(x) = lam(g^{-1} x h)."""
 
     def build():
         maps = _dual_maps(bg, bg.G_gens, g_left_matrix)
         maps += _dual_maps(bg, bg.G_gens, g_right_matrix)
-        return partition_space(_g_space_list(bg), maps, threads=threads)
+        return partition_space(_g_space_list(bg), maps)
 
     return _cached(bg, "g2_dual", build)
 
 
-def left_orbit_partition_g_dual(bg: BuiltGroup, threads: int = 1) -> OrbitIndex:
+def left_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     def build():
         maps = _dual_maps(bg, bg.G_gens, g_left_matrix)
-        return partition_space(_g_space_list(bg), maps, threads=threads)
+        return partition_space(_g_space_list(bg), maps)
 
     return _cached(bg, "g_left_dual", build)
 

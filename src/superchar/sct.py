@@ -1,12 +1,16 @@
 """Assembly and verification of the supercharacter theories.
 
-Two constructions live here:
+Two theories share every stage here:
 
 * the involution theory on U: superclasses pull the orbit partition of u
   back through a Springer morphism, supercharacters are scaled orbit sums
   over the dual space, with n_lambda = |G.lam| / |H.lam|;
 * the algebra-group theory on a pattern group G itself, driven by the
-  two-sided orbits on g and g* with f(g) = g - 1.
+  two-sided orbits on g and g* with f(g) = g - 1 and
+  n_lambda = |G lam G| / |G lam|.
+
+A TheoryRecord holds what differs between the two; class assembly, the
+rows, the induction oracle and the axiom checks are written once.
 
 Every character value is exact in Z[zeta_p]; any failed division would
 falsify the construction and raises immediately.  The verification
@@ -17,13 +21,17 @@ CLI can render a report and pick an exit code.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .cyclotomic import CycloValue, inner_product
 from .errors import NonIntegralityError, SizeGuardError
 from .gf import Theta
 from .involution_group import (
+    CLOSURE_SAMPLES,
+    SAMPLE_SEED,
     BuiltGroup,
     GroupSpec,
     build_group,
@@ -46,11 +54,106 @@ from .orbits import (
 from .triangular import TriMatrix
 
 _FULL_CHECK_LIMIT = 256
-_SAMPLE_SEED = 20240813
 _SAMPLE_COUNT = 200
-_CLOSURE_SAMPLES = 512
 _ALGEBRA_ENUM_GUARD = 1 << 14
 _FUNCTIONAL_CHECK_LIMIT = 12
+
+
+@dataclass
+class TheoryRecord:
+    """What one supercharacter theory takes from its group.
+
+    ``elements`` is sorted by serialization.  ``point`` sends an element e
+    to the vector f(e) that dual vectors are dotted with.  ``primal``,
+    ``dual`` and ``stabiliser`` give the orbit partitions of the points,
+    of the functionals (one row per orbit) and of the same dual space
+    under the subgroup whose orbit size is a row's degree.
+    ``subgroup(lam)`` is the subspace S of g such that the induction
+    oracle's subgroup is {e : e - 1 in S}; its closure is checked
+    exhaustively up to ``closure_limit`` elements, on samples beyond.
+    """
+
+    group: BuiltGroup
+    springer_name: str
+    symbol: str  # how reports name the element set: "U" or "G"
+    elements: list
+    index: dict  # serialization -> position in ``elements``
+    inverse: list  # position of each element's inverse
+    point: Callable
+    primal: Callable
+    dual: Callable
+    stabiliser: Callable
+    subgroup: Callable
+    closure_limit: float
+
+
+def _theory_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
+    """The involution theory of U for the named Springer morphism; for the
+    UT family, which has no involution, the algebra-group theory of G."""
+    if bg.spec.family == "UT":
+        return _algebra_record(bg)
+    fwd, _ = bg.springer(springer_name)
+
+    def subgroup(lam_coeffs):
+        # U_lam = U ∩ (1 + g_eta) for the antisymmetric extension eta of lam
+        eta = extend_functional(bg, bg.functional_on_u(lam_coeffs))
+        return sub_l_r_g(bg, eta)[2].space
+
+    return TheoryRecord(
+        bg,
+        springer_name,
+        "U",
+        bg.U,
+        bg.U_index,
+        bg.U_inverse,
+        point=lambda u: bg.u_space.coords(bg.flatten(fwd(u))),
+        primal=orbit_partition_u,
+        dual=orbit_partition_dual,
+        stabiliser=h_orbit_partition_dual,
+        subgroup=subgroup,
+        closure_limit=_FULL_CHECK_LIMIT,
+    )
+
+
+def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
+    """The record of the pattern group G, with f(g) = g - 1; G is
+    enumerated on first use and kept on bg."""
+    if bg.kdim != 1:
+        raise ValueError("algebra theory expects a UT-family group over its full field")
+    cached = getattr(bg, "_algebra_record", None)
+    if cached is not None:
+        return cached
+    if bg.order_G > _ALGEBRA_ENUM_GUARD and not bg.force:
+        raise SizeGuardError(
+            f"|G| = {bg.order_G} too large to enumerate for the algebra theory"
+        )
+    elements = sorted(bg.enumerate_G(), key=lambda m: m.serialize())
+    index = {m.serialize(): i for i, m in enumerate(elements)}
+    inverse = [index[m.inverse().serialize()] for m in elements]
+
+    def subgroup(lam_coeffs):
+        # L_lam = 1 + l_lam with l_lam = {x : lam(y x) = 0 for all y in g}
+        rows = [
+            tuple(bg.sc.dot(lam_coeffs, bg.flatten(y * b)) for b in bg.g_basis_mats)
+            for y in bg.g_basis_mats
+        ]
+        return Subspace.kernel(bg.sc, bg.flat_dim, rows)
+
+    bg._algebra_record = TheoryRecord(
+        bg,
+        "g-1",
+        "G",
+        elements,
+        index,
+        inverse,
+        point=lambda g: bg.flatten(g.nilpotent_part()),
+        primal=two_sided_orbit_partition_g,
+        dual=two_sided_orbit_partition_g_dual,
+        stabiliser=left_orbit_partition_g_dual,
+        subgroup=subgroup,
+        closure_limit=math.inf,
+    )
+    return bg._algebra_record
 
 
 @dataclass
@@ -63,10 +166,9 @@ class Superclass:
 
 @dataclass
 class SuperclassTable:
-    group: BuiltGroup
-    springer_name: str
+    record: TheoryRecord
     classes: list
-    class_of: list  # superclass id per element of U
+    class_of: list  # superclass id per element of record.elements
 
     @property
     def count(self):
@@ -80,7 +182,7 @@ class SuperclassTable:
 class SupercharRow:
     lam: tuple
     orbit_size: int
-    h_orbit_size: int
+    h_orbit_size: int  # the stabiliser-orbit size
     n_lambda: int
     degree: int
     values: list
@@ -88,11 +190,13 @@ class SupercharRow:
 
 @dataclass
 class SupercharTable:
-    group: BuiltGroup
-    springer_name: str
+    sc_table: SuperclassTable
     theta: Theta
-    classes: list
     rows: list
+
+    @property
+    def classes(self):
+        return self.sc_table.classes
 
     @property
     def count(self):
@@ -110,50 +214,55 @@ def alternate_theta(bg: BuiltGroup) -> Theta:
     return Theta.alternate(bg.sc)
 
 
+def _divexact(value: CycloValue, divisor: int, what: str) -> CycloValue:
+    try:
+        return value.divexact(divisor)
+    except ValueError as exc:
+        raise NonIntegralityError(f"{what} is not divisible by {divisor}: {exc}") from exc
+
+
 # -- superclasses -------------------------------------------------------------
 
 
-def superclasses(bg: BuiltGroup, springer_name: str, threads: int = 1) -> SuperclassTable:
-    """K_u = {v in U : f(v) in G . f(u)} for the chosen Springer morphism."""
-    fwd, _ = bg.springer(springer_name)
-    oi = orbit_partition_u(bg, threads=threads)
+def superclasses(bg: BuiltGroup, springer_name: str) -> SuperclassTable:
+    """K_e = {v : f(v) in the primal orbit of f(e)}: the dagger orbits on u
+    pulled back through the Springer morphism, or for UT the two-sided
+    orbits on g pulled back through g - 1."""
+    rec = _theory_record(bg, springer_name)
+    oi = rec.primal(bg)
     members: dict = {}
     class_of = []
-    for idx, u in enumerate(bg.U):
-        coords = bg.u_space.coords(bg.flatten(fwd(u)))
-        oid = oi.orbit_id(coords)
+    for idx, e in enumerate(rec.elements):
+        oid = oi.orbit_id(rec.point(e))
         members.setdefault(oid, []).append(idx)
         class_of.append(oid)
     if len(members) != oi.count:
-        raise AssertionError("Springer morphism is not surjective onto u")
-    # canonical class order: by the least serialized member (U is sorted)
-    ordered = sorted(members.values(), key=lambda ids: bg.U[min(ids)].serialize())
+        raise AssertionError("the point map is not surjective onto the primal space")
+    # canonical class order: by the least serialized member, which is the
+    # first id of each class since the elements are sorted
+    ordered = sorted(members.values(), key=lambda ids: ids[0])
     classes = []
     remap = {}
     for cid, ids in enumerate(ordered):
         remap[class_of[ids[0]]] = cid
-        classes.append(Superclass(cid, bg.U[min(ids)], len(ids), sorted(ids)))
+        classes.append(Superclass(cid, rec.elements[ids[0]], len(ids), ids))
     class_of = [remap[oid] for oid in class_of]
     if classes[0].rep != TriMatrix.identity(bg.n, bg.tower):
         raise AssertionError("identity superclass is not first")
-    return SuperclassTable(bg, springer_name, classes, class_of)
+    return SuperclassTable(rec, classes, class_of)
 
 
 # -- supercharacters -----------------------------------------------------------
 
 
-def _orbit_sum_values(p, members, points, dot, theta_exp, divisor):
+def _orbit_sum_values(p, members, points, dot, theta_exp):
+    """sum over mu in members of theta(mu(x)), for each x in points."""
     out = []
     for x in points:
         counts = [0] * p
         for mu in members:
             counts[theta_exp(dot(mu, x))] += 1
-        try:
-            out.append(CycloValue.from_exponents(p, counts).divexact(divisor))
-        except ValueError as exc:
-            raise NonIntegralityError(
-                f"orbit sum is not divisible by {divisor}: {exc}"
-            ) from exc
+        out.append(CycloValue.from_exponents(p, counts))
     return out
 
 
@@ -162,142 +271,120 @@ def supercharacters(
     springer_name: str,
     theta: Theta,
     sc_table: SuperclassTable | None = None,
-    threads: int = 1,
 ) -> SupercharTable:
-    """chi_lambda = (1/n_lambda) sum over G.lambda of theta(mu(f(.)))."""
+    """chi_lambda = (1/n_lambda) sum over the dual orbit of lambda of
+    theta(mu(f(.))), with n_lambda = |dual orbit| / |stabiliser orbit|."""
     if sc_table is None:
-        sc_table = superclasses(bg, springer_name, threads=threads)
-    fwd, _ = bg.springer(springer_name)
-    od = orbit_partition_dual(bg, threads=threads)
-    oh = h_orbit_partition_dual(bg, threads=threads)
-    points = [
-        bg.u_space.coords(bg.flatten(fwd(K.rep))) for K in sc_table.classes
-    ]
+        sc_table = superclasses(bg, springer_name)
+    rec = sc_table.record
+    od = rec.dual(bg)
+    oh = rec.stabiliser(bg)
+    points = [rec.point(K.rep) for K in sc_table.classes]
     p = bg.tower.p
     dot = bg.sc.dot
-    theta_exp = theta.exponent
-
-    def build_row(orbit):
+    rows = []
+    for orbit in od.orbits:
         # od and oh enumerate the same dual space in the same order
         h_sizes = {oh.orbits[oh.orbit_of[i]].size for i in orbit.members}
         if len(h_sizes) != 1:
-            raise AssertionError("|H.lambda| varies across a G-orbit")
+            raise AssertionError("the stabiliser-orbit size varies across a dual orbit")
         h_size = h_sizes.pop()
         if orbit.size % h_size:
-            raise NonIntegralityError("n_lambda = |G.lam|/|H.lam| is not integral")
+            raise NonIntegralityError(
+                "n_lambda = |dual orbit| / |stabiliser orbit| is not integral"
+            )
         n_lambda = orbit.size // h_size
         members = [od.space[i] for i in orbit.members]
-        values = _orbit_sum_values(p, members, points, dot, theta_exp, n_lambda)
+        sums = _orbit_sum_values(p, members, points, dot, theta.exponent)
+        values = [_divexact(s, n_lambda, "orbit sum") for s in sums]
         degree = values[0].as_integer()
         if degree != h_size:
-            raise AssertionError("chi(1) != |H.lambda|; orbit bookkeeping broken")
-        return SupercharRow(orbit.rep, orbit.size, h_size, n_lambda, degree, values)
-
-    # rows are independent; assembly order is canonical either way
-    if threads > 1 and len(od.orbits) > 8:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(build_row, od.orbits))
-    else:
-        rows = [build_row(orbit) for orbit in od.orbits]
+            raise AssertionError("chi(1) != stabiliser-orbit size; orbit bookkeeping broken")
+        rows.append(SupercharRow(orbit.rep, orbit.size, h_size, n_lambda, degree, values))
     rows.sort(key=lambda r: r.lam)
     if any(not v == 1 for v in rows[0].values):
         raise AssertionError("the zero functional did not give the trivial character")
-    return SupercharTable(bg, springer_name, theta, sc_table.classes, rows)
+    return SupercharTable(sc_table, theta, rows)
 
 
-def theory(bg: BuiltGroup, springer_name: str = "cayley", theta: Theta | None = None, threads: int = 1):
+def theory(bg: BuiltGroup, springer_name: str = "cayley", theta: Theta | None = None):
     theta = theta or standard_theta(bg)
-    sct = superclasses(bg, springer_name, threads=threads)
-    scht = supercharacters(bg, springer_name, theta, sc_table=sct, threads=threads)
+    sct = superclasses(bg, springer_name)
+    scht = supercharacters(bg, springer_name, theta, sc_table=sct)
     return sct, scht
 
 
-def evaluate_row_at(bg, scht: SupercharTable, row: SupercharRow, u: TriMatrix) -> CycloValue:
-    """chi_lambda at an arbitrary group element (not just a class rep)."""
-    fwd, _ = bg.springer(scht.springer_name)
-    od = orbit_partition_dual(bg)
-    orbit = od.orbits[od.orbit_id(row.lam)]
-    point = bg.u_space.coords(bg.flatten(fwd(u)))
-    members = [od.space[i] for i in orbit.members]
-    return _orbit_sum_values(
-        bg.tower.p, members, [point], bg.sc.dot, scht.theta.exponent, row.n_lambda
-    )[0]
+def algebra_group_sct(bg: BuiltGroup, theta: Theta | None = None) -> SupercharTable:
+    """The two-sided-orbit supercharacter theory of a pattern group,
+    with f(g) = g - 1 and chi_lambda = (|G lam| / |G lam G|) * orbit sum."""
+    if bg.spec.family != "UT":
+        raise ValueError("algebra theory expects a UT-family group over its full field")
+    return theory(bg, theta=theta)[1]
 
 
 # -- induction oracle -----------------------------------------------------------
 
 
 def conjugation_index(bg: BuiltGroup, sc_table: SuperclassTable):
-    """For each class rep g, the list [index of h g h^{-1} for h in U];
-    shared by every induction run on the same class table."""
+    """For each class rep g, the list [index of h g h^{-1} for h in the
+    elements]; shared by every induction run on the same class table."""
     cache = getattr(sc_table, "_conj_index", None)
     if cache is None:
+        rec = sc_table.record
         cache = []
         for K in sc_table.classes:
             row = []
-            for h_id in range(bg.order_U):
-                conj = bg.U[h_id] * K.rep * bg.U[bg.U_inverse[h_id]]
-                row.append(bg.U_index[conj.serialize()])
+            for h_id, h in enumerate(rec.elements):
+                conj = h * K.rep * rec.elements[rec.inverse[h_id]]
+                row.append(rec.index[conj.serialize()])
             cache.append(row)
         sc_table._conj_index = cache
     return cache
 
 
-def induction_oracle(
-    bg: BuiltGroup,
-    lam_coeffs,
-    springer_name: str,
-    theta: Theta,
-    sc_table: SuperclassTable,
-):
-    """Ind_{U_lam}^U(Res theta∘lam∘f), evaluated at every class rep.
+def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: SuperclassTable):
+    """Ind_S^E(Res theta∘lam∘f), evaluated at every class rep, for the
+    record's elements E and its subgroup S for lam: U_lam = U ∩ (1 + g_eta)
+    in the involution theory, L_lam = 1 + l_lam in the algebra theory.
 
-    U_lam = U ∩ (1 + g_eta) for the antisymmetric extension eta of lam.
     The restriction must be a linear character: that is checked
-    (exhaustively for small U_lam, on seeded samples beyond), and a
-    failure is fatal.
+    (exhaustively up to the record's closure limit, on seeded samples
+    beyond), and a failure is fatal.  Returns the values and |E| / |S|.
     """
-    lam = bg.functional_on_u(lam_coeffs)
-    eta = extend_functional(bg, lam)
-    _, _, g_eta = sub_l_r_g(bg, eta)
-    sub_ids = [
-        i for i, u in enumerate(bg.U) if g_eta.contains(u.nilpotent_part())
-    ]
-    fwd, _ = bg.springer(springer_name)
+    rec = sc_table.record
+    space = rec.subgroup(lam_coeffs)
     p = bg.tower.p
     phi = {}
-    for i in sub_ids:
-        phi[i] = theta.exponent(lam.evaluate(fwd(bg.U[i])))
-    if len(sub_ids) <= _FULL_CHECK_LIMIT:
+    for i, e in enumerate(rec.elements):
+        if space.contains(bg.flatten(e.nilpotent_part())):
+            phi[i] = theta.exponent(bg.sc.dot(lam_coeffs, rec.point(e)))
+    sub_ids = list(phi)
+    if len(sub_ids) <= rec.closure_limit:
         pairs = itertools.product(sub_ids, repeat=2)
     else:
-        rng = random.Random(_SAMPLE_SEED)
+        rng = random.Random(SAMPLE_SEED)
         pairs = (
             (sub_ids[rng.randrange(len(sub_ids))], sub_ids[rng.randrange(len(sub_ids))])
-            for _ in range(_CLOSURE_SAMPLES)
+            for _ in range(CLOSURE_SAMPLES)
         )
     for i, j in pairs:
-        k = bg.U_index[(bg.U[i] * bg.U[j]).serialize()]
+        k = rec.index[(rec.elements[i] * rec.elements[j]).serialize()]
         if k not in phi:
-            raise AssertionError("U_lambda is not closed under multiplication")
+            raise AssertionError("the oracle's subgroup is not closed under multiplication")
         if (phi[i] + phi[j]) % p != phi[k]:
             raise NonIntegralityError(
-                "restriction of theta∘lambda∘f to U_lambda is not multiplicative"
+                "restriction of theta∘lambda∘f to the oracle's subgroup is not multiplicative"
             )
-    conj = conjugation_index(bg, sc_table)
     values = []
-    for cid_row in conj:
+    for cid_row in conjugation_index(bg, sc_table):
         counts = [0] * p
         for target in cid_row:
             if target in phi:
                 counts[phi[target]] += 1
-        try:
-            values.append(CycloValue.from_exponents(p, counts).divexact(len(sub_ids)))
-        except ValueError as exc:
-            raise NonIntegralityError(f"induced character is not integral: {exc}") from exc
-    return values, bg.order_U // len(sub_ids)
+        values.append(
+            _divexact(CycloValue.from_exponents(p, counts), len(sub_ids), "induced character")
+        )
+    return values, len(rec.elements) // len(sub_ids)
 
 
 # -- named verification checks ----------------------------------------------------
@@ -318,7 +405,7 @@ class CheckResult:
 class Report:
     label: str
     results: list = field(default_factory=list)
-    seed: int = _SAMPLE_SEED
+    seed: int = SAMPLE_SEED
 
     def add(self, name, passed, detail=""):
         self.results.append(CheckResult(name, passed, detail))
@@ -337,21 +424,23 @@ class Report:
 
 
 def _conjugation_closure_check(bg, sct: SuperclassTable) -> CheckResult:
-    """Each superclass must be a union of U-conjugacy classes."""
-    full = bg.order_U <= _FULL_CHECK_LIMIT
+    """Each superclass must be a union of conjugacy classes."""
+    rec = sct.record
+    order = len(rec.elements)
+    full = order <= _FULL_CHECK_LIMIT
     if full:
-        pairs = itertools.product(range(bg.order_U), repeat=2)
+        pairs = itertools.product(range(order), repeat=2)
         mode = "exhaustive"
     else:
-        rng = random.Random(_SAMPLE_SEED)
+        rng = random.Random(SAMPLE_SEED)
         pairs = (
-            (rng.randrange(bg.order_U), rng.randrange(bg.order_U))
+            (rng.randrange(order), rng.randrange(order))
             for _ in range(_SAMPLE_COUNT)
         )
         mode = f"{_SAMPLE_COUNT} sampled pairs"
     for i, j in pairs:
-        conj = bg.U[i] * bg.U[j] * bg.U[bg.U_inverse[i]]
-        if sct.class_of[bg.U_index[conj.serialize()]] != sct.class_of[j]:
+        conj = rec.elements[i] * rec.elements[j] * rec.elements[rec.inverse[i]]
+        if sct.class_of[rec.index[conj.serialize()]] != sct.class_of[j]:
             return CheckResult(
                 "superclasses-union-of-conjugacy", False, f"broken at pair ({i},{j})"
             )
@@ -359,39 +448,47 @@ def _conjugation_closure_check(bg, sct: SuperclassTable) -> CheckResult:
 
 
 def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckResult:
-    full = bg.order_U <= _FULL_CHECK_LIMIT
+    """Each row, recomputed as an orbit sum at class members, must be
+    n_lambda times its class value; comparing without dividing makes a
+    wrong n_lambda a failed check rather than an exception."""
+    rec = sct.record
+    full = len(rec.elements) <= _FULL_CHECK_LIMIT
     if full:
         items = [
             (row, K) for row in scht.rows for K in sct.classes
         ]
         mode = "exhaustive"
     else:
-        rng = random.Random(_SAMPLE_SEED)
+        rng = random.Random(SAMPLE_SEED)
         items = [
             (scht.rows[rng.randrange(len(scht.rows))], sct.classes[rng.randrange(len(sct.classes))])
             for _ in range(32)
         ]
         mode = "sampled"
+    od = rec.dual(bg)
     for row, K in items:
-        expect = row.values[K.class_id]
+        expect = row.values[K.class_id] * row.n_lambda
         member_ids = K.member_ids if full else K.member_ids[:8]
-        for mid in member_ids:
-            if evaluate_row_at(bg, scht, row, bg.U[mid]) != expect:
-                return CheckResult(
-                    "axiom-constancy",
-                    False,
-                    f"row {row.lam} is not constant on class {K.class_id}",
-                )
+        members = od.members(od.orbit_id(row.lam))
+        points = [rec.point(rec.elements[mid]) for mid in member_ids]
+        sums = _orbit_sum_values(bg.tower.p, members, points, bg.sc.dot, scht.theta.exponent)
+        if any(s != expect for s in sums):
+            return CheckResult(
+                "axiom-constancy",
+                False,
+                f"row {row.lam} is not constant on class {K.class_id}",
+            )
     return CheckResult("axiom-constancy", True, mode)
 
 
 def _orthogonality_check(bg, scht: SupercharTable) -> CheckResult:
     sizes = [K.size for K in scht.classes]
+    order = len(scht.sc_table.record.elements)
     for a in range(len(scht.rows)):
         fa = list(zip(scht.rows[a].values, sizes))
         for b in range(a, len(scht.rows)):
             fb = list(zip(scht.rows[b].values, sizes))
-            ip = inner_product(fa, fb, bg.order_U)
+            ip = inner_product(fa, fb, order)
             if a == b:
                 if not (ip.is_integer() and ip.as_integer() > 0):
                     return CheckResult(
@@ -411,11 +508,12 @@ def _orthogonality_check(bg, scht: SupercharTable) -> CheckResult:
 
 
 def _regular_character_check(bg, scht: SupercharTable) -> CheckResult:
+    order = len(scht.sc_table.record.elements)
     for cid, K in enumerate(scht.classes):
         acc = CycloValue.zero(bg.tower.p)
         for row in scht.rows:
             acc = acc + row.values[cid] * row.n_lambda
-        expect = bg.order_U if cid == 0 else 0
+        expect = order if cid == 0 else 0
         if acc != expect:
             return CheckResult(
                 "axiom-regular-sum",
@@ -436,8 +534,9 @@ def verify_axioms(bg, sct: SuperclassTable, scht: SupercharTable) -> Report:
         sct.count == scht.count,
         f"|X| = {scht.count}, |K| = {sct.count}",
     )
-    sizes_ok = sum(K.size for K in sct.classes) == bg.order_U
-    rep.add("superclasses-partition", sizes_ok, f"sizes sum to |U| = {bg.order_U}")
+    order = len(sct.record.elements)
+    sizes_ok = sum(K.size for K in sct.classes) == order
+    rep.add("superclasses-partition", sizes_ok, f"sizes sum to |{sct.record.symbol}| = {order}")
     rep.results.append(_conjugation_closure_check(bg, sct))
     rep.results.append(_constancy_check(bg, scht, sct))
     rep.results.append(_orthogonality_check(bg, scht))
@@ -449,9 +548,7 @@ def verify_induction(bg, sct, scht) -> Report:
     """Exact equality of every row with its induced character."""
     rep = Report(f"induction {bg.label()}")
     for row in scht.rows:
-        values, degree = induction_oracle(
-            bg, row.lam, scht.springer_name, scht.theta, sct
-        )
+        values, degree = induction_oracle(bg, row.lam, scht.theta, sct)
         if degree != row.degree:
             rep.add("induction-degree", False, f"row {row.lam}: {degree} != {row.degree}")
             return rep
@@ -459,6 +556,14 @@ def verify_induction(bg, sct, scht) -> Report:
             rep.add("induction-values", False, f"row {row.lam} differs from Ind")
             return rep
     rep.add("induction-identity", True, f"{len(scht.rows)} rows, exact")
+    return rep
+
+
+def verify_algebra_axioms(bg, th: SupercharTable, with_induction: bool = True) -> Report:
+    """verify_axioms, then verify_induction, on an algebra_group_sct table."""
+    rep = verify_axioms(bg, th.sc_table, th)
+    if with_induction:
+        rep.extend(verify_induction(bg, th.sc_table, th).results)
     return rep
 
 
@@ -506,21 +611,7 @@ def verify_theta_independence(bg, springer_name: str = "cayley") -> Report:
     return rep
 
 
-# -- algebra-group supercharacter theory -------------------------------------------
-
-
-@dataclass
-class AlgebraTheory:
-    group: BuiltGroup
-    elements: list  # the enumerated G in canonical order
-    classes: list  # Superclass with member ids into ``elements``
-    class_of_flat: dict  # flat(g-1) -> class id
-    rows: list
-    theta: Theta
-
-    @property
-    def degrees(self):
-        return sorted(r.degree for r in self.rows)
+# -- intersection with the ambient theory ---------------------------------------------
 
 
 def ambient_group(bg: BuiltGroup) -> BuiltGroup:
@@ -545,154 +636,13 @@ def ambient_group(bg: BuiltGroup) -> BuiltGroup:
     return cached
 
 
-def algebra_theta(bg_ambient: BuiltGroup) -> Theta:
-    return Theta.standard(bg_ambient.sc)
-
-
-def algebra_group_sct(
-    bg: BuiltGroup, theta: Theta | None = None, threads: int = 1
-) -> AlgebraTheory:
-    """The two-sided-orbit supercharacter theory of a pattern group,
-    with f(g) = g - 1 and chi_lambda = (|G lam| / |G lam G|) * orbit sum."""
-    if bg.spec.family != "UT" or bg.kdim != 1:
-        raise ValueError("algebra theory expects a UT-family group over its full field")
-    theta = theta or algebra_theta(bg)
-    if bg.order_G > _ALGEBRA_ENUM_GUARD and not bg.force:
-        raise SizeGuardError(
-            f"|G| = {bg.order_G} too large to enumerate for the algebra theory"
-        )
-    o2 = two_sided_orbit_partition_g(bg, threads=threads)
-    od2 = two_sided_orbit_partition_g_dual(bg, threads=threads)
-    odl = left_orbit_partition_g_dual(bg, threads=threads)
-
-    elems = sorted(bg.enumerate_G(), key=lambda m: m.serialize())
-    members: dict = {}
-    class_of_flat = {}
-    for idx, g in enumerate(elems):
-        flat = bg.flatten(g.nilpotent_part())
-        oid = o2.orbit_id(flat)
-        members.setdefault(oid, []).append(idx)
-        class_of_flat[flat] = oid
-    ordered = sorted(members.values(), key=lambda ids: elems[min(ids)].serialize())
-    classes = []
-    remap = {}
-    for cid, ids in enumerate(ordered):
-        ids.sort()
-        oid = o2.orbit_id(bg.flatten(elems[ids[0]].nilpotent_part()))
-        remap[oid] = cid
-        classes.append(Superclass(cid, elems[ids[0]], len(ids), ids))
-    class_of_flat = {flat: remap[oid] for flat, oid in class_of_flat.items()}
-
-    points = [bg.flatten(K.rep.nilpotent_part()) for K in classes]
-    p = bg.tower.p
-    dot = bg.sc.dot
-    rows = []
-    for orbit in od2.orbits:
-        left_sizes = {odl.orbits[odl.orbit_of[i]].size for i in orbit.members}
-        if len(left_sizes) != 1:
-            raise AssertionError("|G lam| varies across a two-sided orbit")
-        left = left_sizes.pop()
-        if orbit.size % left:
-            raise NonIntegralityError("|G lam G| / |G lam| is not integral")
-        n_lambda = orbit.size // left
-        mus = [od2.space[i] for i in orbit.members]
-        values = _orbit_sum_values(p, mus, points, dot, theta.exponent, n_lambda)
-        degree = values[0].as_integer()
-        rows.append(SupercharRow(orbit.rep, orbit.size, left, n_lambda, degree, values))
-    rows.sort(key=lambda r: r.lam)
-    return AlgebraTheory(bg, elems, classes, class_of_flat, rows, theta)
-
-
-def algebra_induction_oracle(bg: BuiltGroup, theory: AlgebraTheory, lam_coeffs):
-    """Ind_{L_lam}^G of the linear character theta∘lam∘f, where
-    l_lam = {x : lam(y x) = 0 for all y in g}."""
-    rows = []
-    for y in bg.g_basis_mats:
-        rows.append(tuple(bg.sc.dot(lam_coeffs, bg.flatten(y * b)) for b in bg.g_basis_mats))
-    l_space = Subspace.kernel(bg.sc, bg.flat_dim, rows)
-    elems = sorted(bg.enumerate_G(), key=lambda m: m.serialize())
-    index = {m.serialize(): i for i, m in enumerate(elems)}
-    p = bg.tower.p
-    sub = []
-    phi = {}
-    for i, g in enumerate(elems):
-        flat = bg.flatten(g.nilpotent_part())
-        if l_space.contains(flat):
-            sub.append(i)
-            phi[i] = theory.theta.exponent(bg.sc.dot(lam_coeffs, flat))
-    for i in sub:
-        for j in sub:
-            k = index[(elems[i] * elems[j]).serialize()]
-            if k not in phi or (phi[i] + phi[j]) % p != phi[k]:
-                raise NonIntegralityError("Res to L_lambda is not a linear character")
-    values = []
-    for K in theory.classes:
-        counts = [0] * p
-        for i, h in enumerate(elems):
-            conj = h * K.rep * h.inverse()
-            cid = index[conj.serialize()]
-            if cid in phi:
-                counts[phi[cid]] += 1
-        values.append(CycloValue.from_exponents(p, counts).divexact(len(sub)))
-    return values
-
-
-def verify_algebra_axioms(bg, th: AlgebraTheory, with_induction: bool = True) -> Report:
-    rep = Report(f"algebra axioms {bg.label()}")
-    rep.add("axiom-count", len(th.rows) == len(th.classes), f"{len(th.rows)} rows/classes")
-    sizes = [K.size for K in th.classes]
-    rep.add("superclasses-partition", sum(sizes) == bg.order_G, "sizes sum to |G|")
-    if bg.order_G <= _FULL_CHECK_LIMIT:
-        od2 = two_sided_orbit_partition_g_dual(bg)
-        ok = True
-        for row in th.rows:
-            orbit = od2.orbits[od2.orbit_id(row.lam)]
-            mus = [od2.space[i] for i in orbit.members]
-            for K in th.classes:
-                for mid in K.member_ids:
-                    pt = bg.flatten(th.elements[mid].nilpotent_part())
-                    val = _orbit_sum_values(
-                        bg.tower.p, mus, [pt], bg.sc.dot, th.theta.exponent, row.n_lambda
-                    )[0]
-                    if val != row.values[K.class_id]:
-                        ok = False
-                        break
-        rep.add("axiom-constancy", ok, "exhaustive")
-    for a in range(len(th.rows)):
-        fa = list(zip(th.rows[a].values, sizes))
-        for b in range(a + 1, len(th.rows)):
-            fb = list(zip(th.rows[b].values, sizes))
-            if not inner_product(fa, fb, bg.order_G).is_zero():
-                rep.add("axiom-orthogonality", False, f"rows {a},{b}")
-                return rep
-    rep.add("axiom-orthogonality", True, "exact")
-    for cid in range(len(th.classes)):
-        acc = CycloValue.zero(bg.tower.p)
-        for row in th.rows:
-            acc = acc + row.values[cid] * row.n_lambda
-        if acc != (bg.order_G if cid == 0 else 0):
-            rep.add("axiom-regular-sum", False, f"class {cid}")
-            return rep
-    rep.add("axiom-regular-sum", True, "exact")
-    if with_induction:
-        for row in th.rows:
-            if algebra_induction_oracle(bg, th, row.lam) != row.values:
-                rep.add("induction-identity", False, f"row {row.lam}")
-                return rep
-        rep.add("induction-identity", True, f"{len(th.rows)} rows, exact")
-    return rep
-
-
-# -- intersection with the ambient theory ---------------------------------------------
-
-
-def intersection_check(bg: BuiltGroup, springer_name: str = "cayley", threads: int = 1) -> Report:
+def intersection_check(bg: BuiltGroup, springer_name: str = "cayley") -> Report:
     """Superclasses of U are exactly the nonempty U ∩ K_g for ambient
     superclasses K_g of the pattern group."""
     rep = Report(f"intersection {bg.label()}")
     amb = ambient_group(bg)
-    o2 = two_sided_orbit_partition_g(amb, threads=threads)
-    sct = superclasses(bg, springer_name, threads=threads)
+    o2 = two_sided_orbit_partition_g(amb)
+    sct = superclasses(bg, springer_name)
     by_ambient: dict = {}
     for idx, u in enumerate(bg.U):
         flat = amb.flatten(u.nilpotent_part())
@@ -733,7 +683,7 @@ def verify_structure(bg: BuiltGroup) -> Report:
     H-action linearization, G = HU, ideal/normality of h and H, the
     Springer conditions, and the functional-extension properties."""
     rep = Report(f"structure {bg.label()}")
-    rng = random.Random(_SAMPLE_SEED)
+    rng = random.Random(SAMPLE_SEED)
     ub = bg.u_basis.matrices
 
     ok = all(
@@ -830,7 +780,7 @@ def verify_structure(bg: BuiltGroup) -> Report:
     reps = [o.rep for o in od.orbits]
     mode = "all dual-orbit representatives"
     if len(reps) > _FUNCTIONAL_CHECK_LIMIT:
-        reps = random.Random(_SAMPLE_SEED).sample(reps, _FUNCTIONAL_CHECK_LIMIT)
+        reps = random.Random(SAMPLE_SEED).sample(reps, _FUNCTIONAL_CHECK_LIMIT)
         mode = f"{_FUNCTIONAL_CHECK_LIMIT} sampled representatives"
     ok_restr = ok_anti = ok_kernel = ok_hlam = ok_seteq = True
     for lam_coeffs in reps:

@@ -68,9 +68,6 @@ class TriMatrix:
             )
         return self._key
 
-    def support(self):
-        return set(self.entries)
-
     def _check(self, other: "TriMatrix"):
         if (
             other.n != self.n
@@ -229,9 +226,6 @@ class MirrorPoset:
                 raise ValueError(f"{path}: malformed line {ln!r}")
             gens.append((int(parts[0]), int(parts[1])))
         return cls.from_pairs(n, gens)
-
-    def admits(self, i: int, j: int) -> bool:
-        return (i, j) in self.pairs
 
     def longest_chain(self) -> int:
         """Number of nodes on the longest strictly increasing chain."""

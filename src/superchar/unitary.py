@@ -476,7 +476,7 @@ def degree_audit(bg: BuiltGroup) -> list:
 def ennola_degree_check(scht: SupercharTable) -> Report:
     """Every degree must be a power of q^2; the degree multiset is
     reported for the external q -> -q comparison."""
-    bg = scht.group
+    bg = scht.sc_table.record.group
     q2 = bg.tower.q ** 2
     rep = Report(f"ennola degrees {bg.label()}")
     bad = []
@@ -528,7 +528,7 @@ def formula_grid_check(
     class_of = {}
     seen_classes = set()
     for nu in partitions:
-        u = rep_group_element(bg, nu, sct.springer_name)
+        u = rep_group_element(bg, nu, sct.record.springer_name)
         cid = sct.class_of[bg.U_index[u.serialize()]]
         if cid in seen_classes:
             rep.add("class-transversal", False, f"{nu!r} repeats a superclass")

@@ -17,8 +17,8 @@ from superchar.orbits import (
 )
 from superchar.sct import (
     algebra_group_sct,
-    algebra_induction_oracle,
     alternate_theta,
+    induction_oracle,
     intersection_check,
     supercharacters,
     superclasses,
@@ -105,7 +105,8 @@ def test_criterion_02_induction_identity(built, built_ut, tables, algebra_tables
     for key, bg in built_ut.items():
         th = algebra_tables[key]
         for row in th.rows:
-            assert algebra_induction_oracle(bg, th, row.lam) == row.values, (key, row.lam)
+            values, _ = induction_oracle(bg, row.lam, th.theta, th.sc_table)
+            assert values == row.values, (key, row.lam)
             rows += 1
     _ok("criterion-2 induction identity", f"{rows} rows, exact equality")
 
@@ -167,7 +168,7 @@ def test_criterion_05_type_d_examples(built):
     ut2 = build_group(GroupSpec(family="UT", n=2, p=3))
     th = algebra_group_sct(ut2)
     assert sct_b.count == len(th.classes)
-    assert sorted(r.degree for r in scht_b.rows) == th.degrees
+    assert sorted(r.degree for r in scht_b.rows) == sorted(r.degree for r in th.rows)
     _ok(
         "criterion-5 type-D examples",
         "strictly finer poset theory; block poset matches UT_2(F_3)",

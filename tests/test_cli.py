@@ -1,6 +1,22 @@
+import hashlib
 import json
 
 from superchar.cli import main
+
+# sha256 of `superchar table` stdout, captured before the involution and
+# algebra-group theories shared one pipeline
+TABLE_SHA256 = {
+    ("UT", "2", "json"): "b605f37e9c5c0fda37415d1eed4edfeba5403a03fb6f40f3a54acb12d3648f44",
+    ("UT", "2", "csv"): "5b9c2f52f3593738fc59f074df93fd25bf2fec535dd4df0a500bf8b051d41ffd",
+    ("UT", "3", "json"): "4f07c53cdfc3755b226c9c24899d2c4323de216afa0b5cc60a38ef8565fc82fa",
+    ("UT", "3", "csv"): "af7c55d4f68feee020d5eb63b35bdc027d15c418dae549246e59792c9cd68ecf",
+    ("UO", "4", "json"): "eb1a272a4d9ae51caf273ab80454ac2bd53e02f272c6c09f23351874d57a566b",
+    ("UO", "4", "csv"): "47009fc74b9d9eca7498ec0f1a563d3146f10c67ffec5484188dd9bf6bfd48ee",
+    ("USp", "4", "json"): "513a07ba996201aa714d05cbfc80dc2c6c1b1cdfaeb5d415435b25fe62730c31",
+    ("USp", "4", "csv"): "7d7f82b6b758afbcc1badfa5c7793159ca0633c755c9639df1524dae8b3aea0f",
+    ("UU", "3", "json"): "058fe1f7c6ddaef6db5c1f953f66f6603a7ceeacf33c7000a79c310899863758",
+    ("UU", "3", "csv"): "13977968042ae41aad0ff3cc809d102a482adbc8fccabee7891799d585c79598",
+}
 
 
 def run(capsys, *argv):
@@ -91,18 +107,28 @@ def test_verify_single_check(capsys):
     assert "springer-rows" in out
 
 
-def test_verify_fault_injection_names_axiom(capsys):
+def _verify_injected_fault(capsys, family):
     code, out, _ = run(
-        capsys, "verify", "--family", "UO", "--n", "3", "--p", "3",
+        capsys, "verify", "--family", family, "--n", "3", "--p", "3",
         "--check", "axioms", "--inject-fault",
     )
     assert code == 2
     assert "FAIL" in out and "axiom-" in out
 
 
+def test_verify_fault_injection_names_axiom(capsys):
+    _verify_injected_fault(capsys, "UO")
+
+
+def test_verify_fault_injection_names_axiom_ut(capsys):
+    _verify_injected_fault(capsys, "UT")
+
+
 def test_verify_ut_family(capsys):
     code, out, _ = run(capsys, "verify", "--family", "UT", "--n", "3", "--p", "3")
     assert code == 0
+    assert "FAIL" not in out
+    assert "superclasses-union-of-conjugacy" in out
     assert "induction-identity" in out
 
 
@@ -196,19 +222,6 @@ def test_poset_mirror_rejection(capsys, tmp_path):
     assert "(3, 4)" in err
 
 
-def test_byte_identical_outputs_across_threads(capsys, tmp_path):
-    files = []
-    for i, threads in enumerate(["1", "4"]):
-        out = tmp_path / f"t{i}.json"
-        code, _, _ = run(
-            capsys, "table", "--family", "UU", "--n", "4", "--p", "3", "--k", "2",
-            "--threads", threads, "-o", str(out),
-        )
-        assert code == 0
-        files.append(out.read_bytes())
-    assert files[0] == files[1]
-
-
 def test_byte_identical_outputs_across_runs(capsys, tmp_path):
     blobs = []
     for i in range(2):
@@ -235,12 +248,12 @@ def test_theta_flag_changes_rows_but_not_classes(capsys):
     assert outs[0]["rows"] != outs[1]["rows"]
 
 
-def test_env_var_threads(capsys, monkeypatch):
-    monkeypatch.setenv("SUPERCHAR_THREADS", "2")
-    code, _, _ = run(capsys, "verify", "--family", "UO", "--n", "3", "--p", "3",
-                     "--check", "duality")
-    assert code == 0
-    monkeypatch.setenv("SUPERCHAR_THREADS", "0")
-    code, _, err = run(capsys, "verify", "--family", "UO", "--n", "3", "--p", "3",
-                       "--check", "duality")
-    assert code == 1
+def test_table_bytes_match_pinned_digests(capsys):
+    for (family, n, fmt), digest in TABLE_SHA256.items():
+        k = "2" if family == "UU" else "1"
+        code, out, _ = run(
+            capsys, "table", "--family", family, "--n", n, "--p", "3", "--k", k,
+            "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, n, fmt)

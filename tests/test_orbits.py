@@ -179,11 +179,3 @@ def test_orbit_dump_lines_format():
     assert set(first) == {"rep", "size", "orbit_id"}
     assert first["orbit_id"] == 0
 
-
-def test_threaded_partition_is_identical():
-    bg1 = build_group(GroupSpec(family="UU", n=4, p=3, k=2))
-    bg2 = build_group(GroupSpec(family="UU", n=4, p=3, k=2))
-    a = orbit_partition_u(bg1, threads=1)
-    b = orbit_partition_u(bg2, threads=4)
-    assert [o.rep_key for o in a.orbits] == [o.rep_key for o in b.orbits]
-    assert a.orbit_of == b.orbit_of

@@ -1,12 +1,13 @@
 import pytest
 
 from superchar.cyclotomic import root_power
+from superchar.errors import NonIntegralityError
 from superchar.involution_group import GroupSpec, build_group
 from superchar.sct import (
     algebra_group_sct,
-    algebra_induction_oracle,
     alternate_theta,
     ambient_group,
+    conjugation_index,
     induction_oracle,
     intersection_check,
     standard_theta,
@@ -138,9 +139,7 @@ def test_induction_identity(groups, kw):
 def test_induction_oracle_identity_row(groups):
     bg = _bg(groups, family="USp", n=4, p=3)
     sct = superclasses(bg, "cayley")
-    values, degree = induction_oracle(
-        bg, (0,) * bg.u_basis.dim, "cayley", standard_theta(bg), sct
-    )
+    values, degree = induction_oracle(bg, (0,) * bg.u_basis.dim, standard_theta(bg), sct)
     assert degree == 1
     assert all(v == 1 for v in values)
 
@@ -197,7 +196,7 @@ def test_algebra_ut2():
     bg = build_group(GroupSpec(family="UT", n=2, p=3))
     th = algebra_group_sct(bg)
     assert len(th.classes) == 3
-    assert th.degrees == [1, 1, 1]
+    assert sorted(r.degree for r in th.rows) == [1, 1, 1]
     assert verify_algebra_axioms(bg, th).ok
 
 
@@ -240,7 +239,67 @@ def test_algebra_induction_oracle_ut3():
     bg = build_group(GroupSpec(family="UT", n=3, p=3))
     th = algebra_group_sct(bg)
     for row in th.rows:
-        assert algebra_induction_oracle(bg, th, row.lam) == row.values
+        assert induction_oracle(bg, row.lam, th.theta, th.sc_table)[0] == row.values
+
+
+def test_non_integral_induced_character_raises():
+    bg = build_group(GroupSpec(family="UT", n=3, p=3))
+    th = algebra_group_sct(bg)
+    # drop one conjugate of the identity: the trivial row's induced sum
+    # there becomes |G| - 1, which |L_0| = |G| does not divide
+    conjugation_index(bg, th.sc_table)[0].pop()
+    with pytest.raises(NonIntegralityError):
+        induction_oracle(bg, th.rows[0].lam, th.theta, th.sc_table)
+
+
+# -- injected faults: each must fail by the check that guards it ---------------
+
+
+def _move_noncentral_element(bg, sct, scht):
+    # the rep of a class that conjugation moves, put into the next class
+    conj = conjugation_index(bg, sct)
+    K = next(K for K, row in zip(sct.classes, conj) if len(set(row)) > 1)
+    sct.class_of[K.member_ids[0]] = (K.class_id + 1) % sct.count
+
+
+def _wrong_n_lambda(bg, sct, scht):
+    scht.rows[1].n_lambda += 1
+
+
+def _perturbed_cell(bg, sct, scht):
+    row = scht.rows[1]
+    row.values[1] = row.values[1] + 1
+
+
+FAULTS = {
+    "class-partition": (_move_noncentral_element, {"superclasses-union-of-conjugacy"}),
+    "n-lambda": (_wrong_n_lambda, {"axiom-regular-sum"}),
+    "cell": (_perturbed_cell, {"axiom-constancy", "induction-values"}),
+}
+
+
+@pytest.fixture(scope="module")
+def nonabelian():
+    # UO4(F_3) is abelian, so no class partition of it can break
+    # union-of-conjugacy; UO5(F_3) and UT3(F_3) are not
+    return {
+        "UO": build_group(GroupSpec(family="UO", n=5, p=3)),
+        "UT": build_group(GroupSpec(family="UT", n=3, p=3)),
+    }
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("family", ["UO", "UT"])
+def test_injected_fault_fails_by_name(nonabelian, family, fault):
+    bg = nonabelian[family]
+    sct, scht = theory(bg)
+    inject, expected = FAULTS[fault]
+    inject(bg, sct, scht)
+    results = verify_axioms(bg, sct, scht).results
+    if "induction-values" in expected:
+        results += verify_induction(bg, sct, scht).results
+    failed = {r.name for r in results if r.passed is False}
+    assert expected <= failed, [r.line() for r in results]
 
 
 # -- intersection with the ambient theory -----------------------------------------
@@ -277,7 +336,7 @@ def test_block_poset_matches_algebra_theory_of_ut2():
     ut2 = build_group(GroupSpec(family="UT", n=2, p=3))
     th = algebra_group_sct(ut2)
     assert sct.count == len(th.classes)
-    assert sorted(r.degree for r in scht.rows) == th.degrees
+    assert sorted(r.degree for r in scht.rows) == sorted(r.degree for r in th.rows)
     assert intersection_check(blk).ok
 
 
