@@ -83,8 +83,10 @@ def _spec_from_args(args) -> GroupSpec:
 def _tables(bg, args):
     """The superclass and supercharacter tables for the --springer and
     --theta flags; the UT family has no Springer choice and uses g - 1."""
+    if args.springer and bg.spec.family == "UT":
+        raise _UsageError("--springer does not apply to family UT, which uses g - 1")
     theta = alternate_theta(bg) if args.theta == "alternate" else standard_theta(bg)
-    return theory(bg, args.springer, theta)
+    return theory(bg, args.springer or "cayley", theta)
 
 
 def _spec_json(spec: GroupSpec) -> dict:
@@ -194,11 +196,11 @@ def _run_check(name, bg, args, state) -> list:
     if name == "duality":
         return verify_duality(bg).results
     if name == "intersection":
-        return intersection_check(bg, args.springer).results
+        return intersection_check(bg, args.springer or "cayley").results
     if name == "springer-independence":
         return verify_springer_independence(bg).results
     if name == "theta-independence":
-        return verify_theta_independence(bg, args.springer).results
+        return verify_theta_independence(bg, args.springer or "cayley").results
     if name == "unitary-formula":
         sct, scht = tables()
         return formula_grid_check(bg, sct, scht).results
@@ -329,7 +331,7 @@ def build_parser() -> _Parser:
 
     t = subs.add_parser("table", help="compute and write a supercharacter table")
     _add_spec_args(t)
-    t.add_argument("--springer", choices=["cayley", "log"], default="cayley")
+    t.add_argument("--springer", choices=["cayley", "log"])
     t.add_argument("--theta", choices=["standard", "alternate"], default="standard")
     t.add_argument("--format", choices=["json", "csv"], default="json")
     t.add_argument("--output", "-o")
@@ -337,7 +339,7 @@ def build_parser() -> _Parser:
 
     v = subs.add_parser("verify", help="run the named verification checks")
     _add_spec_args(v)
-    v.add_argument("--springer", choices=["cayley", "log"], default="cayley")
+    v.add_argument("--springer", choices=["cayley", "log"])
     v.add_argument("--theta", choices=["standard", "alternate"], default="standard")
     v.add_argument("--check", help="run a single named check")
     v.add_argument("--output", "-o")
@@ -354,7 +356,7 @@ def build_parser() -> _Parser:
         "unitary-check", help="closed-form value grid and degree audit (UU)"
     )
     _add_spec_args(u)
-    u.add_argument("--springer", choices=["cayley", "log"], default="cayley")
+    u.add_argument("--springer", choices=["cayley", "log"])
     u.add_argument("--theta", choices=["standard", "alternate"], default="standard")
     u.add_argument("--output", "-o")
     u.set_defaults(func=cmd_unitary_check)

@@ -102,6 +102,17 @@ def _coeffs_to_enc(coeffs, p):
     return enc
 
 
+class _Memo(dict):
+    """A dict that fills each missing key with fn(key) on first lookup."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class FieldTower:
     """The field F_{p^{e*k}} together with its distinguished subfields.
 
@@ -136,13 +147,13 @@ class FieldTower:
         for _ in range(degree - 1):
             self._red.append(cur)
             cur = self._mod(_poly_mul(cur, (0, 1), p))
-        self._use_tables = size <= _TABLE_LIMIT
-        if self._use_tables:
-            self._mul_table = [
-                [self._mul_raw(a, b) for b in range(size)] for a in range(size)
-            ]
+        # tables indexed [a][b]; above _TABLE_LIMIT entries are made on first use
+        if size <= _TABLE_LIMIT:
+            self.add_table = [[self._add_raw(a, b) for b in range(size)] for a in range(size)]
+            self.mul_table = [[self._mul_raw(a, b) for b in range(size)] for a in range(size)]
         else:
-            self._mul_cache: dict = {}
+            self.add_table = _Memo(lambda a: _Memo(functools.partial(self._add_raw, a)))
+            self.mul_table = _Memo(lambda a: _Memo(functools.partial(self._mul_raw, a)))
         self._inv_cache: dict = {}
         self._frob_cache: dict = {}
         self._subfields: dict = {}
@@ -160,7 +171,9 @@ class FieldTower:
         return (self.p, self.e, self.k)
 
     def __eq__(self, other):
-        return isinstance(other, FieldTower) and self._key() == other._key()
+        return other is self or (
+            isinstance(other, FieldTower) and self._key() == other._key()
+        )
 
     def __hash__(self):
         return hash(self._key())
@@ -174,6 +187,9 @@ class FieldTower:
     # -- encoding-level arithmetic ----------------------------------------
 
     def add_enc(self, a: int, b: int) -> int:
+        return self.add_table[a][b]
+
+    def _add_raw(self, a: int, b: int) -> int:
         p = self.p
         out = 0
         mult = 1
@@ -213,14 +229,7 @@ class FieldTower:
         return _coeffs_to_enc(out, self.p)
 
     def mul_enc(self, a: int, b: int) -> int:
-        if self._use_tables:
-            return self._mul_table[a][b]
-        key = (a, b) if a <= b else (b, a)
-        v = self._mul_cache.get(key)
-        if v is None:
-            v = self._mul_raw(a, b)
-            self._mul_cache[key] = v
-        return v
+        return self.mul_table[a][b]
 
     def pow_enc(self, a: int, n: int) -> int:
         out = 1
@@ -332,14 +341,8 @@ class Subfield:
         self.one = 1
         self._elem_set = frozenset(fixed)
         # coordinates of every tower element against {t^i} over this subfield
-        basis = [1] + [tower.pow_enc(tower.p, i) for i in range(1, self.index)]
-        self.power_basis = tuple(basis)
-        coords = {}
-        for tup in itertools.product(fixed, repeat=self.index):
-            enc = 0
-            for c, b in zip(tup, basis):
-                enc = tower.add_enc(enc, tower.mul_enc(c, b))
-            coords[enc] = tup
+        self.power_basis = tuple(tower.pow_enc(tower.p, i) for i in range(self.index))
+        coords = {self.combine(tup): tup for tup in itertools.product(fixed, repeat=self.index)}
         if len(coords) != tower.size:
             raise AssertionError("power basis failed to span the tower")
         self._coords = coords
@@ -359,11 +362,7 @@ class Subfield:
         return self._coords[enc]
 
     def combine(self, coords) -> int:
-        tower = self.tower
-        enc = 0
-        for c, b in zip(coords, self.power_basis):
-            enc = tower.add_enc(enc, tower.mul_enc(c, b))
-        return enc
+        return self.dot(coords, self.power_basis)
 
     def trace_exponent(self, enc: int) -> int:
         """Tr_{F_{p^d}/F_p} as an integer exponent mod p."""
@@ -374,10 +373,10 @@ class Subfield:
 
     def dot(self, u, v) -> int:
         acc = 0
-        add, mul = self.add, self.mul
+        add, mul = self.tower.add_table, self.tower.mul_table
         for a, b in zip(u, v):
             if a and b:
-                acc = add(acc, mul(a, b))
+                acc = add[acc][mul[a][b]]
         return acc
 
     def __repr__(self):

@@ -29,13 +29,18 @@ from .triangular import (
     cayley_inv,
     nilpotency_index,
     pattern_space,
+    slot_index,
     trunc_exp,
     trunc_log,
 )
 
 FAMILIES = ("UT", "UO", "USp", "UU")
 U_SPACE_GUARD = 1 << 20
-G_SPACE_GUARD = 1 << 24
+# The ambient scan (orbits._g_space_list and the partition over it) peaks
+# at 340-390 bytes per point: 38.5 MB at 59k points, 57 MB at 118k and
+# 195 MB at 531k, over 15.6 MB for the import.  1 << 22 points is about
+# 1.7 GB; ut_6(F_3), at 3^15 points and some 5-6 GB, stays refused.
+G_SPACE_GUARD = 1 << 22
 _CLOSURE_EXHAUSTIVE_LIMIT = 128
 CLOSURE_SAMPLES = 512
 SAMPLE_SEED = 20240813
@@ -179,6 +184,8 @@ class BuiltGroup:
         self.tower = spec.tower
         self.poset = spec.poset or MirrorPoset.chain(spec.n)
         self.positions = pattern_space(self.poset)
+        # the TriMatrix slot of each position, in flat (position-major) order
+        self.slots = [slot_index(spec.n)[pos] for pos in self.positions]
         self.force = force
         degree = spec.scalar_degree if spec.scalar_degree is not None else spec.e
         if self.tower.degree % degree:
@@ -200,12 +207,11 @@ class BuiltGroup:
                     raise ShapeError("poset is not mirror symmetric")
 
         # standard basis of g over the scalar field: position-major, power-minor
-        self.g_basis_mats = []
-        for (i, j) in self.positions:
-            for b in self.sc.power_basis:
-                self.g_basis_mats.append(
-                    TriMatrix.from_entries(self.n, self.tower, {(i, j): self.tower.from_enc(b)})
-                )
+        self.g_basis_mats = [
+            TriMatrix.elementary(self.n, self.tower, i, j, self.tower.from_enc(b))
+            for (i, j) in self.positions
+            for b in self.sc.power_basis
+        ]
         self.g_space = Subspace.from_spanning(
             self.sc, self.flat_dim, [self.flatten(m) for m in self.g_basis_mats]
         )
@@ -218,9 +224,7 @@ class BuiltGroup:
             else [self.tower.pow_enc(self.tower.p, i) for i in range(self.tower.degree)]
         )
         self.G_gens = [
-            TriMatrix.from_entries(
-                self.n, self.tower, {(i, j): self.tower.from_enc(b)}, unipotent=True
-            )
+            TriMatrix.elementary(self.n, self.tower, i, j, self.tower.from_enc(b), True)
             for (i, j) in self.positions
             for b in pbasis
         ]
@@ -228,20 +232,12 @@ class BuiltGroup:
         # H = {h in G : h_{ij} = 0 if 2j <= n} and its ideal h
         self.h_positions = [(i, j) for (i, j) in self.positions if 2 * j > self.n]
         self.order_H = self.tower.size ** len(self.h_positions)
-        h_flat = [
-            self.flatten(m)
-            for m in self.g_basis_mats
-            if next(iter(m.entries)) in set(self.h_positions)
-        ]
+        h_set = set(self.h_positions)
+        self._outside_h = [s for pos, s in slot_index(self.n).items() if pos not in h_set]
+        h_flat = [self.flatten(m) for m in self.g_basis_mats if self.in_h(m)]
         self.h_space = Subspace.from_spanning(self.sc, self.flat_dim, h_flat)
         self.h_basis = SpaceBasis(self, self.h_space)
-        self.H_gens = [
-            TriMatrix.from_entries(
-                self.n, self.tower, {(i, j): self.tower.from_enc(b)}, unipotent=True
-            )
-            for (i, j) in self.h_positions
-            for b in pbasis
-        ]
+        self.H_gens = [g for g in self.G_gens if self.in_h(g)]
 
         if self.involution is not None:
             self._build_u()
@@ -250,24 +246,25 @@ class BuiltGroup:
             self.u_basis = None
             self.U = None
 
+    def in_h(self, mat: TriMatrix) -> bool:
+        """Whether mat vanishes off the positions of H, so lies in H or h."""
+        return not any(mat.encs[s] for s in self._outside_h)
+
     # -- flattening ---------------------------------------------------------
 
     def flatten(self, mat: TriMatrix):
         """Scalar-field coordinates of a nilpotent matrix, position-major."""
-        out = []
-        for pos in self.positions:
-            enc = mat.entries[pos].enc if pos in mat.entries else 0
-            out.extend(self.sc.coords(enc))
-        return tuple(out)
+        coords = self.sc.coords
+        encs = mat.encs
+        return tuple(c for s in self.slots for c in coords(encs[s]))
 
     def unflatten(self, flat) -> TriMatrix:
-        entries = {}
+        combine = self.sc.combine
         k = self.kdim
-        for idx, pos in enumerate(self.positions):
-            enc = self.sc.combine(flat[idx * k : (idx + 1) * k])
-            if enc:
-                entries[pos] = self.tower.from_enc(enc)
-        return TriMatrix(self.n, self.tower, False, entries)
+        encs = [0] * len(slot_index(self.n))
+        for idx, s in enumerate(self.slots):
+            encs[s] = combine(flat[idx * k : (idx + 1) * k])
+        return TriMatrix.from_encs(self.n, self.tower, encs)
 
     # -- the involution and the action ---------------------------------------
 
@@ -361,13 +358,11 @@ class BuiltGroup:
     def enumerate_G(self, force: bool = False):
         if self.order_G > G_SPACE_GUARD and not (force or self.force):
             raise SizeGuardError(f"|G| = {self.order_G} exceeds {G_SPACE_GUARD}")
+        encs = [0] * len(slot_index(self.n))
         for combo in itertools.product(range(self.tower.size), repeat=len(self.positions)):
-            entries = {
-                pos: self.tower.from_enc(enc)
-                for pos, enc in zip(self.positions, combo)
-                if enc
-            }
-            yield TriMatrix(self.n, self.tower, True, entries)
+            for s, enc in zip(self.slots, combo):
+                encs[s] = enc
+            yield TriMatrix.from_encs(self.n, self.tower, encs, unipotent=True)
 
     # -- functionals -------------------------------------------------------------
 
@@ -456,5 +451,5 @@ def stabilizer_subgroup(group: BuiltGroup, g_eta: SpaceBasis):
 
 def h_u_product_order(group: BuiltGroup) -> int:
     """|H U| computed from |H| |U| / |H ∩ U|; equals |G| when G = HU."""
-    hu = [u for u in group.U if all(pos in set(group.h_positions) for pos in u.entries)]
+    hu = [u for u in group.U if group.in_h(u)]
     return group.order_H * group.order_U // len(hu)

@@ -106,18 +106,5 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def matvec(rows, v, sc: Subfield):
-    """Apply a matrix (list of rows) to a column vector."""
-    add, mul = sc.add, sc.mul
-    out = []
-    for row in rows:
-        acc = sc.zero
-        for a, b in zip(row, v):
-            if a and b:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return tuple(out)
-
-
 def transpose(rows):
     return [tuple(col) for col in zip(*rows)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import SizeGuardError
 from .involution_group import BuiltGroup, G_SPACE_GUARD, U_SPACE_GUARD
-from .linalg import matvec, transpose
+from .linalg import transpose
 from .triangular import TriMatrix
 
 
@@ -134,17 +134,14 @@ def g_right_matrix(bg: BuiltGroup, g: TriMatrix):
 
 
 def _map_from_matrix(M, sc):
-    """Apply a linear map, exploiting that generator matrices are close
-    to the identity (elementary generators touch few coordinates)."""
+    """Apply a linear map by rewriting only the coordinates whose rows
+    differ from the identity; elementary generators touch few of them."""
     dim = len(M)
     deltas = []
     for i, row in enumerate(M):
         if any(row[j] != (sc.one if j == i else sc.zero) for j in range(dim)):
             deltas.append((i, [(j, v) for j, v in enumerate(row) if v]))
-    if len(deltas) > dim // 2:
-        return lambda v: matvec(M, v, sc)
-
-    add, mul = sc.add, sc.mul
+    add, mul = sc.tower.add_table, sc.tower.mul_table
 
     def apply(v):
         out = list(v)
@@ -153,7 +150,7 @@ def _map_from_matrix(M, sc):
             for j, a in cols:
                 b = v[j]
                 if b:
-                    acc = add(acc, mul(a, b)) if acc else mul(a, b)
+                    acc = add[acc][mul[a][b]]
             out[i] = acc
         return tuple(out)
 

@@ -721,12 +721,7 @@ def verify_structure(bg: BuiltGroup) -> Report:
     )
     rep.add("h-two-sided-ideal", ok, "exhaustive on basis pairs")
 
-    hpos = set(bg.h_positions)
-    ok = all(
-        set((g * h * g.inverse()).entries) <= hpos
-        for g in bg.G_gens
-        for h in bg.H_gens
-    )
+    ok = all(bg.in_h(g * h * g.inverse()) for g in bg.G_gens for h in bg.H_gens)
     rep.add("H-normal-in-G", ok, "on generators")
 
     u_keys = {

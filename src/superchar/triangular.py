@@ -1,35 +1,85 @@
 """Unipotent and nilpotent triangular matrices, mirror posets,
 anti-involutions and Springer morphisms.
 
-A TriMatrix stores only its strictly-upper entries; the ``unipotent``
-flag says whether it stands for 1+x (a group element) or x (an algebra
-element).  The two readings share a representation but the Springer
-morphisms are the only sanctioned bridge between them, so every map is
-explicit about which side it acts on.
+A TriMatrix stores its strictly-upper entries as a tuple of field
+encodings, one per slot of the row-major layout defined here; that tuple
+is also its serialization.  FieldElements appear only at the API edge.
+The ``unipotent`` flag says whether it stands for 1+x (a group element)
+or x (an algebra element).  The two readings share a representation but
+the Springer morphisms are the only sanctioned bridge between them, so
+every map is explicit about which side it acts on.
 """
 
 from __future__ import annotations
 
+import functools
+from types import MappingProxyType
+
 from .errors import ShapeError, SpringerUndefinedError
-from .gf import FieldElement, FieldTower, frobenius_q
+from .gf import FieldElement, FieldTower
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n: int):
+    """The slot layout for size n: the strict-upper positions in row-major
+    order, the slot of each position, and for each slot (i, j) the slot
+    pairs ((i, k), (k, j)) with i < k < j that a product sums over."""
+    positions = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    index = {pos: s for s, pos in enumerate(positions)}
+    pairs = tuple(
+        tuple((index[(i, k)], index[(k, j)]) for k in range(i + 1, j))
+        for (i, j) in positions
+    )
+    return positions, MappingProxyType(index), pairs
 
 
 def strict_positions(n: int):
-    """All (i, j) with 1 <= i < j <= n in row-major order."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    """All (i, j) with 1 <= i < j <= n in row-major (slot) order."""
+    return list(_layout(n)[0])
+
+
+def slot_index(n: int):
+    """The read-only map from each position (i, j) to its TriMatrix slot."""
+    return _layout(n)[1]
+
+
+def _dot_slots(acc, terms, x, y, add, mul) -> int:
+    """acc + the sum of x[a] y[b] over the slot pairs (a, b) in terms,
+    with add and mul the tower's tables."""
+    for a, b in terms:
+        u = x[a]
+        if u:
+            v = y[b]
+            if v:
+                acc = add[acc][mul[u][v]]
+    return acc
 
 
 class TriMatrix:
-    """A unipotent (1+x) or nilpotent (x) upper-triangular matrix."""
+    """A unipotent (1+x) or nilpotent (x) upper-triangular matrix, stored
+    as ``encs``, the encodings of x over ``strict_positions(n)``."""
 
-    __slots__ = ("n", "tower", "unipotent", "entries", "_key")
+    __slots__ = ("n", "tower", "unipotent", "encs")
 
     def __init__(self, n, tower, unipotent, entries):
+        index = slot_index(n)
+        encs = [0] * len(index)
+        for pos, v in entries.items():
+            encs[index[pos]] = v.enc
         self.n = n
         self.tower = tower
         self.unipotent = unipotent
-        self.entries = {pos: v for pos, v in entries.items() if v.enc}
-        self._key = None
+        self.encs = tuple(encs)
+
+    @classmethod
+    def from_encs(cls, n, tower, encs, unipotent=False) -> "TriMatrix":
+        """The matrix whose slots hold ``encs``, trusted as given."""
+        mat = object.__new__(cls)
+        mat.n = n
+        mat.tower = tower
+        mat.unipotent = unipotent
+        mat.encs = tuple(encs)
+        return mat
 
     @classmethod
     def zero(cls, n: int, tower: FieldTower) -> "TriMatrix":
@@ -41,32 +91,32 @@ class TriMatrix:
 
     @classmethod
     def from_entries(cls, n, tower, entries, unipotent=False) -> "TriMatrix":
-        clean = {}
-        for (i, j), v in entries.items():
+        for i, j in entries:
             if not (1 <= i < j <= n):
                 raise ShapeError(f"position ({i},{j}) is not strictly upper for n={n}")
-            v = tower.element(v) if isinstance(v, int) else v
-            if v.tower != tower:
-                raise ShapeError("entry from a different tower")
-            if v.enc:
-                clean[(i, j)] = v
-        return cls(n, tower, unipotent, clean)
+        # element() coerces ints and rejects an element of another tower
+        return cls(n, tower, unipotent, {pos: tower.element(v) for pos, v in entries.items()})
 
     @classmethod
     def elementary(cls, n, tower, i, j, value=1, unipotent=False) -> "TriMatrix":
         return cls.from_entries(n, tower, {(i, j): value}, unipotent)
 
+    def _like(self, encs) -> "TriMatrix":
+        return TriMatrix.from_encs(self.n, self.tower, encs, self.unipotent)
+
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries as {(i, j): FieldElement}, in slot order."""
+        positions = _layout(self.n)[0]
+        return {pos: FieldElement(self.tower, v) for pos, v in zip(positions, self.encs) if v}
+
     def get(self, i: int, j: int) -> FieldElement:
-        return self.entries.get((i, j), self.tower.zero)
+        s = slot_index(self.n).get((i, j))
+        return FieldElement(self.tower, 0 if s is None else self.encs[s])
 
     def serialize(self) -> tuple:
         """Row-major strict-upper entries as canonical integer encodings."""
-        if self._key is None:
-            self._key = tuple(
-                self.entries[pos].enc if pos in self.entries else 0
-                for pos in strict_positions(self.n)
-            )
-        return self._key
+        return self.encs
 
     def _check(self, other: "TriMatrix"):
         if (
@@ -82,10 +132,8 @@ class TriMatrix:
         self._check(other)
         if self.unipotent:
             raise ShapeError("addition is an algebra operation; use nilpotent matrices")
-        out = dict(self.entries)
-        for pos, v in other.entries.items():
-            out[pos] = out[pos] + v if pos in out else v
-        return TriMatrix(self.n, self.tower, False, out)
+        add = self.tower.add_table
+        return self._like([add[a][b] for a, b in zip(self.encs, other.encs)])
 
     def __sub__(self, other: "TriMatrix") -> "TriMatrix":
         return self + (-other)
@@ -93,57 +141,43 @@ class TriMatrix:
     def __neg__(self) -> "TriMatrix":
         if self.unipotent:
             raise ShapeError("negation is an algebra operation")
-        return TriMatrix(
-            self.n, self.tower, False, {pos: -v for pos, v in self.entries.items()}
-        )
+        neg = self.tower.neg_enc
+        return self._like([neg(a) for a in self.encs])
 
     def scale(self, c) -> "TriMatrix":
         if self.unipotent:
             raise ShapeError("scaling is an algebra operation")
-        c = self.tower.element(c) if isinstance(c, int) else c
-        return TriMatrix(
-            self.n, self.tower, False, {pos: c * v for pos, v in self.entries.items()}
-        )
-
-    def _nilp_product(self, other: "TriMatrix") -> dict:
-        out: dict = {}
-        for (i, k), a in self.entries.items():
-            for (k2, j), b in other.entries.items():
-                if k == k2:
-                    pos = (i, j)
-                    v = a * b
-                    out[pos] = out[pos] + v if pos in out else v
-        return out
+        row = self.tower.mul_table[self.tower.element(c).enc]
+        return self._like([row[a] for a in self.encs])
 
     def __mul__(self, other: "TriMatrix") -> "TriMatrix":
+        """x y, or for unipotents (1+x)(1+y) = 1 + (x + y + xy)."""
         self._check(other)
-        if not self.unipotent:
-            return TriMatrix(self.n, self.tower, False, self._nilp_product(other))
-        # (1+x)(1+y) = 1 + (x + y + xy)
-        x = self.nilpotent_part()
-        y = other.nilpotent_part()
-        return (x + y + x * y).as_unipotent()
+        x, y = self.encs, other.encs
+        add, mul = self.tower.add_table, self.tower.mul_table
+        return self._like(
+            _dot_slots(add[x[s]][y[s]] if self.unipotent else 0, terms, x, y, add, mul)
+            for s, terms in enumerate(_layout(self.n)[2])
+        )
 
     def inverse(self) -> "TriMatrix":
-        """(1+x)^(-1) = 1 + sum (-x)^i, truncated at nilpotency."""
+        """(1+x)^(-1) = 1+y with y = -(x + xy), solved slot by slot from
+        the last row up, since y_ij needs only y_kj with k > i."""
         if not self.unipotent:
             raise ShapeError("inverse is a group operation; use unipotent matrices")
-        x = self.nilpotent_part()
-        neg = -x
-        acc = neg
-        total = neg
-        for _ in range(self.n - 2):
-            acc = acc * neg
-            if not acc.entries:
-                break
-            total = total + acc
-        return total.as_unipotent()
+        x = self.encs
+        add, mul, neg = self.tower.add_table, self.tower.mul_table, self.tower.neg_enc
+        pairs = _layout(self.n)[2]
+        y = [0] * len(x)
+        for s in reversed(range(len(x))):
+            y[s] = neg(_dot_slots(x[s], pairs[s], x, y, add, mul))
+        return self._like(y)
 
     def nilpotent_part(self) -> "TriMatrix":
-        return TriMatrix(self.n, self.tower, False, dict(self.entries))
+        return TriMatrix.from_encs(self.n, self.tower, self.encs, False)
 
     def as_unipotent(self) -> "TriMatrix":
-        return TriMatrix(self.n, self.tower, True, dict(self.entries))
+        return TriMatrix.from_encs(self.n, self.tower, self.encs, True)
 
     def __eq__(self, other):
         return (
@@ -151,17 +185,15 @@ class TriMatrix:
             and other.n == self.n
             and other.tower == self.tower
             and other.unipotent == self.unipotent
-            and other.serialize() == self.serialize()
+            and other.encs == self.encs
         )
 
     def __hash__(self):
-        return hash((self.n, self.unipotent, self.serialize()))
+        return hash((self.n, self.unipotent, self.encs))
 
     def __repr__(self):
         kind = "1+" if self.unipotent else ""
-        body = " + ".join(
-            f"{v.enc}·e{i}{j}" for (i, j), v in sorted(self.entries.items())
-        )
+        body = " + ".join(f"{v.enc}·e{i}{j}" for (i, j), v in self.entries.items())
         return f"Tri({kind}{body or '0'}, n={self.n})"
 
 
@@ -278,33 +310,24 @@ class Involution:
         self.kind = kind
         self.n = n
         self.tower = tower
-        self.eps = {}
-        if kind == "symplectic":
-            half = n // 2
-            omega = {i: (-1 if i <= half else 1) for i in range(1, n + 1)}
-            for i, j in strict_positions(n):
-                self.eps[(i, j)] = -omega[i] * omega[n + 1 - j]
+        if kind == "unitary":
+            sigma = [tower.frobenius_q_enc(a) for a in range(tower.size)]
         else:
-            for pos in strict_positions(n):
-                self.eps[pos] = 1
-
-    def _sigma(self, v: FieldElement) -> FieldElement:
-        if self.kind == "unitary":
-            return frobenius_q(v)
-        return v
+            sigma = list(range(tower.size))
+        neg_sigma = [tower.neg_enc(a) for a in sigma]
+        # per target slot (i, j): the source slot and the table a -> eps_ij sigma(a)
+        self._moves = []
+        for i, j in strict_positions(n):
+            # symplectic eps_ij = -omega_i omega_{n+1-j}, with omega = -1 on [1, n/2]
+            flip = kind == "symplectic" and (2 * i <= n) == (2 * (n + 1 - j) <= n)
+            source = slot_index(n)[(n + 1 - j, n + 1 - i)]
+            self._moves.append((source, neg_sigma if flip else sigma))
 
     def apply(self, x: TriMatrix) -> TriMatrix:
         if x.n != self.n or x.tower != self.tower:
             raise ShapeError("matrix does not match the involution's shape")
-        n = self.n
-        out = {}
-        for (i, j), v in x.entries.items():
-            ti, tj = n + 1 - j, n + 1 - i
-            w = self._sigma(v)
-            if self.eps[(ti, tj)] < 0:
-                w = -w
-            out[(ti, tj)] = w
-        return TriMatrix(n, self.tower, x.unipotent, out)
+        encs = x.encs
+        return x._like([table[encs[src]] for src, table in self._moves])
 
     def __repr__(self):
         return f"Involution({self.kind}, n={self.n})"
@@ -327,7 +350,7 @@ def cayley(g: TriMatrix) -> TriMatrix:
     """The Cayley-type morphism 1+x -> 2x(x+2)^(-1) = x(1 + x/2)^(-1)."""
     if not g.unipotent:
         raise ShapeError("cayley maps group elements to algebra elements")
-    half = g.tower.element(2).inverse()
+    half = pow(2, -1, g.tower.p)
     x = g.nilpotent_part()
     z = _inv_one_plus(x.scale(half))
     return x * z + x
@@ -337,7 +360,7 @@ def cayley_inv(y: TriMatrix) -> TriMatrix:
     """Inverse of ``cayley``: y -> 1 + 2y(2-y)^(-1) = 1 + y(1 - y/2)^(-1)."""
     if y.unipotent:
         raise ShapeError("cayley_inv maps algebra elements to group elements")
-    half = y.tower.element(2).inverse()
+    half = pow(2, -1, y.tower.p)
     z = _inv_one_plus(-(y.scale(half)))
     return (y * z + y).as_unipotent()
 
@@ -368,11 +391,10 @@ def trunc_log(g: TriMatrix, bound: int | None = None) -> TriMatrix:
     sign = 1
     for i in range(2, m):
         acc = acc * x
-        if not acc.entries:
+        if not any(acc.encs):
             break
         sign = -sign
-        coeff = g.tower.element(sign) * g.tower.element(i).inverse()
-        total = total + acc.scale(coeff)
+        total = total + acc.scale(sign * pow(i, -1, p) % p)
     return total
 
 
@@ -391,8 +413,8 @@ def trunc_exp(y: TriMatrix, bound: int | None = None) -> TriMatrix:
     fact = 1
     for i in range(2, m):
         acc = acc * y
-        if not acc.entries:
+        if not any(acc.encs):
             break
         fact *= i
-        total = total + acc.scale(y.tower.element(fact).inverse())
+        total = total + acc.scale(pow(fact, -1, p))
     return total.as_unipotent()

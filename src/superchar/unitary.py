@@ -260,8 +260,9 @@ def _reduced_to_partition(bg: BuiltGroup, x: TriMatrix) -> TwistedSetPartition:
 
 
 def _is_reduced(x: TriMatrix) -> bool:
-    rows = [i for (i, j) in x.entries]
-    cols = [j for (i, j) in x.entries]
+    support = x.entries
+    rows = [i for (i, j) in support]
+    cols = [j for (i, j) in support]
     return len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
 
 
@@ -286,7 +287,7 @@ def canonicalize(bg: BuiltGroup, x: TriMatrix) -> TwistedSetPartition:
         # bottom-left-most pivot: largest row, then smallest column
         conflicts.sort(key=lambda ij: (-ij[0], ij[1]))
         i, j = conflicts[0]
-        ks = [k for k in range(1, i) if (k, j) in cur.entries]
+        ks = [k for k in range(1, i) if cur.get(k, j)]
         k = max(ks)
         pivot = cur.get(i, j)
         top = cur.get(k, j)

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 from superchar.cli import main
+from superchar.involution_group import G_SPACE_GUARD
 
 # sha256 of `superchar table` stdout, captured before the involution and
 # algebra-group theories shared one pipeline
@@ -16,6 +17,24 @@ TABLE_SHA256 = {
     ("USp", "4", "csv"): "7d7f82b6b758afbcc1badfa5c7793159ca0633c755c9639df1524dae8b3aea0f",
     ("UU", "3", "json"): "058fe1f7c6ddaef6db5c1f953f66f6603a7ceeacf33c7000a79c310899863758",
     ("UU", "3", "csv"): "13977968042ae41aad0ff3cc809d102a482adbc8fccabee7891799d585c79598",
+}
+
+# sha256 of `superchar verify` and `superchar orbits` stdout, captured
+# before TriMatrix stored its entries as a tuple of encodings
+COMMAND_SHA256 = {
+    ("verify", "UO", "4"): "db887dd47a1f1a0d8e205eea569beee7fbb4d16657ac20e35cccf8371f997701",
+    ("verify", "USp", "4"): "be5506436c37ef45cd4f6ab04a8d1ff9fed9b5ffbba5d1288f42367efe4e3926",
+    ("verify", "UT", "3"): "068daf6f1a60ef93b9ba40359f7e152992fb0d7a9ec07a9ea4e2df79ae874f19",
+    ("verify", "UU", "3"): "0243a612ad05e8d3fa511efdbaa411293ccd24d6e5a686543a5c1f1853284045",
+    ("orbits", "UO", "4", "--space", "u"):
+        "e6b20e4b7bb3368f7083b9f50b341fa8b9f0c58c3398bea031cd8ad9936f73fc",
+    ("orbits", "UO", "4", "--space", "dual"):
+        "e375b06f1cbf773b34cb8aa92a7bc8510c580634974fde9f2a4f14a2b0ca1f16",
+    ("orbits", "UO", "4", "--space", "two-sided"):
+        "bef4065d7254c8ae20eba43aaf521e5ff0bf0e60c0f06fdedb3380be7f393ce0",
+    # kdim = 2: orbit order comes from the serialized matrix, not the flat tuple
+    ("orbits", "UU", "3", "--space", "u"):
+        "f78f8c6169ee87ac834640f90503ad73aaa2df5cce67f068e08dba4941376300",
 }
 
 
@@ -75,6 +94,17 @@ def test_log_rejected_when_undefined(capsys):
     )
     assert code == 1
     assert "logarithm" in err
+
+
+def test_springer_rejected_for_ut(capsys):
+    for springer in ("cayley", "log"):
+        code, out, err = run(
+            capsys, "table", "--family", "UT", "--n", "2", "--p", "3",
+            "--springer", springer,
+        )
+        assert code == 1
+        assert out == ""
+        assert "g - 1" in err
 
 
 def test_size_guard_exit_code(capsys):
@@ -257,3 +287,24 @@ def test_table_bytes_match_pinned_digests(capsys):
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, n, fmt)
+
+
+def test_verify_and_orbits_bytes_match_pinned_digests(capsys):
+    for (cmd, family, n, *extra), digest in COMMAND_SHA256.items():
+        k = "2" if family == "UU" else "1"
+        code, out, _ = run(
+            capsys, cmd, "--family", family, "--n", n, "--p", "3", "--k", k, *extra
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (cmd, family, n, *extra)
+
+
+def test_ambient_scan_guard_refuses_ut6_f3(capsys):
+    # ut_6(F_3) has 3^15 points; check the guard before anything is built
+    assert 3**15 > G_SPACE_GUARD
+    code, _, err = run(
+        capsys, "verify", "--family", "UO", "--n", "6", "--p", "3",
+        "--check", "intersection",
+    )
+    assert code == 3
+    assert "guard" in err

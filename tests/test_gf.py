@@ -3,6 +3,8 @@ import pytest
 from superchar.errors import ShapeError, SizeGuardError
 from superchar.gf import (
     Theta,
+    _coeffs_to_enc,
+    _enc_to_coeffs,
     additive_char_exponent,
     frobenius_q,
     herm_trace,
@@ -205,3 +207,21 @@ def test_subfield_coords_roundtrip():
     for enc in range(tower.size):
         assert base.combine(base.coords(enc)) == enc
         assert all(base.contains(c) for c in base.coords(enc))
+
+
+@pytest.mark.parametrize("p,e,k", [(3, 1, 2), (5, 1, 2), (3, 3, 1), (3, 2, 2)])
+def test_additive_ops_match_coefficientwise_arithmetic(p, e, k):
+    """add_enc, neg_enc and sub_enc against coefficient vectors mod p,
+    exhaustively on F_9, F_25, F_27 and F_81."""
+    tower = make_tower(p, e, k)
+    d = tower.degree
+    coeffs = [_enc_to_coeffs(a, p, d) for a in range(tower.size)]
+    for a, ca in enumerate(coeffs):
+        assert tower.neg_enc(a) == _coeffs_to_enc([-x % p for x in ca], p)
+        for b, cb in enumerate(coeffs):
+            assert tower.add_enc(a, b) == _coeffs_to_enc(
+                [(x + y) % p for x, y in zip(ca, cb)], p
+            )
+            assert tower.sub_enc(a, b) == _coeffs_to_enc(
+                [(x - y) % p for x, y in zip(ca, cb)], p
+            )

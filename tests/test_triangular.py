@@ -20,6 +20,11 @@ from superchar.triangular import (
 
 T9 = make_tower(3, 1, 2)
 T3 = make_tower(3, 1, 1)
+T25 = make_tower(5, 1, 2)
+
+# (n, tower) pairs for the seeded oracle loops: prime and extension
+# fields, with every product carrying at least one middle index
+ORACLE_CASES = [(4, T3), (5, T3), (4, T9), (3, T25)]
 
 
 def dense(mat):
@@ -66,10 +71,16 @@ def test_nilpotent_square_vanishes():
 
 def test_mul_against_dense_oracle():
     rng = random.Random(1)
-    for _ in range(25):
-        a = random_unipotent(4, T3, rng)
-        b = random_unipotent(4, T3, rng)
-        assert dense(a * b) == dense_mul(dense(a), dense(b), T3)
+    for n, tower in ORACLE_CASES:
+        for unipotent in (True, False):
+            for _ in range(25):
+                a = random_unipotent(n, tower, rng)
+                b = random_unipotent(n, tower, rng)
+                if not unipotent:
+                    a, b = a.nilpotent_part(), b.nilpotent_part()
+                assert dense(a * b) == dense_mul(dense(a), dense(b), tower), (
+                    n, tower.size, unipotent
+                )
 
 
 def test_inverse():
@@ -79,9 +90,11 @@ def test_inverse():
     g = TriMatrix.from_entries(3, T3, {(1, 2): 1, (2, 3): 1}, unipotent=True)
     assert g.inverse().serialize() == (2, 1, 2)  # 1 - e12 - e23 + e13
     rng = random.Random(2)
-    for _ in range(20):
-        a = random_unipotent(4, T3, rng)
-        assert a * a.inverse() == TriMatrix.identity(4, T3)
+    for n, tower in ORACLE_CASES:
+        for _ in range(20):
+            a = random_unipotent(n, tower, rng)
+            assert a * a.inverse() == TriMatrix.identity(n, tower), (n, tower.size)
+            assert a.inverse() * a == TriMatrix.identity(n, tower), (n, tower.size)
 
 
 def test_flag_mismatch_is_error():
