@@ -26,6 +26,7 @@ from .orbits import (
     OrbitIndex,
     orbit_partition_dual,
     orbit_partition_u,
+    two_sided_canonical,
     two_sided_orbit_partition_g,
 )
 from .sct import (

@@ -154,6 +154,10 @@ class FieldTower:
         else:
             self.add_table = _Memo(lambda a: _Memo(functools.partial(self._add_raw, a)))
             self.mul_table = _Memo(lambda a: _Memo(functools.partial(self._mul_raw, a)))
+        # -a digit by digit: the lowest digit negated, the rest from a // p
+        self.neg_table = [0] * size
+        for a in range(1, size):
+            self.neg_table[a] = -a % p + p * self.neg_table[a // p]
         self._inv_cache: dict = {}
         self._frob_cache: dict = {}
         self._subfields: dict = {}
@@ -201,14 +205,7 @@ class FieldTower:
         return out
 
     def neg_enc(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self.neg_table[a]
 
     def sub_enc(self, a: int, b: int) -> int:
         return self.add_enc(a, self.neg_enc(b))

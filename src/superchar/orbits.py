@@ -5,17 +5,20 @@ generator's action is linear, so it is applied as a precomputed matrix.
 Orbits are found by union-find over generator images; the output is
 deterministic because the final order is a canonical sort.  A naive
 full-group sweep is kept as a test oracle for generator sufficiency.
+For the full chain, a two-sided orbit on g is also named without any
+enumeration, by its quasi-monomial normal form (``two_sided_canonical``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import SizeGuardError
 from .involution_group import BuiltGroup, G_SPACE_GUARD, U_SPACE_GUARD
 from .linalg import transpose
-from .triangular import TriMatrix
+from .triangular import TriMatrix, slot_index
 
 
 class UnionFind:
@@ -278,6 +281,51 @@ def _g_space_list(bg: BuiltGroup):
 def _g_canon_key(bg: BuiltGroup):
     unflatten = bg.unflatten
     return lambda flat: unflatten(flat).serialize()
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_grid(n: int):
+    """grid[i][j] = the slot of (i, j), for 1 <= i < j <= n."""
+    index = slot_index(n)
+    return tuple(
+        tuple(index.get((i, j)) for j in range(n + 1)) for i in range(n + 1)
+    )
+
+
+def two_sided_canonical(mat: TriMatrix) -> tuple:
+    """The slot encodings of the quasi-monomial matrix (at most one nonzero
+    entry in each row and column) in the orbit of the nilpotent ``mat``
+    under x -> g x h^{-1}, g, h in UT_n over the full field.
+
+    Rows are taken from the last up.  The leftmost nonzero (i, j) of row
+    i clears the rest of its row by column operations col_l -= c col_j
+    (l > j), then the entries above it in column j by row operations.
+    Each row below i already has at most one nonzero, never in column j
+    (a pivot clears its column above it), so neither step disturbs them.
+    Each orbit holds exactly one quasi-monomial matrix, so the result
+    names the orbit."""
+    n = mat.n
+    tower = mat.tower
+    add, mul, neg = tower.add_table, tower.mul_table, tower.neg_table
+    grid = _slot_grid(n)
+    x = list(mat.encs)
+    for i in range(n - 1, 0, -1):
+        row = grid[i]
+        j = next((j for j in range(i + 1, n + 1) if x[row[j]]), None)
+        if j is None:
+            continue
+        a_inv = tower.inv_enc(x[row[j]])
+        above = [(grid[r], x[grid[r][j]]) for r in range(1, i + 1) if x[grid[r][j]]]
+        for l in range(j + 1, n + 1):
+            b = x[row[l]]
+            if b:
+                c = neg[mul[b][a_inv]]
+                for r_row, v in above:
+                    s = r_row[l]
+                    x[s] = add[x[s]][mul[c][v]]
+        for r in range(1, i):
+            x[grid[r][j]] = 0
+    return tuple(x)
 
 
 def two_sided_orbit_partition_g(bg: BuiltGroup) -> OrbitIndex:

@@ -48,10 +48,11 @@ from .orbits import (
     left_orbit_partition_g_dual,
     orbit_partition_dual,
     orbit_partition_u,
+    two_sided_canonical,
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
 )
-from .triangular import TriMatrix
+from .triangular import MirrorPoset, TriMatrix
 
 _FULL_CHECK_LIMIT = 256
 _SAMPLE_COUNT = 200
@@ -175,7 +176,11 @@ class SuperclassTable:
         return len(self.classes)
 
     def partition_sets(self):
-        return {frozenset(c.member_ids) for c in self.classes}
+        """The classes as sets of element ids, read from ``class_of``."""
+        members: dict = {}
+        for idx, cid in enumerate(self.class_of):
+            members.setdefault(cid, []).append(idx)
+        return {frozenset(ids) for ids in members.values()}
 
 
 @dataclass
@@ -636,17 +641,29 @@ def ambient_group(bg: BuiltGroup) -> BuiltGroup:
     return cached
 
 
-def intersection_check(bg: BuiltGroup, springer_name: str = "cayley") -> Report:
+def intersection_check(
+    bg: BuiltGroup,
+    springer_name: str = "cayley",
+    sc_table: SuperclassTable | None = None,
+) -> Report:
     """Superclasses of U are exactly the nonempty U ∩ K_g for ambient
-    superclasses K_g of the pattern group."""
+    superclasses K_g of the pattern group.
+
+    K_g is the two-sided orbit of g - 1.  On the full chain it is named by
+    its quasi-monomial normal form (``two_sided_canonical``), |U|
+    reductions and no ambient group; for any other poset no normal form
+    is known, and the orbits come from the scan of the ambient g."""
     rep = Report(f"intersection {bg.label()}")
-    amb = ambient_group(bg)
-    o2 = two_sided_orbit_partition_g(amb)
-    sct = superclasses(bg, springer_name)
+    if bg.poset == MirrorPoset.chain(bg.n):
+        ambient_key = two_sided_canonical
+    else:
+        amb = ambient_group(bg)
+        o2 = two_sided_orbit_partition_g(amb)
+        ambient_key = lambda x: o2.orbit_id(amb.flatten(x))
+    sct = sc_table if sc_table is not None else superclasses(bg, springer_name)
     by_ambient: dict = {}
     for idx, u in enumerate(bg.U):
-        flat = amb.flatten(u.nilpotent_part())
-        by_ambient.setdefault(o2.orbit_id(flat), []).append(idx)
+        by_ambient.setdefault(ambient_key(u.nilpotent_part()), []).append(idx)
     ours = sct.partition_sets()
     theirs = {frozenset(ids) for ids in by_ambient.values()}
     if ours == theirs:
@@ -866,8 +883,7 @@ def verify_subfield_independence(bg: BuiltGroup) -> Report:
     sct_a, scht_a = theory(bg)
     sct_b, scht_b = theory(other)
     same_u = [u.serialize() for u in bg.U] == [u.serialize() for u in other.U]
-    part_a = {frozenset(c.member_ids) for c in sct_a.classes}
-    part_b = {frozenset(c.member_ids) for c in sct_b.classes}
+    part_a, part_b = sct_a.partition_sets(), sct_b.partition_sets()
     rep.add(
         "subfield-partitions",
         None,

@@ -141,8 +141,8 @@ class TriMatrix:
     def __neg__(self) -> "TriMatrix":
         if self.unipotent:
             raise ShapeError("negation is an algebra operation")
-        neg = self.tower.neg_enc
-        return self._like([neg(a) for a in self.encs])
+        neg = self.tower.neg_table
+        return self._like([neg[a] for a in self.encs])
 
     def scale(self, c) -> "TriMatrix":
         if self.unipotent:
@@ -166,11 +166,11 @@ class TriMatrix:
         if not self.unipotent:
             raise ShapeError("inverse is a group operation; use unipotent matrices")
         x = self.encs
-        add, mul, neg = self.tower.add_table, self.tower.mul_table, self.tower.neg_enc
+        add, mul, neg = self.tower.add_table, self.tower.mul_table, self.tower.neg_table
         pairs = _layout(self.n)[2]
         y = [0] * len(x)
         for s in reversed(range(len(x))):
-            y[s] = neg(_dot_slots(x[s], pairs[s], x, y, add, mul))
+            y[s] = neg[_dot_slots(x[s], pairs[s], x, y, add, mul)]
         return self._like(y)
 
     def nilpotent_part(self) -> "TriMatrix":

@@ -300,11 +300,22 @@ def test_verify_and_orbits_bytes_match_pinned_digests(capsys):
 
 
 def test_ambient_scan_guard_refuses_ut6_f3(capsys):
-    # ut_6(F_3) has 3^15 points; check the guard before anything is built
+    # ut_6(F_3) has 3^15 points; check the guard before anything is built.
+    # The two-sided orbit dump still scans the whole ambient space.
     assert 3**15 > G_SPACE_GUARD
     code, _, err = run(
-        capsys, "verify", "--family", "UO", "--n", "6", "--p", "3",
-        "--check", "intersection",
+        capsys, "orbits", "--family", "UO", "--n", "6", "--p", "3",
+        "--space", "two-sided",
     )
     assert code == 3
     assert "guard" in err
+
+
+def test_verify_uo6_intersection(capsys):
+    # the chain poset needs no ambient scan: U is grouped by canonical forms
+    code, out, _ = run(
+        capsys, "verify", "--family", "UO", "--n", "6", "--p", "3",
+        "--check", "intersection",
+    )
+    assert code == 0
+    assert "PASS   intersection-partition" in out

@@ -11,6 +11,7 @@ from superchar.orbits import (
     orbit_dump_lines,
     orbit_partition_dual,
     orbit_partition_u,
+    two_sided_canonical,
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
 )
@@ -179,3 +180,24 @@ def test_orbit_dump_lines_format():
     assert set(first) == {"rep", "size", "orbit_id"}
     assert first["orbit_id"] == 0
 
+
+
+@pytest.mark.parametrize("n,p,e", [(4, 3, 1), (3, 3, 2), (4, 5, 1), (3, 5, 2)])
+def test_two_sided_canonical_matches_scan(n, p, e):
+    """Grouping all of ut_n(F_q) by the canonical form gives the scanned
+    two-sided orbits; each form is quasi-monomial, lies in the orbit it
+    names, and is its own canonical form."""
+    bg = build_group(GroupSpec(family="UT", n=n, p=p, e=e))
+    oi = two_sided_orbit_partition_g(bg)
+    by_form: dict = {}
+    for i, flat in enumerate(oi.space):
+        by_form.setdefault(two_sided_canonical(bg.unflatten(flat)), []).append(i)
+    assert {frozenset(ids) for ids in by_form.values()} == {
+        frozenset(o.members) for o in oi.orbits
+    }
+    for form, ids in by_form.items():
+        x = TriMatrix.from_encs(n, bg.tower, form)
+        support = list(x.entries)
+        assert len({i for i, _ in support}) == len({j for _, j in support}) == len(support)
+        assert oi.orbit_id(bg.flatten(x)) == oi.orbit_of[ids[0]]
+        assert two_sided_canonical(x) == form

@@ -318,6 +318,18 @@ def test_intersection_theorem(groups, kw):
     assert rep.ok, [r.line() for r in rep.results]
 
 
+@pytest.mark.parametrize("which", ["UO5", "UU3"])
+def test_intersection_fails_on_moved_element(nonabelian, groups, which):
+    if which == "UO5":
+        bg = nonabelian["UO"]
+    else:
+        bg = _bg(groups, family="UU", n=3, p=3, k=2)
+    sct = superclasses(bg, "cayley")
+    _move_noncentral_element(bg, sct, None)
+    results = intersection_check(bg, sc_table=sct).results
+    assert [r.passed for r in results if r.name == "intersection-partition"] == [False]
+
+
 def test_intersection_poset_restricted():
     pairs = [(i, j) for (i, j) in strict_positions(4) if (i, j) != (2, 3)]
     bg = build_group(
