@@ -77,14 +77,16 @@ class Subspace:
 
     def coords(self, v):
         """Coefficients of v against the RREF basis, or None if outside."""
-        sc = self.sc
+        tower = self.sc.tower
+        add, mul, neg = tower.add_table, tower.mul_table, tower.neg_table
         cs = tuple(v[p] for p in self.pivots)
         residual = list(v)
         for c, row in zip(cs, self.rows):
             if c:
+                times = mul[neg[c]]  # x -> -c x
                 for j, x in enumerate(row):
                     if x:
-                        residual[j] = sc.sub(residual[j], sc.mul(c, x))
+                        residual[j] = add[residual[j]][times[x]]
         if any(residual):
             return None
         return cs
@@ -93,13 +95,15 @@ class Subspace:
         return self.coords(v) is not None
 
     def combine(self, coeffs):
-        sc = self.sc
-        out = [sc.zero] * self.ambient
+        tower = self.sc.tower
+        add, mul = tower.add_table, tower.mul_table
+        out = [0] * self.ambient
         for c, row in zip(coeffs, self.rows):
             if c:
+                times = mul[c]
                 for j, x in enumerate(row):
                     if x:
-                        out[j] = sc.add(out[j], sc.mul(c, x))
+                        out[j] = add[out[j]][times[x]]
         return tuple(out)
 
     def __repr__(self):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -70,8 +71,11 @@ class TheoryRecord:
     of the functionals (one row per orbit) and of the same dual space
     under the subgroup whose orbit size is a row's degree.
     ``subgroup(lam)`` is the subspace S of g such that the induction
-    oracle's subgroup is {e : e - 1 in S}; its closure is checked
-    exhaustively up to ``closure_limit`` elements, on samples beyond.
+    oracle's subgroup is {e : e - 1 in S}; up to ``closure_limit``
+    elements its closure is checked exhaustively, through generators
+    (|S| |T| products for a generating set T), and on seeded samples
+    beyond.  ``element_data()`` holds f(e) and flat(e - 1) for every
+    element; the oracle builds it on first use, the table path never.
     """
 
     group: BuiltGroup
@@ -86,6 +90,18 @@ class TheoryRecord:
     stabiliser: Callable
     subgroup: Callable
     closure_limit: float
+    _element_data: tuple | None = field(default=None, repr=False)
+
+    def element_data(self):
+        """(points, flats): f(e) and flat(e - 1) for every element, in
+        element order, made on first use."""
+        if self._element_data is None:
+            flatten = self.group.flatten
+            self._element_data = (
+                [self.point(e) for e in self.elements],
+                [flatten(e.nilpotent_part()) for e in self.elements],
+            )
+        return self._element_data
 
 
 def _theory_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
@@ -271,6 +287,28 @@ def _orbit_sum_values(p, members, points, dot, theta_exp):
     return out
 
 
+def _exponent_vector(x, elements, theta: Theta, p):
+    """theta(mu . x) as an exponent, for every mu in
+    product(elements, repeat=len(x)) in that order.  mu . x is additive in
+    mu, so the vector grows one coordinate at a time: each prefix value v
+    is followed by v + theta(c x_i) for every scalar c."""
+    mul = theta.subfield.tower.mul_table
+    vec = [0]
+    for xi in x:
+        digit = [theta.exponent(mul[c][xi]) for c in elements]
+        shifted = [[(v + e) % p for e in digit] for v in range(p)]
+        vec = [a for v in vec for a in shifted[v]]
+    return vec
+
+
+def _gather(ids):
+    """vec -> the tuple of vec[i] for i in ids, also for a single id."""
+    if len(ids) == 1:
+        (i,) = ids
+        return lambda vec: (vec[i],)
+    return operator.itemgetter(*ids)
+
+
 def supercharacters(
     bg: BuiltGroup,
     springer_name: str,
@@ -278,7 +316,11 @@ def supercharacters(
     sc_table: SuperclassTable | None = None,
 ) -> SupercharTable:
     """chi_lambda = (1/n_lambda) sum over the dual orbit of lambda of
-    theta(mu(f(.))), with n_lambda = |dual orbit| / |stabiliser orbit|."""
+    theta(mu(f(.))), with n_lambda = |dual orbit| / |stabiliser orbit|.
+
+    For each class rep x the exponents theta(mu(f(x))) are laid out over
+    the whole dual space at once (``_exponent_vector``); each cell is then
+    the histogram of that vector over the members of one dual orbit."""
     if sc_table is None:
         sc_table = superclasses(bg, springer_name)
     rec = sc_table.record
@@ -286,7 +328,13 @@ def supercharacters(
     oh = rec.stabiliser(bg)
     points = [rec.point(K.rep) for K in sc_table.classes]
     p = bg.tower.p
-    dot = bg.sc.dot
+    elements = bg.sc.elements
+    dim = len(od.space[0])
+    # the exponent vectors index the dual space by its product order
+    if len(od.space) != len(elements) ** dim or not all(
+        map(operator.eq, od.space, itertools.product(elements, repeat=dim))
+    ):
+        raise AssertionError("the dual space is not the full product space")
     rows = []
     for orbit in od.orbits:
         # od and oh enumerate the same dual space in the same order
@@ -298,14 +346,21 @@ def supercharacters(
             raise NonIntegralityError(
                 "n_lambda = |dual orbit| / |stabiliser orbit| is not integral"
             )
-        n_lambda = orbit.size // h_size
-        members = [od.space[i] for i in orbit.members]
-        sums = _orbit_sum_values(p, members, points, dot, theta.exponent)
-        values = [_divexact(s, n_lambda, "orbit sum") for s in sums]
-        degree = values[0].as_integer()
-        if degree != h_size:
+        # the degree is read off the identity column once all cells are in
+        rows.append(SupercharRow(orbit.rep, orbit.size, h_size, orbit.size // h_size, 0, []))
+    gathers = [_gather(orbit.members) for orbit in od.orbits]
+    for x in points:
+        vec = _exponent_vector(x, elements, theta, p)
+        for row, gather in zip(rows, gathers):
+            got = gather(vec)
+            counts = [got.count(e) for e in range(p)]
+            row.values.append(
+                _divexact(CycloValue.from_exponents(p, counts), row.n_lambda, "orbit sum")
+            )
+    for row in rows:
+        row.degree = row.values[0].as_integer()
+        if row.degree != row.h_orbit_size:
             raise AssertionError("chi(1) != stabiliser-orbit size; orbit bookkeeping broken")
-        rows.append(SupercharRow(orbit.rep, orbit.size, h_size, n_lambda, degree, values))
     rows.sort(key=lambda r: r.lam)
     if any(not v == 1 for v in rows[0].values):
         raise AssertionError("the zero functional did not give the trivial character")
@@ -347,25 +402,73 @@ def conjugation_index(bg: BuiltGroup, sc_table: SuperclassTable):
     return cache
 
 
+def _product_id(rec: TheoryRecord, i: int, j: int) -> int:
+    return rec.index[(rec.elements[i] * rec.elements[j]).serialize()]
+
+
+def _closed_by_generators(rec: TheoryRecord, phi: dict, p: int) -> bool:
+    """Whether S = phi's keys is closed and phi additive on S x S, with
+    |S| |T| products for the generators T it picks, not |S|^2.
+
+    The walk starts from the identity, rec.elements[0] (elements sort by
+    serialization), and takes S in element order; an element not yet
+    reached becomes a new generator.  Each reached s meets each generator
+    t once: s t must lie in S, with phi(s t) = phi(s) + phi(t), and joins
+    the reached set.  If no step fails, S . T ⊆ S and each s' in S is a
+    word t_1 ... t_m, so s s' stays in S one letter at a time; along the
+    word phi(s s') = phi(s) + sum phi(t_i) = phi(s) + phi(s'), since
+    phi(1) = 0 (the pair (1, 1), checked first; it also follows from any
+    step 1 . t).  Every step is one of the |S|^2 pairs, so the walk and
+    the pair loop pass and fail on the same inputs."""
+    if phi.get(0) != 0:
+        return False
+    reached, seen = [0], {0}
+    gens, done = [], []  # done[g]: how many reached elements met generator g
+    for s in phi:
+        if s in seen:
+            continue
+        gens.append(s)
+        done.append(0)
+        while any(d < len(reached) for d in done):
+            for g, t in enumerate(gens):
+                while done[g] < len(reached):
+                    r = reached[done[g]]
+                    done[g] += 1
+                    k = _product_id(rec, r, t)
+                    if k not in phi or (phi[r] + phi[t]) % p != phi[k]:
+                        return False
+                    if k not in seen:
+                        seen.add(k)
+                        reached.append(k)
+    return True
+
+
 def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: SuperclassTable):
     """Ind_S^E(Res theta∘lam∘f), evaluated at every class rep, for the
     record's elements E and its subgroup S for lam: U_lam = U ∩ (1 + g_eta)
     in the involution theory, L_lam = 1 + l_lam in the algebra theory.
 
-    The restriction must be a linear character: that is checked
-    (exhaustively up to the record's closure limit, on seeded samples
-    beyond), and a failure is fatal.  Returns the values and |E| / |S|.
+    The restriction must be a linear character, and a failure is fatal.
+    Up to the record's closure limit that is checked exhaustively, through
+    generators (|S| |T| products, ``_closed_by_generators``); beyond it,
+    on seeded samples.  Returns the values and |E| / |S|.
     """
     rec = sc_table.record
     space = rec.subgroup(lam_coeffs)
     p = bg.tower.p
-    phi = {}
-    for i, e in enumerate(rec.elements):
-        if space.contains(bg.flatten(e.nilpotent_part())):
-            phi[i] = theta.exponent(bg.sc.dot(lam_coeffs, rec.point(e)))
+    points, flats = rec.element_data()
+    dot, exponent, contains = bg.sc.dot, theta.exponent, space.contains
+    phi = {
+        i: exponent(dot(lam_coeffs, points[i]))
+        for i, flat in enumerate(flats)
+        if contains(flat)
+    }
     sub_ids = list(phi)
     if len(sub_ids) <= rec.closure_limit:
-        pairs = itertools.product(sub_ids, repeat=2)
+        # the walk decides; when it fails, the pair loop below raises at
+        # the first failing pair of S x S
+        closed = _closed_by_generators(rec, phi, p)
+        pairs = () if closed else itertools.product(sub_ids, repeat=2)
     else:
         rng = random.Random(SAMPLE_SEED)
         pairs = (
@@ -373,7 +476,7 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
             for _ in range(CLOSURE_SAMPLES)
         )
     for i, j in pairs:
-        k = rec.index[(rec.elements[i] * rec.elements[j]).serialize()]
+        k = _product_id(rec, i, j)
         if k not in phi:
             raise AssertionError("the oracle's subgroup is not closed under multiplication")
         if (phi[i] + phi[j]) % p != phi[k]:

@@ -17,24 +17,31 @@ TABLE_SHA256 = {
     ("USp", "4", "csv"): "7d7f82b6b758afbcc1badfa5c7793159ca0633c755c9639df1524dae8b3aea0f",
     ("UU", "3", "json"): "058fe1f7c6ddaef6db5c1f953f66f6603a7ceeacf33c7000a79c310899863758",
     ("UU", "3", "csv"): "13977968042ae41aad0ff3cc809d102a482adbc8fccabee7891799d585c79598",
+    # captured before the rows were read off exponent vectors
+    ("UO", "5", "json"): "f10b4dad628dd6fc4bfb772934845e3d4d2aee6b3def614aba1d00c2999b700d",
 }
 
-# sha256 of `superchar verify` and `superchar orbits` stdout, captured
-# before TriMatrix stored its entries as a tuple of encodings
+# sha256 of `superchar verify` and `superchar orbits` stdout, keyed by
+# (command, family, n, p, extra flags), captured before TriMatrix stored
+# its entries as a tuple of encodings
 COMMAND_SHA256 = {
-    ("verify", "UO", "4"): "db887dd47a1f1a0d8e205eea569beee7fbb4d16657ac20e35cccf8371f997701",
-    ("verify", "USp", "4"): "be5506436c37ef45cd4f6ab04a8d1ff9fed9b5ffbba5d1288f42367efe4e3926",
-    ("verify", "UT", "3"): "068daf6f1a60ef93b9ba40359f7e152992fb0d7a9ec07a9ea4e2df79ae874f19",
-    ("verify", "UU", "3"): "0243a612ad05e8d3fa511efdbaa411293ccd24d6e5a686543a5c1f1853284045",
-    ("orbits", "UO", "4", "--space", "u"):
+    ("verify", "UO", "4", "3"): "db887dd47a1f1a0d8e205eea569beee7fbb4d16657ac20e35cccf8371f997701",
+    ("verify", "USp", "4", "3"):
+        "be5506436c37ef45cd4f6ab04a8d1ff9fed9b5ffbba5d1288f42367efe4e3926",
+    ("verify", "UT", "3", "3"): "068daf6f1a60ef93b9ba40359f7e152992fb0d7a9ec07a9ea4e2df79ae874f19",
+    ("verify", "UU", "3", "3"): "0243a612ad05e8d3fa511efdbaa411293ccd24d6e5a686543a5c1f1853284045",
+    ("orbits", "UO", "4", "3", "--space", "u"):
         "e6b20e4b7bb3368f7083b9f50b341fa8b9f0c58c3398bea031cd8ad9936f73fc",
-    ("orbits", "UO", "4", "--space", "dual"):
+    ("orbits", "UO", "4", "3", "--space", "dual"):
         "e375b06f1cbf773b34cb8aa92a7bc8510c580634974fde9f2a4f14a2b0ca1f16",
-    ("orbits", "UO", "4", "--space", "two-sided"):
+    ("orbits", "UO", "4", "3", "--space", "two-sided"):
         "bef4065d7254c8ae20eba43aaf521e5ff0bf0e60c0f06fdedb3380be7f393ce0",
     # kdim = 2: orbit order comes from the serialized matrix, not the flat tuple
-    ("orbits", "UU", "3", "--space", "u"):
+    ("orbits", "UU", "3", "3", "--space", "u"):
         "f78f8c6169ee87ac834640f90503ad73aaa2df5cce67f068e08dba4941376300",
+    # the closure walk of the induction oracle; captured before it
+    ("verify", "UT", "3", "5"):
+        "09677187987f1a4afff3c6ae34d36e66eacd550be107dbe3e10dfeec2a2a495d",
 }
 
 
@@ -290,13 +297,13 @@ def test_table_bytes_match_pinned_digests(capsys):
 
 
 def test_verify_and_orbits_bytes_match_pinned_digests(capsys):
-    for (cmd, family, n, *extra), digest in COMMAND_SHA256.items():
+    for (cmd, family, n, p, *extra), digest in COMMAND_SHA256.items():
         k = "2" if family == "UU" else "1"
         code, out, _ = run(
-            capsys, cmd, "--family", family, "--n", n, "--p", "3", "--k", k, *extra
+            capsys, cmd, "--family", family, "--n", n, "--p", p, "--k", k, *extra
         )
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, (cmd, family, n, *extra)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (cmd, family, n, p, *extra)
 
 
 def test_ambient_scan_guard_refuses_ut6_f3(capsys):

@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 
 from superchar.cyclotomic import root_power
 from superchar.errors import NonIntegralityError
 from superchar.involution_group import GroupSpec, build_group
+from superchar.linalg import Subspace
 from superchar.sct import (
+    _orbit_sum_values,
     algebra_group_sct,
     alternate_theta,
     ambient_group,
@@ -250,6 +254,79 @@ def test_non_integral_induced_character_raises():
     conjugation_index(bg, th.sc_table)[0].pop()
     with pytest.raises(NonIntegralityError):
         induction_oracle(bg, th.rows[0].lam, th.theta, th.sc_table)
+
+
+# -- the oracle's closure check, given a wrong subgroup ----------------------------
+
+NOT_CLOSED = "not closed under multiplication"
+NOT_MULTIPLICATIVE = "not multiplicative"
+
+
+def _stub_subgroup(monkeypatch, sct, space):
+    monkeypatch.setattr(sct.record, "subgroup", lambda lam: space)
+
+
+def test_closure_check_refuses_ut3_subsets(monkeypatch):
+    bg = build_group(GroupSpec(family="UT", n=3, p=3))
+    sct, scht = theory(bg)
+    flat = {
+        (i, j): bg.flatten(TriMatrix.elementary(3, bg.tower, i, j))
+        for i, j in strict_positions(3)
+    }
+    # 1 + span(e12, e23) is not a group: (1 + e12)(1 + e23) has an e13 entry
+    _stub_subgroup(
+        monkeypatch, sct, Subspace.from_spanning(bg.sc, bg.flat_dim, [flat[1, 2], flat[2, 3]])
+    )
+    with pytest.raises(AssertionError, match=NOT_CLOSED):
+        induction_oracle(bg, scht.rows[0].lam, scht.theta, sct)
+    # all of G is a group, but lambda = e13* is not additive on g - 1
+    _stub_subgroup(monkeypatch, sct, bg.g_space)
+    with pytest.raises(NonIntegralityError, match=NOT_MULTIPLICATIVE):
+        induction_oracle(bg, flat[1, 3], scht.theta, sct)
+
+
+def test_closure_check_refuses_uo5_subsets(monkeypatch, nonabelian):
+    # |U| = 81 is under the closure limit: the generator walk decides
+    bg = nonabelian["UO"]
+    sct, scht = theory(bg)
+    a, b = next((a, b) for a, b in itertools.combinations(bg.U, 2) if a * b != b * a)
+    pair = [bg.flatten(u.nilpotent_part()) for u in (a, b)]
+    _stub_subgroup(monkeypatch, sct, Subspace.from_spanning(bg.sc, bg.flat_dim, pair))
+    with pytest.raises(AssertionError, match=NOT_CLOSED):
+        induction_oracle(bg, scht.rows[0].lam, scht.theta, sct)
+    _stub_subgroup(monkeypatch, sct, bg.g_space)
+    refused = 0
+    for row in scht.rows:
+        try:
+            induction_oracle(bg, row.lam, scht.theta, sct)
+        except NonIntegralityError as exc:
+            assert NOT_MULTIPLICATIVE in str(exc)
+            refused += 1
+    assert (refused, len(scht.rows)) == (4, 13)
+
+
+# -- the rows' exponent-vector kernel against direct orbit sums -----------------------
+
+
+@pytest.mark.parametrize("theta_fn", [standard_theta, alternate_theta])
+@pytest.mark.parametrize("which", ["UO5", "UU3", "UT3_F5"])
+def test_row_cells_match_orbit_sums(nonabelian, groups, which, theta_fn):
+    if which == "UO5":
+        bg = nonabelian["UO"]
+    elif which == "UU3":
+        bg = _bg(groups, family="UU", n=3, p=3, k=2)
+    else:
+        bg = build_group(GroupSpec(family="UT", n=3, p=5))
+    theta = theta_fn(bg)
+    sct = superclasses(bg, "cayley")
+    scht = supercharacters(bg, "cayley", theta, sc_table=sct)
+    rec = sct.record
+    od = rec.dual(bg)
+    points = [rec.point(K.rep) for K in sct.classes]
+    for row in scht.rows:
+        members = od.members(od.orbit_id(row.lam))
+        sums = _orbit_sum_values(bg.tower.p, members, points, bg.sc.dot, theta.exponent)
+        assert [v * row.n_lambda for v in row.values] == sums, row.lam
 
 
 # -- injected faults: each must fail by the check that guards it ---------------
