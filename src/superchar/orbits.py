@@ -225,12 +225,16 @@ def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     return _cached(bg, "dual", build)
 
 
+def _h_dual_maps(bg: BuiltGroup):
+    """The dual action of H's generators on u*, built once per group."""
+    return _cached(bg, "h_dual_maps", lambda: _dual_maps(bg, bg.H_gens, u_action_matrix))
+
+
 def h_orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """The same dual space partitioned by the normal subgroup H."""
 
     def build():
-        maps = _dual_maps(bg, bg.H_gens, u_action_matrix)
-        return partition_space(_dual_space_list(bg), maps)
+        return partition_space(_dual_space_list(bg), _h_dual_maps(bg))
 
     return _cached(bg, "dual_h", build)
 
@@ -253,19 +257,23 @@ def closure_of(start, maps) -> frozenset:
 
 def h_orbit_of_functional(bg: BuiltGroup, coeffs) -> frozenset:
     """Closure of one u* vector under H (no full-space enumeration)."""
-    return closure_of(coeffs, _dual_maps(bg, bg.H_gens, u_action_matrix))
+    return closure_of(coeffs, _h_dual_maps(bg))
 
 
 def h_left_orbit_of_g_functional(bg: BuiltGroup, coeffs) -> frozenset:
     """Closure of one g* vector under the left action of H:
     (h mu)(x) = mu(h^{-1} x)."""
-    return closure_of(coeffs, _dual_maps(bg, bg.H_gens, g_left_matrix))
+    maps = _cached(bg, "h_left_dual_maps", lambda: _dual_maps(bg, bg.H_gens, g_left_matrix))
+    return closure_of(coeffs, maps)
 
 
 def left_orbit_of_g_element(bg: BuiltGroup, flat) -> frozenset:
     """Closure of one element of g under left multiplication by G."""
-    mats = [g_left_matrix(bg, g) for g in bg.G_gens]
-    return closure_of(flat, _maps_from_matrices(mats, bg.sc))
+
+    def build():
+        return _maps_from_matrices([g_left_matrix(bg, g) for g in bg.G_gens], bg.sc)
+
+    return closure_of(flat, _cached(bg, "g_left_maps", build))
 
 
 # -- ambient algebra-group orbits ---------------------------------------------

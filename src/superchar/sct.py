@@ -27,7 +27,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .cyclotomic import CycloValue, inner_product
+from .cyclotomic import CycloRational, CycloValue
 from .errors import NonIntegralityError, SizeGuardError
 from .gf import Theta
 from .involution_group import (
@@ -56,7 +56,6 @@ from .orbits import (
 from .triangular import MirrorPoset, TriMatrix
 
 _FULL_CHECK_LIMIT = 256
-_SAMPLE_COUNT = 200
 _ALGEBRA_ENUM_GUARD = 1 << 14
 _FUNCTIONAL_CHECK_LIMIT = 12
 
@@ -75,7 +74,10 @@ class TheoryRecord:
     elements its closure is checked exhaustively, through generators
     (|S| |T| products for a generating set T), and on seeded samples
     beyond.  ``element_data()`` holds f(e) and flat(e - 1) for every
-    element; the oracle builds it on first use, the table path never.
+    element, and ``conjugacy_classes(record)`` the conjugacy classes of
+    the elements; the oracle evaluates Frobenius's formula over those
+    classes.  Both are built on first use, and the table path needs
+    neither.
     """
 
     group: BuiltGroup
@@ -91,6 +93,7 @@ class TheoryRecord:
     subgroup: Callable
     closure_limit: float
     _element_data: tuple | None = field(default=None, repr=False)
+    _conjugacy: ConjugacyClasses | None = field(default=None, repr=False)
 
     def element_data(self):
         """(points, flats): f(e) and flat(e - 1) for every element, in
@@ -406,25 +409,18 @@ def _product_id(rec: TheoryRecord, i: int, j: int) -> int:
     return rec.index[(rec.elements[i] * rec.elements[j]).serialize()]
 
 
-def _closed_by_generators(rec: TheoryRecord, phi: dict, p: int) -> bool:
-    """Whether S = phi's keys is closed and phi additive on S x S, with
-    |S| |T| products for the generators T it picks, not |S|^2.
+def _generator_walk(rec: TheoryRecord, members, step=None):
+    """The generators T that a walk from the identity picks from members.
 
     The walk starts from the identity, rec.elements[0] (elements sort by
-    serialization), and takes S in element order; an element not yet
-    reached becomes a new generator.  Each reached s meets each generator
-    t once: s t must lie in S, with phi(s t) = phi(s) + phi(t), and joins
-    the reached set.  If no step fails, S . T ⊆ S and each s' in S is a
-    word t_1 ... t_m, so s s' stays in S one letter at a time; along the
-    word phi(s s') = phi(s) + sum phi(t_i) = phi(s) + phi(s'), since
-    phi(1) = 0 (the pair (1, 1), checked first; it also follows from any
-    step 1 . t).  Every step is one of the |S|^2 pairs, so the walk and
-    the pair loop pass and fail on the same inputs."""
-    if phi.get(0) != 0:
-        return False
+    serialization), and takes members in order; a member not yet reached
+    becomes a new generator.  Each reached r meets each generator t
+    once: the product r t, with id k, joins the reached set, so the walk
+    costs |reached| |T| products.  ``step(r, t, k)`` may refuse a
+    product, which ends the walk with None."""
     reached, seen = [0], {0}
     gens, done = [], []  # done[g]: how many reached elements met generator g
-    for s in phi:
+    for s in members:
         if s in seen:
             continue
         gens.append(s)
@@ -435,12 +431,75 @@ def _closed_by_generators(rec: TheoryRecord, phi: dict, p: int) -> bool:
                     r = reached[done[g]]
                     done[g] += 1
                     k = _product_id(rec, r, t)
-                    if k not in phi or (phi[r] + phi[t]) % p != phi[k]:
-                        return False
+                    if step is not None and not step(r, t, k):
+                        return None
                     if k not in seen:
                         seen.add(k)
                         reached.append(k)
-    return True
+    return gens
+
+
+def _closed_by_generators(rec: TheoryRecord, phi: dict, p: int) -> bool:
+    """Whether S = phi's keys is closed and phi additive on S x S, with
+    |S| |T| products for the generators T that ``_generator_walk`` picks
+    from S in element order, not |S|^2.
+
+    Each reached s meets each generator t once: s t must lie in S, with
+    phi(s t) = phi(s) + phi(t).  If no step fails, S . T ⊆ S and each s'
+    in S is a word t_1 ... t_m, so s s' stays in S one letter at a time;
+    along the word phi(s s') = phi(s) + sum phi(t_i) = phi(s) + phi(s'),
+    since phi(1) = 0 (the pair (1, 1), checked first; it also follows
+    from any step 1 . t).  Every step is one of the |S|^2 pairs, so the
+    walk and the pair loop pass and fail on the same inputs."""
+    if phi.get(0) != 0:
+        return False
+
+    def step(r, t, k):
+        return k in phi and (phi[r] + phi[t]) % p == phi[k]
+
+    return _generator_walk(rec, phi, step) is not None
+
+
+@dataclass
+class ConjugacyClasses:
+    class_of: list  # conjugacy class id per element, numbered by least member
+    sizes: list
+
+
+def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
+    """The conjugacy classes of the record's elements E, made once per
+    record.
+
+    ``_generator_walk`` over all of E picks generators T (|E| |T|
+    products).  Each class is then the orbit of its least member under
+    x -> t x t^-1 for t in T, found by a stack walk that conjugates every
+    element once by every generator (2 |E| |T| products).  E is finite
+    and generated by T, so these orbits are the orbits of all of E."""
+    if rec._conjugacy is None:
+        elements, index = rec.elements, rec.index
+        gens = [
+            (elements[t], elements[rec.inverse[t]])
+            for t in _generator_walk(rec, range(len(elements)))
+        ]
+        class_of = [-1] * len(elements)
+        sizes = []
+        for first in range(len(elements)):
+            if class_of[first] >= 0:
+                continue
+            cid = len(sizes)
+            class_of[first] = cid
+            stack, size = [first], 0
+            while stack:
+                x = elements[stack.pop()]
+                size += 1
+                for t, t_inv in gens:
+                    k = index[(t * x * t_inv).serialize()]
+                    if class_of[k] < 0:
+                        class_of[k] = cid
+                        stack.append(k)
+            sizes.append(size)
+        rec._conjugacy = ConjugacyClasses(class_of, sizes)
+    return rec._conjugacy
 
 
 def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: SuperclassTable):
@@ -448,21 +507,47 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
     record's elements E and its subgroup S for lam: U_lam = U ∩ (1 + g_eta)
     in the involution theory, L_lam = 1 + l_lam in the algebra theory.
 
-    The restriction must be a linear character, and a failure is fatal.
+    S is found by an annihilator test: flat(e - 1) lies in the subgroup's
+    space exactly when c . flat(e - 1) = 0 for every c in a basis of the
+    space's annihilator (the kernel of its rows).  The restriction phi of
+    theta∘lam∘f to S must be a linear character, and a failure is fatal.
     Up to the record's closure limit that is checked exhaustively, through
     generators (|S| |T| products, ``_closed_by_generators``); beyond it,
-    on seeded samples.  Returns the values and |E| / |S|.
+    on seeded samples.
+
+    The values come from Frobenius's formula over the conjugacy classes
+    of E (``conjugacy_classes``): with phi° = phi on S and 0 off S,
+
+        Ind phi(g) = (1/|S|) sum_{h in E} phi°(h g h^-1)
+                   = |E| / (|cl(g)| |S|) sum_{x in cl(g)} phi°(x),
+
+    since h -> h g h^-1 maps E onto cl(g) and each fibre is a coset of the
+    centraliser, of size |C_E(g)| = |E| / |cl(g)|.  One pass over S fills
+    a histogram of phi per conjugacy class.  |E| / |cl(g)| is an integer,
+    so the division by |cl(g)| |S| is exact exactly when the defining sum
+    is divisible by |S|.  Returns the values and |E| / |S|.
     """
     rec = sc_table.record
     space = rec.subgroup(lam_coeffs)
     p = bg.tower.p
     points, flats = rec.element_data()
-    dot, exponent, contains = bg.sc.dot, theta.exponent, space.contains
-    phi = {
-        i: exponent(dot(lam_coeffs, points[i]))
-        for i, flat in enumerate(flats)
-        if contains(flat)
-    }
+    dot, exponent = bg.sc.dot, theta.exponent
+    add, mul = bg.tower.add_table, bg.tower.mul_table
+    # each annihilator row c as its nonzero terms (column, row of x -> c_j x)
+    constraints = [
+        [(j, mul[c_j]) for j, c_j in enumerate(c) if c_j]
+        for c in Subspace.kernel(bg.sc, space.ambient, space.rows).rows
+    ]
+    phi = {}  # element id -> exponent of theta∘lam∘f, for the elements of S
+    for i, flat in enumerate(flats):
+        for terms in constraints:
+            acc = 0
+            for j, times in terms:
+                acc = add[acc][times[flat[j]]]
+            if acc:
+                break
+        else:
+            phi[i] = exponent(dot(lam_coeffs, points[i]))
     sub_ids = list(phi)
     if len(sub_ids) <= rec.closure_limit:
         # the walk decides; when it fails, the pair loop below raises at
@@ -483,16 +568,19 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
             raise NonIntegralityError(
                 "restriction of theta∘lambda∘f to the oracle's subgroup is not multiplicative"
             )
+    cc = conjugacy_classes(rec)
+    hist: dict = {}  # conjugacy class id -> counts of each exponent of phi
+    for s, e in phi.items():
+        hist.setdefault(cc.class_of[s], [0] * p)[e] += 1
+    order = len(rec.elements)
     values = []
-    for cid_row in conjugation_index(bg, sc_table):
-        counts = [0] * p
-        for target in cid_row:
-            if target in phi:
-                counts[phi[target]] += 1
+    for K in sc_table.classes:
+        cid = cc.class_of[rec.index[K.rep.serialize()]]
+        counts = CycloValue.from_exponents(p, hist.get(cid, [0] * p))
         values.append(
-            _divexact(CycloValue.from_exponents(p, counts), len(sub_ids), "induced character")
+            _divexact(counts * order, cc.sizes[cid] * len(sub_ids), "induced character")
         )
-    return values, len(rec.elements) // len(sub_ids)
+    return values, order // len(sub_ids)
 
 
 # -- named verification checks ----------------------------------------------------
@@ -532,27 +620,19 @@ class Report:
 
 
 def _conjugation_closure_check(bg, sct: SuperclassTable) -> CheckResult:
-    """Each superclass must be a union of conjugacy classes."""
-    rec = sct.record
-    order = len(rec.elements)
-    full = order <= _FULL_CHECK_LIMIT
-    if full:
-        pairs = itertools.product(range(order), repeat=2)
-        mode = "exhaustive"
-    else:
-        rng = random.Random(SAMPLE_SEED)
-        pairs = (
-            (rng.randrange(order), rng.randrange(order))
-            for _ in range(_SAMPLE_COUNT)
-        )
-        mode = f"{_SAMPLE_COUNT} sampled pairs"
-    for i, j in pairs:
-        conj = rec.elements[i] * rec.elements[j] * rec.elements[rec.inverse[i]]
-        if sct.class_of[rec.index[conj.serialize()]] != sct.class_of[j]:
+    """Each superclass must be a union of conjugacy classes: every
+    conjugacy class (``conjugacy_classes``) lies in one superclass."""
+    cc = conjugacy_classes(sct.record)
+    superclass_of: dict = {}  # conjugacy class id -> superclass of its first member
+    for cid, k in zip(cc.class_of, sct.class_of):
+        first = superclass_of.setdefault(cid, k)
+        if first != k:
             return CheckResult(
-                "superclasses-union-of-conjugacy", False, f"broken at pair ({i},{j})"
+                "superclasses-union-of-conjugacy",
+                False,
+                f"conjugacy class {cid} meets superclasses {first} and {k}",
             )
-    return CheckResult("superclasses-union-of-conjugacy", True, mode)
+    return CheckResult("superclasses-union-of-conjugacy", True, "exhaustive")
 
 
 def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckResult:
@@ -590,13 +670,27 @@ def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckRes
 
 
 def _orthogonality_check(bg, scht: SupercharTable) -> CheckResult:
+    """<chi_a, chi_b> = (1/|E|) sum_K |K| chi_a(K) conj(chi_b(K)) for every
+    pair of rows.  Each row is weighted by the class sizes and conjugated
+    once; a pair's product is accumulated as a raw exponent vector, one
+    dot product over the classes per pair of power-basis coefficients."""
+    p = bg.tower.p
     sizes = [K.size for K in scht.classes]
     order = len(scht.sc_table.record.elements)
+    # columns over the classes: weighted[a][i] holds coefficient i of
+    # |K| chi_a(K), conj[b][j] coefficient j of conj(chi_b(K))
+    weighted = [
+        list(zip(*([c * s for c in v.coeffs] for v, s in zip(row.values, sizes))))
+        for row in scht.rows
+    ]
+    conj = [list(zip(*(v.conjugate().coeffs for v in row.values))) for row in scht.rows]
     for a in range(len(scht.rows)):
-        fa = list(zip(scht.rows[a].values, sizes))
         for b in range(a, len(scht.rows)):
-            fb = list(zip(scht.rows[b].values, sizes))
-            ip = inner_product(fa, fb, order)
+            raw = [0] * p
+            for i, x in enumerate(weighted[a]):
+                for j, y in enumerate(conj[b]):
+                    raw[(i + j) % p] += sum(map(operator.mul, x, y))
+            ip = CycloRational(CycloValue.from_exponents(p, raw), order)
             if a == b:
                 if not (ip.is_integer() and ip.as_integer() > 0):
                     return CheckResult(

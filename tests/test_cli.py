@@ -42,6 +42,13 @@ COMMAND_SHA256 = {
     # the closure walk of the induction oracle; captured before it
     ("verify", "UT", "3", "5"):
         "09677187987f1a4afff3c6ae34d36e66eacd550be107dbe3e10dfeec2a2a495d",
+    # captured before the oracle used Frobenius's formula over conjugacy classes
+    ("verify", "UO", "5", "3"):
+        "302460253be58ea58ab52e960e9d9685ee22c8e90838e3ebc9eaafa95710330c",
+    # captured after it: |U| = 729, and union-of-conjugacy became exhaustive
+    # (it sampled 200 pairs before; no other line changed)
+    ("verify", "UU", "4", "3"):
+        "0578426177ed737e7a8ef458fd520980d42d7532feb0c5dfbe0fb09ee36d187d",
 }
 
 

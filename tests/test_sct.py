@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from superchar.cyclotomic import root_power
+from superchar.cyclotomic import CycloValue, root_power
 from superchar.errors import NonIntegralityError
 from superchar.involution_group import GroupSpec, build_group
 from superchar.linalg import Subspace
@@ -11,6 +11,7 @@ from superchar.sct import (
     algebra_group_sct,
     alternate_theta,
     ambient_group,
+    conjugacy_classes,
     conjugation_index,
     induction_oracle,
     intersection_check,
@@ -249,11 +250,78 @@ def test_algebra_induction_oracle_ut3():
 def test_non_integral_induced_character_raises():
     bg = build_group(GroupSpec(family="UT", n=3, p=3))
     th = algebra_group_sct(bg)
-    # drop one conjugate of the identity: the trivial row's induced sum
-    # there becomes |G| - 1, which |L_0| = |G| does not divide
-    conjugation_index(bg, th.sc_table)[0].pop()
+    # give the identity's conjugacy class two elements: the trivial row's
+    # value there becomes |G| / (2 |L_0|) = 1/2, since L_0 = G
+    cc = conjugacy_classes(th.sc_table.record)
+    cc.sizes[cc.class_of[0]] = 2
     with pytest.raises(NonIntegralityError):
         induction_oracle(bg, th.rows[0].lam, th.theta, th.sc_table)
+
+
+# -- the oracle's conjugacy classes and Frobenius's formula, against brute force ------
+
+
+def _oracle_group(nonabelian, groups, which):
+    if which == "UO5":
+        return nonabelian["UO"]
+    if which == "UU3":
+        return _bg(groups, family="UU", n=3, p=3, k=2)
+    return build_group(GroupSpec(family="UT", n=3, p=5))
+
+
+@pytest.mark.parametrize("which", ["UO5", "UU3", "UT3_F5"])
+def test_conjugacy_classes_match_brute_force(nonabelian, groups, which):
+    bg = _oracle_group(nonabelian, groups, which)
+    rec = superclasses(bg, "cayley").record
+    cc = conjugacy_classes(rec)
+    E = rec.elements
+    orbits = {
+        frozenset(rec.index[(h * x * E[rec.inverse[h_id]]).serialize()] for h_id, h in enumerate(E))
+        for x in E
+    }
+    members: dict = {}
+    for idx, cid in enumerate(cc.class_of):
+        members.setdefault(cid, []).append(idx)
+    assert {frozenset(ids) for ids in members.values()} == orbits
+    assert [len(members[cid]) for cid in range(len(cc.sizes))] == cc.sizes
+    # classes are numbered in the order of their least members
+    firsts = [members[cid][0] for cid in range(len(cc.sizes))]
+    assert firsts == sorted(firsts)
+
+
+def _counted_induction(bg, lam, theta, sct):
+    """The induced character counted as (1/|S|) sum over h in E of
+    phi°(h g h^-1), through conjugation_index and Subspace.contains."""
+    rec = sct.record
+    p = bg.tower.p
+    space = rec.subgroup(lam)
+    points, flats = rec.element_data()
+    phi = {
+        i: theta.exponent(bg.sc.dot(lam, points[i]))
+        for i, flat in enumerate(flats)
+        if space.contains(flat)
+    }
+    values = []
+    for targets in conjugation_index(bg, sct):
+        counts = [0] * p
+        for t in targets:
+            if t in phi:
+                counts[phi[t]] += 1
+        values.append(CycloValue.from_exponents(p, counts).divexact(len(phi)))
+    return values, len(rec.elements) // len(phi)
+
+
+@pytest.mark.parametrize("theta_fn", [standard_theta, alternate_theta])
+@pytest.mark.parametrize("which", ["UO5", "UU3", "UT3_F5"])
+def test_oracle_matches_conjugation_count(nonabelian, groups, which, theta_fn):
+    bg = _oracle_group(nonabelian, groups, which)
+    theta = theta_fn(bg)
+    sct = superclasses(bg, "cayley")
+    scht = supercharacters(bg, "cayley", theta, sc_table=sct)
+    for row in scht.rows:
+        got = induction_oracle(bg, row.lam, theta, sct)
+        assert got == _counted_induction(bg, row.lam, theta, sct), row.lam
+        assert got == (row.values, row.degree), row.lam
 
 
 # -- the oracle's closure check, given a wrong subgroup ----------------------------
@@ -363,6 +431,17 @@ def nonabelian():
         "UO": build_group(GroupSpec(family="UO", n=5, p=3)),
         "UT": build_group(GroupSpec(family="UT", n=3, p=3)),
     }
+
+
+def test_union_of_conjugacy_fails_on_moved_element_uu4():
+    # |U| = 729, above the 256 elements where the constancy check turns to
+    # sampling; union-of-conjugacy must still see every element
+    bg = build_group(GroupSpec(family="UU", n=4, p=3, k=2))
+    assert bg.order_U == 729
+    sct, scht = theory(bg)
+    _move_noncentral_element(bg, sct, scht)
+    results = verify_axioms(bg, sct, scht).results
+    assert [r.passed for r in results if r.name == "superclasses-union-of-conjugacy"] == [False]
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
