@@ -53,7 +53,6 @@ from .triangular import (
 )
 from .unitary import (
     TwistedSetPartition,
-    canonicalize,
     enumerate_twisted,
     formula_value,
     nst,

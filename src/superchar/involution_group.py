@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,9 +40,6 @@ U_SPACE_GUARD = 1 << 20
 # 195 MB at 531k, over 15.6 MB for the import.  1 << 22 points is about
 # 1.7 GB; ut_6(F_3), at 3^15 points and some 5-6 GB, stays refused.
 G_SPACE_GUARD = 1 << 22
-_CLOSURE_EXHAUSTIVE_LIMIT = 128
-CLOSURE_SAMPLES = 512
-SAMPLE_SEED = 20240813
 
 _KIND_BY_FAMILY = {"UO": "orthogonal", "USp": "symplectic", "UU": "unitary"}
 
@@ -87,6 +83,16 @@ def load_spec(path) -> GroupSpec:
     """Read a spec file {"family","n","p","e","k","poset": optional path}."""
     path = Path(path)
     data = json.loads(path.read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"spec file {path} must hold a JSON object")
+    missing = [key for key in ("family", "n", "p") if key not in data]
+    if missing:
+        raise ValueError(f"spec file {path} lacks {', '.join(missing)}")
+    for key in ("n", "p", "e", "k"):
+        if key in data and type(data[key]) is not int:
+            raise ValueError(f"spec file {path}: {key} must be an integer")
+    if data.get("poset") is not None and not isinstance(data["poset"], str):
+        raise ValueError(f"spec file {path}: poset must be a file path")
     poset = None
     if data.get("poset"):
         poset_path = Path(data["poset"])
@@ -314,20 +320,6 @@ class BuiltGroup:
             if key not in self.U_index:
                 raise AssertionError("U is not closed under inversion")
             self.U_inverse.append(self.U_index[key])
-        self._check_mul_closure()
-
-    def _check_mul_closure(self):
-        if self.order_U <= _CLOSURE_EXHAUSTIVE_LIMIT:
-            pairs = itertools.product(self.U, repeat=2)
-        else:
-            rng = random.Random(SAMPLE_SEED)
-            pairs = (
-                (self.U[rng.randrange(self.order_U)], self.U[rng.randrange(self.order_U)])
-                for _ in range(CLOSURE_SAMPLES)
-            )
-        for a, b in pairs:
-            if (a * b).serialize() not in self.U_index:
-                raise AssertionError("U is not closed under multiplication")
 
     # -- Springer morphisms ----------------------------------------------------
 
@@ -409,26 +401,20 @@ def sub_l_r_g(group: BuiltGroup, eta: Functional):
     """
     if eta.basis is not group.g_basis:
         raise ShapeError("expected a functional on g")
+    # g's basis is the standard one, so a matrix's coordinates against it
+    # are its flat form, and eta(x) is a dot product with flatten(x)
+    dot, flatten, coeffs = group.sc.dot, group.flatten, eta.coeffs
     left_rows = []
     right_rows = []
     for y in group.h_basis.matrices:
         yd = group.dagger(y)
-        lrow = []
-        rrow = []
-        for b in group.g_basis_mats:
-            lrow.append(eta.evaluate(y * b))
-            rrow.append(eta.evaluate(b * yd))
-        left_rows.append(tuple(lrow))
-        right_rows.append(tuple(rrow))
+        left_rows.append(tuple(dot(coeffs, flatten(y * b)) for b in group.g_basis_mats))
+        right_rows.append(tuple(dot(coeffs, flatten(b * yd)) for b in group.g_basis_mats))
 
     def _solve(rows):
-        if not rows:
-            return Subspace.from_spanning(
-                group.sc, group.flat_dim, [group.flatten(m) for m in group.g_basis_mats]
-            )
         # rows constrain coefficient vectors against g_basis_mats, which are
         # exactly the flat coordinates
-        return Subspace.kernel(group.sc, group.flat_dim, rows)
+        return Subspace.kernel(group.sc, group.flat_dim, rows) if rows else group.g_space
 
     l_space = _solve(left_rows)
     r_space = _solve(right_rows)

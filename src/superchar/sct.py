@@ -21,7 +21,6 @@ CLI can render a report and pick an exit code.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
 from collections.abc import Callable
@@ -31,8 +30,6 @@ from .cyclotomic import CycloRational, CycloValue
 from .errors import NonIntegralityError, SizeGuardError
 from .gf import Theta
 from .involution_group import (
-    CLOSURE_SAMPLES,
-    SAMPLE_SEED,
     BuiltGroup,
     GroupSpec,
     build_group,
@@ -55,6 +52,7 @@ from .orbits import (
 )
 from .triangular import MirrorPoset, TriMatrix
 
+SAMPLE_SEED = 20240813
 _FULL_CHECK_LIMIT = 256
 _ALGEBRA_ENUM_GUARD = 1 << 14
 _FUNCTIONAL_CHECK_LIMIT = 12
@@ -70,14 +68,14 @@ class TheoryRecord:
     of the functionals (one row per orbit) and of the same dual space
     under the subgroup whose orbit size is a row's degree.
     ``subgroup(lam)`` is the subspace S of g such that the induction
-    oracle's subgroup is {e : e - 1 in S}; up to ``closure_limit``
-    elements its closure is checked exhaustively, through generators
-    (|S| |T| products for a generating set T), and on seeded samples
-    beyond.  ``element_data()`` holds f(e) and flat(e - 1) for every
-    element, and ``conjugacy_classes(record)`` the conjugacy classes of
-    the elements; the oracle evaluates Frobenius's formula over those
-    classes.  Both are built on first use, and the table path needs
-    neither.
+    oracle's subgroup is {e : e - 1 in S}.  ``element_data()`` holds f(e)
+    and flat(e - 1) for every element, and ``conjugacy_classes(record)``
+    the conjugacy classes of the elements; the oracle evaluates
+    Frobenius's formula over those classes.  ``_generator_walk`` is the
+    one closure check, exhaustive at every size, for the elements
+    themselves and for each oracle subgroup; its walks are kept in
+    ``_walks``, keyed by the member ids.  All of these are built on first
+    use, and the table path needs none of them.
     """
 
     group: BuiltGroup
@@ -91,9 +89,9 @@ class TheoryRecord:
     dual: Callable
     stabiliser: Callable
     subgroup: Callable
-    closure_limit: float
     _element_data: tuple | None = field(default=None, repr=False)
     _conjugacy: ConjugacyClasses | None = field(default=None, repr=False)
+    _walks: dict = field(default_factory=dict, repr=False)
 
     def element_data(self):
         """(points, flats): f(e) and flat(e - 1) for every element, in
@@ -131,7 +129,6 @@ def _theory_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
         dual=orbit_partition_dual,
         stabiliser=h_orbit_partition_dual,
         subgroup=subgroup,
-        closure_limit=_FULL_CHECK_LIMIT,
     )
 
 
@@ -171,7 +168,6 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
         dual=two_sided_orbit_partition_g_dual,
         stabiliser=left_orbit_partition_g_dual,
         subgroup=subgroup,
-        closure_limit=math.inf,
     )
     return bg._algebra_record
 
@@ -405,59 +401,51 @@ def conjugation_index(bg: BuiltGroup, sc_table: SuperclassTable):
     return cache
 
 
-def _product_id(rec: TheoryRecord, i: int, j: int) -> int:
-    return rec.index[(rec.elements[i] * rec.elements[j]).serialize()]
-
-
-def _generator_walk(rec: TheoryRecord, members, step=None):
-    """The generators T that a walk from the identity picks from members.
+def _generator_walk(rec: TheoryRecord, members):
+    """(T, reached, right): the generators T that a walk from the identity
+    picks from ``members`` (element ids), the members in the order the
+    walk reached them, and right[g][i], the id of reached[i] . T[g].
+    Made once per member tuple and kept on the record.
 
     The walk starts from the identity, rec.elements[0] (elements sort by
     serialization), and takes members in order; a member not yet reached
     becomes a new generator.  Each reached r meets each generator t
-    once: the product r t, with id k, joins the reached set, so the walk
-    costs |reached| |T| products.  ``step(r, t, k)`` may refuse a
-    product, which ends the walk with None."""
-    reached, seen = [0], {0}
-    gens, done = [], []  # done[g]: how many reached elements met generator g
-    for s in members:
-        if s in seen:
-            continue
-        gens.append(s)
-        done.append(0)
-        while any(d < len(reached) for d in done):
-            for g, t in enumerate(gens):
-                while done[g] < len(reached):
-                    r = reached[done[g]]
-                    done[g] += 1
-                    k = _product_id(rec, r, t)
-                    if step is not None and not step(r, t, k):
-                        return None
-                    if k not in seen:
-                        seen.add(k)
-                        reached.append(k)
-    return gens
+    once, earlier generators and later ones alike: the product r t must
+    be a member, and joins the reached set, so the walk costs
+    |reached| |T| products.  The first product outside the members
+    raises AssertionError.
 
-
-def _closed_by_generators(rec: TheoryRecord, phi: dict, p: int) -> bool:
-    """Whether S = phi's keys is closed and phi additive on S x S, with
-    |S| |T| products for the generators T that ``_generator_walk`` picks
-    from S in element order, not |S|^2.
-
-    Each reached s meets each generator t once: s t must lie in S, with
-    phi(s t) = phi(s) + phi(t).  If no step fails, S . T ⊆ S and each s'
-    in S is a word t_1 ... t_m, so s s' stays in S one letter at a time;
-    along the word phi(s s') = phi(s) + sum phi(t_i) = phi(s) + phi(s'),
-    since phi(1) = 0 (the pair (1, 1), checked first; it also follows
-    from any step 1 . t).  Every step is one of the |S|^2 pairs, so the
-    walk and the pair loop pass and fail on the same inputs."""
-    if phi.get(0) != 0:
-        return False
-
-    def step(r, t, k):
-        return k in phi and (phi[r] + phi[t]) % p == phi[k]
-
-    return _generator_walk(rec, phi, step) is not None
+    The walk passes exactly when the members S are closed under
+    multiplication.  Every step is one of the |S|^2 pairs, so a closed S
+    passes.  If the walk passes, S . T ⊆ S, every member is reached, and
+    each reached element is a word t_1 ... t_m in T; so s s' stays in S
+    one letter at a time, for any s and s' in S."""
+    members = tuple(members)
+    walk = rec._walks.get(members)
+    if walk is None:
+        elements, index = rec.elements, rec.index
+        inside = set(members)
+        what = rec.symbol if len(inside) == len(elements) else "the oracle's subgroup"
+        reached, seen = [0], {0}
+        gens, right = [], []
+        for s in members:
+            if s in seen:
+                continue
+            gens.append(s)
+            right.append([])
+            while any(len(row) < len(reached) for row in right):
+                for t, row in zip(gens, right):
+                    while len(row) < len(reached):
+                        r = reached[len(row)]
+                        k = index.get((elements[r] * elements[t]).serialize())
+                        if k not in inside:
+                            raise AssertionError(f"{what} is not closed under multiplication")
+                        row.append(k)
+                        if k not in seen:
+                            seen.add(k)
+                            reached.append(k)
+        walk = rec._walks[members] = (gens, reached, right)
+    return walk
 
 
 @dataclass
@@ -470,16 +458,18 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
     """The conjugacy classes of the record's elements E, made once per
     record.
 
-    ``_generator_walk`` over all of E picks generators T (|E| |T|
-    products).  Each class is then the orbit of its least member under
-    x -> t x t^-1 for t in T, found by a stack walk that conjugates every
-    element once by every generator (2 |E| |T| products).  E is finite
-    and generated by T, so these orbits are the orbits of all of E."""
+    ``_generator_walk`` over all of E picks generators T and checks, at
+    |E| |T| products, that E is closed under multiplication; this is the
+    one closure check of E, and it runs on the verify path only.  Each
+    class is then the orbit of its least member under x -> t x t^-1 for t
+    in T, found by a stack walk that conjugates every element once by
+    every generator (2 |E| |T| products).  E is finite and generated by
+    T, so these orbits are the orbits of all of E."""
     if rec._conjugacy is None:
         elements, index = rec.elements, rec.index
         gens = [
             (elements[t], elements[rec.inverse[t]])
-            for t in _generator_walk(rec, range(len(elements)))
+            for t in _generator_walk(rec, range(len(elements)))[0]
         ]
         class_of = [-1] * len(elements)
         sizes = []
@@ -511,9 +501,17 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
     space exactly when c . flat(e - 1) = 0 for every c in a basis of the
     space's annihilator (the kernel of its rows).  The restriction phi of
     theta∘lam∘f to S must be a linear character, and a failure is fatal.
-    Up to the record's closure limit that is checked exhaustively, through
-    generators (|S| |T| products, ``_closed_by_generators``); beyond it,
-    on seeded samples.
+    Both halves are exhaustive at every |S|.  ``_generator_walk`` proves S
+    closed (AssertionError if not) and records right[g][i] = r t for each
+    reached r and generator t; rows with the same S share one walk.  Then
+    phi(1) = 0 and phi(r t) = phi(r) + phi(t) along ``right``, with no
+    further products, give phi(s s') = phi(s) + phi(s') on all of S x S:
+    write s' = t_1 ... t_m as the walk reached it; then phi(s') =
+    phi(1) + sum phi(t_i), and s t_1 ... t_j stays in S with phi growing
+    by phi(t_j) at each letter.  Each checked equation is one of the
+    pair loop's, so the two pass and fail on the same inputs
+    (NonIntegralityError if not).  phi(1) = 0 is checked on its own, as
+    no step covers it when S = {1}.
 
     The values come from Frobenius's formula over the conjugacy classes
     of E (``conjugacy_classes``): with phi° = phi on S and 0 off S,
@@ -548,26 +546,15 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
                 break
         else:
             phi[i] = exponent(dot(lam_coeffs, points[i]))
-    sub_ids = list(phi)
-    if len(sub_ids) <= rec.closure_limit:
-        # the walk decides; when it fails, the pair loop below raises at
-        # the first failing pair of S x S
-        closed = _closed_by_generators(rec, phi, p)
-        pairs = () if closed else itertools.product(sub_ids, repeat=2)
-    else:
-        rng = random.Random(SAMPLE_SEED)
-        pairs = (
-            (sub_ids[rng.randrange(len(sub_ids))], sub_ids[rng.randrange(len(sub_ids))])
-            for _ in range(CLOSURE_SAMPLES)
+    gens, reached, right = _generator_walk(rec, phi)
+    if phi[0] or any(
+        phi[k] != (phi[r] + phi[t]) % p
+        for t, row in zip(gens, right)
+        for r, k in zip(reached, row)
+    ):
+        raise NonIntegralityError(
+            "restriction of theta∘lambda∘f to the oracle's subgroup is not multiplicative"
         )
-    for i, j in pairs:
-        k = _product_id(rec, i, j)
-        if k not in phi:
-            raise AssertionError("the oracle's subgroup is not closed under multiplication")
-        if (phi[i] + phi[j]) % p != phi[k]:
-            raise NonIntegralityError(
-                "restriction of theta∘lambda∘f to the oracle's subgroup is not multiplicative"
-            )
     cc = conjugacy_classes(rec)
     hist: dict = {}  # conjugacy class id -> counts of each exponent of phi
     for s, e in phi.items():
@@ -578,9 +565,9 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
         cid = cc.class_of[rec.index[K.rep.serialize()]]
         counts = CycloValue.from_exponents(p, hist.get(cid, [0] * p))
         values.append(
-            _divexact(counts * order, cc.sizes[cid] * len(sub_ids), "induced character")
+            _divexact(counts * order, cc.sizes[cid] * len(phi), "induced character")
         )
-    return values, order // len(sub_ids)
+    return values, order // len(phi)
 
 
 # -- named verification checks ----------------------------------------------------

@@ -24,7 +24,7 @@ from .cyclotomic import CycloValue, root_power
 from .errors import NonIntegralityError, ShapeError
 from .gf import FieldTower, Theta
 from .involution_group import BuiltGroup, Functional
-from .orbits import h_orbit_of_functional, orbit_partition_u, orbit_partition_dual
+from .orbits import h_orbit_of_functional, orbit_partition_dual
 from .sct import Report, SuperclassTable, SupercharTable
 from .triangular import TriMatrix
 
@@ -235,92 +235,6 @@ def lambda_functional(bg: BuiltGroup, eta: TwistedSetPartition) -> Functional:
             raise AssertionError("lambda_eta left the scalar subfield")
         coeffs.append(acc)
     return bg.functional_on_u(coeffs)
-
-
-# -- canonical form (row reduction with BFS fallback) ------------------------------
-
-
-def _column_conflicts(x: TriMatrix):
-    """Pairs (i, j) with a nonzero above them in the same column."""
-    by_col: dict = {}
-    for (i, j) in x.entries:
-        by_col.setdefault(j, []).append(i)
-    out = []
-    for j, rows in by_col.items():
-        rows.sort()
-        for i in rows[1:]:
-            out.append((i, j))
-    return out
-
-
-def _reduced_to_partition(bg: BuiltGroup, x: TriMatrix) -> TwistedSetPartition:
-    return TwistedSetPartition.from_arcs(
-        bg.n, bg.tower, [(i, j, v.enc) for (i, j), v in x.entries.items()]
-    )
-
-
-def _is_reduced(x: TriMatrix) -> bool:
-    support = x.entries
-    rows = [i for (i, j) in support]
-    cols = [j for (i, j) in support]
-    return len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
-
-
-def canonicalize(bg: BuiltGroup, x: TriMatrix) -> TwistedSetPartition:
-    """The unique twisted partition with x_eta in the orbit G . x.
-
-    Follows the constructive row reduction (clear the entry above the
-    bottom-left-most conflicted pivot); when the required divisor
-    vanishes, or the reduction stalls, falls back to scanning the BFS
-    orbit for its unique reduced member.  The fallback is total.
-    """
-    if x.unipotent:
-        raise ShapeError("canonicalize expects an algebra element of u")
-    tower = bg.tower
-    cur = x
-    for _ in range(4 * bg.n**4 + 8):
-        conflicts = _column_conflicts(cur)
-        if not conflicts:
-            if _is_reduced(cur):
-                return _reduced_to_partition(bg, cur)
-            break
-        # bottom-left-most pivot: largest row, then smallest column
-        conflicts.sort(key=lambda ij: (-ij[0], ij[1]))
-        i, j = conflicts[0]
-        ks = [k for k in range(1, i) if cur.get(k, j)]
-        k = max(ks)
-        pivot = cur.get(i, j)
-        top = cur.get(k, j)
-        if k == bg.n + 1 - j:
-            divisor = pivot + tower.from_enc(tower.frobenius_q_enc(pivot.enc))
-        else:
-            divisor = pivot
-        if not divisor:
-            break  # untreated subcase; fall back to orbit search
-        c = top / divisor
-        g = TriMatrix.from_entries(bg.n, tower, {(k, i): -c}, unipotent=True)
-        nxt = bg.act(g, cur)
-        if nxt.get(k, j):
-            break  # the step failed to clear the target
-        cur = nxt
-    return _canonicalize_by_orbit(bg, x)
-
-
-def _canonicalize_by_orbit(bg: BuiltGroup, x: TriMatrix) -> TwistedSetPartition:
-    oi = orbit_partition_u(bg)
-    coords = bg.u_space.coords(bg.flatten(x))
-    if coords is None:
-        raise ShapeError("element is not in u")
-    reduced = []
-    for member in oi.members(oi.orbit_id(coords)):
-        mat = bg.unflatten(bg.u_space.combine(member))
-        if _is_reduced(mat):
-            reduced.append(mat)
-    if len(reduced) != 1:
-        raise AssertionError(
-            f"orbit contains {len(reduced)} reduced elements, expected exactly 1"
-        )
-    return _reduced_to_partition(bg, reduced[0])
 
 
 # -- the value formula --------------------------------------------------------------

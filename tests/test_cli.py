@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from superchar.cli import main
 from superchar.involution_group import G_SPACE_GUARD
 
@@ -242,6 +244,19 @@ def test_spec_file(capsys, tmp_path):
     code, out, _ = run(capsys, "table", "--spec", str(spec))
     assert code == 0
     assert json.loads(out)["spec"]["n"] == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"family": "UO", "p": 3}, {"family": "UO", "n": "4", "p": 3}, [1, 2]],
+    ids=["missing-n", "string-n", "not-an-object"],
+)
+def test_malformed_spec_file_is_usage_error(capsys, tmp_path, data):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    code, out, err = run(capsys, "table", "--spec", str(spec))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_poset_flag(capsys, tmp_path):

@@ -7,6 +7,7 @@ from superchar.errors import NonIntegralityError
 from superchar.involution_group import GroupSpec, build_group
 from superchar.linalg import Subspace
 from superchar.sct import (
+    _generator_walk,
     _orbit_sum_values,
     algebra_group_sct,
     alternate_theta,
@@ -371,6 +372,88 @@ def test_closure_check_refuses_uo5_subsets(monkeypatch, nonabelian):
             assert NOT_MULTIPLICATIVE in str(exc)
             refused += 1
     assert (refused, len(scht.rows)) == (4, 13)
+
+
+def test_closure_check_refuses_uu4_subsets(monkeypatch):
+    # |U| = 729 and the stubbed subset has 297 elements, both above the 256
+    # where the oracle used to sample pairs: the walk must still refuse
+    bg = build_group(GroupSpec(family="UU", n=4, p=3, k=2))
+    sct, scht = theory(bg)
+    flats = sct.record.element_data()[1]
+    span = Subspace.from_spanning(bg.sc, bg.flat_dim, flats)
+    # span(U - 1) less one basis row, the first such hyperplane to hold
+    # more than 256 elements of U - 1
+    for drop in range(span.dim):
+        rows = span.rows[:drop] + span.rows[drop + 1 :]
+        hyper = Subspace.from_spanning(bg.sc, bg.flat_dim, rows)
+        if sum(map(hyper.contains, flats)) > 256:
+            break
+    assert sum(map(hyper.contains, flats)) == 297
+    _stub_subgroup(monkeypatch, sct, hyper)
+    with pytest.raises(AssertionError, match=NOT_CLOSED):
+        induction_oracle(bg, scht.rows[0].lam, scht.theta, sct)
+    _stub_subgroup(monkeypatch, sct, bg.g_space)
+    refused = 0
+    for row in scht.rows:
+        try:
+            induction_oracle(bg, row.lam, scht.theta, sct)
+        except NonIntegralityError as exc:
+            assert NOT_MULTIPLICATIVE in str(exc)
+            refused += 1
+    assert (refused, len(scht.rows)) == (14, 41)
+
+
+def test_identity_must_map_to_zero(monkeypatch, nonabelian):
+    # S = {1} has no generators, so no walk step covers phi(1) = 0
+    bg = nonabelian["UO"]
+    sct, scht = theory(bg)
+    rec = sct.record
+    lam = scht.rows[1].lam
+    points, flats = rec.element_data()
+    j = next(j for j, c in enumerate(lam) if scht.theta.exponent(c))
+    unit = tuple(int(i == j) for i in range(len(lam)))
+    assert scht.theta.exponent(bg.sc.dot(lam, unit))
+    monkeypatch.setattr(rec, "_element_data", ([unit] + points[1:], flats))
+    _stub_subgroup(monkeypatch, sct, Subspace.from_spanning(bg.sc, bg.flat_dim, []))
+    with pytest.raises(NonIntegralityError, match=NOT_MULTIPLICATIVE):
+        induction_oracle(bg, lam, scht.theta, sct)
+
+
+@pytest.mark.parametrize("which", ["UO5", "UU3", "UT3_F5"])
+def test_generator_walk_reaches_members_and_records_products(nonabelian, groups, which):
+    bg = _oracle_group(nonabelian, groups, which)
+    sct, scht = theory(bg)
+    rec = sct.record
+    flats = rec.element_data()[1]
+    subsets = {tuple(range(len(rec.elements)))}
+    for row in scht.rows:
+        space = rec.subgroup(row.lam)
+        subsets.add(tuple(i for i, flat in enumerate(flats) if space.contains(flat)))
+    assert len(subsets) >= 2
+    walks = {}
+    for members in sorted(subsets):
+        gens, reached, right = walk = _generator_walk(rec, members)
+        assert _generator_walk(rec, list(members)) is walk
+        assert reached[0] == 0 and sorted(reached) == list(members)
+        assert set(gens) <= set(members) and len(right) == len(gens)
+        for t, row in zip(gens, right):
+            assert row == [
+                rec.index[(rec.elements[r] * rec.elements[t]).serialize()] for r in reached
+            ]
+        walks[members] = walk
+    assert len({id(w) for w in walks.values()}) == len(subsets)
+
+
+def test_verify_axioms_refuses_u_not_closed(monkeypatch, nonabelian):
+    # with one element's key gone, some product of the walk over U lands
+    # outside U
+    bg = nonabelian["UO"]
+    sct, scht = theory(bg)
+    rec = sct.record
+    dropped = rec.elements[len(rec.elements) // 2].serialize()
+    monkeypatch.setattr(rec, "index", {k: v for k, v in rec.index.items() if k != dropped})
+    with pytest.raises(AssertionError, match="U is not closed under multiplication"):
+        verify_axioms(bg, sct, scht)
 
 
 # -- the rows' exponent-vector kernel against direct orbit sums -----------------------

@@ -8,10 +8,8 @@ from superchar.sct import standard_theta, superclasses, theory
 from superchar.triangular import TriMatrix
 from superchar.unitary import (
     TwistedSetPartition,
-    _canonicalize_by_orbit,
     blocked,
     bruteforce_degree,
-    canonicalize,
     degree_audit,
     elementary_degree,
     ennola_degree_check,
@@ -144,37 +142,6 @@ def test_lambda_functional_is_fq_valued(uu3):
     for part in enumerate_twisted(3, T9):
         lam = lambda_functional(uu3, part)  # raises if a value leaves F_q
         assert len(lam.coeffs) == uu3.u_basis.dim
-
-
-# -- canonical form ----------------------------------------------------------------
-
-
-def test_canonicalize_zero_and_fixed_points(uu3):
-    assert canonicalize(uu3, TriMatrix.zero(3, T9)).arcs == frozenset()
-    for part in enumerate_twisted(3, T9):
-        assert canonicalize(uu3, rep_matrix(uu3, part)) == part
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_canonicalize_agrees_with_orbit_scan_everywhere(n):
-    bg = build_group(GroupSpec(family="UU", n=n, p=3, k=2))
-    for coords in bg.u_basis.enumerate_coords():
-        x = bg.unflatten(bg.u_space.combine(coords))
-        assert canonicalize(bg, x) == _canonicalize_by_orbit(bg, x)
-
-
-def test_canonicalize_generic_element_recovers_labels(uu3):
-    x = TriMatrix.from_entries(
-        3, T9, {(1, 2): T9.from_enc(2), (2, 3): -T9.from_enc(T9.frobenius_q_enc(2)), (1, 3): T9.gen}
-    )
-    assert uu3.dagger(x) == -x
-    eta = canonicalize(uu3, x)
-    assert {(i, j) for (i, j, _) in eta.arcs} == {(1, 2), (2, 3)}
-    # same orbit as its representative
-    oi = orbit_partition_u(uu3)
-    cx = uu3.u_space.coords(uu3.flatten(x))
-    cr = uu3.u_space.coords(uu3.flatten(rep_matrix(uu3, eta)))
-    assert oi.orbit_id(cx) == oi.orbit_id(cr)
 
 
 # -- the combinatorial statistics ----------------------------------------------------
