@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import SizeGuardError
 from .involution_group import BuiltGroup, G_SPACE_GUARD, U_SPACE_GUARD
-from .linalg import transpose
+from .linalg import Subspace, transpose
 from .triangular import TriMatrix, slot_index
 
 
@@ -268,12 +268,40 @@ def h_left_orbit_of_g_functional(bg: BuiltGroup, coeffs) -> frozenset:
 
 
 def left_orbit_of_g_element(bg: BuiltGroup, flat) -> frozenset:
-    """Closure of one element of g under left multiplication by G."""
+    """Closure of one element of g under left multiplication by G, all of
+    G x by BFS over the generators; the tests' brute-force reference for
+    ``left_orbit_in_u``."""
 
     def build():
         return _maps_from_matrices([g_left_matrix(bg, g) for g in bg.G_gens], bg.sc)
 
     return closure_of(flat, _cached(bg, "g_left_maps", build))
+
+
+def left_orbit_in_u(bg: BuiltGroup, flat) -> frozenset:
+    """G x ∩ u for the element x (flat) of u, enumerated as the affine set
+    x + (g x ∩ u) without visiting the rest of G x.
+
+    G is a pattern group, so G = 1 + g and G x = {x + a x : a in g} =
+    x + g x, where g x = span{b x : b in g_basis_mats} is a subspace of g
+    since a -> a x is linear.  As x lies in u, x + w lies in u exactly
+    when w does, so G x ∩ u = x + (g x ∩ u).  With r_i a basis of g x and
+    c running over the annihilator of u (the kernel of u's rows),
+    sum k_i r_i lies in u exactly when sum k_i (c . r_i) = 0 for every c;
+    so g x ∩ u is the image of the kernel K of the matrix [c . r_i], and
+    the points are x + sum k_i r_i for k in K."""
+    sc = bg.sc
+    x = bg.unflatten(flat)
+    gx = Subspace.from_spanning(sc, bg.flat_dim, [bg.flatten(b * x) for b in bg.g_basis_mats])
+    annihilator = _cached(
+        bg, "u_annihilator", lambda: Subspace.kernel(sc, bg.flat_dim, bg.u_space.rows).rows
+    )
+    meet = Subspace.kernel(sc, gx.dim, [[sc.dot(c, r) for r in gx.rows] for c in annihilator])
+    add = sc.tower.add_table
+    return frozenset(
+        tuple(add[a][b] for a, b in zip(flat, gx.combine(meet.combine(k))))
+        for k in itertools.product(sc.elements, repeat=meet.dim)
+    )
 
 
 # -- ambient algebra-group orbits ---------------------------------------------

@@ -42,7 +42,7 @@ from .orbits import (
     h_left_orbit_of_g_functional,
     h_orbit_of_functional,
     h_orbit_partition_dual,
-    left_orbit_of_g_element,
+    left_orbit_in_u,
     left_orbit_partition_g_dual,
     orbit_partition_dual,
     orbit_partition_u,
@@ -50,7 +50,7 @@ from .orbits import (
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
 )
-from .triangular import MirrorPoset, TriMatrix
+from .triangular import MirrorPoset, TriMatrix, mul_encs
 
 SAMPLE_SEED = 20240813
 _FULL_CHECK_LIMIT = 256
@@ -424,6 +424,7 @@ def _generator_walk(rec: TheoryRecord, members):
     walk = rec._walks.get(members)
     if walk is None:
         elements, index = rec.elements, rec.index
+        n, tower = rec.group.n, rec.group.tower
         inside = set(members)
         what = rec.symbol if len(inside) == len(elements) else "the oracle's subgroup"
         reached, seen = [0], {0}
@@ -435,9 +436,10 @@ def _generator_walk(rec: TheoryRecord, members):
             right.append([])
             while any(len(row) < len(reached) for row in right):
                 for t, row in zip(gens, right):
+                    t_encs = elements[t].encs
                     while len(row) < len(reached):
                         r = reached[len(row)]
-                        k = index.get((elements[r] * elements[t]).serialize())
+                        k = index.get(mul_encs(n, tower, elements[r].encs, t_encs, True))
                         if k not in inside:
                             raise AssertionError(f"{what} is not closed under multiplication")
                         row.append(k)
@@ -467,8 +469,9 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
     T, so these orbits are the orbits of all of E."""
     if rec._conjugacy is None:
         elements, index = rec.elements, rec.index
+        n, tower = rec.group.n, rec.group.tower
         gens = [
-            (elements[t], elements[rec.inverse[t]])
+            (elements[t].encs, elements[rec.inverse[t]].encs)
             for t in _generator_walk(rec, range(len(elements)))[0]
         ]
         class_of = [-1] * len(elements)
@@ -480,10 +483,10 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
             class_of[first] = cid
             stack, size = [first], 0
             while stack:
-                x = elements[stack.pop()]
+                x = elements[stack.pop()].encs
                 size += 1
                 for t, t_inv in gens:
-                    k = index[(t * x * t_inv).serialize()]
+                    k = index[mul_encs(n, tower, mul_encs(n, tower, t, x, True), t_inv, True)]
                     if class_of[k] < 0:
                         class_of[k] = cid
                         stack.append(k)
@@ -882,7 +885,12 @@ def verify_structure(bg: BuiltGroup) -> Report:
     """The structural lemmas behind the construction, as executable
     checks: bracket closure of u, the action/conjugation agreement, the
     H-action linearization, G = HU, ideal/normality of h and H, the
-    Springer conditions, and the functional-extension properties."""
+    Springer conditions, and the functional-extension properties.
+
+    ``left-multiplication-collapse`` checks, for every u-orbit rep x,
+    that each point of G x ∩ u lies in the dagger orbit of x.  It visits
+    only those points, enumerated by ``left_orbit_in_u`` as the affine set
+    x + (g x ∩ u); a point without u-coordinates fails the check."""
     rep = Report(f"structure {bg.label()}")
     rng = random.Random(SAMPLE_SEED)
     ub = bg.u_basis.matrices
@@ -1020,10 +1028,9 @@ def verify_structure(bg: BuiltGroup) -> Report:
     oi = orbit_partition_u(bg)
     ok = True
     for o in oi.orbits:
-        x_flat = bg.u_space.combine(o.rep)
-        for y_flat in left_orbit_of_g_element(bg, x_flat):
+        for y_flat in left_orbit_in_u(bg, bg.u_space.combine(o.rep)):
             c = bg.u_space.coords(y_flat)
-            if c is not None and oi.orbit_id(c) != oi.orbit_id(o.rep):
+            if c is None or oi.orbit_id(c) != o.orbit_id:
                 ok = False
     rep.add(
         "left-multiplication-collapse",

@@ -55,6 +55,16 @@ def _dot_slots(acc, terms, x, y, add, mul) -> int:
     return acc
 
 
+def mul_encs(n: int, tower: FieldTower, x, y, unipotent: bool) -> tuple:
+    """The slot encodings of x y, or for unipotents of (1+x)(1+y) =
+    1 + (x + y + xy), from the slot encodings of two size-n matrices."""
+    add, mul = tower.add_table, tower.mul_table
+    return tuple(
+        _dot_slots(add[x[s]][y[s]] if unipotent else 0, terms, x, y, add, mul)
+        for s, terms in enumerate(_layout(n)[2])
+    )
+
+
 class TriMatrix:
     """A unipotent (1+x) or nilpotent (x) upper-triangular matrix, stored
     as ``encs``, the encodings of x over ``strict_positions(n)``."""
@@ -153,12 +163,7 @@ class TriMatrix:
     def __mul__(self, other: "TriMatrix") -> "TriMatrix":
         """x y, or for unipotents (1+x)(1+y) = 1 + (x + y + xy)."""
         self._check(other)
-        x, y = self.encs, other.encs
-        add, mul = self.tower.add_table, self.tower.mul_table
-        return self._like(
-            _dot_slots(add[x[s]][y[s]] if self.unipotent else 0, terms, x, y, add, mul)
-            for s, terms in enumerate(_layout(self.n)[2])
-        )
+        return self._like(mul_encs(self.n, self.tower, self.encs, other.encs, self.unipotent))
 
     def inverse(self) -> "TriMatrix":
         """(1+x)^(-1) = 1+y with y = -(x + xy), solved slot by slot from

@@ -51,6 +51,9 @@ COMMAND_SHA256 = {
     # (it sampled 200 pairs before; no other line changed)
     ("verify", "UU", "4", "3"):
         "0578426177ed737e7a8ef458fd520980d42d7532feb0c5dfbe0fb09ee36d187d",
+    # captured while left-multiplication-collapse walked all of G x
+    ("verify", "UO", "6", "3", "--check", "structure"):
+        "6bee0867fc3fb4a7b045e14d266bf2168243c19f49c4563ba2e0eed870c5793c",
 }
 
 

@@ -7,6 +7,7 @@ from superchar.orbits import (
     full_sweep_orbit_u,
     h_orbit_of_functional,
     h_orbit_partition_dual,
+    left_orbit_in_u,
     left_orbit_of_g_element,
     orbit_dump_lines,
     orbit_partition_dual,
@@ -150,6 +151,26 @@ def test_left_multiplication_collapse():
             coords = bg.u_space.coords(img)
             if coords is not None:
                 assert oi.orbit_id(coords) == oi.orbit_id(orbit.rep)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(family="UO", n=5, p=3),
+        dict(family="USp", n=4, p=3),
+        dict(family="UU", n=3, p=3, k=2),
+        dict(family="UU", n=4, p=3, k=2),
+    ],
+    ids=["UO5", "USp4", "UU3", "UU4"],
+)
+def test_left_orbit_in_u_is_brute_force_meet(kwargs):
+    """The affine set x + (g x ∩ u) is exactly the BFS closure G x cut
+    down to u, for every u-orbit rep x."""
+    bg = build_group(GroupSpec(**kwargs))
+    for orbit in orbit_partition_u(bg).orbits:
+        flat = bg.u_space.combine(orbit.rep)
+        brute = {y for y in left_orbit_of_g_element(bg, flat) if bg.u_space.contains(y)}
+        assert left_orbit_in_u(bg, flat) == brute, orbit.rep
 
 
 def test_h_suborbits_refine_dual_orbits():

@@ -6,6 +6,7 @@ from superchar.cyclotomic import CycloValue, root_power
 from superchar.errors import NonIntegralityError
 from superchar.involution_group import GroupSpec, build_group
 from superchar.linalg import Subspace
+from superchar.orbits import left_orbit_of_g_element, orbit_partition_u
 from superchar.sct import (
     _generator_walk,
     _orbit_sum_values,
@@ -159,6 +160,40 @@ def test_duality(groups, kw):
 def test_structure(groups, kw):
     rep = verify_structure(_bg(groups, **kw))
     assert rep.ok, [r.line() for r in rep.results if r.passed is False]
+
+
+def _collapse_result(rep):
+    return [r.passed for r in rep.results if r.name == "left-multiplication-collapse"]
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(family="UO", n=5, p=3), dict(family="UU", n=4, p=3, k=2)], ids=["UO5", "UU4"]
+)
+def test_left_multiplication_collapse_fails_on_moved_point(kw):
+    # a point y != x of G x ∩ u is given another orbit id in the u-orbit index
+    bg = build_group(GroupSpec(**kw))
+    oi = orbit_partition_u(bg)
+    for orbit in oi.orbits:
+        x = bg.u_space.combine(orbit.rep)
+        others = sorted(
+            y for y in left_orbit_of_g_element(bg, x) if y != x and bg.u_space.contains(y)
+        )
+        if others:
+            break
+    assert others
+    oi.orbit_of[oi.index[bg.u_space.coords(others[0])]] = (orbit.orbit_id + 1) % oi.count
+    assert _collapse_result(verify_structure(bg)) == [False]
+
+
+def test_left_multiplication_collapse_fails_on_point_outside_u(monkeypatch, groups):
+    # a point of G x that is not in u has no u-coordinates; it must fail the
+    # check, not be skipped
+    bg = _bg(groups, family="USp", n=4, p=3)
+    outside = next(
+        bg.flatten(b) for b in bg.g_basis_mats if not bg.u_space.contains(bg.flatten(b))
+    )
+    monkeypatch.setattr("superchar.sct.left_orbit_in_u", lambda bg, flat: {flat, outside})
+    assert _collapse_result(verify_structure(bg)) == [False]
 
 
 @pytest.mark.parametrize(
