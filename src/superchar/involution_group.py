@@ -12,6 +12,7 @@ never identified with matrix entries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .errors import ShapeError, SizeGuardError, SpringerUndefinedError
 from .gf import FieldTower, Subfield, make_tower
-from .linalg import Subspace, transpose
+from .linalg import Subspace, combine, transpose
 from .triangular import (
     Involution,
     MirrorPoset,
@@ -35,10 +36,10 @@ from .triangular import (
 
 FAMILIES = ("UT", "UO", "USp", "UU")
 U_SPACE_GUARD = 1 << 20
-# The ambient scan (orbits._g_space_list and the partition over it) peaks
-# at 340-390 bytes per point: 38.5 MB at 59k points, 57 MB at 118k and
-# 195 MB at 531k, over 15.6 MB for the import.  1 << 22 points is about
-# 1.7 GB; ut_6(F_3), at 3^15 points and some 5-6 GB, stays refused.
+# The ambient scan (BuiltGroup.g_points and a partition over it) peaks
+# at 230-280 bytes per point: 31.9 MB at 59k points and 139 MB at 531k,
+# over 15.6 MB for the import.  1 << 22 points is about 1.2 GB; ut_6(F_3),
+# at 3^15 points and some 3.5-4 GB, stays refused.
 G_SPACE_GUARD = 1 << 22
 
 _KIND_BY_FAMILY = {"UO": "orthogonal", "USp": "symplectic", "UU": "unitary"}
@@ -117,6 +118,8 @@ class SpaceBasis:
         self.group = group
         self.space = space
         self.matrices = [group.unflatten(row) for row in space.rows]
+        self._slot_rows = [m.encs for m in self.matrices]
+        self._width = len(slot_index(group.n))
 
     @property
     def dim(self) -> int:
@@ -129,16 +132,12 @@ class SpaceBasis:
         return self.space.contains(self.group.flatten(mat))
 
     def element(self, coords) -> TriMatrix:
-        return self.group.unflatten(self.space.combine(coords))
-
-    def enumerate_coords(self, force: bool = False):
-        sc = self.group.sc
-        count = sc.size**self.dim
-        if count > U_SPACE_GUARD and not force:
-            raise SizeGuardError(
-                f"space of size {count} exceeds the guard {U_SPACE_GUARD}"
-            )
-        return list(itertools.product(sc.elements, repeat=self.dim))
+        """sum c_i b_i over the basis matrices b_i, combined slot by slot;
+        unflatten is F_q-linear, so this is unflatten(space.combine(coords))."""
+        g = self.group
+        return TriMatrix.from_encs(
+            g.n, g.tower, combine(g.tower, self._slot_rows, coords, self._width)
+        )
 
     def __repr__(self):
         return f"SpaceBasis(dim={self.dim} over F_{self.group.sc.size})"
@@ -247,10 +246,9 @@ class BuiltGroup:
 
         if self.involution is not None:
             self._build_u()
-            self._build_U()
+            self.order_U = self.sc.size**self.u_basis.dim
         else:
             self.u_basis = None
-            self.U = None
 
     def in_h(self, mat: TriMatrix) -> bool:
         """Whether mat vanishes off the positions of H, so lies in H or h."""
@@ -296,30 +294,53 @@ class BuiltGroup:
         self.u_space = Subspace.kernel(self.sc, self.flat_dim, transpose(cols))
         self.u_basis = SpaceBasis(self, self.u_space)
 
-    def _build_U(self):
-        size = self.sc.size**self.u_basis.dim
-        if size > U_SPACE_GUARD and not self.force:
-            raise SizeGuardError(f"|U| = {size} exceeds the guard {U_SPACE_GUARD}")
+    @functools.cached_property
+    def U(self):
+        """The elements of U = cayley^-1(u), one per point of ``u_points``,
+        sorted by serialization; built on first use, None for family UT."""
+        if self.involution is None:
+            return None
+        element = self.u_basis.element
         elems = []
-        for coords in self.u_basis.enumerate_coords(force=self.force):
-            x = self.u_basis.element(coords)
-            u = cayley_inv(x)
+        for coords in self.u_points[0]:
+            u = cayley_inv(element(coords))
             if self.dagger(u) != u.inverse():
                 raise AssertionError("Springer preimage left U; involution broken")
             elems.append(u)
-        elems.sort(key=lambda m: m.serialize())
-        self.U = elems
-        self.U_index = {m.serialize(): i for i, m in enumerate(elems)}
-        self.order_U = len(elems)
-        if self.order_U != size:
-            raise AssertionError("|U| disagrees with q^dim(u)")
-        self.U_inverse = []
-        for m in elems:
-            inv = m.inverse()
-            key = inv.serialize()
-            if key not in self.U_index:
-                raise AssertionError("U is not closed under inversion")
-            self.U_inverse.append(self.U_index[key])
+        elems.sort(key=lambda m: m.encs)
+        # q^dim u points give |U| = q^dim u elements only if no two coincide
+        if any(a.encs == b.encs for a, b in zip(elems, elems[1:])):
+            raise AssertionError("|U| disagrees with q^dim(u): cayley^-1 is not injective")
+        return elems
+
+    @functools.cached_property
+    def U_index(self):
+        """The position of each element of U in ``U``, by serialization."""
+        return {m.encs: i for i, m in enumerate(self.U)}
+
+    # -- enumerated coordinate spaces ------------------------------------------
+
+    @functools.cached_property
+    def u_points(self):
+        """(points, index): every coordinate vector of u over F_q, in
+        itertools.product order, and the position of each.  The one listing
+        of this space: U, the orbit partitions of u, u* and u* under H, and
+        the Springer image check read it.  Guarded by U_SPACE_GUARD."""
+        return self._points(self.u_basis.dim, U_SPACE_GUARD, "|u|")
+
+    @functools.cached_property
+    def g_points(self):
+        """(points, index) for the flat coordinates of g, as ``u_points``
+        is for u; the two-sided and left orbit partitions of g and g* read
+        it.  Guarded by G_SPACE_GUARD."""
+        return self._points(self.flat_dim, G_SPACE_GUARD, "|g|")
+
+    def _points(self, dim, guard, name):
+        size = self.sc.size**dim
+        if size > guard and not self.force:
+            raise SizeGuardError(f"{name} = {size} exceeds the guard {guard}")
+        points = list(itertools.product(self.sc.elements, repeat=dim))
+        return points, {v: i for i, v in enumerate(points)}
 
     # -- Springer morphisms ----------------------------------------------------
 

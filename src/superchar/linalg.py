@@ -95,19 +95,24 @@ class Subspace:
         return self.coords(v) is not None
 
     def combine(self, coeffs):
-        tower = self.sc.tower
-        add, mul = tower.add_table, tower.mul_table
-        out = [0] * self.ambient
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                times = mul[c]
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] = add[out[j]][times[x]]
-        return tuple(out)
+        return combine(self.sc.tower, self.rows, coeffs, self.ambient)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
+
+
+def combine(tower, rows, coeffs, width):
+    """sum c_i rows_i over the tower's tables, for rows of ``width``
+    encodings."""
+    add, mul = tower.add_table, tower.mul_table
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            times = mul[c]
+            for j, x in enumerate(row):
+                if x:
+                    out[j] = add[out[j]][times[x]]
+    return tuple(out)
 
 
 def transpose(rows):

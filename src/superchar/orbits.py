@@ -15,8 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import SizeGuardError
-from .involution_group import BuiltGroup, G_SPACE_GUARD, U_SPACE_GUARD
+from .involution_group import BuiltGroup
 from .linalg import Subspace, transpose
 from .triangular import TriMatrix, slot_index
 
@@ -52,11 +51,11 @@ class Orbit:
 
 class OrbitIndex:
     """A partition of an enumerated space into orbits, canonically ordered
-    by each orbit's lexicographically least serialized member."""
+    by each orbit's lexicographically least serialized member.  ``space``
+    and ``index`` are the group's shared (points, index) pair."""
 
-    def __init__(self, space, orbits, orbit_of):
-        self.space = space
-        self.index = {v: i for i, v in enumerate(space)}
+    def __init__(self, points, orbits, orbit_of):
+        self.space, self.index = points
         self.orbits = orbits
         self.orbit_of = orbit_of
 
@@ -74,14 +73,14 @@ class OrbitIndex:
         return [self.space[i] for i in self.orbits[orbit_id].members]
 
 
-def partition_space(space, maps, canon_key=None) -> OrbitIndex:
-    """Partition ``space`` into orbits of the group generated by ``maps``.
+def partition_space(points, maps, canon_key=None) -> OrbitIndex:
+    """Partition the space of ``points``, a (list, index) pair such as
+    ``BuiltGroup.u_points``, into orbits of the group generated by ``maps``.
 
     Every map must send the space into itself; since the generators have
     finite order, closing under them alone closes under the group.
     """
-    space = list(space)
-    index = {v: i for i, v in enumerate(space)}
+    space, index = points
     uf = UnionFind(len(space))
     for mp in maps:
         for i, v in enumerate(space):
@@ -105,7 +104,7 @@ def partition_space(space, maps, canon_key=None) -> OrbitIndex:
         orbits.append(Orbit(oid, rep_key, rep, members, len(members)))
         for i in members:
             orbit_of[i] = oid
-    return OrbitIndex(space, orbits, orbit_of)
+    return OrbitIndex(points, orbits, orbit_of)
 
 
 # -- matrices of the linear actions ---------------------------------------
@@ -183,14 +182,9 @@ def _cached(bg: BuiltGroup, key, builder):
     return cache[key]
 
 
-def _u_space_list(bg: BuiltGroup):
-    return bg.u_basis.enumerate_coords(force=bg.force)
-
-
 def _u_canon_key(bg: BuiltGroup):
-    combine = bg.u_space.combine
-    unflatten = bg.unflatten
-    return lambda coords: unflatten(combine(coords)).serialize()
+    element = bg.u_basis.element
+    return lambda coords: element(coords).encs
 
 
 def orbit_partition_u(bg: BuiltGroup) -> OrbitIndex:
@@ -199,20 +193,10 @@ def orbit_partition_u(bg: BuiltGroup) -> OrbitIndex:
     def build():
         mats = [u_action_matrix(bg, g) for g in bg.G_gens]
         return partition_space(
-            _u_space_list(bg),
-            _maps_from_matrices(mats, bg.sc),
-            canon_key=_u_canon_key(bg),
+            bg.u_points, _maps_from_matrices(mats, bg.sc), canon_key=_u_canon_key(bg)
         )
 
     return _cached(bg, "u", build)
-
-
-def _dual_space_list(bg: BuiltGroup):
-    dim = bg.u_basis.dim
-    size = bg.sc.size**dim
-    if size > U_SPACE_GUARD and not bg.force:
-        raise SizeGuardError(f"dual space of size {size} exceeds {U_SPACE_GUARD}")
-    return list(itertools.product(bg.sc.elements, repeat=dim))
 
 
 def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
@@ -220,7 +204,7 @@ def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
 
     def build():
         maps = _dual_maps(bg, bg.G_gens, u_action_matrix)
-        return partition_space(_dual_space_list(bg), maps)
+        return partition_space(bg.u_points, maps)
 
     return _cached(bg, "dual", build)
 
@@ -234,7 +218,7 @@ def h_orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """The same dual space partitioned by the normal subgroup H."""
 
     def build():
-        return partition_space(_dual_space_list(bg), _h_dual_maps(bg))
+        return partition_space(bg.u_points, _h_dual_maps(bg))
 
     return _cached(bg, "dual_h", build)
 
@@ -307,13 +291,6 @@ def left_orbit_in_u(bg: BuiltGroup, flat) -> frozenset:
 # -- ambient algebra-group orbits ---------------------------------------------
 
 
-def _g_space_list(bg: BuiltGroup):
-    size = bg.sc.size**bg.flat_dim
-    if size > G_SPACE_GUARD and not bg.force:
-        raise SizeGuardError(f"|g| = {size} exceeds the guard {G_SPACE_GUARD}")
-    return list(itertools.product(bg.sc.elements, repeat=bg.flat_dim))
-
-
 def _g_canon_key(bg: BuiltGroup):
     unflatten = bg.unflatten
     return lambda flat: unflatten(flat).serialize()
@@ -371,9 +348,7 @@ def two_sided_orbit_partition_g(bg: BuiltGroup) -> OrbitIndex:
         mats = [g_left_matrix(bg, g) for g in bg.G_gens]
         mats += [g_right_matrix(bg, g) for g in bg.G_gens]
         return partition_space(
-            _g_space_list(bg),
-            _maps_from_matrices(mats, bg.sc),
-            canon_key=_g_canon_key(bg),
+            bg.g_points, _maps_from_matrices(mats, bg.sc), canon_key=_g_canon_key(bg)
         )
 
     return _cached(bg, "g2", build)
@@ -385,7 +360,7 @@ def two_sided_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     def build():
         maps = _dual_maps(bg, bg.G_gens, g_left_matrix)
         maps += _dual_maps(bg, bg.G_gens, g_right_matrix)
-        return partition_space(_g_space_list(bg), maps)
+        return partition_space(bg.g_points, maps)
 
     return _cached(bg, "g2_dual", build)
 
@@ -393,7 +368,7 @@ def two_sided_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
 def left_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     def build():
         maps = _dual_maps(bg, bg.G_gens, g_left_matrix)
-        return partition_space(_g_space_list(bg), maps)
+        return partition_space(bg.g_points, maps)
 
     return _cached(bg, "g_left_dual", build)
 

@@ -83,7 +83,6 @@ class TheoryRecord:
     symbol: str  # how reports name the element set: "U" or "G"
     elements: list
     index: dict  # serialization -> position in ``elements``
-    inverse: list  # position of each element's inverse
     point: Callable
     primal: Callable
     dual: Callable
@@ -123,7 +122,6 @@ def _theory_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
         "U",
         bg.U,
         bg.U_index,
-        bg.U_inverse,
         point=lambda u: bg.u_space.coords(bg.flatten(fwd(u))),
         primal=orbit_partition_u,
         dual=orbit_partition_dual,
@@ -146,7 +144,6 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
         )
     elements = sorted(bg.enumerate_G(), key=lambda m: m.serialize())
     index = {m.serialize(): i for i, m in enumerate(elements)}
-    inverse = [index[m.inverse().serialize()] for m in elements]
 
     def subgroup(lam_coeffs):
         # L_lam = 1 + l_lam with l_lam = {x : lam(y x) = 0 for all y in g}
@@ -162,7 +159,6 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
         "G",
         elements,
         index,
-        inverse,
         point=lambda g: bg.flatten(g.nilpotent_part()),
         primal=two_sided_orbit_partition_g,
         dual=two_sided_orbit_partition_g_dual,
@@ -390,12 +386,12 @@ def conjugation_index(bg: BuiltGroup, sc_table: SuperclassTable):
     cache = getattr(sc_table, "_conj_index", None)
     if cache is None:
         rec = sc_table.record
+        pairs = [(h, h.inverse()) for h in rec.elements]
         cache = []
         for K in sc_table.classes:
             row = []
-            for h_id, h in enumerate(rec.elements):
-                conj = h * K.rep * rec.elements[rec.inverse[h_id]]
-                row.append(rec.index[conj.serialize()])
+            for h, h_inv in pairs:
+                row.append(rec.index[(h * K.rep * h_inv).serialize()])
             cache.append(row)
         sc_table._conj_index = cache
     return cache
@@ -471,7 +467,7 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
         elements, index = rec.elements, rec.index
         n, tower = rec.group.n, rec.group.tower
         gens = [
-            (elements[t].encs, elements[rec.inverse[t]].encs)
+            (elements[t].encs, elements[t].inverse().encs)
             for t in _generator_walk(rec, range(len(elements)))[0]
         ]
         class_of = [-1] * len(elements)
@@ -933,10 +929,7 @@ def verify_structure(bg: BuiltGroup) -> Report:
     ok = all(bg.in_h(g * h * g.inverse()) for g in bg.G_gens for h in bg.H_gens)
     rep.add("H-normal-in-G", ok, "on generators")
 
-    u_keys = {
-        bg.unflatten(bg.u_space.combine(c)).serialize()
-        for c in bg.u_basis.enumerate_coords(force=bg.force)
-    }
+    u_keys = {bg.u_basis.element(c).encs for c in bg.u_points[0]}
     for name in bg.springer_names():
         fwd, _ = bg.springer(name)
         image = {fwd(u).serialize() for u in bg.U}

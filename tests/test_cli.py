@@ -54,6 +54,10 @@ COMMAND_SHA256 = {
     # captured while left-multiplication-collapse walked all of G x
     ("verify", "UO", "6", "3", "--check", "structure"):
         "6bee0867fc3fb4a7b045e14d266bf2168243c19f49c4563ba2e0eed870c5793c",
+    # captured once U was built on first use; before, build_group refused
+    # UU6(F_9) at the guard (exit 3) although the audit never reads U
+    ("verify", "UU", "6", "3", "--check", "degree-audit"):
+        "80c07cb83c0df2e3ff27d25e1e3cb594d64a48f99ff62a3c55c4b27fa52ab186",
 }
 
 

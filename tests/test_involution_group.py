@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from superchar import involution_group
 from superchar.errors import ShapeError, SizeGuardError
 from superchar.involution_group import (
     GroupSpec,
@@ -62,7 +63,7 @@ def test_ut2_order():
 
 def test_u_antisymmetry_exhaustive():
     bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
-    for coords in bg.u_basis.enumerate_coords():
+    for coords in bg.u_points[0]:
         x = bg.u_basis.element(coords)
         assert bg.dagger(x) == -x
 
@@ -120,8 +121,46 @@ def test_spec_file_loading(tmp_path):
 
 
 def test_size_guard_on_u():
+    bg = build_group(GroupSpec(family="UU", n=8, p=5, k=2))
     with pytest.raises(SizeGuardError):
-        build_group(GroupSpec(family="UU", n=8, p=5, k=2))
+        bg.U
+
+
+def test_build_group_leaves_U_unbuilt():
+    bg = build_group(GroupSpec(family="UU", n=6, p=3, k=2))
+    assert bg.order_U == 3**15
+    assert "U" not in bg.__dict__ and "u_points" not in bg.__dict__
+
+
+def test_U_refuses_a_non_injective_springer_preimage(monkeypatch):
+    """Two points of u sent to one element must not pass as |U| = q^dim u."""
+    real = involution_group.cayley_inv
+    bg = build_group(GroupSpec(family="UO", n=4, p=3))
+    target = bg.u_basis.element(bg.u_points[0][1]).encs
+
+    def collapse(y):
+        return real(y.scale(0) if y.encs == target else y)
+
+    monkeypatch.setattr(involution_group, "cayley_inv", collapse)
+    with pytest.raises(AssertionError, match="not injective"):
+        bg.U
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(family="UU", n=3, p=3, k=2),
+        dict(family="USp", n=4, p=3),
+        dict(family="UO", n=5, p=3),
+        dict(family="UU", n=4, p=3, k=2, poset=MirrorPoset.from_pairs(4, [(1, 2), (3, 4)])),
+    ],
+)
+def test_element_combines_basis_slots(kwargs):
+    """element(c) sums the basis matrices' slots; it must equal the
+    unflattened combination of the flat basis rows at every point of u."""
+    bg = build_group(GroupSpec(**kwargs))
+    for c in bg.u_points[0]:
+        assert bg.u_basis.element(c).encs == bg.unflatten(bg.u_space.combine(c)).serialize()
 
 
 def test_flatten_roundtrip():

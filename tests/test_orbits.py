@@ -9,6 +9,7 @@ from superchar.orbits import (
     h_orbit_partition_dual,
     left_orbit_in_u,
     left_orbit_of_g_element,
+    left_orbit_partition_g_dual,
     orbit_dump_lines,
     orbit_partition_dual,
     orbit_partition_u,
@@ -26,6 +27,19 @@ def test_zero_is_a_fixed_point():
     assert oi.orbits[oi.orbit_id(zero)].size == 1
     od = orbit_partition_dual(bg)
     assert od.orbits[od.orbit_id(zero)].size == 1
+
+
+def test_partitions_share_one_point_list_per_space():
+    bg = build_group(GroupSpec(family="UO", n=5, p=3))
+    parts = [orbit_partition_u(bg), orbit_partition_dual(bg), h_orbit_partition_dual(bg)]
+    assert all(oi.space is bg.u_points[0] and oi.index is bg.u_points[1] for oi in parts)
+    ut = build_group(GroupSpec(family="UT", n=3, p=3))
+    parts = [
+        two_sided_orbit_partition_g(ut),
+        two_sided_orbit_partition_g_dual(ut),
+        left_orbit_partition_g_dual(ut),
+    ]
+    assert all(oi.space is ut.g_points[0] and oi.index is ut.g_points[1] for oi in parts)
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,21 @@
 """The benchmark's per-layer tracer (perfbench/layers.py) imports library
 functions by name and is never changed with the library.  Parse it without
 running it and check that every name it imports from superchar resolves, so
-deleting or renaming one of them fails here first."""
+deleting or renaming one of them fails here first; then run its two modes
+on small specs, since it also reads attributes such as ``bg.U``."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "perfbench" / "layers.py"
 
 
 def _superchar_imports(tree):
@@ -37,3 +45,21 @@ def test_layers_imports_resolve():
         except ImportError:
             missing.append(f"{module_name}.{name}")
     assert not missing, missing
+
+
+@pytest.mark.parametrize("spec", ["verify:UO:4:3", "verify:UT:3:3"])
+def test_layers_setup_and_trace_run(spec):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+
+    def layers(*args):
+        done = subprocess.run(
+            [sys.executable, str(LAYERS), *args],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    layers("setup", spec)
+    out = json.loads(layers("trace", spec, "--probe-seed", "1"))
+    assert out["ok"] is True

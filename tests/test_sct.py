@@ -94,14 +94,13 @@ def test_theta_lambda_f_orthonormal_on_elements(groups):
     """The functions theta∘lambda∘f over all lambda in u* form an
     orthonormal family for the element-level partition of U."""
     from superchar.cyclotomic import inner_product
-    from superchar.orbits import _dual_space_list
 
     bg = _bg(groups, family="UO", n=4, p=3)
     theta = standard_theta(bg)
     fwd, _ = bg.springer("cayley")
     points = [bg.u_space.coords(bg.flatten(fwd(u))) for u in bg.U]
     rows = []
-    for lam in _dual_space_list(bg):
+    for lam in bg.u_points[0]:
         rows.append(
             [(root_power(3, theta.exponent(bg.sc.dot(lam, x))), 1) for x in points]
         )
@@ -312,7 +311,7 @@ def test_conjugacy_classes_match_brute_force(nonabelian, groups, which):
     cc = conjugacy_classes(rec)
     E = rec.elements
     orbits = {
-        frozenset(rec.index[(h * x * E[rec.inverse[h_id]]).serialize()] for h_id, h in enumerate(E))
+        frozenset(rec.index[(h * x * h.inverse()).serialize()] for h in E)
         for x in E
     }
     members: dict = {}

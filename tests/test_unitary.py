@@ -293,7 +293,7 @@ def test_stabilizer_description_a2ulambda(uu4):
         described = set()
         in_kernel = set()
         springer_image = set()
-        for coords in bg.u_basis.enumerate_coords():
+        for coords in bg.u_points[0]:
             x = bg.unflatten(bg.u_space.combine(coords))
             blocked_positions = [
                 (i, j)
