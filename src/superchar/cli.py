@@ -234,7 +234,10 @@ def cmd_verify(args) -> int:
     bg = build_group(spec, force=args.force)
     checks = list(_ALGEBRA_CHECKS if spec.family == "UT" else _INVOLUTION_CHECKS)
     if spec.family == "UU":
-        checks += _UNITARY_CHECKS
+        # the twisted-partition formulas and the printed degrees are the
+        # paper's for the full chain; the Ennola property holds on any poset
+        chain = bg.poset == MirrorPoset.chain(bg.n)
+        checks += _UNITARY_CHECKS if chain else ["ennola-degrees"]
     if args.check:
         valid = checks + _OPTIONAL_CHECKS
         if args.check not in valid:
@@ -287,6 +290,8 @@ def cmd_unitary_check(args) -> int:
     if spec.family != "UU":
         raise _UsageError("unitary-check requires --family UU")
     bg = build_group(spec, force=args.force)
+    if bg.poset != MirrorPoset.chain(bg.n):
+        raise _UsageError("unitary-check requires the full chain poset")
     sct, scht = _tables(bg, args)
     lines = []
     grid = formula_grid_check(bg, sct, scht)

@@ -339,10 +339,13 @@ class Subfield:
         self._elem_set = frozenset(fixed)
         # coordinates of every tower element against {t^i} over this subfield
         self.power_basis = tuple(tower.pow_enc(tower.p, i) for i in range(self.index))
-        coords = {self.combine(tup): tup for tup in itertools.product(fixed, repeat=self.index)}
-        if len(coords) != tower.size:
+        self._combine = {
+            tup: self.dot(tup, self.power_basis)
+            for tup in itertools.product(fixed, repeat=self.index)
+        }
+        self._coords = {enc: tup for tup, enc in self._combine.items()}
+        if len(self._coords) != tower.size:
             raise AssertionError("power basis failed to span the tower")
-        self._coords = coords
         self._trace_exp = {}
         for a in fixed:
             t = 0
@@ -359,7 +362,7 @@ class Subfield:
         return self._coords[enc]
 
     def combine(self, coords) -> int:
-        return self.dot(coords, self.power_basis)
+        return self._combine[coords]
 
     def trace_exponent(self, enc: int) -> int:
         """Tr_{F_{p^d}/F_p} as an integer exponent mod p."""

@@ -368,8 +368,8 @@ class BuiltGroup:
 
     # -- enumeration of G (oracle use only) -------------------------------------
 
-    def enumerate_G(self, force: bool = False):
-        if self.order_G > G_SPACE_GUARD and not (force or self.force):
+    def enumerate_G(self):
+        if self.order_G > G_SPACE_GUARD and not self.force:
             raise SizeGuardError(f"|G| = {self.order_G} exceeds {G_SPACE_GUARD}")
         encs = [0] * len(slot_index(self.n))
         for combo in itertools.product(range(self.tower.size), repeat=len(self.positions)):

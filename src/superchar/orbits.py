@@ -2,11 +2,12 @@
 
 The engine works on coordinate tuples over the scalar field: each
 generator's action is linear, so it is applied as a precomputed matrix.
-Orbits are found by union-find over generator images; the output is
-deterministic because the final order is a canonical sort.  A naive
-full-group sweep is kept as a test oracle for generator sufficiency.
-For the full chain, a two-sided orbit on g is also named without any
-enumeration, by its quasi-monomial normal form (``two_sided_canonical``).
+Each orbit is the BFS closure of one point under the generators
+(``closure_of``); the output is deterministic because the final order
+is a canonical sort.  A naive full-group sweep is kept as a test oracle
+for generator sufficiency.  For the full chain, a two-sided orbit on g
+is also named without any enumeration, by its quasi-monomial normal
+form (``two_sided_canonical``).
 """
 
 from __future__ import annotations
@@ -18,26 +19,6 @@ from dataclasses import dataclass
 from .involution_group import BuiltGroup
 from .linalg import Subspace, transpose
 from .triangular import TriMatrix, slot_index
-
-
-class UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
 
 
 @dataclass
@@ -73,33 +54,49 @@ class OrbitIndex:
         return [self.space[i] for i in self.orbits[orbit_id].members]
 
 
+def closure_of(start, maps) -> frozenset:
+    """BFS closure of a single element under a family of self-maps; the
+    one orbit walk, behind every orbit partition and conjugacy class."""
+    seen = {tuple(start)}
+    frontier = [tuple(start)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for mp in maps:
+                w = mp(v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(seen)
+
+
 def partition_space(points, maps, canon_key=None) -> OrbitIndex:
     """Partition the space of ``points``, a (list, index) pair such as
     ``BuiltGroup.u_points``, into orbits of the group generated by ``maps``.
 
-    Every map must send the space into itself; since the generators have
-    finite order, closing under them alone closes under the group.
+    Each point not yet labelled, in space order, starts one ``closure_of``
+    walk, whose members are its orbit: every map is a bijection of a
+    finite set, and generators of finite order close the group.  A member
+    outside the space raises AssertionError.
     """
     space, index = points
-    uf = UnionFind(len(space))
-    for mp in maps:
-        for i, v in enumerate(space):
-            j = index.get(mp(v))
-            if j is None:
-                raise AssertionError("generator image left the space")
-            uf.union(i, j)
-    groups: dict = {}
-    for i in range(len(space)):
-        groups.setdefault(uf.find(i), []).append(i)
+    orbit_of = [-1] * len(space)  # the walk's start until the orbits are sorted
     key_fn = canon_key or (lambda v: v)
     raw = []
-    for members in groups.values():
-        keyed = [(key_fn(space[i]), i) for i in members]
-        keyed.sort()
-        raw.append((keyed[0][0], space[keyed[0][1]], [i for _, i in keyed]))
+    for start, v in enumerate(space):
+        if orbit_of[start] < 0:
+            keyed = []
+            for w in closure_of(v, maps):
+                i = index.get(w)
+                if i is None:
+                    raise AssertionError("generator image left the space")
+                orbit_of[i] = start
+                keyed.append((key_fn(w), i))
+            keyed.sort()
+            raw.append((keyed[0][0], space[keyed[0][1]], [i for _, i in keyed]))
     raw.sort(key=lambda t: t[0])
     orbits = []
-    orbit_of = [0] * len(space)
     for oid, (rep_key, rep, members) in enumerate(raw):
         orbits.append(Orbit(oid, rep_key, rep, members, len(members)))
         for i in members:
@@ -221,22 +218,6 @@ def h_orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
         return partition_space(bg.u_points, _h_dual_maps(bg))
 
     return _cached(bg, "dual_h", build)
-
-
-def closure_of(start, maps) -> frozenset:
-    """BFS closure of a single element under a family of self-maps."""
-    seen = {tuple(start)}
-    frontier = [tuple(start)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for mp in maps:
-                w = mp(v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
 
 
 def h_orbit_of_functional(bg: BuiltGroup, coeffs) -> frozenset:
@@ -388,14 +369,12 @@ def full_sweep_orbit_u(bg: BuiltGroup, coords) -> frozenset:
     return frozenset(out)
 
 
-def orbit_dump_lines(oi: OrbitIndex, rep_render=None):
-    """JSON-lines rendering {"rep": [...], "size": s, "orbit_id": i}."""
+def orbit_dump_lines(oi: OrbitIndex):
+    """JSON-lines rendering {"rep": [...], "size": s, "orbit_id": i}, with
+    each orbit's least key as its rep."""
     import json
 
-    lines = []
-    for o in oi.orbits:
-        rep = list(rep_render(o.rep) if rep_render else o.rep_key)
-        lines.append(
-            json.dumps({"rep": rep, "size": o.size, "orbit_id": o.orbit_id})
-        )
-    return lines
+    return [
+        json.dumps({"rep": list(o.rep_key), "size": o.size, "orbit_id": o.orbit_id})
+        for o in oi.orbits
+    ]

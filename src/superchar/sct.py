@@ -39,6 +39,7 @@ from .involution_group import (
 )
 from .linalg import Subspace
 from .orbits import (
+    closure_of,
     h_left_orbit_of_g_functional,
     h_orbit_of_functional,
     h_orbit_partition_dual,
@@ -243,26 +244,23 @@ def _divexact(value: CycloValue, divisor: int, what: str) -> CycloValue:
 def superclasses(bg: BuiltGroup, springer_name: str) -> SuperclassTable:
     """K_e = {v : f(v) in the primal orbit of f(e)}: the dagger orbits on u
     pulled back through the Springer morphism, or for UT the two-sided
-    orbits on g pulled back through g - 1."""
+    orbits on g pulled back through g - 1.  Classes are numbered by first
+    occurrence in the sorted elements, that is, by their least serialized
+    member, so the identity's class comes first."""
     rec = _theory_record(bg, springer_name)
     oi = rec.primal(bg)
-    members: dict = {}
-    class_of = []
-    for idx, e in enumerate(rec.elements):
-        oid = oi.orbit_id(rec.point(e))
-        members.setdefault(oid, []).append(idx)
-        class_of.append(oid)
-    if len(members) != oi.count:
+    number: dict = {}
+    class_of = [
+        number.setdefault(oi.orbit_id(rec.point(e)), len(number)) for e in rec.elements
+    ]
+    if len(number) != oi.count:
         raise AssertionError("the point map is not surjective onto the primal space")
-    # canonical class order: by the least serialized member, which is the
-    # first id of each class since the elements are sorted
-    ordered = sorted(members.values(), key=lambda ids: ids[0])
-    classes = []
-    remap = {}
-    for cid, ids in enumerate(ordered):
-        remap[class_of[ids[0]]] = cid
-        classes.append(Superclass(cid, rec.elements[ids[0]], len(ids), ids))
-    class_of = [remap[oid] for oid in class_of]
+    member_ids = [[] for _ in number]
+    for idx, cid in enumerate(class_of):
+        member_ids[cid].append(idx)
+    classes = [
+        Superclass(cid, rec.elements[ids[0]], len(ids), ids) for cid, ids in enumerate(member_ids)
+    ]
     if classes[0].rep != TriMatrix.identity(bg.n, bg.tower):
         raise AssertionError("identity superclass is not first")
     return SuperclassTable(rec, classes, class_of)
@@ -459,34 +457,27 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
     ``_generator_walk`` over all of E picks generators T and checks, at
     |E| |T| products, that E is closed under multiplication; this is the
     one closure check of E, and it runs on the verify path only.  Each
-    class is then the orbit of its least member under x -> t x t^-1 for t
-    in T, found by a stack walk that conjugates every element once by
-    every generator (2 |E| |T| products).  E is finite and generated by
-    T, so these orbits are the orbits of all of E."""
+    class is then ``closure_of`` its least unlabelled member under the
+    maps x -> t x t^-1 (t in T) on slot encodings, at 2 |E| |T| products
+    in all.  E is finite and generated by T, so these orbits are the
+    orbits of all of E."""
     if rec._conjugacy is None:
         elements, index = rec.elements, rec.index
         n, tower = rec.group.n, rec.group.tower
-        gens = [
-            (elements[t].encs, elements[t].inverse().encs)
-            for t in _generator_walk(rec, range(len(elements)))[0]
-        ]
+
+        def conjugation(t):
+            t_encs, t_inv = t.encs, t.inverse().encs
+            return lambda x: mul_encs(n, tower, mul_encs(n, tower, t_encs, x, True), t_inv, True)
+
+        maps = [conjugation(elements[t]) for t in _generator_walk(rec, range(len(elements)))[0]]
         class_of = [-1] * len(elements)
         sizes = []
-        for first in range(len(elements)):
-            if class_of[first] >= 0:
-                continue
-            cid = len(sizes)
-            class_of[first] = cid
-            stack, size = [first], 0
-            while stack:
-                x = elements[stack.pop()].encs
-                size += 1
-                for t, t_inv in gens:
-                    k = index[mul_encs(n, tower, mul_encs(n, tower, t, x, True), t_inv, True)]
-                    if class_of[k] < 0:
-                        class_of[k] = cid
-                        stack.append(k)
-            sizes.append(size)
+        for first, e in enumerate(elements):
+            if class_of[first] < 0:
+                cl = closure_of(e.encs, maps)
+                for x in cl:
+                    class_of[index[x]] = len(sizes)
+                sizes.append(len(cl))
         rec._conjugacy = ConjugacyClasses(class_of, sizes)
     return rec._conjugacy
 

@@ -277,6 +277,44 @@ def test_poset_flag(capsys, tmp_path):
     assert len(json.loads(out)["superclasses"]) == 3
 
 
+# sha256 of `superchar orbits` on UO4(F_3) with the poset {(1,2),(3,4)},
+# captured while union-find built the orbit partitions
+NON_CHAIN_ORBITS_SHA256 = {
+    "u": "ff5e83fb69620581f0023a7cd0d8be9e1d4d28ec3bec6701f03188a38327595b",
+    "dual": "3f9f5c6caa8956a3cf94a3d0f769be782720ea1228fae49eceb3ca887d70ff3a",
+    "two-sided": "7fa0169a72f574ae91934d9c6a1902afdd093584f92fb1573f4859d8bf334602",
+}
+
+
+def test_non_chain_orbit_dumps_match_pinned_digests(capsys, tmp_path):
+    poset = tmp_path / "poset.txt"
+    poset.write_text("4\n1 2\n3 4\n")
+    for space, digest in NON_CHAIN_ORBITS_SHA256.items():
+        code, out, _ = run(
+            capsys, "orbits", "--family", "UO", "--n", "4", "--p", "3",
+            "--poset", str(poset), "--space", space,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, space
+
+
+def test_unitary_checks_need_the_chain(capsys, tmp_path):
+    # the twisted-partition formulas and printed degrees are the chain's:
+    # on a non-chain poset verify leaves them out, and asking for them is
+    # a usage error
+    poset = tmp_path / "poset.txt"
+    poset.write_text("4\n1 2\n3 4\n")
+    spec = ["--family", "UU", "--n", "4", "--p", "3", "--k", "2", "--poset", str(poset)]
+    code, out, _ = run(capsys, "verify", *spec)
+    assert code == 0
+    assert "twisted-count" not in out and "degree-audit" not in out
+    assert "PASS   ennola-degree-powers" in out
+    code, _, err = run(capsys, "verify", *spec, "--check", "degree-audit")
+    assert code == 1 and "inapplicable check 'degree-audit'" in err
+    code, _, err = run(capsys, "unitary-check", *spec)
+    assert code == 1 and "full chain" in err
+
+
 def test_poset_mirror_rejection(capsys, tmp_path):
     poset = tmp_path / "poset.txt"
     poset.write_text("4\n1 2\n")

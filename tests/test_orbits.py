@@ -13,6 +13,7 @@ from superchar.orbits import (
     orbit_dump_lines,
     orbit_partition_dual,
     orbit_partition_u,
+    partition_space,
     two_sided_canonical,
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
@@ -74,6 +75,40 @@ def test_bfs_equals_full_group_sweep(kwargs):
     for orbit in oi.orbits:
         swept = full_sweep_orbit_u(bg, orbit.rep)
         assert swept == {oi.space[i] for i in orbit.members}
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(family="UO", n=4, p=3), dict(family="UU", n=3, p=3, k=2)], ids=["UO4", "UU3"]
+)
+def test_dual_orbits_equal_full_group_sweep(kwargs):
+    """Generator sufficiency on u*: each orbit of the G and H partitions of
+    the dual space is {g lam} for g over all of G, or all of H, where
+    (g lam)_j = lam(g^{-1} . b_j) on u's basis b_j."""
+    bg = build_group(GroupSpec(**kwargs))
+    assert bg.order_G <= 10**5
+    dot = bg.sc.dot
+    sweep = []  # (in H, [coords of g^{-1} . b_j for each j]) for every g in G
+    for g in bg.enumerate_G():
+        g_inv = g.inverse()
+        rows = [bg.u_space.coords(bg.flatten(bg.act(g_inv, b))) for b in bg.u_basis.matrices]
+        sweep.append((bg.in_h(g), rows))
+    assert sum(in_h for in_h, _ in sweep) == bg.order_H
+    for oi, only_h in [(orbit_partition_dual(bg), False), (h_orbit_partition_dual(bg), True)]:
+        for orbit in oi.orbits:
+            swept = {
+                tuple(dot(orbit.rep, row) for row in rows)
+                for in_h, rows in sweep
+                if in_h or not only_h
+            }
+            assert swept == set(oi.members(orbit.orbit_id)), (only_h, orbit.rep)
+
+
+def test_partition_space_rejects_a_map_leaving_the_space():
+    bg = build_group(GroupSpec(family="UO", n=4, p=3))
+    swap = {0: 5, 5: 0}  # 5 encodes no element of F_3
+    leave = lambda v: (swap.get(v[0], v[0]),) + v[1:]
+    with pytest.raises(AssertionError, match="generator image left the space"):
+        partition_space(bg.u_points, [leave])
 
 
 def test_orbit_sizes_divide_group_order():
