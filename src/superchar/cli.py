@@ -21,6 +21,7 @@ from .orbits import (
     two_sided_orbit_partition_g,
 )
 from .sct import (
+    CheckResult,
     alternate_theta,
     ambient_group,
     intersection_check,
@@ -209,8 +210,6 @@ def _run_check(name, bg, args, state) -> list:
         return ennola_degree_check(scht).results
     if name == "degree-audit":
         out = []
-        from .sct import CheckResult
-
         rows = degree_audit(bg)
         for row in rows:
             out.append(CheckResult("degree-audit", None, row.line()))

@@ -192,6 +192,9 @@ class BuiltGroup:
         # the TriMatrix slot of each position, in flat (position-major) order
         self.slots = [slot_index(spec.n)[pos] for pos in self.positions]
         self.force = force
+        # orbit partitions, theory records and the ambient group, made
+        # once per group through orbits._cached
+        self.cache: dict = {}
         degree = spec.scalar_degree if spec.scalar_degree is not None else spec.e
         if self.tower.degree % degree:
             raise ValueError("scalar degree must divide e*k")
@@ -296,10 +299,16 @@ class BuiltGroup:
 
     @functools.cached_property
     def U(self):
-        """The elements of U = cayley^-1(u), one per point of ``u_points``,
-        sorted by serialization; built on first use, None for family UT."""
-        if self.involution is None:
-            return None
+        """The elements of U sorted by serialization, the first half of
+        ``cayley_pairing``; built on first use, None for family UT."""
+        return None if self.involution is None else self.cayley_pairing[0]
+
+    @functools.cached_property
+    def cayley_pairing(self):
+        """(elements, points): U = cayley^-1(u), one element per point of
+        ``u_points``, sorted by serialization, and the point of u that each
+        element came from, so points[i] = cayley(elements[i]) without
+        evaluating cayley."""
         element = self.u_basis.element
         elems = []
         for coords in self.u_points[0]:
@@ -307,11 +316,11 @@ class BuiltGroup:
             if self.dagger(u) != u.inverse():
                 raise AssertionError("Springer preimage left U; involution broken")
             elems.append(u)
-        elems.sort(key=lambda m: m.encs)
+        elems, points = sort_paired(elems, self.u_points[0])
         # q^dim u points give |U| = q^dim u elements only if no two coincide
         if any(a.encs == b.encs for a, b in zip(elems, elems[1:])):
             raise AssertionError("|U| disagrees with q^dim(u): cayley^-1 is not injective")
-        return elems
+        return elems, points
 
     @functools.cached_property
     def U_index(self):
@@ -366,16 +375,11 @@ class BuiltGroup:
             )
         raise ValueError(f"unknown Springer morphism {name!r}")
 
-    # -- enumeration of G (oracle use only) -------------------------------------
+    # -- enumeration of G ---------------------------------------------------------
 
     def enumerate_G(self):
-        if self.order_G > G_SPACE_GUARD and not self.force:
-            raise SizeGuardError(f"|G| = {self.order_G} exceeds {G_SPACE_GUARD}")
-        encs = [0] * len(slot_index(self.n))
-        for combo in itertools.product(range(self.tower.size), repeat=len(self.positions)):
-            for s, enc in zip(self.slots, combo):
-                encs[s] = enc
-            yield TriMatrix.from_encs(self.n, self.tower, encs, unipotent=True)
+        """1 + x for every point x of ``g_points``, in that order."""
+        return (self.unflatten(x).as_unipotent() for x in self.g_points[0])
 
     # -- functionals -------------------------------------------------------------
 
@@ -394,6 +398,12 @@ class BuiltGroup:
 
 def build_group(spec: GroupSpec, force: bool = False) -> BuiltGroup:
     return BuiltGroup(spec, force=force)
+
+
+def sort_paired(elements, points):
+    """elements sorted by serialization, and points reordered with them."""
+    order = sorted(range(len(elements)), key=lambda i: elements[i].encs)
+    return [elements[i] for i in order], [points[i] for i in order]
 
 
 # -- the lambda -> eta extension and the eta-subalgebras -----------------------

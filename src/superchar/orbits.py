@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 
 from .involution_group import BuiltGroup
@@ -170,13 +171,9 @@ def _dual_maps(bg, gens, matrix_fn):
 
 
 def _cached(bg: BuiltGroup, key, builder):
-    cache = getattr(bg, "_orbit_cache", None)
-    if cache is None:
-        cache = {}
-        bg._orbit_cache = cache
-    if key not in cache:
-        cache[key] = builder()
-    return cache[key]
+    if key not in bg.cache:
+        bg.cache[key] = builder()
+    return bg.cache[key]
 
 
 def _u_canon_key(bg: BuiltGroup):
@@ -372,8 +369,6 @@ def full_sweep_orbit_u(bg: BuiltGroup, coords) -> frozenset:
 def orbit_dump_lines(oi: OrbitIndex):
     """JSON-lines rendering {"rep": [...], "size": s, "orbit_id": i}, with
     each orbit's least key as its rep."""
-    import json
-
     return [
         json.dumps({"rep": list(o.rep_key), "size": o.size, "orbit_id": o.orbit_id})
         for o in oi.orbits

@@ -24,21 +24,22 @@ import itertools
 import operator
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cyclotomic import CycloRational, CycloValue
 from .errors import NonIntegralityError, SizeGuardError
 from .gf import Theta
 from .involution_group import (
     BuiltGroup,
-    GroupSpec,
     build_group,
     extend_functional,
     h_u_product_order,
+    sort_paired,
     sub_l_r_g,
 )
 from .linalg import Subspace
 from .orbits import (
+    _cached,
     closure_of,
     h_left_orbit_of_g_functional,
     h_orbit_of_functional,
@@ -61,16 +62,19 @@ _FUNCTIONAL_CHECK_LIMIT = 12
 
 @dataclass
 class TheoryRecord:
-    """What one supercharacter theory takes from its group.
+    """What one supercharacter theory takes from its group, made once per
+    group and Springer name by ``_theory_record``.
 
-    ``elements`` is sorted by serialization.  ``point`` sends an element e
-    to the vector f(e) that dual vectors are dotted with.  ``primal``,
-    ``dual`` and ``stabiliser`` give the orbit partitions of the points,
-    of the functionals (one row per orbit) and of the same dual space
-    under the subgroup whose orbit size is a row's degree.
+    ``elements`` is sorted by serialization.  ``points[i]`` = f(elements[i])
+    is the vector that dual vectors are dotted with: each point x of the
+    primal space is paired with its element f^-1(x) as the two lists are
+    built, so only ``verify_structure``'s image check evaluates f.
+    ``primal``, ``dual`` and ``stabiliser`` give the orbit partitions of
+    the points, of the functionals (one row per orbit) and of the same dual
+    space under the subgroup whose orbit size is a row's degree.
     ``subgroup(lam)`` is the subspace S of g such that the induction
-    oracle's subgroup is {e : e - 1 in S}.  ``element_data()`` holds f(e)
-    and flat(e - 1) for every element, and ``conjugacy_classes(record)``
+    oracle's subgroup is {e : e - 1 in S}.  ``element_data()`` holds
+    flat(e - 1) for every element, and ``conjugacy_classes(record)``
     the conjugacy classes of the elements; the oracle evaluates
     Frobenius's formula over those classes.  ``_generator_walk`` is the
     one closure check, exhaustive at every size, for the elements
@@ -84,33 +88,48 @@ class TheoryRecord:
     symbol: str  # how reports name the element set: "U" or "G"
     elements: list
     index: dict  # serialization -> position in ``elements``
-    point: Callable
+    points: list
     primal: Callable
     dual: Callable
     stabiliser: Callable
     subgroup: Callable
-    _element_data: tuple | None = field(default=None, repr=False)
+    _flats: list | None = field(default=None, repr=False)
     _conjugacy: ConjugacyClasses | None = field(default=None, repr=False)
     _walks: dict = field(default_factory=dict, repr=False)
 
     def element_data(self):
-        """(points, flats): f(e) and flat(e - 1) for every element, in
-        element order, made on first use."""
-        if self._element_data is None:
-            flatten = self.group.flatten
-            self._element_data = (
-                [self.point(e) for e in self.elements],
-                [flatten(e.nilpotent_part()) for e in self.elements],
-            )
-        return self._element_data
+        """flat(e - 1) for every element, in element order, made on first
+        use."""
+        if self._flats is None:
+            self._flats = [self.group.flatten(e.nilpotent_part()) for e in self.elements]
+        return self._flats
 
 
 def _theory_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
     """The involution theory of U for the named Springer morphism; for the
-    UT family, which has no involution, the algebra-group theory of G."""
+    UT family, which has no involution, the algebra-group theory of G.
+    Made once per group and name."""
     if bg.spec.family == "UT":
-        return _algebra_record(bg)
-    fwd, _ = bg.springer(springer_name)
+        return _cached(bg, ("record", "g-1"), lambda: _algebra_record(bg))
+    return _cached(bg, ("record", springer_name), lambda: _involution_record(bg, springer_name))
+
+
+def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
+    """U paired with u: cayley's pairing is the one that built U; any other
+    map's inverse sends each point of u to an element of U, looked up by
+    serialization."""
+    if springer_name == "cayley":
+        elements, points = bg.cayley_pairing
+    else:
+        _, inverse = bg.springer(springer_name)
+        element, index = bg.u_basis.element, bg.U_index
+        elements, points = bg.U, [None] * bg.order_U
+        for x in bg.u_points[0]:
+            i = index.get(inverse(element(x)).encs)
+            # |u| = |U|, so a map into U that hits no element twice hits each once
+            if i is None or points[i] is not None:
+                raise AssertionError(f"{springer_name}^-1 is not a bijection from u onto U")
+            points[i] = x
 
     def subgroup(lam_coeffs):
         # U_lam = U ∩ (1 + g_eta) for the antisymmetric extension eta of lam
@@ -121,9 +140,9 @@ def _theory_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
         bg,
         springer_name,
         "U",
-        bg.U,
+        elements,
         bg.U_index,
-        point=lambda u: bg.u_space.coords(bg.flatten(fwd(u))),
+        points,
         primal=orbit_partition_u,
         dual=orbit_partition_dual,
         stabiliser=h_orbit_partition_dual,
@@ -132,18 +151,15 @@ def _theory_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
 
 
 def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
-    """The record of the pattern group G, with f(g) = g - 1; G is
-    enumerated on first use and kept on bg."""
+    """The record of the pattern group G, with f(g) = g - 1: each point x
+    of g is paired with 1 + x."""
     if bg.kdim != 1:
         raise ValueError("algebra theory expects a UT-family group over its full field")
-    cached = getattr(bg, "_algebra_record", None)
-    if cached is not None:
-        return cached
     if bg.order_G > _ALGEBRA_ENUM_GUARD and not bg.force:
         raise SizeGuardError(
             f"|G| = {bg.order_G} too large to enumerate for the algebra theory"
         )
-    elements = sorted(bg.enumerate_G(), key=lambda m: m.serialize())
+    elements, points = sort_paired(list(bg.enumerate_G()), bg.g_points[0])
     index = {m.serialize(): i for i, m in enumerate(elements)}
 
     def subgroup(lam_coeffs):
@@ -154,19 +170,18 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
         ]
         return Subspace.kernel(bg.sc, bg.flat_dim, rows)
 
-    bg._algebra_record = TheoryRecord(
+    return TheoryRecord(
         bg,
         "g-1",
         "G",
         elements,
         index,
-        point=lambda g: bg.flatten(g.nilpotent_part()),
+        points,
         primal=two_sided_orbit_partition_g,
         dual=two_sided_orbit_partition_g_dual,
         stabiliser=left_orbit_partition_g_dual,
         subgroup=subgroup,
     )
-    return bg._algebra_record
 
 
 @dataclass
@@ -244,15 +259,14 @@ def _divexact(value: CycloValue, divisor: int, what: str) -> CycloValue:
 def superclasses(bg: BuiltGroup, springer_name: str) -> SuperclassTable:
     """K_e = {v : f(v) in the primal orbit of f(e)}: the dagger orbits on u
     pulled back through the Springer morphism, or for UT the two-sided
-    orbits on g pulled back through g - 1.  Classes are numbered by first
-    occurrence in the sorted elements, that is, by their least serialized
-    member, so the identity's class comes first."""
+    orbits on g pulled back through g - 1, read off the record's points
+    without evaluating f.  Classes are numbered by first occurrence in the
+    sorted elements, that is, by their least serialized member, so the
+    identity's class comes first."""
     rec = _theory_record(bg, springer_name)
     oi = rec.primal(bg)
     number: dict = {}
-    class_of = [
-        number.setdefault(oi.orbit_id(rec.point(e)), len(number)) for e in rec.elements
-    ]
+    class_of = [number.setdefault(oi.orbit_id(x), len(number)) for x in rec.points]
     if len(number) != oi.count:
         raise AssertionError("the point map is not surjective onto the primal space")
     member_ids = [[] for _ in number]
@@ -319,7 +333,7 @@ def supercharacters(
     rec = sc_table.record
     od = rec.dual(bg)
     oh = rec.stabiliser(bg)
-    points = [rec.point(K.rep) for K in sc_table.classes]
+    points = [rec.points[K.member_ids[0]] for K in sc_table.classes]
     p = bg.tower.p
     elements = bg.sc.elements
     dim = len(od.space[0])
@@ -518,7 +532,7 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
     rec = sc_table.record
     space = rec.subgroup(lam_coeffs)
     p = bg.tower.p
-    points, flats = rec.element_data()
+    points, flats = rec.points, rec.element_data()
     dot, exponent = bg.sc.dot, theta.exponent
     add, mul = bg.tower.add_table, bg.tower.mul_table
     # each annihilator row c as its nonzero terms (column, row of x -> c_j x)
@@ -635,7 +649,7 @@ def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckRes
         expect = row.values[K.class_id] * row.n_lambda
         member_ids = K.member_ids if full else K.member_ids[:8]
         members = od.members(od.orbit_id(row.lam))
-        points = [rec.point(rec.elements[mid]) for mid in member_ids]
+        points = [rec.points[mid] for mid in member_ids]
         sums = _orbit_sum_values(bg.tower.p, members, points, bg.sc.dot, scht.theta.exponent)
         if any(s != expect for s in sums):
             return CheckResult(
@@ -795,24 +809,9 @@ def verify_theta_independence(bg, springer_name: str = "cayley") -> Report:
 
 def ambient_group(bg: BuiltGroup) -> BuiltGroup:
     """The pattern group of bg's spec viewed as an algebra group over its
-    full coefficient field."""
-    cached = getattr(bg, "_ambient", None)
-    if cached is None:
-        spec = bg.spec
-        cached = build_group(
-            GroupSpec(
-                family="UT",
-                n=spec.n,
-                p=spec.p,
-                e=spec.e,
-                k=spec.k,
-                poset=spec.poset,
-                scalar_degree=spec.e * spec.k,
-            ),
-            force=bg.force,
-        )
-        bg._ambient = cached
-    return cached
+    full coefficient field, made once per group."""
+    spec = replace(bg.spec, family="UT", scalar_degree=bg.tower.degree)
+    return _cached(bg, "ambient", lambda: build_group(spec, force=bg.force))
 
 
 def intersection_check(
@@ -874,6 +873,10 @@ def verify_structure(bg: BuiltGroup) -> Report:
     H-action linearization, G = HU, ideal/normality of h and H, the
     Springer conditions, and the functional-extension properties.
 
+    ``springer-{name}-image`` is the one pass of f over all of U: it
+    checks f(e) = x for every element e and its paired point x in the
+    theory record that every table is built from.
+
     ``left-multiplication-collapse`` checks, for every u-orbit rep x,
     that each point of G x ∩ u lies in the dagger orbit of x.  It visits
     only those points, enumerated by ``left_orbit_in_u`` as the affine set
@@ -920,11 +923,14 @@ def verify_structure(bg: BuiltGroup) -> Report:
     ok = all(bg.in_h(g * h * g.inverse()) for g in bg.G_gens for h in bg.H_gens)
     rep.add("H-normal-in-G", ok, "on generators")
 
-    u_keys = {bg.u_basis.element(c).encs for c in bg.u_points[0]}
+    # f(e) = x for each element e and its paired point x; every point of u
+    # is paired once, so this also proves f(U) = u
+    element = bg.u_basis.element
     for name in bg.springer_names():
         fwd, _ = bg.springer(name)
-        image = {fwd(u).serialize() for u in bg.U}
-        rep.add(f"springer-{name}-image", image == u_keys, "f(U) = u")
+        rec = _theory_record(bg, name)
+        ok = all(fwd(e).encs == element(x).encs for e, x in zip(rec.elements, rec.points))
+        rep.add(f"springer-{name}-image", ok, "f(U) = u")
 
     # the series must start with the identity term: f(1+x) - x lies in
     # the span of all degree->=2 products
@@ -1043,18 +1049,7 @@ def verify_subfield_independence(bg: BuiltGroup) -> Report:
     if (spec.scalar_degree or spec.e) == 1:
         rep.add("subfield-comparison", None, "scalars already prime; nothing to compare")
         return rep
-    other = build_group(
-        GroupSpec(
-            family=spec.family,
-            n=spec.n,
-            p=spec.p,
-            e=spec.e,
-            k=spec.k,
-            poset=spec.poset,
-            scalar_degree=1,
-        ),
-        force=bg.force,
-    )
+    other = build_group(replace(spec, scalar_degree=1), force=bg.force)
     sct_a, scht_a = theory(bg)
     sct_b, scht_b = theory(other)
     same_u = [u.serialize() for u in bg.U] == [u.serialize() for u in other.U]

@@ -23,9 +23,9 @@ TABLE_SHA256 = {
     ("UO", "5", "json"): "f10b4dad628dd6fc4bfb772934845e3d4d2aee6b3def614aba1d00c2999b700d",
 }
 
-# sha256 of `superchar verify` and `superchar orbits` stdout, keyed by
-# (command, family, n, p, extra flags), captured before TriMatrix stored
-# its entries as a tuple of encodings
+# sha256 of `superchar verify`, `orbits` and `table` stdout, keyed by
+# (command, family, n, p, extra flags); the first ones captured before
+# TriMatrix stored its entries as a tuple of encodings
 COMMAND_SHA256 = {
     ("verify", "UO", "4", "3"): "db887dd47a1f1a0d8e205eea569beee7fbb4d16657ac20e35cccf8371f997701",
     ("verify", "USp", "4", "3"):
@@ -58,6 +58,14 @@ COMMAND_SHA256 = {
     # UU6(F_9) at the guard (exit 3) although the audit never reads U
     ("verify", "UU", "6", "3", "--check", "degree-audit"):
         "80c07cb83c0df2e3ff27d25e1e3cb594d64a48f99ff62a3c55c4b27fa52ab186",
+    # the truncated logarithm's tables and checks; captured while every
+    # table evaluated f on all of U
+    ("table", "UU", "3", "3", "--springer", "log"):
+        "8669ce56a4103faae548c1b595ac7f6228d131a391e833cf0e0abad53a50454a",
+    ("table", "USp", "4", "5", "--springer", "log"):
+        "dfb8b721728faaf26746bae463fa53001c45962d45140a400fe38cbd6606fae2",
+    ("verify", "USp", "4", "5"): "16fa591bb7398d340da27b7eec450f57ccbdb9fbf66d09c749622595cd0bd8fe",
+    ("verify", "UO", "4", "5"): "4b49885fe56bc2770114465cf78fa10ed18c0188047516a07a0f38dd26c52eee",
 }
 
 

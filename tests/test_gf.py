@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
 from superchar.errors import ShapeError, SizeGuardError
 from superchar.gf import (
+    _TABLE_LIMIT,
     Theta,
     _coeffs_to_enc,
     _enc_to_coeffs,
+    _Memo,
+    _poly_mod,
+    _poly_mul,
     additive_char_exponent,
     frobenius_q,
     herm_trace,
@@ -225,3 +231,51 @@ def test_additive_ops_match_coefficientwise_arithmetic(p, e, k):
             assert tower.sub_enc(a, b) == _coeffs_to_enc(
                 [(x - y) % p for x, y in zip(ca, cb)], p
             )
+
+
+# (p, e, k) of F_25, F_27, F_81 and F_3^7; the last is above _TABLE_LIMIT,
+# so its tables are filled on first use
+FIELDS_BEYOND_F9 = [(5, 1, 2), (3, 3, 1), (3, 2, 2), (3, 7, 1)]
+FIELD_IDS = ["F25", "F27", "F81", "F2187"]
+
+
+@pytest.mark.parametrize("p,e,k", FIELDS_BEYOND_F9, ids=FIELD_IDS)
+def test_multiplicative_laws_random(p, e, k):
+    """mul_enc, inv_enc and pow_enc on seeded random triples: the product
+    equals the polynomial product reduced by the modulus, and the field
+    laws hold."""
+    tower = make_tower(p, e, k)
+    assert isinstance(tower.mul_table, _Memo) == (tower.size > _TABLE_LIMIT)
+    add, mul, power = tower.add_enc, tower.mul_enc, tower.pow_enc
+    rng = random.Random(tower.size)
+    for _ in range(300):
+        a, b, c = (rng.randrange(tower.size) for _ in range(3))
+        ca, cb = (_enc_to_coeffs(x, p, tower.degree) for x in (a, b))
+        assert mul(a, b) == _coeffs_to_enc(_poly_mod(_poly_mul(ca, cb, p), tower.modulus, p), p)
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(a, 1) == a and mul(a, 0) == 0
+        m, n = rng.randrange(3 * tower.size), rng.randrange(3 * tower.size)
+        assert power(a, m + n) == mul(power(a, m), power(a, n))
+        assert power(mul(a, b), m) == mul(power(a, m), power(b, m))
+        if a:
+            assert mul(a, tower.inv_enc(a)) == 1
+            assert tower.inv_enc(tower.inv_enc(a)) == a
+            assert power(a, tower.size - 1) == 1
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)], ids=["F25", "F81"])
+def test_frobenius_q_is_a_ring_automorphism_random(p, e):
+    """a -> a^q on F_{q^2}: additive, multiplicative, an involution, and
+    fixing exactly the base field F_q."""
+    tower = make_tower(p, e, 2)
+    add, mul, frob = tower.add_enc, tower.mul_enc, tower.frobenius_q_enc
+    assert (frob(0), frob(1)) == (0, 1)
+    rng = random.Random(tower.size)
+    for _ in range(300):
+        a, b = rng.randrange(tower.size), rng.randrange(tower.size)
+        assert frob(add(a, b)) == add(frob(a), frob(b))
+        assert frob(mul(a, b)) == mul(frob(a), frob(b))
+        assert frob(frob(a)) == a
+        assert (frob(a) == a) == tower.base.contains(a)

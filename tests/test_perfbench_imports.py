@@ -47,7 +47,8 @@ def test_layers_imports_resolve():
     assert not missing, missing
 
 
-@pytest.mark.parametrize("spec", ["verify:UO:4:3", "verify:UT:3:3"])
+# UU3(F_9) builds the log record and has kdim = 2
+@pytest.mark.parametrize("spec", ["verify:UO:4:3", "verify:UT:3:3", "verify:UU:3:3"])
 def test_layers_setup_and_trace_run(spec):
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(ROOT / "src")

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from superchar import involution_group
 from superchar.cyclotomic import CycloValue, root_power
 from superchar.errors import NonIntegralityError
 from superchar.involution_group import GroupSpec, build_group
@@ -324,13 +325,61 @@ def test_conjugacy_classes_match_brute_force(nonabelian, groups, which):
     assert firsts == sorted(firsts)
 
 
+def _reference_points(rec):
+    """f(e) for every element by its definition: the u-coordinates of the
+    Springer map, or flat(g - 1) for the algebra-group theory."""
+    bg = rec.group
+    if rec.symbol == "G":
+        return [bg.flatten(g.nilpotent_part()) for g in rec.elements]
+    fwd, _ = bg.springer(rec.springer_name)
+    return [bg.u_space.coords(bg.flatten(fwd(e))) for e in rec.elements]
+
+
+@pytest.mark.parametrize(
+    "kw,springer",
+    [
+        (dict(family="UO", n=5, p=3), "cayley"),
+        (dict(family="UU", n=3, p=3, k=2), "cayley"),
+        (dict(family="UU", n=3, p=3, k=2), "log"),
+        (dict(family="USp", n=4, p=5), "log"),
+        (dict(family="UT", n=3, p=5), "cayley"),
+    ],
+    ids=["UO5-cayley", "UU3-cayley", "UU3-log", "USp4_F5-log", "UT3_F5"],
+)
+def test_record_points_are_f_of_elements(kw, springer):
+    # the points are paired with the elements through f^-1; evaluating f on
+    # every element must give them back
+    bg = build_group(GroupSpec(**kw))
+    rec = superclasses(bg, springer).record
+    assert rec.points == _reference_points(rec)
+    assert sorted(rec.points) == sorted((bg.u_points if rec.symbol == "U" else bg.g_points)[0])
+    if rec.symbol == "U":
+        assert rec.elements is bg.U
+    assert superclasses(bg, springer).record is rec
+
+
+def test_log_record_refuses_a_non_bijective_exp(monkeypatch):
+    # exp sending a second point of u to the identity leaves an element of U
+    # without a point
+    real = involution_group.trunc_exp
+    bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
+    target = bg.u_basis.element(bg.u_points[0][1]).encs
+
+    def collapse(y, bound):
+        return real(y.scale(0) if y.encs == target else y, bound)
+
+    monkeypatch.setattr(involution_group, "trunc_exp", collapse)
+    with pytest.raises(AssertionError, match="not a bijection"):
+        superclasses(bg, "log")
+
+
 def _counted_induction(bg, lam, theta, sct):
     """The induced character counted as (1/|S|) sum over h in E of
     phi°(h g h^-1), through conjugation_index and Subspace.contains."""
     rec = sct.record
     p = bg.tower.p
     space = rec.subgroup(lam)
-    points, flats = rec.element_data()
+    points, flats = _reference_points(rec), rec.element_data()
     phi = {
         i: theta.exponent(bg.sc.dot(lam, points[i]))
         for i, flat in enumerate(flats)
@@ -413,7 +462,7 @@ def test_closure_check_refuses_uu4_subsets(monkeypatch):
     # where the oracle used to sample pairs: the walk must still refuse
     bg = build_group(GroupSpec(family="UU", n=4, p=3, k=2))
     sct, scht = theory(bg)
-    flats = sct.record.element_data()[1]
+    flats = sct.record.element_data()
     span = Subspace.from_spanning(bg.sc, bg.flat_dim, flats)
     # span(U - 1) less one basis row, the first such hyperplane to hold
     # more than 256 elements of U - 1
@@ -443,11 +492,11 @@ def test_identity_must_map_to_zero(monkeypatch, nonabelian):
     sct, scht = theory(bg)
     rec = sct.record
     lam = scht.rows[1].lam
-    points, flats = rec.element_data()
+    points = rec.points
     j = next(j for j, c in enumerate(lam) if scht.theta.exponent(c))
     unit = tuple(int(i == j) for i in range(len(lam)))
     assert scht.theta.exponent(bg.sc.dot(lam, unit))
-    monkeypatch.setattr(rec, "_element_data", ([unit] + points[1:], flats))
+    monkeypatch.setattr(rec, "points", [unit] + points[1:])
     _stub_subgroup(monkeypatch, sct, Subspace.from_spanning(bg.sc, bg.flat_dim, []))
     with pytest.raises(NonIntegralityError, match=NOT_MULTIPLICATIVE):
         induction_oracle(bg, lam, scht.theta, sct)
@@ -458,7 +507,7 @@ def test_generator_walk_reaches_members_and_records_products(nonabelian, groups,
     bg = _oracle_group(nonabelian, groups, which)
     sct, scht = theory(bg)
     rec = sct.record
-    flats = rec.element_data()[1]
+    flats = rec.element_data()
     subsets = {tuple(range(len(rec.elements)))}
     for row in scht.rows:
         space = rec.subgroup(row.lam)
@@ -478,10 +527,10 @@ def test_generator_walk_reaches_members_and_records_products(nonabelian, groups,
     assert len({id(w) for w in walks.values()}) == len(subsets)
 
 
-def test_verify_axioms_refuses_u_not_closed(monkeypatch, nonabelian):
+def test_verify_axioms_refuses_u_not_closed(monkeypatch):
     # with one element's key gone, some product of the walk over U lands
-    # outside U
-    bg = nonabelian["UO"]
+    # outside U; the group is built here, so that no walk is cached yet
+    bg = build_group(GroupSpec(family="UO", n=5, p=3))
     sct, scht = theory(bg)
     rec = sct.record
     dropped = rec.elements[len(rec.elements) // 2].serialize()
@@ -507,7 +556,8 @@ def test_row_cells_match_orbit_sums(nonabelian, groups, which, theta_fn):
     scht = supercharacters(bg, "cayley", theta, sc_table=sct)
     rec = sct.record
     od = rec.dual(bg)
-    points = [rec.point(K.rep) for K in sct.classes]
+    reference = _reference_points(rec)
+    points = [reference[rec.index[K.rep.serialize()]] for K in sct.classes]
     for row in scht.rows:
         members = od.members(od.orbit_id(row.lam))
         sums = _orbit_sum_values(bg.tower.p, members, points, bg.sc.dot, theta.exponent)
@@ -548,6 +598,34 @@ def nonabelian():
         "UO": build_group(GroupSpec(family="UO", n=5, p=3)),
         "UT": build_group(GroupSpec(family="UT", n=3, p=3)),
     }
+
+
+def test_springer_image_fails_on_swapped_points(monkeypatch, groups):
+    # two elements of U with their points exchanged: f(U) is still u, but
+    # the pairing every table is built from is wrong
+    bg = _bg(groups, family="UU", n=3, p=3, k=2)
+    rec = superclasses(bg, "cayley").record
+    swapped = list(rec.points)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    monkeypatch.setattr(rec, "points", swapped)
+    results = verify_structure(bg).results
+    assert {r.name: r.passed for r in results if r.name.endswith("-image")} == {
+        "springer-cayley-image": False,
+        "springer-log-image": True,
+    }
+
+
+def test_induction_values_fail_on_swapped_theta(groups):
+    # rows built with the standard theta, checked against the alternate one
+    bg = _bg(groups, family="UU", n=3, p=3, k=2)
+    sct, scht = theory(bg, "cayley", standard_theta(bg))
+    alt = alternate_theta(bg)
+    assert [r.values for r in scht.rows] != [
+        r.values for r in supercharacters(bg, "cayley", alt, sc_table=sct).rows
+    ]
+    scht.theta = alt
+    results = verify_induction(bg, sct, scht).results
+    assert [r.name for r in results if r.passed is False] == ["induction-values"]
 
 
 def test_union_of_conjugacy_fails_on_moved_element_uu4():
@@ -612,6 +690,26 @@ def test_intersection_poset_restricted():
     assert rep.ok, [r.line() for r in rep.results]
     amb = ambient_group(bg)
     assert len(amb.positions) == 5
+
+
+@pytest.mark.parametrize(
+    "family,n,dropped",
+    [("USp", 4, [(2, 3)]), ("UO", 5, [(1, 2), (4, 5)])],
+    ids=["USp4-type-D", "UO5-without-12-45"],
+)
+def test_intersection_fallback_fails_on_moved_element(family, n, dropped):
+    # a nonabelian group on a non-chain poset, where the check scans the
+    # ambient g; UO5 without (2,3)/(3,4) is abelian, so it cannot serve
+    pairs = [pos for pos in strict_positions(n) if pos not in dropped]
+    bg = build_group(
+        GroupSpec(family=family, n=n, p=3, poset=MirrorPoset.from_pairs(n, pairs))
+    )
+    assert bg.poset != MirrorPoset.chain(n)
+    sct = superclasses(bg, "cayley")
+    assert intersection_check(bg, sc_table=sct).ok
+    _move_noncentral_element(bg, sct, None)
+    results = intersection_check(bg, sc_table=sct).results
+    assert [r.passed for r in results if r.name == "intersection-partition"] == [False]
 
 
 def test_block_poset_matches_algebra_theory_of_ut2():
