@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .cyclotomic import CycloValue
 from .errors import NonIntegralityError, ShapeError, SizeGuardError, SpringerUndefinedError
@@ -26,6 +27,8 @@ from .sct import (
     ambient_group,
     intersection_check,
     standard_theta,
+    supercharacters,
+    superclasses,
     theory,
     verify_axioms,
     verify_duality,
@@ -81,13 +84,21 @@ def _spec_from_args(args) -> GroupSpec:
     return GroupSpec(family=args.family, n=args.n, p=args.p, e=args.e, k=k, poset=poset)
 
 
-def _tables(bg, args):
-    """The superclass and supercharacter tables for the --springer and
-    --theta flags; the UT family has no Springer choice and uses g - 1."""
+def _springer(bg, args) -> str:
+    """The --springer choice; the UT family has none and uses g - 1."""
     if args.springer and bg.spec.family == "UT":
         raise _UsageError("--springer does not apply to family UT, which uses g - 1")
-    theta = alternate_theta(bg) if args.theta == "alternate" else standard_theta(bg)
-    return theory(bg, args.springer or "cayley", theta)
+    return args.springer or "cayley"
+
+
+def _theta(bg, args):
+    return alternate_theta(bg) if args.theta == "alternate" else standard_theta(bg)
+
+
+def _tables(bg, args):
+    """The superclass and supercharacter tables for the --springer and
+    --theta flags."""
+    return theory(bg, _springer(bg, args), _theta(bg, args))
 
 
 def _spec_json(spec: GroupSpec) -> dict:
@@ -175,15 +186,40 @@ _ALGEBRA_CHECKS = ["axioms", "induction"]
 _OPTIONAL_CHECKS = ["subfield-independence"]
 
 
+def _with_fault(bg, scht):
+    """A copy of the table with one cell of one row (its copy) off by 1."""
+    i = min(1, len(scht.rows) - 1)
+    row = scht.rows[i]
+    cid = min(1, len(row.values) - 1)
+    values = list(row.values)
+    values[cid] = values[cid] + CycloValue.integer(bg.tower.p, 1)
+    rows = list(scht.rows)
+    rows[i] = replace(row, values=values)
+    return replace(scht, rows=rows)
+
+
 def _run_check(name, bg, args, state) -> list:
+    """One named check's results.  ``state`` holds the tables that the
+    checks of one run share, each built once: the superclass table, the
+    rows for --theta, and under --inject-fault a faulted copy of the rows
+    for the checks that read the table, while theta-independence
+    compares clean rows."""
+    springer = _springer(bg, args)
+
+    def classes():
+        if "classes" not in state:
+            state["classes"] = superclasses(bg, springer)
+        return state["classes"]
+
+    def clean_rows():
+        if "rows" not in state:
+            state["rows"] = supercharacters(bg, springer, _theta(bg, args), sc_table=classes())
+        return state["rows"]
+
     def tables():
         if "tables" not in state:
-            sct, scht = _tables(bg, args)
-            if args.inject_fault:
-                row = scht.rows[min(1, len(scht.rows) - 1)]
-                cid = min(1, len(row.values) - 1)
-                row.values[cid] = row.values[cid] + CycloValue.integer(bg.tower.p, 1)
-            state["tables"] = (sct, scht)
+            scht = clean_rows()
+            state["tables"] = (classes(), _with_fault(bg, scht) if args.inject_fault else scht)
         return state["tables"]
 
     if name == "structure":
@@ -197,11 +233,12 @@ def _run_check(name, bg, args, state) -> list:
     if name == "duality":
         return verify_duality(bg).results
     if name == "intersection":
-        return intersection_check(bg, args.springer or "cayley").results
+        return intersection_check(bg, springer, sc_table=classes()).results
     if name == "springer-independence":
         return verify_springer_independence(bg).results
     if name == "theta-independence":
-        return verify_theta_independence(bg, args.springer or "cayley").results
+        standard = clean_rows() if args.theta == "standard" else None
+        return verify_theta_independence(bg, springer, sc_table=classes(), standard=standard).results
     if name == "unitary-formula":
         sct, scht = tables()
         return formula_grid_check(bg, sct, scht).results

@@ -161,6 +161,8 @@ class FieldTower:
         self._inv_cache: dict = {}
         self._frob_cache: dict = {}
         self._subfields: dict = {}
+        # straight-line kernels compiled by triangular.kernel, by (name, n)
+        self.kernels: dict = {}
 
     @staticmethod
     def _smallest_irreducible(p, degree):

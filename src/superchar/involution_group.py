@@ -20,13 +20,14 @@ from pathlib import Path
 
 from .errors import ShapeError, SizeGuardError, SpringerUndefinedError
 from .gf import FieldTower, Subfield, make_tower
-from .linalg import Subspace, combine, transpose
+from .linalg import Subspace, transpose
 from .triangular import (
     Involution,
     MirrorPoset,
     TriMatrix,
     cayley,
     cayley_inv,
+    linear_kernel,
     nilpotency_index,
     pattern_space,
     slot_index,
@@ -118,12 +119,19 @@ class SpaceBasis:
         self.group = group
         self.space = space
         self.matrices = [group.unflatten(row) for row in space.rows]
-        self._slot_rows = [m.encs for m in self.matrices]
-        self._width = len(slot_index(group.n))
 
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @functools.cached_property
+    def element_encs(self):
+        """coords -> the slot encodings of sum c_i b_i over the basis
+        matrices b_i, a linear kernel compiled on first use; unflatten is
+        F_q-linear, so this is unflatten(space.combine(coords)).encs."""
+        width = len(slot_index(self.group.n))
+        columns = [[m.encs[s] for m in self.matrices] for s in range(width)]
+        return linear_kernel(self.group.tower, columns, self.dim)
 
     def coords(self, mat: TriMatrix):
         return self.space.coords(self.group.flatten(mat))
@@ -132,12 +140,8 @@ class SpaceBasis:
         return self.space.contains(self.group.flatten(mat))
 
     def element(self, coords) -> TriMatrix:
-        """sum c_i b_i over the basis matrices b_i, combined slot by slot;
-        unflatten is F_q-linear, so this is unflatten(space.combine(coords))."""
-        g = self.group
-        return TriMatrix.from_encs(
-            g.n, g.tower, combine(g.tower, self._slot_rows, coords, self._width)
-        )
+        """sum c_i b_i over the basis matrices b_i (``element_encs``)."""
+        return TriMatrix.from_encs(self.group.n, self.group.tower, self.element_encs(coords))
 
     def __repr__(self):
         return f"SpaceBasis(dim={self.dim} over F_{self.group.sc.size})"
@@ -246,6 +250,9 @@ class BuiltGroup:
         self.h_space = Subspace.from_spanning(self.sc, self.flat_dim, h_flat)
         self.h_basis = SpaceBasis(self, self.h_space)
         self.H_gens = [g for g in self.G_gens if self.in_h(g)]
+        # what the orbit walks close under: the root elements at unsplit positions
+        self.G_walk = walk_generators(self.G_gens, self.positions)
+        self.H_walk = walk_generators(self.H_gens, self.h_positions)
 
         if self.involution is not None:
             self._build_u()
@@ -400,6 +407,30 @@ def build_group(spec: GroupSpec, force: bool = False) -> BuiltGroup:
     return BuiltGroup(spec, force=force)
 
 
+def walk_generators(root_elements, positions):
+    """The root elements 1 + t^l e_ik whose position (i, k) no j splits,
+    that is, with no (i, j) and (j, k) both in ``positions``: for G, the
+    covering relations of the poset.
+
+    They generate the same group as all of ``root_elements``, for G and
+    for H alike (their positions are closed: (i, j) and (j, k) in them
+    force (i, k)), so every orbit walk over them finds the same orbits.
+    Proof by induction on k - i.  For a split (i, k), the commutator of
+    x_ij(a) = 1 + a e_ij and x_jk(b) is x_ik(ab) exactly, since
+    e_ij e_jk = e_ik and every other product of the two units vanishes.
+    (i, j) and (j, k) are shorter, so every x_ij(a) and x_jk(b) lies in
+    the generated group; with b = 1 and a over F_q, so does every x_ik(a).
+    The t^l span F_q over F_p, so the x_ik(t^l) themselves generate the
+    root subgroup of an unsplit (i, k)."""
+    inside = set(positions)
+    unsplit = {
+        (i, k)
+        for (i, k) in positions
+        if not any((i, j) in inside and (j, k) in inside for j in range(i + 1, k))
+    }
+    return [g for g in root_elements if next(iter(g.entries)) in unsplit]
+
+
 def sort_paired(elements, points):
     """elements sorted by serialization, and points reordered with them."""
     order = sorted(range(len(elements)), key=lambda i: elements[i].encs)
@@ -455,15 +486,6 @@ def sub_l_r_g(group: BuiltGroup, eta: Functional):
         SpaceBasis(group, r_space),
         SpaceBasis(group, g_space),
     )
-
-
-def stabilizer_subgroup(group: BuiltGroup, g_eta: SpaceBasis):
-    """U_lambda = U ∩ (1 + g_eta), as a sub-list of U's element list."""
-    out = []
-    for u in group.U:
-        if g_eta.contains(u.nilpotent_part()):
-            out.append(u)
-    return out
 
 
 def h_u_product_order(group: BuiltGroup) -> int:

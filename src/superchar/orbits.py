@@ -1,13 +1,17 @@
 """Orbit enumeration for the group actions in play.
 
 The engine works on coordinate tuples over the scalar field: each
-generator's action is linear, so it is applied as a precomputed matrix.
-Each orbit is the BFS closure of one point under the generators
-(``closure_of``); the output is deterministic because the final order
-is a canonical sort.  A naive full-group sweep is kept as a test oracle
-for generator sufficiency.  For the full chain, a two-sided orbit on g
-is also named without any enumeration, by its quasi-monomial normal
-form (``two_sided_canonical``).
+generator's action is linear, so it is applied as its matrix compiled
+to straight-line code (``triangular.linear_kernel``).  Each orbit is the
+BFS closure of one point under the generators (``closure_of``); the
+output is deterministic because the final order is a canonical sort.
+The walks close under ``BuiltGroup.G_walk`` and ``H_walk``, the root
+elements at positions that no intermediate index splits (for G, the
+covering relations of the poset); commutators give every other root
+element (``involution_group.walk_generators``), so the orbits are those
+of the whole group.  For the full chain, a two-sided orbit on g is also
+named without any enumeration, by its quasi-monomial normal form
+(``two_sided_canonical``).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 from .involution_group import BuiltGroup
 from .linalg import Subspace, transpose
-from .triangular import TriMatrix, slot_index
+from .triangular import TriMatrix, linear_kernel, slot_index
 
 
 @dataclass
@@ -133,32 +137,9 @@ def g_right_matrix(bg: BuiltGroup, g: TriMatrix):
     return transpose(cols)
 
 
-def _map_from_matrix(M, sc):
-    """Apply a linear map by rewriting only the coordinates whose rows
-    differ from the identity; elementary generators touch few of them."""
-    dim = len(M)
-    deltas = []
-    for i, row in enumerate(M):
-        if any(row[j] != (sc.one if j == i else sc.zero) for j in range(dim)):
-            deltas.append((i, [(j, v) for j, v in enumerate(row) if v]))
-    add, mul = sc.tower.add_table, sc.tower.mul_table
-
-    def apply(v):
-        out = list(v)
-        for i, cols in deltas:
-            acc = 0
-            for j, a in cols:
-                b = v[j]
-                if b:
-                    acc = add[acc][mul[a][b]]
-            out[i] = acc
-        return tuple(out)
-
-    return apply
-
-
 def _maps_from_matrices(matrices, sc):
-    return [_map_from_matrix(M, sc) for M in matrices]
+    """Each square matrix as its compiled linear kernel on coordinate tuples."""
+    return [linear_kernel(sc.tower, M, len(M)) for M in matrices]
 
 
 def _dual_maps(bg, gens, matrix_fn):
@@ -176,18 +157,13 @@ def _cached(bg: BuiltGroup, key, builder):
     return bg.cache[key]
 
 
-def _u_canon_key(bg: BuiltGroup):
-    element = bg.u_basis.element
-    return lambda coords: element(coords).encs
-
-
 def orbit_partition_u(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G acting by g . x = g x g^dagger on the enumerated u."""
 
     def build():
-        mats = [u_action_matrix(bg, g) for g in bg.G_gens]
+        mats = [u_action_matrix(bg, g) for g in bg.G_walk]
         return partition_space(
-            bg.u_points, _maps_from_matrices(mats, bg.sc), canon_key=_u_canon_key(bg)
+            bg.u_points, _maps_from_matrices(mats, bg.sc), canon_key=bg.u_basis.element_encs
         )
 
     return _cached(bg, "u", build)
@@ -197,7 +173,7 @@ def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G on the full dual space of u; (g.lam)(x) = lam(g^{-1}.x)."""
 
     def build():
-        maps = _dual_maps(bg, bg.G_gens, u_action_matrix)
+        maps = _dual_maps(bg, bg.G_walk, u_action_matrix)
         return partition_space(bg.u_points, maps)
 
     return _cached(bg, "dual", build)
@@ -205,7 +181,7 @@ def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
 
 def _h_dual_maps(bg: BuiltGroup):
     """The dual action of H's generators on u*, built once per group."""
-    return _cached(bg, "h_dual_maps", lambda: _dual_maps(bg, bg.H_gens, u_action_matrix))
+    return _cached(bg, "h_dual_maps", lambda: _dual_maps(bg, bg.H_walk, u_action_matrix))
 
 
 def h_orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
@@ -225,19 +201,8 @@ def h_orbit_of_functional(bg: BuiltGroup, coeffs) -> frozenset:
 def h_left_orbit_of_g_functional(bg: BuiltGroup, coeffs) -> frozenset:
     """Closure of one g* vector under the left action of H:
     (h mu)(x) = mu(h^{-1} x)."""
-    maps = _cached(bg, "h_left_dual_maps", lambda: _dual_maps(bg, bg.H_gens, g_left_matrix))
+    maps = _cached(bg, "h_left_dual_maps", lambda: _dual_maps(bg, bg.H_walk, g_left_matrix))
     return closure_of(coeffs, maps)
-
-
-def left_orbit_of_g_element(bg: BuiltGroup, flat) -> frozenset:
-    """Closure of one element of g under left multiplication by G, all of
-    G x by BFS over the generators; the tests' brute-force reference for
-    ``left_orbit_in_u``."""
-
-    def build():
-        return _maps_from_matrices([g_left_matrix(bg, g) for g in bg.G_gens], bg.sc)
-
-    return closure_of(flat, _cached(bg, "g_left_maps", build))
 
 
 def left_orbit_in_u(bg: BuiltGroup, flat) -> frozenset:
@@ -267,11 +232,6 @@ def left_orbit_in_u(bg: BuiltGroup, flat) -> frozenset:
 
 
 # -- ambient algebra-group orbits ---------------------------------------------
-
-
-def _g_canon_key(bg: BuiltGroup):
-    unflatten = bg.unflatten
-    return lambda flat: unflatten(flat).serialize()
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,10 +283,12 @@ def two_sided_orbit_partition_g(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G x G acting by (g, h) . x = g x h^{-1} on g."""
 
     def build():
-        mats = [g_left_matrix(bg, g) for g in bg.G_gens]
-        mats += [g_right_matrix(bg, g) for g in bg.G_gens]
+        mats = [g_left_matrix(bg, g) for g in bg.G_walk]
+        mats += [g_right_matrix(bg, g) for g in bg.G_walk]
+        # g's basis is the standard one, so a point's coordinates are its
+        # flat form and element_encs gives unflatten's slot encodings
         return partition_space(
-            bg.g_points, _maps_from_matrices(mats, bg.sc), canon_key=_g_canon_key(bg)
+            bg.g_points, _maps_from_matrices(mats, bg.sc), canon_key=bg.g_basis.element_encs
         )
 
     return _cached(bg, "g2", build)
@@ -336,8 +298,8 @@ def two_sided_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits on g* under ((g,h).lam)(x) = lam(g^{-1} x h)."""
 
     def build():
-        maps = _dual_maps(bg, bg.G_gens, g_left_matrix)
-        maps += _dual_maps(bg, bg.G_gens, g_right_matrix)
+        maps = _dual_maps(bg, bg.G_walk, g_left_matrix)
+        maps += _dual_maps(bg, bg.G_walk, g_right_matrix)
         return partition_space(bg.g_points, maps)
 
     return _cached(bg, "g2_dual", build)
@@ -345,25 +307,10 @@ def two_sided_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
 
 def left_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     def build():
-        maps = _dual_maps(bg, bg.G_gens, g_left_matrix)
+        maps = _dual_maps(bg, bg.G_walk, g_left_matrix)
         return partition_space(bg.g_points, maps)
 
     return _cached(bg, "g_left_dual", build)
-
-
-# -- oracles -------------------------------------------------------------------
-
-
-def full_sweep_orbit_u(bg: BuiltGroup, coords) -> frozenset:
-    """{g . x : g in G} by enumerating all of G; the generator-sufficiency
-    oracle for the BFS engine."""
-    x = bg.u_basis.element(coords)
-    out = set()
-    for g in bg.enumerate_G():
-        y = bg.act(g, x)
-        c = bg.u_space.coords(bg.flatten(y))
-        out.add(c)
-    return frozenset(out)
 
 
 def orbit_dump_lines(oi: OrbitIndex):

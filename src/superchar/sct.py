@@ -52,7 +52,7 @@ from .orbits import (
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
 )
-from .triangular import MirrorPoset, TriMatrix, mul_encs
+from .triangular import MirrorPoset, TriMatrix, kernel
 
 SAMPLE_SEED = 20240813
 _FULL_CHECK_LIMIT = 256
@@ -432,7 +432,7 @@ def _generator_walk(rec: TheoryRecord, members):
     walk = rec._walks.get(members)
     if walk is None:
         elements, index = rec.elements, rec.index
-        n, tower = rec.group.n, rec.group.tower
+        product = kernel(rec.group.tower, "umul", rec.group.n)
         inside = set(members)
         what = rec.symbol if len(inside) == len(elements) else "the oracle's subgroup"
         reached, seen = [0], {0}
@@ -447,7 +447,7 @@ def _generator_walk(rec: TheoryRecord, members):
                     t_encs = elements[t].encs
                     while len(row) < len(reached):
                         r = reached[len(row)]
-                        k = index.get(mul_encs(n, tower, elements[r].encs, t_encs, True))
+                        k = index.get(product(elements[r].encs, t_encs))
                         if k not in inside:
                             raise AssertionError(f"{what} is not closed under multiplication")
                         row.append(k)
@@ -477,11 +477,11 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
     orbits of all of E."""
     if rec._conjugacy is None:
         elements, index = rec.elements, rec.index
-        n, tower = rec.group.n, rec.group.tower
+        product = kernel(rec.group.tower, "umul", rec.group.n)
 
         def conjugation(t):
             t_encs, t_inv = t.encs, t.inverse().encs
-            return lambda x: mul_encs(n, tower, mul_encs(n, tower, t_encs, x, True), t_inv, True)
+            return lambda x: product(product(t_encs, x), t_inv)
 
         maps = [conjugation(elements[t]) for t in _generator_walk(rec, range(len(elements)))[0]]
         class_of = [-1] * len(elements)
@@ -788,10 +788,22 @@ def verify_springer_independence(bg, theta: Theta | None = None) -> Report:
     return rep
 
 
-def verify_theta_independence(bg, springer_name: str = "cayley") -> Report:
-    """The character SET must not depend on the choice of theta."""
+def verify_theta_independence(
+    bg,
+    springer_name: str = "cayley",
+    sc_table: SuperclassTable | None = None,
+    standard: SupercharTable | None = None,
+) -> Report:
+    """The character SET must not depend on the choice of theta.  A caller
+    that already holds the superclass table or the standard-theta rows
+    passes them, and they are not built again."""
     rep = Report(f"theta independence {bg.label()}")
-    sct, scht_std = theory(bg, springer_name, standard_theta(bg))
+    sct = sc_table if sc_table is not None else superclasses(bg, springer_name)
+    scht_std = (
+        standard
+        if standard is not None
+        else supercharacters(bg, springer_name, standard_theta(bg), sc_table=sct)
+    )
     scht_alt = supercharacters(bg, springer_name, alternate_theta(bg), sc_table=sct)
     same_set = scht_std.row_value_set() == scht_alt.row_value_set()
     identical = [r.values for r in scht_std.rows] == [r.values for r in scht_alt.rows]

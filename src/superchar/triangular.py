@@ -8,6 +8,13 @@ The ``unipotent`` flag says whether it stands for 1+x (a group element)
 or x (an algebra element).  The two readings share a representation but
 the Springer morphisms are the only sanctioned bridge between them, so
 every map is explicit about which side it acts on.
+
+The arithmetic on slot encodings is generated: ``straight_line`` turns
+a list of sums of products into one Python function over the tower's
+add, mul and neg tables, with every slot unrolled.  ``kernel`` compiles
+the product, the inverse and both Cayley maps once per (tower, n, name)
+on first use; ``linear_kernel`` compiles one F_q-linear map, as the
+orbit walks and ``SpaceBasis.element`` use them.
 """
 
 from __future__ import annotations
@@ -43,26 +50,100 @@ def slot_index(n: int):
     return _layout(n)[1]
 
 
-def _dot_slots(acc, terms, x, y, add, mul) -> int:
-    """acc + the sum of x[a] y[b] over the slot pairs (a, b) in terms,
-    with add and mul the tower's tables."""
-    for a, b in terms:
-        u = x[a]
-        if u:
-            v = y[b]
-            if v:
-                acc = add[acc][mul[u][v]]
-    return acc
+# -- generated straight-line kernels ------------------------------------------
 
 
-def mul_encs(n: int, tower: FieldTower, x, y, unipotent: bool) -> tuple:
-    """The slot encodings of x y, or for unipotents of (1+x)(1+y) =
-    1 + (x + y + xy), from the slot encodings of two size-n matrices."""
-    add, mul = tower.add_table, tower.mul_table
-    return tuple(
-        _dot_slots(add[x[s]][y[s]] if unipotent else 0, terms, x, y, add, mul)
+def straight_line(tower: FieldTower, params, steps, result):
+    """Compile a straight-line program over the tower's add, mul and neg
+    tables into a Python function: the one place code is generated, and
+    the only code path of every product, inverse, Springer and linear-map
+    kernel.
+
+    ``params`` lists (name, length) for each argument, a tuple of
+    encodings whose i-th entry becomes the variable f"{name}{i}".  Each
+    step (target, terms, negate) assigns target = ±(sum of the terms),
+    where a term is a variable (v,) or a product (a, v) of a variable or
+    int encoding a with a variable v (just v when a = 1).  ``result``
+    lists the variables of the returned tuple.  Each term is its own
+    statement, so no expression nests deeper than A[t][M[a][v]] however
+    wide the layout, and a program with no slots (n = 1, dim 0) still
+    compiles to ``return ()``.
+    """
+    body = [
+        f"    {''.join(f'{name}{i}, ' for i in range(length))}= {name}"
+        for name, length in params
+        if length
+    ]
+    for target, terms, negate in steps:
+        exprs = [f"M[{t[0]}][{t[1]}]" if len(t) == 2 and t[0] != 1 else t[-1] for t in terms]
+        body.append(f"    {target} = {exprs[0] if exprs else 0}")
+        body += [f"    {target} = A[{target}][{e}]" for e in exprs[1:]]
+        if negate:
+            body.append(f"    {target} = N[{target}]")
+    body.append(f"    return ({''.join(f'{r}, ' for r in result)})")
+    args = ", ".join(name for name, _ in params)
+    namespace = {"A": tower.add_table, "M": tower.mul_table, "N": tower.neg_table}
+    exec("\n".join([f"def kernel({args}):"] + body), namespace)
+    return namespace["kernel"]
+
+
+def _slot_products(n, out, lead, x, y, negate=False):
+    """Steps out_s = ±(the lead variables' slot s + sum x_a y_b over the
+    slot pairs (a, b) of s), one per slot in slot order."""
+    return [
+        (
+            f"{out}{s}",
+            [(f"{v}{s}",) for v in lead] + [(f"{x}{a}", f"{y}{b}") for a, b in terms],
+            negate,
+        )
         for s, terms in enumerate(_layout(n)[2])
-    )
+    ]
+
+
+def _kernel_program(tower: FieldTower, name: str, n: int):
+    """(params, steps, result) of the layout kernel ``name`` on size-n
+    slot encodings x (and y):
+
+    * "mul": x y; "umul": (1+x)(1+y) - 1 = x + y + x y;
+    * "inverse": y with 1 + y = (1+x)^(-1), i.e. y = -(x + x y), solved
+      from the last slot up, since y_ij needs only y_kj with k > i;
+    * "cayley": x (1 + x/2)^(-1) = x z + x with 1 + z = (1 + x/2)^(-1);
+      "cayley_inv": y (1 - y/2)^(-1), the same with -1/2 for 1/2.
+    """
+    m = len(_layout(n)[0])
+    xs = [("x", m)]
+    if name in ("mul", "umul"):
+        lead = ["x", "y"] if name == "umul" else []
+        return xs + [("y", m)], _slot_products(n, "z", lead, "x", "y"), [f"z{s}" for s in range(m)]
+    if name == "inverse":
+        steps = _slot_products(n, "y", ["x"], "x", "y", negate=True)[::-1]
+        return xs, steps, [f"y{s}" for s in range(m)]
+    half = pow(2, -1, tower.p)
+    c = {"cayley": half, "cayley_inv": tower.neg_table[half]}[name]
+    steps = [(f"h{s}", [(c, f"x{s}")], False) for s in range(m)]
+    steps += _slot_products(n, "z", ["h"], "h", "z", negate=True)[::-1]
+    steps += _slot_products(n, "r", ["x"], "x", "z")
+    return xs, steps, [f"r{s}" for s in range(m)]
+
+
+def kernel(tower: FieldTower, name: str, n: int):
+    """The compiled layout kernel ``name`` (see ``_kernel_program``) for
+    size-n slot encodings over ``tower``; compiled on first use and kept
+    in ``tower.kernels``, whose keys are plain (name, n) pairs."""
+    fn = tower.kernels.get((name, n))
+    if fn is None:
+        fn = tower.kernels[name, n] = straight_line(tower, *_kernel_program(tower, name, n))
+    return fn
+
+
+def linear_kernel(tower: FieldTower, matrix, width: int):
+    """The compiled map v -> M v for a matrix of encodings with ``width``
+    columns; each output is one sum over its row's nonzero entries."""
+    steps = [
+        (f"o{i}", [(a, f"v{j}") for j, a in enumerate(row) if a], False)
+        for i, row in enumerate(matrix)
+    ]
+    return straight_line(tower, [("v", width)], steps, [f"o{i}" for i in range(len(matrix))])
 
 
 class TriMatrix:
@@ -163,20 +244,14 @@ class TriMatrix:
     def __mul__(self, other: "TriMatrix") -> "TriMatrix":
         """x y, or for unipotents (1+x)(1+y) = 1 + (x + y + xy)."""
         self._check(other)
-        return self._like(mul_encs(self.n, self.tower, self.encs, other.encs, self.unipotent))
+        product = kernel(self.tower, "umul" if self.unipotent else "mul", self.n)
+        return self._like(product(self.encs, other.encs))
 
     def inverse(self) -> "TriMatrix":
-        """(1+x)^(-1) = 1+y with y = -(x + xy), solved slot by slot from
-        the last row up, since y_ij needs only y_kj with k > i."""
+        """(1+x)^(-1) = 1+y with y = -(x + xy)."""
         if not self.unipotent:
             raise ShapeError("inverse is a group operation; use unipotent matrices")
-        x = self.encs
-        add, mul, neg = self.tower.add_table, self.tower.mul_table, self.tower.neg_table
-        pairs = _layout(self.n)[2]
-        y = [0] * len(x)
-        for s in reversed(range(len(x))):
-            y[s] = neg[_dot_slots(x[s], pairs[s], x, y, add, mul)]
-        return self._like(y)
+        return self._like(kernel(self.tower, "inverse", self.n)(self.encs))
 
     def nilpotent_part(self) -> "TriMatrix":
         return TriMatrix.from_encs(self.n, self.tower, self.encs, False)
@@ -346,28 +421,18 @@ def dagger(x: TriMatrix, inv: Involution) -> TriMatrix:
 # -- Springer morphisms ----------------------------------------------------
 
 
-def _inv_one_plus(y: TriMatrix) -> TriMatrix:
-    """(1 + y)^(-1) - 1 for nilpotent y, as a nilpotent matrix."""
-    return y.as_unipotent().inverse().nilpotent_part()
-
-
 def cayley(g: TriMatrix) -> TriMatrix:
     """The Cayley-type morphism 1+x -> 2x(x+2)^(-1) = x(1 + x/2)^(-1)."""
     if not g.unipotent:
         raise ShapeError("cayley maps group elements to algebra elements")
-    half = pow(2, -1, g.tower.p)
-    x = g.nilpotent_part()
-    z = _inv_one_plus(x.scale(half))
-    return x * z + x
+    return TriMatrix.from_encs(g.n, g.tower, kernel(g.tower, "cayley", g.n)(g.encs))
 
 
 def cayley_inv(y: TriMatrix) -> TriMatrix:
     """Inverse of ``cayley``: y -> 1 + 2y(2-y)^(-1) = 1 + y(1 - y/2)^(-1)."""
     if y.unipotent:
         raise ShapeError("cayley_inv maps algebra elements to group elements")
-    half = pow(2, -1, y.tower.p)
-    z = _inv_one_plus(-(y.scale(half)))
-    return (y * z + y).as_unipotent()
+    return TriMatrix.from_encs(y.n, y.tower, kernel(y.tower, "cayley_inv", y.n)(y.encs), True)
 
 
 def nilpotency_index(poset: MirrorPoset) -> int:

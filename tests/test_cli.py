@@ -66,6 +66,14 @@ COMMAND_SHA256 = {
         "dfb8b721728faaf26746bae463fa53001c45962d45140a400fe38cbd6606fae2",
     ("verify", "USp", "4", "5"): "16fa591bb7398d340da27b7eec450f57ccbdb9fbf66d09c749622595cd0bd8fe",
     ("verify", "UO", "4", "5"): "4b49885fe56bc2770114465cf78fa10ed18c0188047516a07a0f38dd26c52eee",
+    # edge layouts, captured before the kernels were generated: dim u = 0
+    # (UO1, and UO2 with its one slot outside u) and a single slot (UT2)
+    ("table", "UO", "1", "3"): "a13b04061072132a08d3d5f1fb9f84b9f497b63a0ec327bb93879acebac9785f",
+    ("verify", "UO", "1", "3"): "5d89d7daba393f28076694ba1010b8b4ae0c831bfb238a254a6e9a52e51a339e",
+    ("table", "UO", "2", "3"): "86dfdaeb66a4b59ce7922f5e69ab9e3f604a8cfcfe62dd8082bb738675c1589b",
+    ("verify", "UO", "2", "3"): "d31dcd3a65c63b5a4404d7caaa324723af11a0b2161fee7547dd33507a057934",
+    ("table", "UT", "2", "3"): "b605f37e9c5c0fda37415d1eed4edfeba5403a03fb6f40f3a54acb12d3648f44",
+    ("verify", "UT", "2", "3"): "854fa88af1de4d3f8eed3a1e4727d51af999e8c742150a15ee58f4e24c3023aa",
 }
 
 
@@ -183,6 +191,59 @@ def test_verify_fault_injection_names_axiom(capsys):
 
 def test_verify_fault_injection_names_axiom_ut(capsys):
     _verify_injected_fault(capsys, "UT")
+
+
+# sha256 of a full `verify --inject-fault` (exit 2), captured while every
+# check built its own tables: the shared, faulted table reaches only the
+# checks that read it, and theta-independence still compares clean rows
+FAULT_SHA256 = {
+    "UO": "2496426c78941395f4138a57ae7de9cf613ba6a061ac2d78c3fb19afe2207eb1",
+    "USp": "3e499cdee5c2092e224288a1a8a6dcf37f214ed22353393796f2beeec790cd33",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAULT_SHA256))
+def test_verify_fault_injection_full_run_is_pinned(capsys, family):
+    code, out, _ = run(
+        capsys, "verify", "--family", family, "--n", "4", "--p", "3", "--inject-fault"
+    )
+    assert code == 2
+    assert "PASS   theta-row-set" in out and "PASS   intersection-partition" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == FAULT_SHA256[family]
+
+
+def test_verify_builds_each_table_once(capsys, monkeypatch):
+    """The intersection and theta-independence checks read the superclass
+    table and standard rows that the axiom checks built; only
+    springer-independence builds its own, one table per Springer map."""
+    from superchar import cli, sct
+
+    built = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(bg, springer_name, *args, **kwargs):
+            theta = args[0].name if args else None
+            built.append((name, springer_name, theta))
+            return real(bg, springer_name, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, sct):
+        counting(module, "superclasses")
+        counting(module, "supercharacters")
+    code, _, _ = run(capsys, "verify", "--family", "UU", "--n", "3", "--p", "3", "--k", "2")
+    assert code == 0
+    assert sorted(built) == sorted([
+        ("superclasses", "cayley", None),  # shared
+        ("supercharacters", "cayley", "standard"),  # shared
+        ("superclasses", "cayley", None),  # springer-independence
+        ("supercharacters", "cayley", "standard"),
+        ("superclasses", "log", None),
+        ("supercharacters", "log", "standard"),
+        ("supercharacters", "cayley", "alternate"),  # theta-independence
+    ])
 
 
 def test_verify_ut_family(capsys):

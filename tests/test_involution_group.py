@@ -10,10 +10,11 @@ from superchar.involution_group import (
     extend_functional,
     h_u_product_order,
     load_spec,
-    stabilizer_subgroup,
     sub_l_r_g,
 )
 from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
+
+from reference import element_encs, stabilizer_subgroup
 
 
 def exhaustive_U(bg):
@@ -153,14 +154,19 @@ def test_U_refuses_a_non_injective_springer_preimage(monkeypatch):
         dict(family="USp", n=4, p=3),
         dict(family="UO", n=5, p=3),
         dict(family="UU", n=4, p=3, k=2, poset=MirrorPoset.from_pairs(4, [(1, 2), (3, 4)])),
+        dict(family="UO", n=1, p=3),  # no slots, dim u = 0
+        dict(family="UO", n=2, p=3),  # one slot, dim u = 0
     ],
 )
 def test_element_combines_basis_slots(kwargs):
     """element(c) sums the basis matrices' slots; it must equal the
-    unflattened combination of the flat basis rows at every point of u."""
+    unflattened combination of the flat basis rows at every point of u,
+    and the interpreted slot-by-slot combination."""
     bg = build_group(GroupSpec(**kwargs))
     for c in bg.u_points[0]:
-        assert bg.u_basis.element(c).encs == bg.unflatten(bg.u_space.combine(c)).serialize()
+        encs = bg.u_basis.element(c).encs
+        assert encs == bg.unflatten(bg.u_space.combine(c)).serialize()
+        assert encs == element_encs(bg.u_basis, c)
 
 
 def test_flatten_roundtrip():

@@ -3,12 +3,14 @@ import json
 import pytest
 
 from superchar.involution_group import GroupSpec, build_group
+from superchar.linalg import transpose
 from superchar.orbits import (
-    full_sweep_orbit_u,
+    closure_of,
+    g_left_matrix,
+    g_right_matrix,
     h_orbit_of_functional,
     h_orbit_partition_dual,
     left_orbit_in_u,
-    left_orbit_of_g_element,
     left_orbit_partition_g_dual,
     orbit_dump_lines,
     orbit_partition_dual,
@@ -17,8 +19,21 @@ from superchar.orbits import (
     two_sided_canonical,
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
+    u_action_matrix,
 )
 from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
+
+from reference import full_sweep_orbit_u, left_orbit_of_g_element, map_from_matrix, mul_encs
+
+TYPE_D_POSET = MirrorPoset.from_pairs(4, [pos for pos in strict_positions(4) if pos != (2, 3)])
+WALK_SPECS = [
+    dict(family="UO", n=4, p=3),
+    dict(family="USp", n=4, p=3),
+    dict(family="UU", n=3, p=3, k=2),
+    dict(family="UT", n=4, p=3),
+    dict(family="UO", n=4, p=3, poset=TYPE_D_POSET),
+]
+WALK_IDS = ["UO4", "USp4", "UU3", "UT4", "UO4-typeD"]
 
 
 def test_zero_is_a_fixed_point():
@@ -101,6 +116,66 @@ def test_dual_orbits_equal_full_group_sweep(kwargs):
                 if in_h or not only_h
             }
             assert swept == set(oi.members(orbit.orbit_id)), (only_h, orbit.rep)
+
+
+def _closure_order(bg, gens):
+    """|<gens>|: the identity closed under right multiplication by each."""
+    m = len(strict_positions(bg.n))
+    maps = [lambda x, t=g.encs: mul_encs(bg.n, bg.tower, x, t, True) for g in gens]
+    return len(closure_of((0,) * m, maps))
+
+
+@pytest.mark.parametrize("kwargs", WALK_SPECS, ids=WALK_IDS)
+def test_walk_generators_generate_G_and_H(kwargs):
+    bg = build_group(GroupSpec(**kwargs))
+    assert len(bg.G_walk) < len(bg.G_gens)
+    assert _closure_order(bg, bg.G_walk) == bg.order_G
+    assert _closure_order(bg, bg.H_walk) == bg.order_H
+
+
+@pytest.mark.parametrize("kwargs", WALK_SPECS, ids=WALK_IDS)
+def test_walk_partitions_equal_all_root_element_partitions(kwargs):
+    """Each partition the library walks over G_walk or H_walk, against the
+    same walk over every root element with the reference linear maps."""
+    bg = build_group(GroupSpec(**kwargs))
+
+    def by_roots(points, matrices, canon_key=None):
+        return partition_space(points, [map_from_matrix(M, bg.sc) for M in matrices], canon_key)
+
+    def dual(gens, matrix_fn):
+        return [transpose(matrix_fn(bg, g.inverse())) for g in gens]
+
+    G, H = bg.G_gens, bg.H_gens
+    pairs = [
+        (
+            two_sided_orbit_partition_g(bg),
+            by_roots(
+                bg.g_points,
+                [g_left_matrix(bg, g) for g in G] + [g_right_matrix(bg, g) for g in G],
+                bg.g_basis.element_encs,
+            ),
+        ),
+    ]
+    if bg.involution is not None:
+        pairs += [
+            (
+                orbit_partition_u(bg),
+                by_roots(bg.u_points, [u_action_matrix(bg, g) for g in G], bg.u_basis.element_encs),
+            ),
+            (orbit_partition_dual(bg), by_roots(bg.u_points, dual(G, u_action_matrix))),
+            (h_orbit_partition_dual(bg), by_roots(bg.u_points, dual(H, u_action_matrix))),
+        ]
+    else:
+        pairs += [
+            (
+                two_sided_orbit_partition_g_dual(bg),
+                by_roots(bg.g_points, dual(G, g_left_matrix) + dual(G, g_right_matrix)),
+            ),
+            (left_orbit_partition_g_dual(bg), by_roots(bg.g_points, dual(G, g_left_matrix))),
+        ]
+    for walked, full in pairs:
+        assert walked.orbit_of == full.orbit_of
+        assert [o.rep for o in walked.orbits] == [o.rep for o in full.orbits]
 
 
 def test_partition_space_rejects_a_map_leaving_the_space():

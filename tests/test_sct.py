@@ -7,7 +7,7 @@ from superchar.cyclotomic import CycloValue, root_power
 from superchar.errors import NonIntegralityError
 from superchar.involution_group import GroupSpec, build_group
 from superchar.linalg import Subspace
-from superchar.orbits import left_orbit_of_g_element, orbit_partition_u
+from superchar.orbits import orbit_partition_u
 from superchar.sct import (
     _generator_walk,
     _orbit_sum_values,
@@ -32,6 +32,8 @@ from superchar.sct import (
     verify_theta_independence,
 )
 from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
+
+from reference import left_orbit_of_g_element
 
 SMALL_SPECS = [
     dict(family="UO", n=3, p=3),

@@ -4,23 +4,29 @@ import random
 import pytest
 
 from superchar.errors import ShapeError, SpringerUndefinedError
-from superchar.gf import frobenius_q, make_tower
+from superchar.gf import _TABLE_LIMIT, frobenius_q, make_tower
 from superchar.triangular import (
     Involution,
     MirrorPoset,
     TriMatrix,
+    _layout,
     cayley,
     cayley_inv,
     dagger,
+    kernel,
+    linear_kernel,
     pattern_space,
     strict_positions,
     trunc_exp,
     trunc_log,
 )
 
+from reference import inverse_encs, map_from_matrix, mul_encs
+
 T9 = make_tower(3, 1, 2)
 T3 = make_tower(3, 1, 1)
 T25 = make_tower(5, 1, 2)
+T2187 = make_tower(3, 7, 1)  # above _TABLE_LIMIT: its tables fill on first use
 
 # (n, tower) pairs for the seeded oracle loops: prime and extension
 # fields, with every product carrying at least one middle index
@@ -95,6 +101,77 @@ def test_inverse():
             a = random_unipotent(n, tower, rng)
             assert a * a.inverse() == TriMatrix.identity(n, tower), (n, tower.size)
             assert a.inverse() * a == TriMatrix.identity(n, tower), (n, tower.size)
+
+
+# -- generated kernels against the interpreted reference loops ---------------------
+
+
+def _random_encs(rng, tower, m):
+    """m encodings, about a third of them zero."""
+    return tuple(rng.choice((0, rng.randrange(tower.size))) for _ in range(m))
+
+
+@pytest.mark.parametrize("tower", [T3, T9, T25, T2187], ids=["F3", "F9", "F25", "F3^7"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generated_kernels_match_reference_loops(n, tower):
+    """Products, inverses and both Cayley maps on a seeded sample, for the
+    one slot layout per n that every family (UT, UO, USp, UU) uses."""
+    assert T2187.size > _TABLE_LIMIT >= T25.size
+    rng = random.Random(100 * n + tower.size)
+    m = len(_layout(n)[0])
+    mul, neg = tower.mul_table, tower.neg_table
+    half = pow(2, -1, tower.p)
+    for _ in range(40):
+        x, y = _random_encs(rng, tower, m), _random_encs(rng, tower, m)
+        for unipotent in (False, True):
+            a = TriMatrix.from_encs(n, tower, x, unipotent)
+            b = TriMatrix.from_encs(n, tower, y, unipotent)
+            assert (a * b).encs == mul_encs(n, tower, x, y, unipotent), (x, y, unipotent)
+        g = TriMatrix.from_encs(n, tower, x, True)
+        assert g.inverse().encs == inverse_encs(n, tower, x)
+        # cayley(1+x) = x z + x and cayley_inv(x) = 1 + x z' + x, with
+        # 1 + z = (1 + x/2)^-1 and 1 + z' = (1 - x/2)^-1
+        for fn, c, unipotent in ((cayley, half, False), (cayley_inv, neg[half], True)):
+            z = inverse_encs(n, tower, tuple(mul[c][v] for v in x))
+            expect = mul_encs(n, tower, x, z, False)
+            expect = tuple(tower.add_table[e][v] for e, v in zip(expect, x))
+            got = fn(TriMatrix.from_encs(n, tower, x, not unipotent))
+            assert (got.encs, got.unipotent) == (expect, unipotent), (fn.__name__, x)
+    assert kernel(tower, "umul", n) is kernel(tower, "umul", n)  # compiled once
+
+
+@pytest.mark.parametrize("tower", [T3, T9, T2187], ids=["F3", "F9", "F3^7"])
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (6, 6), (9, 4)])
+def test_linear_kernel_is_matrix_vector_product(tower, rows, cols):
+    rng = random.Random(rows * 10 + cols)
+    for _ in range(10):
+        M = [_random_encs(rng, tower, cols) for _ in range(rows)]
+        fn = linear_kernel(tower, M, cols)
+        for _ in range(10):
+            v = _random_encs(rng, tower, cols)
+            expect = []
+            for row in M:
+                acc = 0
+                for a, b in zip(row, v):
+                    acc = tower.add_enc(acc, tower.mul_enc(a, b))
+                expect.append(acc)
+            assert fn(v) == tuple(expect)
+            if rows == cols:
+                assert fn(v) == map_from_matrix(M, tower.full)(v)
+
+
+def test_linear_kernel_on_near_identity_matrices():
+    """Orbit-walk generators are the identity off a few rows; the kernel
+    must copy those coordinates as the reference loop leaves them."""
+    rng = random.Random(7)
+    for dim in (1, 2, 5):
+        for _ in range(10):
+            M = [[int(i == j) for j in range(dim)] for i in range(dim)]
+            M[rng.randrange(dim)] = list(_random_encs(rng, T9, dim))
+            fn, ref = linear_kernel(T9, M, dim), map_from_matrix(M, T9.full)
+            for _ in range(10):
+                v = _random_encs(rng, T9, dim)
+                assert fn(v) == ref(v)
 
 
 def test_flag_mismatch_is_error():

@@ -282,7 +282,8 @@ def test_stabilizer_description_a2ulambda(uu4):
     """u_{lambda_eta} from the kernel solve equals the positionwise
     description {x in u : x_{ij} = 0 if i~k in eta, j < k, 2j <= n+1},
     and equals f(U_lambda)."""
-    from superchar.involution_group import extend_functional, stabilizer_subgroup, sub_l_r_g
+    from superchar.involution_group import extend_functional, sub_l_r_g
+    from reference import stabilizer_subgroup
 
     bg = uu4
     for eta in enumerate_twisted(4, T9):
