@@ -235,7 +235,11 @@ def _run_check(name, bg, args, state) -> list:
     if name == "intersection":
         return intersection_check(bg, springer, sc_table=classes()).results
     if name == "springer-independence":
-        return verify_springer_independence(bg).results
+        # the shared tables are the Cayley ones only under --springer cayley
+        if springer != "cayley" or "log" not in bg.springer_names():
+            return verify_springer_independence(bg).results
+        standard = clean_rows() if args.theta == "standard" else None
+        return verify_springer_independence(bg, sc_table=classes(), standard=standard).results
     if name == "theta-independence":
         standard = clean_rows() if args.theta == "standard" else None
         return verify_theta_independence(bg, springer, sc_table=classes(), standard=standard).results

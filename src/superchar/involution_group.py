@@ -27,6 +27,7 @@ from .triangular import (
     TriMatrix,
     cayley,
     cayley_inv,
+    kernel,
     linear_kernel,
     nilpotency_index,
     pattern_space,
@@ -113,12 +114,15 @@ def load_spec(path) -> GroupSpec:
 
 class SpaceBasis:
     """An F_q-basis of a subspace of g: the RREF subspace plus its basis
-    vectors materialized as matrices."""
+    vectors materialized as matrices on first use."""
 
     def __init__(self, group: "BuiltGroup", space: Subspace):
         self.group = group
         self.space = space
-        self.matrices = [group.unflatten(row) for row in space.rows]
+
+    @functools.cached_property
+    def matrices(self):
+        return [self.group.unflatten(row) for row in self.space.rows]
 
     @property
     def dim(self) -> int:
@@ -316,11 +320,13 @@ class BuiltGroup:
         ``u_points``, sorted by serialization, and the point of u that each
         element came from, so points[i] = cayley(elements[i]) without
         evaluating cayley."""
-        element = self.u_basis.element
+        element, dagger = self.u_basis.element, self.involution.apply_encs
+        inverse = kernel(self.tower, "inverse", self.n)
         elems = []
         for coords in self.u_points[0]:
             u = cayley_inv(element(coords))
-            if self.dagger(u) != u.inverse():
+            # u in U: u^dagger = u^-1, compared on slot encodings
+            if dagger(u.encs) != inverse(u.encs):
                 raise AssertionError("Springer preimage left U; involution broken")
             elems.append(u)
         elems, points = sort_paired(elems, self.u_points[0])
@@ -382,6 +388,30 @@ class BuiltGroup:
             )
         raise ValueError(f"unknown Springer morphism {name!r}")
 
+    # -- the compiled maps behind extend_functional and sub_l_r_g -----------------
+
+    @functools.cached_property
+    def extension_map(self):
+        """lambda -> eta on coefficient vectors, compiled on first use:
+        eta(b) = (1/2) lambda(b - b^dagger) = sum_i lambda_i c_bi for each
+        b in g's basis, with c_b = (1/2) coords_u(b - b^dagger)."""
+        times_half = self.tower.mul_table[self.tower.inv_enc(2)]
+        matrix = [
+            [times_half[c] for c in self.u_basis.coords(b - self.dagger(b))]
+            for b in self.g_basis_mats
+        ]
+        return linear_kernel(self.tower, matrix, self.u_basis.dim)
+
+    @functools.cached_property
+    def eta_forms(self):
+        """eta -> the rows eta(y b) for y in h's basis, then the rows
+        eta(b y^dagger), over g's basis b (``form_rows``): the constraints
+        that cut out l_eta and r_eta.  Compiled on first use."""
+        h, g = self.h_basis.matrices, self.g_basis_mats
+        pairs = [(y, b) for y in h for b in g]
+        pairs += [(b, self.dagger(y)) for y in h for b in g]
+        return form_rows(self, pairs)
+
     # -- enumeration of G ---------------------------------------------------------
 
     def enumerate_G(self):
@@ -440,52 +470,51 @@ def sort_paired(elements, points):
 # -- the lambda -> eta extension and the eta-subalgebras -----------------------
 
 
+def form_rows(group: BuiltGroup, pairs):
+    """The compiled map eta -> eta(x y) for each (x, y) in ``pairs``, cut
+    into rows of |g| values, for eta given by its coefficients against g's
+    basis.  That basis is the standard one, so eta(m) is the dot product of
+    the coefficients with flatten(m), and each value is one sum over the
+    nonzero coordinates of flatten(x y)."""
+    apply = linear_kernel(group.tower, [group.flatten(x * y) for x, y in pairs], group.flat_dim)
+    width = group.flat_dim
+
+    def rows(coeffs):
+        values = apply(coeffs)
+        return [values[i : i + width] for i in range(0, len(values), max(width, 1))]
+
+    return rows
+
+
 def extend_functional(group: BuiltGroup, lam: Functional) -> Functional:
     """The unique eta on g with eta|_u = lambda and eta(x^dagger) = -eta(x);
-    concretely eta(x) = (1/2) lambda(x - x^dagger)."""
+    concretely eta(x) = (1/2) lambda(x - x^dagger), one call of the
+    compiled ``BuiltGroup.extension_map``."""
     if lam.basis is not group.u_basis:
         raise ShapeError("expected a functional on u")
-    half = group.tower.inv_enc(2)
-    sc = group.sc
-    coeffs = []
-    for b in group.g_basis_mats:
-        w = b - group.dagger(b)
-        coeffs.append(sc.mul(half, lam.evaluate(w)))
-    eta = group.functional_on_g(coeffs)
-    return eta
+    return group.functional_on_g(group.extension_map(lam.coeffs))
+
+
+def kernel_in_g(group: BuiltGroup, rows) -> Subspace:
+    """The x in g with r . flat(x) = 0 for every row r; all of g for no
+    rows."""
+    return Subspace.kernel(group.sc, group.flat_dim, rows) if rows else group.g_space
 
 
 def sub_l_r_g(group: BuiltGroup, eta: Functional):
     """The subalgebras l_eta, r_eta and g_eta = l_eta ∩ r_eta.
 
     l_eta kills eta(y x) for y in h; r_eta kills eta(x y) for y in
-    h^dagger; both are solved as kernels of bilinear-form rows.
+    h^dagger.  One call of the compiled ``BuiltGroup.eta_forms`` gives
+    both sets of bilinear-form rows, and each subalgebra is solved as
+    their kernel.  The oracle needs only g_eta, and solves it alone from
+    the stacked rows.
     """
     if eta.basis is not group.g_basis:
         raise ShapeError("expected a functional on g")
-    # g's basis is the standard one, so a matrix's coordinates against it
-    # are its flat form, and eta(x) is a dot product with flatten(x)
-    dot, flatten, coeffs = group.sc.dot, group.flatten, eta.coeffs
-    left_rows = []
-    right_rows = []
-    for y in group.h_basis.matrices:
-        yd = group.dagger(y)
-        left_rows.append(tuple(dot(coeffs, flatten(y * b)) for b in group.g_basis_mats))
-        right_rows.append(tuple(dot(coeffs, flatten(b * yd)) for b in group.g_basis_mats))
-
-    def _solve(rows):
-        # rows constrain coefficient vectors against g_basis_mats, which are
-        # exactly the flat coordinates
-        return Subspace.kernel(group.sc, group.flat_dim, rows) if rows else group.g_space
-
-    l_space = _solve(left_rows)
-    r_space = _solve(right_rows)
-    g_space = _solve(left_rows + right_rows)
-    return (
-        SpaceBasis(group, l_space),
-        SpaceBasis(group, r_space),
-        SpaceBasis(group, g_space),
-    )
+    rows = group.eta_forms(eta.coeffs)
+    left, right = rows[: len(rows) // 2], rows[len(rows) // 2 :]
+    return tuple(SpaceBasis(group, kernel_in_g(group, r)) for r in (left, right, rows))
 
 
 def h_u_product_order(group: BuiltGroup) -> int:

@@ -12,7 +12,10 @@ from .gf import Subfield
 
 
 def rref(rows, sc: Subfield):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    """Reduced row echelon form.  Returns (rows, pivot_columns).  Rows are
+    scaled and combined through the tower's add, mul and neg tables."""
+    tower = sc.tower
+    add, mul, neg = tower.add_table, tower.mul_table, tower.neg_table
     rows = [list(r) for r in rows if any(r)]
     pivots = []
     r = 0
@@ -22,15 +25,14 @@ def rref(rows, sc: Subfield):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = sc.inv(rows[r][c])
-        if inv != sc.one:
-            rows[r] = [sc.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [
-                    sc.sub(x, sc.mul(factor, y)) for x, y in zip(rows[i], rows[r])
-                ]
+        if rows[r][c] != 1:
+            times = mul[tower.inv_enc(rows[r][c])]
+            rows[r] = [times[x] for x in rows[r]]
+        pivot = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                times = mul[neg[row[c]]]  # y -> -row[c] y
+                rows[i] = [add[x][times[y]] for x, y in zip(row, pivot)]
         pivots.append(c)
         r += 1
         if r == len(rows):

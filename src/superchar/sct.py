@@ -33,7 +33,9 @@ from .involution_group import (
     BuiltGroup,
     build_group,
     extend_functional,
+    form_rows,
     h_u_product_order,
+    kernel_in_g,
     sort_paired,
     sub_l_r_g,
 )
@@ -52,7 +54,7 @@ from .orbits import (
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
 )
-from .triangular import MirrorPoset, TriMatrix, kernel
+from .triangular import MirrorPoset, TriMatrix, kernel, straight_line
 
 SAMPLE_SEED = 20240813
 _FULL_CHECK_LIMIT = 256
@@ -79,8 +81,11 @@ class TheoryRecord:
     Frobenius's formula over those classes.  ``_generator_walk`` is the
     one closure check, exhaustive at every size, for the elements
     themselves and for each oracle subgroup; its walks are kept in
-    ``_walks``, keyed by the member ids.  All of these are built on first
-    use, and the table path needs none of them.
+    ``_walks``, keyed by the member ids.  ``_subgroup_data`` keeps, in
+    ``_subgroups`` and keyed by S's RREF rows, what the oracle needs of
+    each distinct S: its members and an F_p-basis of its walk's defects.
+    All of these are built on first use, and the table path needs none
+    of them.
     """
 
     group: BuiltGroup
@@ -96,6 +101,7 @@ class TheoryRecord:
     _flats: list | None = field(default=None, repr=False)
     _conjugacy: ConjugacyClasses | None = field(default=None, repr=False)
     _walks: dict = field(default_factory=dict, repr=False)
+    _subgroups: dict = field(default_factory=dict, repr=False)
 
     def element_data(self):
         """flat(e - 1) for every element, in element order, made on first
@@ -132,9 +138,9 @@ def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
             points[i] = x
 
     def subgroup(lam_coeffs):
-        # U_lam = U ∩ (1 + g_eta) for the antisymmetric extension eta of lam
-        eta = extend_functional(bg, bg.functional_on_u(lam_coeffs))
-        return sub_l_r_g(bg, eta)[2].space
+        # U_lam = U ∩ (1 + g_eta) for the antisymmetric extension eta of lam;
+        # g_eta is solved alone, from the stacked rows of l_eta and r_eta
+        return kernel_in_g(bg, bg.eta_forms(bg.extension_map(lam_coeffs)))
 
     return TheoryRecord(
         bg,
@@ -164,11 +170,9 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
 
     def subgroup(lam_coeffs):
         # L_lam = 1 + l_lam with l_lam = {x : lam(y x) = 0 for all y in g}
-        rows = [
-            tuple(bg.sc.dot(lam_coeffs, bg.flatten(y * b)) for b in bg.g_basis_mats)
-            for y in bg.g_basis_mats
-        ]
-        return Subspace.kernel(bg.sc, bg.flat_dim, rows)
+        g = bg.g_basis_mats
+        forms = _cached(bg, "l_lam forms", lambda: form_rows(bg, [(y, b) for y in g for b in g]))
+        return Subspace.kernel(bg.sc, bg.flat_dim, forms(lam_coeffs))
 
     return TheoryRecord(
         bg,
@@ -496,25 +500,100 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
     return rec._conjugacy
 
 
+def _defect_kernel(tower, m):
+    """(k, r, t) -> k - (r + t) on vectors of m encodings, generated."""
+    return straight_line(
+        tower,
+        [("k", m), ("r", m), ("t", m)],
+        [(f"s{j}", [(f"r{j}",), (f"t{j}",)], True) for j in range(m)]
+        + [(f"d{j}", [(f"k{j}",), (f"s{j}",)], False) for j in range(m)],
+        [f"d{j}" for j in range(m)],
+    )
+
+
+def _subgroup_data(rec: TheoryRecord, space: Subspace):
+    """What the induction oracle needs of S = {e : flat(e - 1) in space},
+    whatever the row, made once per space and kept on the record, keyed by
+    the space's RREF rows: (|S|, defects, cells).
+
+    S is found by an annihilator test: flat(e - 1) lies in the space
+    exactly when c . flat(e - 1) = 0 for every c in a basis of the
+    space's annihilator (the kernel of its rows).  ``_generator_walk``
+    then proves S closed (AssertionError if not).  ``defects`` are
+    distinct vectors f(r t) - f(r) - f(t), over the walk's steps r -> r t,
+    that span every step's defect over F_p.  They are reduced over F_p,
+    not over F_q: a row's test is F_p-linear only (see
+    ``induction_oracle``), and for q > p the F_q-span of a set can be
+    larger than its F_p-span.  ``cells`` holds, for each conjugacy class
+    (``conjugacy_classes``) that meets S, its id and a gather of the
+    positions of f(s) for its members s in the dual space's product order,
+    where ``_exponent_vector`` puts theta(lam . f(s))."""
+    key = tuple(space.rows)
+    data = rec._subgroups.get(key)
+    if data is None:
+        bg = rec.group
+        tower, points = bg.tower, rec.points
+        add, mul = tower.add_table, tower.mul_table
+        # each annihilator row c as its nonzero terms (column, row of x -> c_j x)
+        constraints = [
+            [(j, mul[c_j]) for j, c_j in enumerate(c) if c_j]
+            for c in Subspace.kernel(bg.sc, space.ambient, space.rows).rows
+        ]
+        members = []
+        for i, flat in enumerate(rec.element_data()):
+            for terms in constraints:
+                acc = 0
+                for j, times in terms:
+                    acc = add[acc][times[flat[j]]]
+                if acc:
+                    break
+            else:
+                members.append(i)
+        gens, reached, right = _generator_walk(rec, members)
+        m = len(points[0])
+        defect = _cached(bg, ("defect", m), lambda: _defect_kernel(tower, m))
+        seen = set()
+        for t, row in zip(gens, right):
+            pt = points[t]
+            seen.update(defect(points[k], points[r], pt) for r, k in zip(reached, row))
+        # keep each defect that leaves the F_p-span of those kept before it,
+        # in F_p-coordinates against the tower's power basis
+        prime = tower.subfield(1)
+        defects, span = [], Subspace(prime, m * tower.degree, [], [])
+        for d in seen:
+            v = tuple(c for x in d for c in prime.coords(x))
+            if not span.contains(v):
+                defects.append(d)
+                span = Subspace.from_spanning(prime, span.ambient, span.rows + [v])
+        # the primal space shares its point list, in product order, with the
+        # dual space (``supercharacters`` checks the order)
+        index, class_of = rec.primal(bg).index, conjugacy_classes(rec).class_of
+        positions: dict = {}  # conjugacy class id -> positions of its members in S
+        for i in members:
+            positions.setdefault(class_of[i], []).append(index[points[i]])
+        cells = [(cid, _gather(ids)) for cid, ids in positions.items()]
+        data = rec._subgroups[key] = (len(members), defects, cells)
+    return data
+
+
 def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: SuperclassTable):
     """Ind_S^E(Res theta∘lam∘f), evaluated at every class rep, for the
     record's elements E and its subgroup S for lam: U_lam = U ∩ (1 + g_eta)
     in the involution theory, L_lam = 1 + l_lam in the algebra theory.
 
-    S is found by an annihilator test: flat(e - 1) lies in the subgroup's
-    space exactly when c . flat(e - 1) = 0 for every c in a basis of the
-    space's annihilator (the kernel of its rows).  The restriction phi of
-    theta∘lam∘f to S must be a linear character, and a failure is fatal.
-    Both halves are exhaustive at every |S|.  ``_generator_walk`` proves S
-    closed (AssertionError if not) and records right[g][i] = r t for each
-    reached r and generator t; rows with the same S share one walk.  Then
-    phi(1) = 0 and phi(r t) = phi(r) + phi(t) along ``right``, with no
-    further products, give phi(s s') = phi(s) + phi(s') on all of S x S:
-    write s' = t_1 ... t_m as the walk reached it; then phi(s') =
+    Everything that depends only on S is made once per distinct S by
+    ``_subgroup_data``: the members, the closure walk and the defects.
+    The restriction phi of theta∘lam∘f to S must be a linear character,
+    and a failure is fatal (NonIntegralityError).  Write phi = L∘f with
+    L(x) = Tr(c lam(x)), F_p-linear on the points.  Along the walk,
+    phi(r t) = phi(r) + phi(t) at a step holds exactly when L vanishes
+    on the step's defect d = f(r t) - f(r) - f(t), and L vanishes on
+    every defect exactly when it vanishes on an F_p-spanning set of
+    them; so each row checks phi(1) = 0 and L(d) = 0 for the kept
+    defects d.  That proves phi(s s') = phi(s) + phi(s') on all of
+    S x S: write s' = t_1 ... t_m as the walk reached it; then phi(s') =
     phi(1) + sum phi(t_i), and s t_1 ... t_j stays in S with phi growing
-    by phi(t_j) at each letter.  Each checked equation is one of the
-    pair loop's, so the two pass and fail on the same inputs
-    (NonIntegralityError if not).  phi(1) = 0 is checked on its own, as
+    by phi(t_j) at each letter.  phi(1) = 0 is checked on its own, as
     no step covers it when S = {1}.
 
     The values come from Frobenius's formula over the conjugacy classes
@@ -524,54 +603,36 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
                    = |E| / (|cl(g)| |S|) sum_{x in cl(g)} phi°(x),
 
     since h -> h g h^-1 maps E onto cl(g) and each fibre is a coset of the
-    centraliser, of size |C_E(g)| = |E| / |cl(g)|.  One pass over S fills
-    a histogram of phi per conjugacy class.  |E| / |cl(g)| is an integer,
-    so the division by |cl(g)| |S| is exact exactly when the defining sum
-    is divisible by |S|.  Returns the values and |E| / |S|.
+    centraliser, of size |C_E(g)| = |E| / |cl(g)|.  Every row lays
+    theta∘lam out over the whole point space (``_exponent_vector``) and
+    reads a histogram of phi per conjugacy class off it, through the
+    cells of S.  |E| / |cl(g)| is an integer, so the division by
+    |cl(g)| |S| is exact exactly when the defining sum is divisible by
+    |S|.  Returns the values and |E| / |S|.
     """
     rec = sc_table.record
-    space = rec.subgroup(lam_coeffs)
+    size, defects, cells = _subgroup_data(rec, rec.subgroup(lam_coeffs))
     p = bg.tower.p
-    points, flats = rec.points, rec.element_data()
     dot, exponent = bg.sc.dot, theta.exponent
-    add, mul = bg.tower.add_table, bg.tower.mul_table
-    # each annihilator row c as its nonzero terms (column, row of x -> c_j x)
-    constraints = [
-        [(j, mul[c_j]) for j, c_j in enumerate(c) if c_j]
-        for c in Subspace.kernel(bg.sc, space.ambient, space.rows).rows
-    ]
-    phi = {}  # element id -> exponent of theta∘lam∘f, for the elements of S
-    for i, flat in enumerate(flats):
-        for terms in constraints:
-            acc = 0
-            for j, times in terms:
-                acc = add[acc][times[flat[j]]]
-            if acc:
-                break
-        else:
-            phi[i] = exponent(dot(lam_coeffs, points[i]))
-    gens, reached, right = _generator_walk(rec, phi)
-    if phi[0] or any(
-        phi[k] != (phi[r] + phi[t]) % p
-        for t, row in zip(gens, right)
-        for r, k in zip(reached, row)
+    if exponent(dot(lam_coeffs, rec.points[0])) or any(
+        exponent(dot(lam_coeffs, d)) for d in defects
     ):
         raise NonIntegralityError(
             "restriction of theta∘lambda∘f to the oracle's subgroup is not multiplicative"
         )
     cc = conjugacy_classes(rec)
-    hist: dict = {}  # conjugacy class id -> counts of each exponent of phi
-    for s, e in phi.items():
-        hist.setdefault(cc.class_of[s], [0] * p)[e] += 1
+    vec = _exponent_vector(lam_coeffs, bg.sc.elements, theta, p)
+    hist = {}  # conjugacy class id -> counts of each exponent of phi on S
+    for cid, gather in cells:
+        got = gather(vec)
+        hist[cid] = [got.count(e) for e in range(p)]
     order = len(rec.elements)
     values = []
     for K in sc_table.classes:
         cid = cc.class_of[rec.index[K.rep.serialize()]]
         counts = CycloValue.from_exponents(p, hist.get(cid, [0] * p))
-        values.append(
-            _divexact(counts * order, cc.sizes[cid] * len(phi), "induced character")
-        )
-    return values, order // len(phi)
+        values.append(_divexact(counts * order, cc.sizes[cid] * size, "induced character"))
+    return values, order // size
 
 
 # -- named verification checks ----------------------------------------------------
@@ -772,14 +833,27 @@ def verify_duality(bg) -> Report:
     return rep
 
 
-def verify_springer_independence(bg, theta: Theta | None = None) -> Report:
-    """Identical tables for the Cayley map and the truncated logarithm."""
+def verify_springer_independence(
+    bg,
+    theta: Theta | None = None,
+    sc_table: SuperclassTable | None = None,
+    standard: SupercharTable | None = None,
+) -> Report:
+    """Identical tables for the Cayley map and the truncated logarithm.  A
+    caller that already holds the Cayley superclass table or its rows for
+    theta (the standard theta by default) passes them, and they are not
+    built again."""
     rep = Report(f"springer independence {bg.label()}")
     theta = theta or standard_theta(bg)
     if "log" not in bg.springer_names():
         rep.add("springer-independence", None, "trunc_log undefined here; skipped")
         return rep
-    sct_c, scht_c = theory(bg, "cayley", theta)
+    sct_c = sc_table if sc_table is not None else superclasses(bg, "cayley")
+    scht_c = (
+        standard
+        if standard is not None
+        else supercharacters(bg, "cayley", theta, sc_table=sct_c)
+    )
     sct_l, scht_l = theory(bg, "log", theta)
     same_partition = sct_c.partition_sets() == sct_l.partition_sets()
     rep.add("springer-partition", same_partition, "superclass partitions equal")

@@ -406,8 +406,11 @@ class Involution:
     def apply(self, x: TriMatrix) -> TriMatrix:
         if x.n != self.n or x.tower != self.tower:
             raise ShapeError("matrix does not match the involution's shape")
-        encs = x.encs
-        return x._like([table[encs[src]] for src, table in self._moves])
+        return x._like(self.apply_encs(x.encs))
+
+    def apply_encs(self, encs) -> tuple:
+        """The slot encodings of x^dagger, from those of x."""
+        return tuple([table[encs[src]] for src, table in self._moves])
 
     def __repr__(self):
         return f"Involution({self.kind}, n={self.n})"

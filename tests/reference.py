@@ -1,9 +1,12 @@
 """Reference implementations the tests compare the library against: the
 interpreted per-slot and per-column loops that the generated kernels
-replaced, and brute-force orbit and subgroup oracles."""
+replaced, the per-product extension and eta-subalgebras, the oracle's
+per-row additivity check, and brute-force orbit and subgroup oracles."""
 
-from superchar.linalg import combine
+from superchar.involution_group import SpaceBasis
+from superchar.linalg import Subspace, combine
 from superchar.orbits import closure_of, g_left_matrix
+from superchar.sct import _generator_walk
 from superchar.triangular import _layout, slot_index
 
 
@@ -89,3 +92,74 @@ def full_sweep_orbit_u(bg, coords) -> frozenset:
 def stabilizer_subgroup(group, g_eta):
     """U_lambda = U ∩ (1 + g_eta), as a sub-list of U's element list."""
     return [u for u in group.U if g_eta.contains(u.nilpotent_part())]
+
+
+def rref(rows, sc):
+    """Reduced row echelon form through the field's mul, sub and inv calls,
+    one call per entry."""
+    rows = [list(r) for r in rows if any(r)]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = sc.inv(rows[r][c])
+        rows[r] = [sc.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [sc.sub(x, sc.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def extend_functional(group, lam):
+    """eta(b) = (1/2) lambda(b - b^dagger) for each matrix b of g's basis,
+    one evaluation of lambda per basis matrix."""
+    half = group.tower.inv_enc(2)
+    coeffs = [group.sc.mul(half, lam.evaluate(b - group.dagger(b))) for b in group.g_basis_mats]
+    return group.functional_on_g(coeffs)
+
+
+def sub_l_r_g(group, eta):
+    """(l_eta, r_eta, g_eta) from the rows eta(y b) and eta(b y^dagger),
+    one product and one dot product per y in h's basis and b in g's, each
+    subspace solved on its own."""
+    dot, flatten, coeffs = group.sc.dot, group.flatten, eta.coeffs
+    left_rows, right_rows = [], []
+    for y in group.h_basis.matrices:
+        yd = group.dagger(y)
+        left_rows.append(tuple(dot(coeffs, flatten(y * b)) for b in group.g_basis_mats))
+        right_rows.append(tuple(dot(coeffs, flatten(b * yd)) for b in group.g_basis_mats))
+
+    def solve(rows):
+        return Subspace.kernel(group.sc, group.flat_dim, rows) if rows else group.g_space
+
+    return tuple(
+        SpaceBasis(group, solve(rows)) for rows in (left_rows, right_rows, left_rows + right_rows)
+    )
+
+
+def algebra_l_lam(bg, lam):
+    """l_lam = {x : lam(y x) = 0 for every y in g}, one product and one
+    dot product per pair of basis matrices."""
+    rows = [
+        tuple(bg.sc.dot(lam, bg.flatten(y * b)) for b in bg.g_basis_mats)
+        for y in bg.g_basis_mats
+    ]
+    return Subspace.kernel(bg.sc, bg.flat_dim, rows)
+
+
+def additive_along_walk(rec, members, lam, theta) -> bool:
+    """Whether phi = theta∘lam∘f on the members S has phi(1) = 0 and
+    phi(r t) = phi(r) + phi(t) at every step of the generator walk over
+    S: the oracle's check, made row by row."""
+    p = rec.group.tower.p
+    phi = {i: theta.exponent(rec.group.sc.dot(lam, rec.points[i])) for i in members}
+    gens, reached, right = _generator_walk(rec, members)
+    return not phi[0] and all(
+        phi[k] == (phi[r] + phi[t]) % p for t, row in zip(gens, right) for r, k in zip(reached, row)
+    )

@@ -118,3 +118,30 @@ def test_inner_product_validates_sizes():
         inner_product([(one, 2)], [(one, 3)], 2)
     with pytest.raises(ValueError):
         inner_product([(one, 2)], [(one, 2)], 3)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_ring_laws_seeded_property(p):
+    rng = random.Random(1000 + p)
+
+    def value():
+        return CycloValue(p, [rng.randint(-20, 20) for _ in range(p - 1)])
+
+    zero, one = CycloValue.zero(p), CycloValue.integer(p, 1)
+    for _ in range(60):
+        a, b, c = value(), value(), value()
+        n = rng.randint(-9, 9)
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and a * zero == zero
+        assert a + (-a) == zero and a - b == a + (-b)
+        assert a * n == a * CycloValue.integer(p, n) and a + n == a + CycloValue.integer(p, n)
+        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+        assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+        if n:
+            assert (a * n).divexact(n) == a
+        i, j = rng.randrange(p), rng.randrange(p)
+        assert root_power(p, i) * root_power(p, j) == root_power(p, i + j)
+        # the normal form is unique: a value is zero only with zero coefficients
+        assert (a - b).is_zero() == (a.coeffs == b.coeffs)

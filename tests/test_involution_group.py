@@ -14,6 +14,7 @@ from superchar.involution_group import (
 )
 from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
 
+import reference
 from reference import element_encs, stabilizer_subgroup
 
 
@@ -239,6 +240,42 @@ def test_sub_l_r_g_unitary_selfarc():
     for x in g_eta.matrices:
         for y in g_eta.matrices:
             assert eta.evaluate(x * y) == 0
+
+
+_TYPE_D_UO4 = MirrorPoset.from_pairs(4, [pos for pos in strict_positions(4) if pos != (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(family="UO", n=4, p=3),
+        dict(family="USp", n=4, p=3),
+        dict(family="UO", n=5, p=3),
+        dict(family="UU", n=4, p=3, k=2),
+        dict(family="UO", n=4, p=3, e=2),
+        dict(family="UU", n=3, p=3, e=2, k=2),
+        dict(family="UO", n=4, p=3, poset=_TYPE_D_UO4),
+    ],
+    ids=["UO4", "USp4", "UO5", "UU4_F9", "UO4_e2", "UU3_e2", "UO4_typeD"],
+)
+def test_compiled_extension_and_subalgebras_match_per_product_reference(kwargs):
+    from superchar.orbits import orbit_partition_dual
+    from superchar.sct import _theory_record
+
+    bg = build_group(GroupSpec(**kwargs))
+    subgroup = _theory_record(bg, "cayley").subgroup
+    reps = [o.rep for o in orbit_partition_dual(bg).orbits]
+    for lam_coeffs in reps:
+        lam = bg.functional_on_u(lam_coeffs)
+        eta = extend_functional(bg, lam)
+        assert eta.coeffs == reference.extend_functional(bg, lam).coeffs, lam_coeffs
+        got = sub_l_r_g(bg, eta)
+        want = reference.sub_l_r_g(bg, eta)
+        for a, b in zip(got, want):
+            assert (a.space.rows, a.space.pivots) == (b.space.rows, b.space.pivots), lam_coeffs
+        # the oracle's g_eta, solved from the stacked rows alone
+        assert subgroup(lam_coeffs).rows == want[2].space.rows, lam_coeffs
+    assert len(reps) > 1
 
 
 def test_stabilizer_subgroup_of_zero_is_U():

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from superchar.gf import make_tower
-from superchar.linalg import Subspace
+from superchar.linalg import Subspace, rref
+
+import reference
 
 # F_3 inside F_9 (the unitary scalar case), F_5, and F_25 over itself
 SCALARS = {
@@ -78,3 +80,20 @@ def test_kernel_rows_annihilate_the_constraints(name):
             assert all(sc.dot(c, row) == 0 for c in constraints)
         solutions = {v for v in vectors if all(sc.dot(c, v) == 0 for c in constraints)}
         assert solutions == {v for v in vectors if kern.contains(v)}
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 1), (3, 2, 1), (5, 2, 1), (3, 7, 1)])
+def test_rref_matches_per_entry_reference(tower):
+    # F_3^7 is above the size where the tower keeps full tables
+    sc = make_tower(*tower).full
+    rng = random.Random(sum(tower))
+    for _ in range(40):
+        width = rng.randint(1, 7)
+        rows = [
+            tuple(rng.choice(sc.elements) if rng.random() < 0.6 else 0 for _ in range(width))
+            for _ in range(rng.randint(0, 6))
+        ]
+        # repeat a combination of two rows now and then, so ranks fall short
+        if len(rows) > 2:
+            rows.append(tuple(sc.add(a, sc.mul(2, b)) for a, b in zip(rows[0], rows[1])))
+        assert rref(rows, sc) == reference.rref(rows, sc), rows

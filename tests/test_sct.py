@@ -33,7 +33,7 @@ from superchar.sct import (
 )
 from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
 
-from reference import left_orbit_of_g_element
+from reference import additive_along_walk, algebra_l_lam, left_orbit_of_g_element
 
 SMALL_SPECS = [
     dict(family="UO", n=3, p=3),
@@ -488,9 +488,10 @@ def test_closure_check_refuses_uu4_subsets(monkeypatch):
     assert (refused, len(scht.rows)) == (14, 41)
 
 
-def test_identity_must_map_to_zero(monkeypatch, nonabelian):
-    # S = {1} has no generators, so no walk step covers phi(1) = 0
-    bg = nonabelian["UO"]
+def test_identity_must_map_to_zero(monkeypatch):
+    # S = {1} has no generators, so no walk step covers phi(1) = 0.  A fresh
+    # group: the oracle keeps what it learns of each S, patched points too
+    bg = build_group(GroupSpec(family="UO", n=5, p=3))
     sct, scht = theory(bg)
     rec = sct.record
     lam = scht.rows[1].lam
@@ -502,6 +503,83 @@ def test_identity_must_map_to_zero(monkeypatch, nonabelian):
     _stub_subgroup(monkeypatch, sct, Subspace.from_spanning(bg.sc, bg.flat_dim, []))
     with pytest.raises(NonIntegralityError, match=NOT_MULTIPLICATIVE):
         induction_oracle(bg, lam, scht.theta, sct)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(family="UO", n=5, p=3),
+        dict(family="UU", n=4, p=3, k=2),
+        dict(family="UT", n=3, p=5),
+        dict(family="UU", n=3, p=3, e=2, k=2),
+    ],
+    ids=["UO5", "UU4_F9", "UT3_F5", "UU3_e2"],
+)
+def test_per_subgroup_additivity_agrees_with_per_row_walk_check(monkeypatch, kwargs):
+    # every row's lambda against every distinct S, so both verdicts occur
+    bg = build_group(GroupSpec(**kwargs))
+    sct, scht = theory(bg)
+    rec = sct.record
+    flats = rec.element_data()
+    spaces = {}
+    for row in scht.rows:
+        space = rec.subgroup(row.lam)
+        spaces[tuple(space.rows)] = space
+    verdicts = set()
+    for space in spaces.values():
+        members = [i for i, flat in enumerate(flats) if space.contains(flat)]
+        monkeypatch.setattr(rec, "subgroup", lambda lam: space)
+        for row in scht.rows:
+            want = additive_along_walk(rec, members, row.lam, scht.theta)
+            try:
+                induction_oracle(bg, row.lam, scht.theta, sct)
+                got = True
+            except NonIntegralityError as exc:
+                assert NOT_MULTIPLICATIVE in str(exc)
+                got = False
+            assert got == want, (row.lam, len(members))
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(family="UO", n=5, p=3), dict(family="UU", n=4, p=3, k=2), dict(family="UT", n=3, p=5)],
+    ids=["UO5", "UU4_F9", "UT3_F5"],
+)
+def test_oracle_refuses_a_point_patched_inside_a_proper_subgroup(monkeypatch, kwargs):
+    # a freshly built group, so that no per-S defect basis was made from the
+    # unpatched points
+    bg = build_group(GroupSpec(**kwargs))
+    sct, scht = theory(bg)
+    rec, theta = sct.record, scht.theta
+    flats = rec.element_data()
+    for row in scht.rows:
+        space = rec.subgroup(row.lam)
+        members = [i for i, flat in enumerate(flats) if space.contains(flat)]
+        if 1 < len(members) < len(rec.elements) and any(map(theta.exponent, row.lam)):
+            break
+    else:
+        raise AssertionError("no row has a proper subgroup")
+    lam, i = row.lam, members[-1]
+    # move f(s) for one member s != 1 by w with theta(lam(w)) != 0
+    j = next(j for j, c in enumerate(lam) if theta.exponent(c))
+    add = bg.tower.add_table
+    patched = tuple(add[x][1] if k == j else x for k, x in enumerate(rec.points[i]))
+    assert theta.exponent(bg.sc.dot(lam, patched)) != theta.exponent(
+        bg.sc.dot(lam, rec.points[i])
+    )
+    monkeypatch.setattr(rec, "points", rec.points[:i] + [patched] + rec.points[i + 1 :])
+    with pytest.raises(NonIntegralityError, match=NOT_MULTIPLICATIVE):
+        induction_oracle(bg, lam, theta, sct)
+
+
+@pytest.mark.parametrize("kwargs", [dict(n=3, p=5), dict(n=4, p=3)], ids=["UT3_F5", "UT4_F3"])
+def test_algebra_subgroup_matches_per_product_rows(kwargs):
+    bg = build_group(GroupSpec(family="UT", **kwargs))
+    rec = superclasses(bg, "cayley").record
+    for lam in sorted(set(rec.points))[:: max(1, len(rec.points) // 60)]:
+        assert rec.subgroup(lam).rows == algebra_l_lam(bg, lam).rows, lam
 
 
 @pytest.mark.parametrize("which", ["UO5", "UU3", "UT3_F5"])

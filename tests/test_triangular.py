@@ -294,6 +294,18 @@ def test_dagger_antiautomorphism_and_involutive(kind, n, tower):
             assert dagger(dagger(x, inv), inv) == x
 
 
+@pytest.mark.parametrize(
+    "kind,n,tower",
+    [("orthogonal", 4, T3), ("symplectic", 4, T3), ("unitary", 3, T9)],
+)
+def test_dagger_on_encodings_matches_apply(kind, n, tower):
+    inv = Involution(kind, n, tower)
+    rng = random.Random(5)
+    for _ in range(50):
+        x = TriMatrix.from_encs(n, tower, [rng.randrange(tower.size) for _ in strict_positions(n)])
+        assert inv.apply_encs(x.encs) == inv.apply(x).encs
+
+
 def test_dagger_single_entry_lands_on_mirror_position():
     for kind, n, tower in [
         ("orthogonal", 4, T3),
