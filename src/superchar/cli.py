@@ -1,8 +1,8 @@
 """Command-line front end: build groups, compute tables, run checks.
 
 Exit codes: 0 success, 1 usage, 2 verification failure, 3 size guard
-exceeded, 4 I/O error.  Identical invocations produce byte-identical
-output files.
+exceeded, 4 I/O error; any other exception is a bug and ends in a
+traceback.  Identical invocations produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from .cyclotomic import CycloValue
-from .errors import NonIntegralityError, ShapeError, SizeGuardError, SpringerUndefinedError
+from .errors import ShapeError, SizeGuardError, SpringerUndefinedError, VerificationError
 from .involution_group import GroupSpec, build_group, load_spec
 from .orbits import (
     orbit_dump_lines,
@@ -27,8 +27,6 @@ from .sct import (
     ambient_group,
     intersection_check,
     standard_theta,
-    supercharacters,
-    superclasses,
     theory,
     verify_axioms,
     verify_duality,
@@ -97,8 +95,9 @@ def _theta(bg, args):
 
 def _tables(bg, args):
     """The superclass and supercharacter tables for the --springer and
-    --theta flags."""
-    return theory(bg, _springer(bg, args), _theta(bg, args))
+    --theta flags; under --inject-fault a faulted copy of the rows."""
+    sct, scht = theory(bg, _springer(bg, args), _theta(bg, args))
+    return sct, _with_fault(bg, scht) if getattr(args, "inject_fault", False) else scht
 
 
 def _spec_json(spec: GroupSpec) -> dict:
@@ -187,7 +186,8 @@ _OPTIONAL_CHECKS = ["subfield-independence"]
 
 
 def _with_fault(bg, scht):
-    """A copy of the table with one cell of one row (its copy) off by 1."""
+    """A copy of the table with one cell of one row (its copy) off by 1;
+    the table given, which ``theory`` keeps, is left as it is."""
     i = min(1, len(scht.rows) - 1)
     row = scht.rows[i]
     cid = min(1, len(row.values) - 1)
@@ -198,56 +198,34 @@ def _with_fault(bg, scht):
     return replace(scht, rows=rows)
 
 
-def _run_check(name, bg, args, state) -> list:
-    """One named check's results.  ``state`` holds the tables that the
-    checks of one run share, each built once: the superclass table, the
-    rows for --theta, and under --inject-fault a faulted copy of the rows
-    for the checks that read the table, while theta-independence
-    compares clean rows."""
+def _run_check(name, bg, args) -> list:
+    """One named check's results.  Every table comes from ``theory``,
+    which builds each once per group; under --inject-fault the checks
+    that read the --springer/--theta table get a faulted copy of its
+    rows (``_tables``), while the independence checks compare the clean
+    cached ones."""
     springer = _springer(bg, args)
-
-    def classes():
-        if "classes" not in state:
-            state["classes"] = superclasses(bg, springer)
-        return state["classes"]
-
-    def clean_rows():
-        if "rows" not in state:
-            state["rows"] = supercharacters(bg, springer, _theta(bg, args), sc_table=classes())
-        return state["rows"]
-
-    def tables():
-        if "tables" not in state:
-            scht = clean_rows()
-            state["tables"] = (classes(), _with_fault(bg, scht) if args.inject_fault else scht)
-        return state["tables"]
-
     if name == "structure":
         return verify_structure(bg).results
     if name == "axioms":
-        sct, scht = tables()
+        sct, scht = _tables(bg, args)
         return verify_axioms(bg, sct, scht).results
     if name == "induction":
-        sct, scht = tables()
+        sct, scht = _tables(bg, args)
         return verify_induction(bg, sct, scht).results
     if name == "duality":
         return verify_duality(bg).results
     if name == "intersection":
-        return intersection_check(bg, springer, sc_table=classes()).results
+        return intersection_check(bg, springer).results
     if name == "springer-independence":
-        # the shared tables are the Cayley ones only under --springer cayley
-        if springer != "cayley" or "log" not in bg.springer_names():
-            return verify_springer_independence(bg).results
-        standard = clean_rows() if args.theta == "standard" else None
-        return verify_springer_independence(bg, sc_table=classes(), standard=standard).results
+        return verify_springer_independence(bg).results
     if name == "theta-independence":
-        standard = clean_rows() if args.theta == "standard" else None
-        return verify_theta_independence(bg, springer, sc_table=classes(), standard=standard).results
+        return verify_theta_independence(bg, springer).results
     if name == "unitary-formula":
-        sct, scht = tables()
+        sct, scht = _tables(bg, args)
         return formula_grid_check(bg, sct, scht).results
     if name == "ennola-degrees":
-        _, scht = tables()
+        _, scht = _tables(bg, args)
         return ennola_degree_check(scht).results
     if name == "degree-audit":
         out = []
@@ -285,10 +263,9 @@ def cmd_verify(args) -> int:
                 f"unknown or inapplicable check {args.check!r}; choose from {valid}"
             )
         checks = [args.check]
-    state: dict = {}
     results = []
     for name in checks:
-        results.extend(_run_check(name, bg, args, state))
+        results.extend(_run_check(name, bg, args))
     lines = [f"== verify {spec.label()} =="]
     lines += [r.line() for r in results]
     failed = [r for r in results if r.passed is False]
@@ -431,7 +408,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NonIntegralityError, AssertionError) as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (ValueError, ShapeError, SpringerUndefinedError) as exc:

@@ -13,5 +13,10 @@ class SpringerUndefinedError(ValueError):
     """The requested Springer morphism is not defined for this group."""
 
 
-class NonIntegralityError(AssertionError):
+class VerificationError(Exception):
+    """A checked invariant of the construction failed: the tables built
+    from this group would be wrong.  The CLI reports it with exit code 2."""
+
+
+class NonIntegralityError(VerificationError):
     """An orbit sum failed to divide exactly; this would falsify the theory."""

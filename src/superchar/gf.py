@@ -18,7 +18,7 @@ import functools
 import itertools
 from typing import Iterable
 
-from .errors import ShapeError, SizeGuardError
+from .errors import ShapeError, SizeGuardError, VerificationError
 
 TOWER_SIZE_LIMIT = 1 << 16
 _TABLE_LIMIT = 1024
@@ -329,7 +329,7 @@ class Subfield:
             a for a in range(tower.size) if tower.pow_enc(a, self.size) == a
         )
         if len(fixed) != self.size:
-            raise AssertionError("subfield enumeration has wrong cardinality")
+            raise VerificationError("subfield enumeration has wrong cardinality")
         self.elements = fixed
         self.add = tower.add_enc
         self.sub = tower.sub_enc
@@ -347,14 +347,14 @@ class Subfield:
         }
         self._coords = {enc: tup for tup, enc in self._combine.items()}
         if len(self._coords) != tower.size:
-            raise AssertionError("power basis failed to span the tower")
+            raise VerificationError("power basis failed to span the tower")
         self._trace_exp = {}
         for a in fixed:
             t = 0
             for i in range(degree):
                 t = tower.add_enc(t, tower.pow_enc(a, tower.p**i))
             if t >= tower.p:
-                raise AssertionError("trace left the prime field")
+                raise VerificationError("trace left the prime field")
             self._trace_exp[a] = t
 
     def contains(self, enc: int) -> bool:

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ShapeError, SizeGuardError, SpringerUndefinedError
+from .errors import ShapeError, SizeGuardError, SpringerUndefinedError, VerificationError
 from .gf import FieldTower, Subfield, make_tower
 from .linalg import Subspace, transpose
 from .triangular import (
@@ -327,12 +327,12 @@ class BuiltGroup:
             u = cayley_inv(element(coords))
             # u in U: u^dagger = u^-1, compared on slot encodings
             if dagger(u.encs) != inverse(u.encs):
-                raise AssertionError("Springer preimage left U; involution broken")
+                raise VerificationError("Springer preimage left U; involution broken")
             elems.append(u)
         elems, points = sort_paired(elems, self.u_points[0])
         # q^dim u points give |U| = q^dim u elements only if no two coincide
         if any(a.encs == b.encs for a, b in zip(elems, elems[1:])):
-            raise AssertionError("|U| disagrees with q^dim(u): cayley^-1 is not injective")
+            raise VerificationError("|U| disagrees with q^dim(u): cayley^-1 is not injective")
         return elems, points
 
     @functools.cached_property

@@ -21,6 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from .errors import VerificationError
 from .involution_group import BuiltGroup
 from .linalg import Subspace, transpose
 from .triangular import TriMatrix, linear_kernel, slot_index
@@ -83,7 +84,7 @@ def partition_space(points, maps, canon_key=None) -> OrbitIndex:
     Each point not yet labelled, in space order, starts one ``closure_of``
     walk, whose members are its orbit: every map is a bijection of a
     finite set, and generators of finite order close the group.  A member
-    outside the space raises AssertionError.
+    outside the space raises VerificationError.
     """
     space, index = points
     orbit_of = [-1] * len(space)  # the walk's start until the orbits are sorted
@@ -95,7 +96,7 @@ def partition_space(points, maps, canon_key=None) -> OrbitIndex:
             for w in closure_of(v, maps):
                 i = index.get(w)
                 if i is None:
-                    raise AssertionError("generator image left the space")
+                    raise VerificationError("generator image left the space")
                 orbit_of[i] = start
                 keyed.append((key_fn(w), i))
             keyed.sort()
@@ -119,7 +120,7 @@ def u_action_matrix(bg: BuiltGroup, g: TriMatrix):
         img = bg.act(g, b)
         coords = bg.u_space.coords(bg.flatten(img))
         if coords is None:
-            raise AssertionError("the dagger action left u")
+            raise VerificationError("the dagger action left u")
         cols.append(coords)
     return transpose(cols)
 

@@ -27,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .cyclotomic import CycloRational, CycloValue
-from .errors import NonIntegralityError, SizeGuardError
+from .errors import NonIntegralityError, SizeGuardError, VerificationError
 from .gf import Theta
 from .involution_group import (
     BuiltGroup,
@@ -134,7 +134,7 @@ def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
             i = index.get(inverse(element(x)).encs)
             # |u| = |U|, so a map into U that hits no element twice hits each once
             if i is None or points[i] is not None:
-                raise AssertionError(f"{springer_name}^-1 is not a bijection from u onto U")
+                raise VerificationError(f"{springer_name}^-1 is not a bijection from u onto U")
             points[i] = x
 
     def subgroup(lam_coeffs):
@@ -272,7 +272,7 @@ def superclasses(bg: BuiltGroup, springer_name: str) -> SuperclassTable:
     number: dict = {}
     class_of = [number.setdefault(oi.orbit_id(x), len(number)) for x in rec.points]
     if len(number) != oi.count:
-        raise AssertionError("the point map is not surjective onto the primal space")
+        raise VerificationError("the point map is not surjective onto the primal space")
     member_ids = [[] for _ in number]
     for idx, cid in enumerate(class_of):
         member_ids[cid].append(idx)
@@ -280,7 +280,7 @@ def superclasses(bg: BuiltGroup, springer_name: str) -> SuperclassTable:
         Superclass(cid, rec.elements[ids[0]], len(ids), ids) for cid, ids in enumerate(member_ids)
     ]
     if classes[0].rep != TriMatrix.identity(bg.n, bg.tower):
-        raise AssertionError("identity superclass is not first")
+        raise VerificationError("identity superclass is not first")
     return SuperclassTable(rec, classes, class_of)
 
 
@@ -345,13 +345,13 @@ def supercharacters(
     if len(od.space) != len(elements) ** dim or not all(
         map(operator.eq, od.space, itertools.product(elements, repeat=dim))
     ):
-        raise AssertionError("the dual space is not the full product space")
+        raise VerificationError("the dual space is not the full product space")
     rows = []
     for orbit in od.orbits:
         # od and oh enumerate the same dual space in the same order
         h_sizes = {oh.orbits[oh.orbit_of[i]].size for i in orbit.members}
         if len(h_sizes) != 1:
-            raise AssertionError("the stabiliser-orbit size varies across a dual orbit")
+            raise VerificationError("the stabiliser-orbit size varies across a dual orbit")
         h_size = h_sizes.pop()
         if orbit.size % h_size:
             raise NonIntegralityError(
@@ -371,17 +371,32 @@ def supercharacters(
     for row in rows:
         row.degree = row.values[0].as_integer()
         if row.degree != row.h_orbit_size:
-            raise AssertionError("chi(1) != stabiliser-orbit size; orbit bookkeeping broken")
+            raise VerificationError("chi(1) != stabiliser-orbit size; orbit bookkeeping broken")
     rows.sort(key=lambda r: r.lam)
     if any(not v == 1 for v in rows[0].values):
-        raise AssertionError("the zero functional did not give the trivial character")
+        raise VerificationError("the zero functional did not give the trivial character")
     return SupercharTable(sc_table, theta, rows)
 
 
+def _superclass_table(bg: BuiltGroup, springer_name: str) -> SuperclassTable:
+    """The superclass table, built once per group and Springer name."""
+    return _cached(bg, ("classes", springer_name), lambda: superclasses(bg, springer_name))
+
+
 def theory(bg: BuiltGroup, springer_name: str = "cayley", theta: Theta | None = None):
+    """(superclass table, supercharacter table) for the Springer map and
+    theta (the standard one by default).  Every table is built here, once
+    per group: the superclass table per Springer name, the rows per name
+    and theta's multiplier; both are kept in ``bg.cache``, and every check
+    that reads them fetches them here.  The tables are shared, so callers
+    do not mutate them."""
     theta = theta or standard_theta(bg)
-    sct = superclasses(bg, springer_name)
-    scht = supercharacters(bg, springer_name, theta, sc_table=sct)
+    sct = _superclass_table(bg, springer_name)
+    scht = _cached(
+        bg,
+        ("rows", springer_name, theta.c_enc),
+        lambda: supercharacters(bg, springer_name, theta, sc_table=sct),
+    )
     return sct, scht
 
 
@@ -398,19 +413,13 @@ def algebra_group_sct(bg: BuiltGroup, theta: Theta | None = None) -> SupercharTa
 
 def conjugation_index(bg: BuiltGroup, sc_table: SuperclassTable):
     """For each class rep g, the list [index of h g h^{-1} for h in the
-    elements]; shared by every induction run on the same class table."""
-    cache = getattr(sc_table, "_conj_index", None)
-    if cache is None:
-        rec = sc_table.record
-        pairs = [(h, h.inverse()) for h in rec.elements]
-        cache = []
-        for K in sc_table.classes:
-            row = []
-            for h, h_inv in pairs:
-                row.append(rec.index[(h * K.rep * h_inv).serialize()])
-            cache.append(row)
-        sc_table._conj_index = cache
-    return cache
+    elements]."""
+    rec = sc_table.record
+    pairs = [(h, h.inverse()) for h in rec.elements]
+    return [
+        [rec.index[(h * K.rep * h_inv).serialize()] for h, h_inv in pairs]
+        for K in sc_table.classes
+    ]
 
 
 def _generator_walk(rec: TheoryRecord, members):
@@ -425,7 +434,7 @@ def _generator_walk(rec: TheoryRecord, members):
     once, earlier generators and later ones alike: the product r t must
     be a member, and joins the reached set, so the walk costs
     |reached| |T| products.  The first product outside the members
-    raises AssertionError.
+    raises VerificationError.
 
     The walk passes exactly when the members S are closed under
     multiplication.  Every step is one of the |S|^2 pairs, so a closed S
@@ -453,7 +462,7 @@ def _generator_walk(rec: TheoryRecord, members):
                         r = reached[len(row)]
                         k = index.get(product(elements[r].encs, t_encs))
                         if k not in inside:
-                            raise AssertionError(f"{what} is not closed under multiplication")
+                            raise VerificationError(f"{what} is not closed under multiplication")
                         row.append(k)
                         if k not in seen:
                             seen.add(k)
@@ -519,7 +528,7 @@ def _subgroup_data(rec: TheoryRecord, space: Subspace):
     S is found by an annihilator test: flat(e - 1) lies in the space
     exactly when c . flat(e - 1) = 0 for every c in a basis of the
     space's annihilator (the kernel of its rows).  ``_generator_walk``
-    then proves S closed (AssertionError if not).  ``defects`` are
+    then proves S closed (VerificationError if not).  ``defects`` are
     distinct vectors f(r t) - f(r) - f(t), over the walk's steps r -> r t,
     that span every step's defect over F_p.  They are reduced over F_p,
     not over F_q: a row's test is F_p-linear only (see
@@ -833,28 +842,15 @@ def verify_duality(bg) -> Report:
     return rep
 
 
-def verify_springer_independence(
-    bg,
-    theta: Theta | None = None,
-    sc_table: SuperclassTable | None = None,
-    standard: SupercharTable | None = None,
-) -> Report:
-    """Identical tables for the Cayley map and the truncated logarithm.  A
-    caller that already holds the Cayley superclass table or its rows for
-    theta (the standard theta by default) passes them, and they are not
-    built again."""
+def verify_springer_independence(bg) -> Report:
+    """Identical tables, for the standard theta, under the Cayley map and
+    the truncated logarithm; each table comes from ``theory``."""
     rep = Report(f"springer independence {bg.label()}")
-    theta = theta or standard_theta(bg)
     if "log" not in bg.springer_names():
         rep.add("springer-independence", None, "trunc_log undefined here; skipped")
         return rep
-    sct_c = sc_table if sc_table is not None else superclasses(bg, "cayley")
-    scht_c = (
-        standard
-        if standard is not None
-        else supercharacters(bg, "cayley", theta, sc_table=sct_c)
-    )
-    sct_l, scht_l = theory(bg, "log", theta)
+    sct_c, scht_c = theory(bg, "cayley")
+    sct_l, scht_l = theory(bg, "log")
     same_partition = sct_c.partition_sets() == sct_l.partition_sets()
     rep.add("springer-partition", same_partition, "superclass partitions equal")
     same_rows = [r.values for r in scht_c.rows] == [r.values for r in scht_l.rows]
@@ -862,23 +858,12 @@ def verify_springer_independence(
     return rep
 
 
-def verify_theta_independence(
-    bg,
-    springer_name: str = "cayley",
-    sc_table: SuperclassTable | None = None,
-    standard: SupercharTable | None = None,
-) -> Report:
-    """The character SET must not depend on the choice of theta.  A caller
-    that already holds the superclass table or the standard-theta rows
-    passes them, and they are not built again."""
+def verify_theta_independence(bg, springer_name: str = "cayley") -> Report:
+    """The character SET must not depend on the choice of theta: the rows
+    for the standard and the alternate theta, each from ``theory``."""
     rep = Report(f"theta independence {bg.label()}")
-    sct = sc_table if sc_table is not None else superclasses(bg, springer_name)
-    scht_std = (
-        standard
-        if standard is not None
-        else supercharacters(bg, springer_name, standard_theta(bg), sc_table=sct)
-    )
-    scht_alt = supercharacters(bg, springer_name, alternate_theta(bg), sc_table=sct)
+    _, scht_std = theory(bg, springer_name, standard_theta(bg))
+    _, scht_alt = theory(bg, springer_name, alternate_theta(bg))
     same_set = scht_std.row_value_set() == scht_alt.row_value_set()
     identical = [r.values for r in scht_std.rows] == [r.values for r in scht_alt.rows]
     rep.add("theta-row-set", same_set, "row sets equal up to permutation")
@@ -900,13 +885,10 @@ def ambient_group(bg: BuiltGroup) -> BuiltGroup:
     return _cached(bg, "ambient", lambda: build_group(spec, force=bg.force))
 
 
-def intersection_check(
-    bg: BuiltGroup,
-    springer_name: str = "cayley",
-    sc_table: SuperclassTable | None = None,
-) -> Report:
+def intersection_check(bg: BuiltGroup, springer_name: str = "cayley") -> Report:
     """Superclasses of U are exactly the nonempty U ∩ K_g for ambient
-    superclasses K_g of the pattern group.
+    superclasses K_g of the pattern group.  It reads the superclass table
+    that ``theory`` keeps, and builds no rows.
 
     K_g is the two-sided orbit of g - 1.  On the full chain it is named by
     its quasi-monomial normal form (``two_sided_canonical``), |U|
@@ -919,7 +901,7 @@ def intersection_check(
         amb = ambient_group(bg)
         o2 = two_sided_orbit_partition_g(amb)
         ambient_key = lambda x: o2.orbit_id(amb.flatten(x))
-    sct = sc_table if sc_table is not None else superclasses(bg, springer_name)
+    sct = _superclass_table(bg, springer_name)
     by_ambient: dict = {}
     for idx, u in enumerate(bg.U):
         by_ambient.setdefault(ambient_key(u.nilpotent_part()), []).append(idx)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycloValue, root_power
-from .errors import NonIntegralityError, ShapeError
+from .errors import NonIntegralityError, ShapeError, VerificationError
 from .gf import FieldTower, Theta
 from .involution_group import BuiltGroup, Functional
 from .orbits import h_orbit_of_functional, orbit_partition_dual
@@ -232,7 +232,7 @@ def lambda_functional(bg: BuiltGroup, eta: TwistedSetPartition) -> Functional:
         for (i, j, a) in eta.arcs:
             acc = bg.tower.add_enc(acc, bg.tower.mul_enc(a, b.get(i, j).enc))
         if not bg.sc.contains(acc):
-            raise AssertionError("lambda_eta left the scalar subfield")
+            raise VerificationError("lambda_eta left the scalar subfield")
         coeffs.append(acc)
     return bg.functional_on_u(coeffs)
 
@@ -310,7 +310,7 @@ def formula_value(
         if b is not None:
             acc = bg.tower.add_enc(acc, bg.tower.mul_enc(a, b))
     if not bg.sc.contains(acc):
-        raise AssertionError("label product sum left F_q")
+        raise VerificationError("label product sum left F_q")
     return root_power(p, theta.exponent(acc)) * scalar
 
 
@@ -377,7 +377,7 @@ def degree_audit(bg: BuiltGroup) -> list:
         deg = elementary_degree(bg, eta)
         if key in rows:
             if rows[key].brute != deg:
-                raise AssertionError("elementary degree depends on the label")
+                raise VerificationError("elementary degree depends on the label")
             rows[key] = DegreeAuditRow(
                 key, rows[key].labels_seen + 1, deg, rows[key].formulas
             )

@@ -81,6 +81,14 @@ COMMAND_SHA256 = {
         "724986ea9197ea41c25898b86a21be5c71dc8c64d3cc876ceb36a92e294afcb2",
     ("verify", "UU", "3", "3", "--e", "2"):
         "2bbbc270432ef399bae79a89f95f5762470f4604f348ad69a80e49e542fdcaa0",
+    # the log map with the alternate theta, and the unitary check under it;
+    # captured while the CLI kept each run's tables in its own state
+    ("verify", "UU", "3", "3", "--springer", "log", "--theta", "alternate"):
+        "0243a612ad05e8d3fa511efdbaa411293ccd24d6e5a686543a5c1f1853284045",
+    ("verify", "USp", "4", "5", "--springer", "log", "--theta", "alternate"):
+        "16fa591bb7398d340da27b7eec450f57ccbdb9fbf66d09c749622595cd0bd8fe",
+    ("unitary-check", "UU", "3", "3", "--theta", "alternate"):
+        "e33ea925cc80a90e160174c7d0a8de2d99896331264afa8f0ba2edf42493b787",
 }
 
 
@@ -219,36 +227,104 @@ def test_verify_fault_injection_full_run_is_pinned(capsys, family):
     assert hashlib.sha256(out.encode()).hexdigest() == FAULT_SHA256[family]
 
 
-def test_verify_builds_each_table_once(capsys, monkeypatch):
-    """The intersection, springer-independence and theta-independence
-    checks read the superclass table and standard rows that the axiom
-    checks built; springer-independence builds only the log tables."""
-    from superchar import cli, sct
+def test_verify_fault_injection_with_flags_is_pinned(capsys):
+    """Under --springer log --theta alternate the faulted rows reach the
+    axiom and induction checks only: springer-rows and theta-row-set
+    compare clean rows, so they pass only while the faulted copy stays
+    out of the cache.  Captured while the CLI kept each run's tables in
+    its own state."""
+    code, out, _ = run(
+        capsys, "verify", "--family", "USp", "--n", "4", "--p", "5",
+        "--springer", "log", "--theta", "alternate", "--inject-fault",
+    )
+    assert code == 2
+    assert "PASS   springer-rows" in out and "PASS   theta-row-set" in out
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "9bcb6451cb33888d518f042557f1e2b58aa894784a6db34efe66baf06d153f8d"
+    )
+
+
+def _tables_built(capsys, monkeypatch, *argv):
+    """(exit code, the tables that ``verify`` builds) as (primitive,
+    Springer name, theta name) triples; every table is built in sct."""
+    from superchar import sct
 
     built = []
 
-    def counting(module, name):
-        real = getattr(module, name)
+    def counting(name):
+        real = getattr(sct, name)
 
         def wrapper(bg, springer_name, *args, **kwargs):
             theta = args[0].name if args else None
             built.append((name, springer_name, theta))
             return real(bg, springer_name, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(sct, name, wrapper)
 
-    for module in (cli, sct):
-        counting(module, "superclasses")
-        counting(module, "supercharacters")
-    code, _, _ = run(capsys, "verify", "--family", "UU", "--n", "3", "--p", "3", "--k", "2")
+    counting("superclasses")
+    counting("supercharacters")
+    code, _, _ = run(capsys, "verify", *argv)
+    return code, sorted(built)
+
+
+def test_verify_builds_each_table_once(capsys, monkeypatch):
+    """The intersection, springer-independence and theta-independence
+    checks read the superclass table and standard rows that the axiom
+    checks built; springer-independence builds only the log tables."""
+    code, built = _tables_built(
+        capsys, monkeypatch, "--family", "UU", "--n", "3", "--p", "3", "--k", "2"
+    )
     assert code == 0
-    assert sorted(built) == sorted([
+    assert built == sorted([
         ("superclasses", "cayley", None),  # shared
         ("supercharacters", "cayley", "standard"),  # shared
         ("superclasses", "log", None),  # springer-independence
         ("supercharacters", "log", "standard"),
         ("supercharacters", "cayley", "alternate"),  # theta-independence
     ])
+
+
+def test_verify_with_log_and_alternate_builds_each_table_once(capsys, monkeypatch):
+    """Under --springer log --theta alternate the log rows for the
+    standard theta serve both independence checks, and the log superclass
+    table every check that reads one."""
+    code, built = _tables_built(
+        capsys, monkeypatch, "--family", "UU", "--n", "3", "--p", "3", "--k", "2",
+        "--springer", "log", "--theta", "alternate",
+    )
+    assert code == 0
+    assert built == sorted([
+        ("superclasses", "log", None),  # shared
+        ("supercharacters", "log", "alternate"),  # shared
+        ("superclasses", "cayley", None),  # springer-independence
+        ("supercharacters", "cayley", "standard"),
+        ("supercharacters", "log", "standard"),  # both independence checks
+    ])
+
+
+def test_verify_intersection_builds_only_the_superclass_table(capsys, monkeypatch):
+    code, built = _tables_built(
+        capsys, monkeypatch, "--family", "UO", "--n", "4", "--p", "3",
+        "--check", "intersection",
+    )
+    assert code == 0
+    assert built == [("superclasses", "cayley", None)]
+
+
+def test_with_fault_leaves_the_cached_rows_unchanged():
+    from superchar.cli import _with_fault
+    from superchar.involution_group import GroupSpec, build_group
+    from superchar.sct import theory
+
+    bg = build_group(GroupSpec(family="UO", n=4, p=3))
+    _, scht = theory(bg)
+    before = [(r.lam, r.n_lambda, r.degree, list(r.values)) for r in scht.rows]
+    faulted = _with_fault(bg, scht)
+    assert [r.values for r in faulted.rows] != [r.values for r in scht.rows]
+    assert _with_fault(bg, scht).rows == faulted.rows
+    assert theory(bg)[1] is scht
+    assert [(r.lam, r.n_lambda, r.degree, list(r.values)) for r in scht.rows] == before
 
 
 def test_verify_ut_family(capsys):
@@ -467,3 +543,26 @@ def test_verify_uo6_intersection(capsys):
     )
     assert code == 0
     assert "PASS   intersection-partition" in out
+
+
+def test_only_verification_errors_exit_2(capsys, monkeypatch):
+    """A failed invariant (VerificationError) is reported with exit code 2;
+    a bare AssertionError is a bug and propagates out of main."""
+    from superchar import cli
+    from superchar.errors import VerificationError
+
+    argv = ["verify", "--family", "UO", "--n", "3", "--p", "3", "--check", "duality"]
+
+    def failing(exc):
+        def check(bg):
+            raise exc
+
+        return check
+
+    monkeypatch.setattr(cli, "verify_duality", failing(VerificationError("broken invariant")))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "verification failure: broken invariant" in err
+    monkeypatch.setattr(cli, "verify_duality", failing(AssertionError("a bug")))
+    with pytest.raises(AssertionError, match="a bug"):
+        main(argv)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from superchar import involution_group
-from superchar.errors import ShapeError, SizeGuardError
+from superchar.errors import ShapeError, SizeGuardError, VerificationError
 from superchar.involution_group import (
     GroupSpec,
     build_group,
@@ -144,7 +144,7 @@ def test_U_refuses_a_non_injective_springer_preimage(monkeypatch):
         return real(y.scale(0) if y.encs == target else y)
 
     monkeypatch.setattr(involution_group, "cayley_inv", collapse)
-    with pytest.raises(AssertionError, match="not injective"):
+    with pytest.raises(VerificationError, match="not injective"):
         bg.U
 
 

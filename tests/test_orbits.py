@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from superchar.errors import VerificationError
 from superchar.involution_group import GroupSpec, build_group
 from superchar.linalg import transpose
 from superchar.orbits import (
@@ -182,7 +183,7 @@ def test_partition_space_rejects_a_map_leaving_the_space():
     bg = build_group(GroupSpec(family="UO", n=4, p=3))
     swap = {0: 5, 5: 0}  # 5 encodes no element of F_3
     leave = lambda v: (swap.get(v[0], v[0]),) + v[1:]
-    with pytest.raises(AssertionError, match="generator image left the space"):
+    with pytest.raises(VerificationError, match="generator image left the space"):
         partition_space(bg.u_points, [leave])
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from superchar import involution_group
 from superchar.cyclotomic import CycloValue, root_power
-from superchar.errors import NonIntegralityError
+from superchar.errors import NonIntegralityError, VerificationError
 from superchar.involution_group import GroupSpec, build_group
 from superchar.linalg import Subspace
 from superchar.orbits import orbit_partition_u
@@ -371,7 +371,7 @@ def test_log_record_refuses_a_non_bijective_exp(monkeypatch):
         return real(y.scale(0) if y.encs == target else y, bound)
 
     monkeypatch.setattr(involution_group, "trunc_exp", collapse)
-    with pytest.raises(AssertionError, match="not a bijection"):
+    with pytest.raises(VerificationError, match="not a bijection"):
         superclasses(bg, "log")
 
 
@@ -431,7 +431,7 @@ def test_closure_check_refuses_ut3_subsets(monkeypatch):
     _stub_subgroup(
         monkeypatch, sct, Subspace.from_spanning(bg.sc, bg.flat_dim, [flat[1, 2], flat[2, 3]])
     )
-    with pytest.raises(AssertionError, match=NOT_CLOSED):
+    with pytest.raises(VerificationError, match=NOT_CLOSED):
         induction_oracle(bg, scht.rows[0].lam, scht.theta, sct)
     # all of G is a group, but lambda = e13* is not additive on g - 1
     _stub_subgroup(monkeypatch, sct, bg.g_space)
@@ -446,7 +446,7 @@ def test_closure_check_refuses_uo5_subsets(monkeypatch, nonabelian):
     a, b = next((a, b) for a, b in itertools.combinations(bg.U, 2) if a * b != b * a)
     pair = [bg.flatten(u.nilpotent_part()) for u in (a, b)]
     _stub_subgroup(monkeypatch, sct, Subspace.from_spanning(bg.sc, bg.flat_dim, pair))
-    with pytest.raises(AssertionError, match=NOT_CLOSED):
+    with pytest.raises(VerificationError, match=NOT_CLOSED):
         induction_oracle(bg, scht.rows[0].lam, scht.theta, sct)
     _stub_subgroup(monkeypatch, sct, bg.g_space)
     refused = 0
@@ -475,7 +475,7 @@ def test_closure_check_refuses_uu4_subsets(monkeypatch):
             break
     assert sum(map(hyper.contains, flats)) == 297
     _stub_subgroup(monkeypatch, sct, hyper)
-    with pytest.raises(AssertionError, match=NOT_CLOSED):
+    with pytest.raises(VerificationError, match=NOT_CLOSED):
         induction_oracle(bg, scht.rows[0].lam, scht.theta, sct)
     _stub_subgroup(monkeypatch, sct, bg.g_space)
     refused = 0
@@ -615,7 +615,7 @@ def test_verify_axioms_refuses_u_not_closed(monkeypatch):
     rec = sct.record
     dropped = rec.elements[len(rec.elements) // 2].serialize()
     monkeypatch.setattr(rec, "index", {k: v for k, v in rec.index.items() if k != dropped})
-    with pytest.raises(AssertionError, match="U is not closed under multiplication"):
+    with pytest.raises(VerificationError, match="U is not closed under multiplication"):
         verify_axioms(bg, sct, scht)
 
 
@@ -670,14 +670,14 @@ FAULTS = {
 }
 
 
+# UO4(F_3) is abelian, so no class partition of it can break
+# union-of-conjugacy; UO5(F_3) and UT3(F_3) are not
+NONABELIAN_SPECS = {"UO": dict(family="UO", n=5, p=3), "UT": dict(family="UT", n=3, p=3)}
+
+
 @pytest.fixture(scope="module")
 def nonabelian():
-    # UO4(F_3) is abelian, so no class partition of it can break
-    # union-of-conjugacy; UO5(F_3) and UT3(F_3) are not
-    return {
-        "UO": build_group(GroupSpec(family="UO", n=5, p=3)),
-        "UT": build_group(GroupSpec(family="UT", n=3, p=3)),
-    }
+    return {family: build_group(GroupSpec(**kw)) for family, kw in NONABELIAN_SPECS.items()}
 
 
 def test_springer_image_fails_on_swapped_points(monkeypatch, groups):
@@ -695,9 +695,10 @@ def test_springer_image_fails_on_swapped_points(monkeypatch, groups):
     }
 
 
-def test_induction_values_fail_on_swapped_theta(groups):
-    # rows built with the standard theta, checked against the alternate one
-    bg = _bg(groups, family="UU", n=3, p=3, k=2)
+def test_induction_values_fail_on_swapped_theta():
+    # rows built with the standard theta, checked against the alternate one;
+    # a fresh group, as the test changes the table that theory() keeps
+    bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
     sct, scht = theory(bg, "cayley", standard_theta(bg))
     alt = alternate_theta(bg)
     assert [r.values for r in scht.rows] != [
@@ -721,8 +722,9 @@ def test_union_of_conjugacy_fails_on_moved_element_uu4():
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("family", ["UO", "UT"])
-def test_injected_fault_fails_by_name(nonabelian, family, fault):
-    bg = nonabelian[family]
+def test_injected_fault_fails_by_name(family, fault):
+    # a fresh group, as the fault changes the tables that theory() keeps
+    bg = build_group(GroupSpec(**NONABELIAN_SPECS[family]))
     sct, scht = theory(bg)
     inject, expected = FAULTS[fault]
     inject(bg, sct, scht)
@@ -750,14 +752,14 @@ def test_intersection_theorem(groups, kw):
 
 
 @pytest.mark.parametrize("which", ["UO5", "UU3"])
-def test_intersection_fails_on_moved_element(nonabelian, groups, which):
-    if which == "UO5":
-        bg = nonabelian["UO"]
-    else:
-        bg = _bg(groups, family="UU", n=3, p=3, k=2)
-    sct = superclasses(bg, "cayley")
+def test_intersection_fails_on_moved_element(which):
+    # a fresh group, as the test moves an element in the superclass table
+    # that theory() keeps and intersection_check reads
+    spec = NONABELIAN_SPECS["UO"] if which == "UO5" else dict(family="UU", n=3, p=3, k=2)
+    bg = build_group(GroupSpec(**spec))
+    sct, _ = theory(bg)
     _move_noncentral_element(bg, sct, None)
-    results = intersection_check(bg, sc_table=sct).results
+    results = intersection_check(bg).results
     assert [r.passed for r in results if r.name == "intersection-partition"] == [False]
 
 
@@ -785,10 +787,10 @@ def test_intersection_fallback_fails_on_moved_element(family, n, dropped):
         GroupSpec(family=family, n=n, p=3, poset=MirrorPoset.from_pairs(n, pairs))
     )
     assert bg.poset != MirrorPoset.chain(n)
-    sct = superclasses(bg, "cayley")
-    assert intersection_check(bg, sc_table=sct).ok
+    sct, _ = theory(bg)
+    assert intersection_check(bg).ok
     _move_noncentral_element(bg, sct, None)
-    results = intersection_check(bg, sc_table=sct).results
+    results = intersection_check(bg).results
     assert [r.passed for r in results if r.name == "intersection-partition"] == [False]
 
 
