@@ -164,7 +164,7 @@ def cmd_table(args) -> int:
         payload = _table_payload(
             spec, sct.record.springer_name, scht.theta.name, sct.classes, scht.rows
         )
-        _write_output(args, json.dumps(payload, indent=2) + "\n")
+        _write_output(args, json.dumps(payload, indent=2, check_circular=False) + "\n")
     return EXIT_OK
 
 

@@ -373,6 +373,28 @@ class Subfield:
         except KeyError:
             raise ValueError(f"encoding {enc} is not in the degree-{self.degree} subfield")
 
+    @functools.cached_property
+    def prime_digits(self):
+        """(basis, digits): an F_p-basis b_1, ..., b_d of this subfield,
+        each b_j the least element outside the span of those before it, and
+        one dict per b_j: digits[j][a] = c_j for a = sum c_j b_j, each c_j
+        an integer in [0, p).  The base-p digits of an encoding are
+        coordinates against powers of t, which need not lie in the
+        subfield."""
+        p, add, mul = self.tower.p, self.tower.add_table, self.tower.mul_table
+        basis, coords = [], {0: ()}
+        for a in self.elements:
+            if a not in coords:
+                multiples = [mul[c][a] for c in range(p)]  # c < p encodes c in F_p
+                coords = {
+                    add[s][m]: cs + (c,)
+                    for s, cs in coords.items()
+                    for c, m in enumerate(multiples)
+                }
+                basis.append(a)
+        digits = tuple({a: cs[j] for a, cs in coords.items()} for j in range(len(basis)))
+        return tuple(basis), digits
+
     def dot(self, u, v) -> int:
         acc = 0
         add, mul = self.tower.add_table, self.tower.mul_table

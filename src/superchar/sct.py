@@ -83,7 +83,8 @@ class TheoryRecord:
     themselves and for each oracle subgroup; its walks are kept in
     ``_walks``, keyed by the member ids.  ``_subgroup_data`` keeps, in
     ``_subgroups`` and keyed by S's RREF rows, what the oracle needs of
-    each distinct S: its members and an F_p-basis of its walk's defects.
+    each distinct S: its size, an F_p-basis of its walk's defects and a
+    histogram kernel over its points.
     All of these are built on first use, and the table path needs none
     of them.
     """
@@ -298,26 +299,65 @@ def _orbit_sum_values(p, members, points, dot, theta_exp):
     return out
 
 
-def _exponent_vector(x, elements, theta: Theta, p):
-    """theta(mu . x) as an exponent, for every mu in
-    product(elements, repeat=len(x)) in that order.  mu . x is additive in
-    mu, so the vector grows one coordinate at a time: each prefix value v
-    is followed by v + theta(c x_i) for every scalar c."""
-    mul = theta.subfield.tower.mul_table
-    vec = [0]
-    for xi in x:
-        digit = [theta.exponent(mul[c][xi]) for c in elements]
-        shifted = [[(v + e) % p for e in digit] for v in range(p)]
-        vec = [a for v in vec for a in shifted[v]]
-    return vec
+class DigitColumns:
+    """The histogram kernel of the rows and of the induction oracle: for
+    points x of F_q^m, cut into segments, and a coefficient vector c, the
+    counts of each exponent of theta(c . x) over each segment.
 
+    Each coordinate is written in F_p-digits against the basis b_1, ...,
+    b_d of the scalar field (``Subfield.prime_digits``): x_i = sum_j
+    d_ij b_j.  theta(c . x) has exponent sum_ij d_ij w_ij mod p, with
+    w_ij the exponent of theta(b_j c_i), since Tr is F_p-linear.  The
+    points are stored once, as m d byte columns: column (i, j) holds d_ij
+    of every point.  For each c, column (i, j) is scaled by w_ij through
+    ``bytes.translate`` and added as an integer with one byte lane per
+    point, so no Python loop runs over the points.  The lanes are folded
+    mod p before any of them can pass 255, and each segment's counts are
+    read off the folded bytes.  For p > 127 a byte cannot hold a folded
+    lane plus one column, and the lanes are a list of ints instead."""
 
-def _gather(ids):
-    """vec -> the tuple of vec[i] for i in ids, also for a single id."""
-    if len(ids) == 1:
-        (i,) = ids
-        return lambda vec: (vec[i],)
-    return operator.itemgetter(*ids)
+    def __init__(self, sc, segments):
+        self.p = p = sc.tower.p
+        self.mul = sc.tower.mul_table
+        self.basis, digits = sc.prime_digits
+        points = [x for seg in segments for x in seg]
+        self.n = len(points)
+        self.bounds = list(itertools.pairwise(itertools.accumulate(map(len, segments), initial=0)))
+        # a folded lane holds up to p - 1, and so does each scaled column
+        self.cap = 255 // (p - 1)
+        pack = tuple if self.cap < 2 else bytes
+        self.columns = [
+            pack(map(digit.__getitem__, coordinate))
+            for coordinate in zip(*points)
+            for digit in digits
+        ]
+        if self.cap >= 2:
+            self.scale = [bytes(d * w % p for d in range(256)) for w in range(p)]
+            self.fold = bytes(b % p for b in range(256))
+
+    def histograms(self, coeffs, theta: Theta):
+        """[(#x with theta(c . x) = zeta^v, for v in range(p))] per segment."""
+        p, mul, exponent = self.p, self.mul, theta.exponent
+        weights = [exponent(mul[b][c]) for c in coeffs for b in self.basis]
+        if self.cap < 2:
+            lanes = [0] * self.n
+            for col, w in zip(self.columns, weights):
+                if w:
+                    lanes = [(a + d * w) % p for a, d in zip(lanes, col)]
+        else:
+            acc, height = 0, 0  # height: the bound on every lane, in units of p - 1
+            for col, w in zip(self.columns, weights):
+                if w:
+                    if height == self.cap:
+                        acc, height = int.from_bytes(self._folded(acc), "little"), 1
+                    acc += int.from_bytes(col.translate(self.scale[w]), "little")
+                    height += 1
+            lanes = self._folded(acc)
+        return [tuple(map(lanes[s:e].count, range(p))) for s, e in self.bounds]
+
+    def _folded(self, acc):
+        """The byte lanes of acc, each reduced mod p."""
+        return acc.to_bytes(self.n, "little").translate(self.fold)
 
 
 def supercharacters(
@@ -329,9 +369,10 @@ def supercharacters(
     """chi_lambda = (1/n_lambda) sum over the dual orbit of lambda of
     theta(mu(f(.))), with n_lambda = |dual orbit| / |stabiliser orbit|.
 
-    For each class rep x the exponents theta(mu(f(x))) are laid out over
-    the whole dual space at once (``_exponent_vector``); each cell is then
-    the histogram of that vector over the members of one dual orbit."""
+    The dual space is listed once, in orbit order, as ``DigitColumns``;
+    for each class rep x, one call gives the histogram of the exponents
+    theta(mu(f(x))) over every dual orbit at once.  Equal cells of equal
+    n_lambda share one divided value, made once per table."""
     if sc_table is None:
         sc_table = superclasses(bg, springer_name)
     rec = sc_table.record
@@ -341,7 +382,7 @@ def supercharacters(
     p = bg.tower.p
     elements = bg.sc.elements
     dim = len(od.space[0])
-    # the exponent vectors index the dual space by its product order
+    # the rows sum theta(mu . x) over the orbits of all of F_q^dim
     if len(od.space) != len(elements) ** dim or not all(
         map(operator.eq, od.space, itertools.product(elements, repeat=dim))
     ):
@@ -359,15 +400,18 @@ def supercharacters(
             )
         # the degree is read off the identity column once all cells are in
         rows.append(SupercharRow(orbit.rep, orbit.size, h_size, orbit.size // h_size, 0, []))
-    gathers = [_gather(orbit.members) for orbit in od.orbits]
+    space = od.space
+    kernel = DigitColumns(bg.sc, [[space[i] for i in orbit.members] for orbit in od.orbits])
+    cells: dict = {}  # (n_lambda, counts) -> the divided cell
     for x in points:
-        vec = _exponent_vector(x, elements, theta, p)
-        for row, gather in zip(rows, gathers):
-            got = gather(vec)
-            counts = [got.count(e) for e in range(p)]
-            row.values.append(
-                _divexact(CycloValue.from_exponents(p, counts), row.n_lambda, "orbit sum")
-            )
+        for row, counts in zip(rows, kernel.histograms(x, theta)):
+            key = (row.n_lambda, counts)
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = _divexact(
+                    CycloValue.from_exponents(p, counts), row.n_lambda, "orbit sum"
+                )
+            row.values.append(cell)
     for row in rows:
         row.degree = row.values[0].as_integer()
         if row.degree != row.h_orbit_size:
@@ -523,7 +567,7 @@ def _defect_kernel(tower, m):
 def _subgroup_data(rec: TheoryRecord, space: Subspace):
     """What the induction oracle needs of S = {e : flat(e - 1) in space},
     whatever the row, made once per space and kept on the record, keyed by
-    the space's RREF rows: (|S|, defects, cells).
+    the space's RREF rows: (|S|, defects, class ids, kernel).
 
     S is found by an annihilator test: flat(e - 1) lies in the space
     exactly when c . flat(e - 1) = 0 for every c in a basis of the
@@ -533,10 +577,10 @@ def _subgroup_data(rec: TheoryRecord, space: Subspace):
     that span every step's defect over F_p.  They are reduced over F_p,
     not over F_q: a row's test is F_p-linear only (see
     ``induction_oracle``), and for q > p the F_q-span of a set can be
-    larger than its F_p-span.  ``cells`` holds, for each conjugacy class
-    (``conjugacy_classes``) that meets S, its id and a gather of the
-    positions of f(s) for its members s in the dual space's product order,
-    where ``_exponent_vector`` puts theta(lam . f(s))."""
+    larger than its F_p-span.  The kernel is ``DigitColumns`` over the
+    points f(s) of S, one segment per conjugacy class
+    (``conjugacy_classes``) that meets S; the class ids list them in the
+    same order."""
     key = tuple(space.rows)
     data = rec._subgroups.get(key)
     if data is None:
@@ -574,14 +618,12 @@ def _subgroup_data(rec: TheoryRecord, space: Subspace):
             if not span.contains(v):
                 defects.append(d)
                 span = Subspace.from_spanning(prime, span.ambient, span.rows + [v])
-        # the primal space shares its point list, in product order, with the
-        # dual space (``supercharacters`` checks the order)
-        index, class_of = rec.primal(bg).index, conjugacy_classes(rec).class_of
-        positions: dict = {}  # conjugacy class id -> positions of its members in S
+        class_of = conjugacy_classes(rec).class_of
+        by_class: dict = {}  # conjugacy class id -> the points of its members in S
         for i in members:
-            positions.setdefault(class_of[i], []).append(index[points[i]])
-        cells = [(cid, _gather(ids)) for cid, ids in positions.items()]
-        data = rec._subgroups[key] = (len(members), defects, cells)
+            by_class.setdefault(class_of[i], []).append(points[i])
+        kernel = DigitColumns(bg.sc, list(by_class.values()))
+        data = rec._subgroups[key] = (len(members), defects, list(by_class), kernel)
     return data
 
 
@@ -612,15 +654,15 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
                    = |E| / (|cl(g)| |S|) sum_{x in cl(g)} phi°(x),
 
     since h -> h g h^-1 maps E onto cl(g) and each fibre is a coset of the
-    centraliser, of size |C_E(g)| = |E| / |cl(g)|.  Every row lays
-    theta∘lam out over the whole point space (``_exponent_vector``) and
-    reads a histogram of phi per conjugacy class off it, through the
-    cells of S.  |E| / |cl(g)| is an integer, so the division by
+    centraliser, of size |C_E(g)| = |E| / |cl(g)|.  Every row reads the
+    histogram of phi on each conjugacy class of S from one call of S's
+    ``DigitColumns`` with the coefficients lam, over the points of S
+    only.  |E| / |cl(g)| is an integer, so the division by
     |cl(g)| |S| is exact exactly when the defining sum is divisible by
     |S|.  Returns the values and |E| / |S|.
     """
     rec = sc_table.record
-    size, defects, cells = _subgroup_data(rec, rec.subgroup(lam_coeffs))
+    size, defects, cids, kernel = _subgroup_data(rec, rec.subgroup(lam_coeffs))
     p = bg.tower.p
     dot, exponent = bg.sc.dot, theta.exponent
     if exponent(dot(lam_coeffs, rec.points[0])) or any(
@@ -630,11 +672,8 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
             "restriction of theta∘lambda∘f to the oracle's subgroup is not multiplicative"
         )
     cc = conjugacy_classes(rec)
-    vec = _exponent_vector(lam_coeffs, bg.sc.elements, theta, p)
-    hist = {}  # conjugacy class id -> counts of each exponent of phi on S
-    for cid, gather in cells:
-        got = gather(vec)
-        hist[cid] = [got.count(e) for e in range(p)]
+    # conjugacy class id -> counts of each exponent of phi on S
+    hist = dict(zip(cids, kernel.histograms(lam_coeffs, theta)))
     order = len(rec.elements)
     values = []
     for K in sc_table.classes:

@@ -1,7 +1,10 @@
 """Reference implementations the tests compare the library against: the
 interpreted per-slot and per-column loops that the generated kernels
 replaced, the per-product extension and eta-subalgebras, the oracle's
-per-row additivity check, and brute-force orbit and subgroup oracles."""
+per-row additivity check, the exponent vectors that the histogram kernel
+replaced, and brute-force orbit and subgroup oracles."""
+
+import operator
 
 from superchar.involution_group import SpaceBasis
 from superchar.linalg import Subspace, combine
@@ -163,3 +166,53 @@ def additive_along_walk(rec, members, lam, theta) -> bool:
     return not phi[0] and all(
         phi[k] == (phi[r] + phi[t]) % p for t, row in zip(gens, right) for r, k in zip(reached, row)
     )
+
+
+def exponent_vector(x, elements, theta, p):
+    """theta(mu . x) as an exponent, for every mu in
+    product(elements, repeat=len(x)) in that order.  mu . x is additive in
+    mu, so the vector grows one coordinate at a time: each prefix value v
+    is followed by v + theta(c x_i) for every scalar c."""
+    mul = theta.subfield.tower.mul_table
+    vec = [0]
+    for xi in x:
+        digit = [theta.exponent(mul[c][xi]) for c in elements]
+        shifted = [[(v + e) % p for e in digit] for v in range(p)]
+        vec = [a for v in vec for a in shifted[v]]
+    return vec
+
+
+def gather(ids):
+    """vec -> the tuple of vec[i] for i in ids, also for a single id."""
+    if len(ids) == 1:
+        (i,) = ids
+        return lambda vec: (vec[i],)
+    return operator.itemgetter(*ids)
+
+
+def product_order_histograms(segments, coeffs, theta):
+    """The counts of each exponent of theta(coeffs . x) over each segment
+    of points, read through gathers off ``exponent_vector`` at the
+    points' positions in the product order of the scalar field."""
+    sc, p = theta.subfield, theta.p
+    position = {a: i for i, a in enumerate(sc.elements)}
+    vec = exponent_vector(coeffs, sc.elements, theta, p)
+
+    def where(x):
+        i = 0
+        for a in x:
+            i = i * sc.size + position[a]
+        return i
+
+    return [
+        tuple(gather([where(x) for x in seg])(vec).count(v) for v in range(p)) for seg in segments
+    ]
+
+
+def direct_histograms(segments, coeffs, theta):
+    """The same counts, one dot product per point."""
+    dot, p = theta.subfield.dot, theta.p
+    return [
+        tuple(sum(theta.exponent(dot(coeffs, x)) == v for x in seg) for v in range(p))
+        for seg in segments
+    ]

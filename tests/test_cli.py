@@ -89,6 +89,12 @@ COMMAND_SHA256 = {
         "16fa591bb7398d340da27b7eec450f57ccbdb9fbf66d09c749622595cd0bd8fe",
     ("unitary-check", "UU", "3", "3", "--theta", "alternate"):
         "e33ea925cc80a90e160174c7d0a8de2d99896331264afa8f0ba2edf42493b787",
+    # captured while the rows and the oracle read exponent vectors laid out
+    # over the whole product space: the benchmark's own table, and scalars
+    # F_9 inside F_81 (two F_p-digits per coordinate) with the alternate theta
+    ("table", "USp", "6", "3"): "4858dcbd1c0581cd72b89aab028eb081280ccd6ff265fe9f945d30010ba6dd93",
+    ("table", "UU", "3", "3", "--e", "2", "--theta", "alternate"):
+        "77a5d2f8b38517ea0e1fbd208ba3ec17ce57f46fe0bebde15ea377d3a29b415e",
 }
 
 

@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 from superchar import involution_group
 from superchar.cyclotomic import CycloValue, root_power
 from superchar.errors import NonIntegralityError, VerificationError
+from superchar.gf import Theta, make_tower
 from superchar.involution_group import GroupSpec, build_group
 from superchar.linalg import Subspace
 from superchar.orbits import orbit_partition_u
 from superchar.sct import (
+    DigitColumns,
     _generator_walk,
     _orbit_sum_values,
     algebra_group_sct,
@@ -33,7 +36,13 @@ from superchar.sct import (
 )
 from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
 
-from reference import additive_along_walk, algebra_l_lam, left_orbit_of_g_element
+from reference import (
+    additive_along_walk,
+    algebra_l_lam,
+    direct_histograms,
+    left_orbit_of_g_element,
+    product_order_histograms,
+)
 
 SMALL_SPECS = [
     dict(family="UO", n=3, p=3),
@@ -619,7 +628,83 @@ def test_verify_axioms_refuses_u_not_closed(monkeypatch):
         verify_axioms(bg, sct, scht)
 
 
-# -- the rows' exponent-vector kernel against direct orbit sums -----------------------
+# -- the histogram kernel against exponent vectors and direct sums ---------------------
+
+# (p, e, k): the scalar field is F_{p^e} inside F_{p^(e k)}; for F_9 in
+# F_81 the scalar field is not spanned by low powers of t, and for p = 131
+# a byte lane cannot take a folded value plus one column
+KERNEL_FIELDS = [(3, 1, 1), (5, 1, 1), (3, 2, 2), (5, 2, 1), (131, 1, 1)]
+
+
+def _random_segments(rng, sc, dim, count):
+    return [
+        [tuple(rng.choice(sc.elements) for _ in range(dim)) for _ in range(rng.randint(1, 30))]
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("theta_kind", ["standard", "alternate"])
+@pytest.mark.parametrize("p,e,k", KERNEL_FIELDS)
+def test_digit_columns_match_exponent_vectors(p, e, k, theta_kind):
+    sc = make_tower(p, e, k).base
+    theta = getattr(Theta, theta_kind)(sc)
+    rng = random.Random(20240813 + p * 100 + e * 10 + k)
+    for dim in range(1, 5 if sc.size < 100 else 3):
+        segments = _random_segments(rng, sc, dim, rng.randint(1, 6))
+        kernel = DigitColumns(sc, segments)
+        for _ in range(5):
+            coeffs = tuple(rng.choice(sc.elements) for _ in range(dim))
+            expect = product_order_histograms(segments, coeffs, theta)
+            assert kernel.histograms(coeffs, theta) == expect, (dim, coeffs)
+
+
+def test_digit_columns_without_columns():
+    # dim u = 0 (UO1, UO2): one point, the empty tuple, and theta(0) = 1
+    sc = make_tower(3, 1, 1).base
+    theta = Theta.standard(sc)
+    kernel = DigitColumns(sc, [[()]])
+    assert kernel.histograms((), theta) == [(1, 0, 0)]
+    assert product_order_histograms([[()]], (), theta) == [(1, 0, 0)]
+
+
+@pytest.mark.parametrize("p,dim", [(3, 300), (5, 200)])
+def test_digit_columns_fold_lanes_before_they_overflow(p, dim):
+    # every column of the all-(p - 1) point scales to p - 1 under the
+    # all-ones coefficients, so its lane reaches 255 between folds
+    sc = make_tower(p, 1, 1).base
+    theta = Theta.standard(sc)
+    rng = random.Random(p)
+    top = (p - 1,) * dim
+    segments = [[top] + seg for seg in _random_segments(rng, sc, dim, 4)] + [[top] * 3]
+    kernel = DigitColumns(sc, segments)
+    for coeffs in [(1,) * dim] + [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(3)]:
+        assert kernel.histograms(coeffs, theta) == direct_histograms(segments, coeffs, theta)
+
+
+@pytest.mark.parametrize("p,e,k", KERNEL_FIELDS)
+def test_prime_digits_are_coordinates_in_the_subfield(p, e, k):
+    sc = make_tower(p, e, k).base
+    basis, digits = sc.prime_digits
+    assert len(basis) == e and set(basis) <= set(sc.elements)
+    for a in sc.elements:
+        ds = [digit[a] for digit in digits]
+        assert all(0 <= d < p for d in ds)
+        assert sc.dot(ds, basis) == a
+    assert all(len(digit) == sc.size for digit in digits)
+
+
+def test_equal_cells_share_one_value(groups):
+    bg = _bg(groups, family="USp", n=4, p=3)
+    scht = supercharacters(bg, "cayley", standard_theta(bg))
+    ids: dict = {}
+    for row in scht.rows:
+        for v in row.values:
+            ids.setdefault((row.n_lambda, v.coeffs), set()).add(id(v))
+    assert all(len(s) == 1 for s in ids.values())
+    assert len(ids) < sum(len(row.values) for row in scht.rows)
+
+
+# -- the rows' histogram kernel against direct orbit sums -----------------------------
 
 
 @pytest.mark.parametrize("theta_fn", [standard_theta, alternate_theta])
