@@ -8,9 +8,7 @@ traceback.  Identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
 
 from .cyclotomic import CycloValue
 from .errors import ShapeError, SizeGuardError, SpringerUndefinedError, VerificationError
@@ -161,6 +159,8 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         _write_output(args, _table_csv(sct.classes, scht.rows))
     else:
+        import json
+
         payload = _table_payload(
             spec, sct.record.springer_name, scht.theta.name, sct.classes, scht.rows
         )
@@ -194,8 +194,8 @@ def _with_fault(bg, scht):
     values = list(row.values)
     values[cid] = values[cid] + CycloValue.integer(bg.tower.p, 1)
     rows = list(scht.rows)
-    rows[i] = replace(row, values=values)
-    return replace(scht, rows=rows)
+    rows[i] = row.replace(values=values)
+    return scht.replace(rows=rows)
 
 
 def _run_check(name, bg, args) -> list:

@@ -10,7 +10,7 @@ point enters any value computation.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class CycloValue:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import ShapeError, SizeGuardError, VerificationError
 
@@ -149,8 +149,7 @@ class FieldTower:
             cur = self._mod(_poly_mul(cur, (0, 1), p))
         # tables indexed [a][b]; above _TABLE_LIMIT entries are made on first use
         if size <= _TABLE_LIMIT:
-            self.add_table = [[self._add_raw(a, b) for b in range(size)] for a in range(size)]
-            self.mul_table = [[self._mul_raw(a, b) for b in range(size)] for a in range(size)]
+            self.add_table, self.mul_table = self._tables()
         else:
             self.add_table = _Memo(lambda a: _Memo(functools.partial(self._add_raw, a)))
             self.mul_table = _Memo(lambda a: _Memo(functools.partial(self._mul_raw, a)))
@@ -163,6 +162,33 @@ class FieldTower:
         self._subfields: dict = {}
         # straight-line kernels compiled by triangular.kernel, by (name, n)
         self.kernels: dict = {}
+
+    def _tables(self):
+        """The full add and mul tables, equal entry for entry to
+        ``_add_raw`` and ``_mul_raw``.  a + b is the sum of the lowest
+        digits mod p plus p (a // p + b // p), read from an earlier row.
+        a b is exp[log a + log b] over the powers of the least primitive
+        element, found by walking the powers of each candidate in turn."""
+        p, size = self.p, self.size
+        add = [list(range(size))]
+        for a in range(1, size):
+            low = [(a + d) % p for d in range(p)]
+            add.append([p * high + x for high in add[a // p][: size // p] for x in low])
+        for g in range(2, size):
+            exp = [1]
+            while (x := self._mul_raw(exp[-1], g)) != 1:
+                exp.append(x)
+            if len(exp) == size - 1:
+                break
+        log = [0] * size
+        for i, x in enumerate(exp):
+            log[x] = i
+        logs = log[1:]
+        exp += exp
+        mul = [[0] * size]
+        for a in range(1, size):
+            mul.append([0, *map(exp[log[a] :].__getitem__, logs)])
+        return add, mul
 
     @staticmethod
     def _smallest_irreducible(p, degree):

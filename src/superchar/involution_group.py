@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ShapeError, SizeGuardError, SpringerUndefinedError, VerificationError
 from .gf import FieldTower, Subfield, make_tower
 from .linalg import Subspace, transpose
+from .record import FrozenRecord
 from .triangular import (
     Involution,
     MirrorPoset,
@@ -47,8 +46,7 @@ G_SPACE_GUARD = 1 << 22
 _KIND_BY_FAMILY = {"UO": "orthogonal", "USp": "symplectic", "UU": "unitary"}
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(FrozenRecord):
     """Which group to build: family, size, field tower, optional poset."""
 
     family: str
@@ -59,7 +57,7 @@ class GroupSpec:
     poset: MirrorPoset | None = None
     scalar_degree: int | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:
@@ -84,6 +82,8 @@ class GroupSpec:
 
 def load_spec(path) -> GroupSpec:
     """Read a spec file {"family","n","p","e","k","poset": optional path}."""
+    import json
+
     path = Path(path)
     data = json.loads(path.read_text())
     if not isinstance(data, dict):
@@ -119,6 +119,9 @@ class SpaceBasis:
     def __init__(self, group: "BuiltGroup", space: Subspace):
         self.group = group
         self.space = space
+        # an RREF basis of all of its ambient space is the identity, so
+        # coordinates against it are the vector itself
+        self.full = space.dim == space.ambient
 
     @functools.cached_property
     def matrices(self):
@@ -165,6 +168,8 @@ class Functional:
         self.coeffs = coeffs
 
     def evaluate_flat(self, flat) -> int:
+        if self.basis.full:
+            return self.basis.group.sc.dot(self.coeffs, flat)
         coords = self.basis.space.coords(flat)
         if coords is None:
             raise ShapeError("argument lies outside the functional's domain")

@@ -18,17 +18,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-from dataclasses import dataclass
 
 from .errors import VerificationError
 from .involution_group import BuiltGroup
 from .linalg import Subspace, transpose
+from .record import Record
 from .triangular import TriMatrix, linear_kernel, slot_index
 
 
-@dataclass
-class Orbit:
+class Orbit(Record):
     orbit_id: int
     rep_key: tuple
     rep: tuple
@@ -317,6 +315,8 @@ def left_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
 def orbit_dump_lines(oi: OrbitIndex):
     """JSON-lines rendering {"rep": [...], "size": s, "orbit_id": i}, with
     each orbit's least key as its rep."""
+    import json
+
     return [
         json.dumps({"rep": list(o.rep_key), "size": o.size, "orbit_id": o.orbit_id})
         for o in oi.orbits

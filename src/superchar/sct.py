@@ -24,7 +24,6 @@ import itertools
 import operator
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 
 from .cyclotomic import CycloRational, CycloValue
 from .errors import NonIntegralityError, SizeGuardError, VerificationError
@@ -54,6 +53,7 @@ from .orbits import (
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
 )
+from .record import Record
 from .triangular import MirrorPoset, TriMatrix, kernel, straight_line
 
 SAMPLE_SEED = 20240813
@@ -62,8 +62,7 @@ _ALGEBRA_ENUM_GUARD = 1 << 14
 _FUNCTIONAL_CHECK_LIMIT = 12
 
 
-@dataclass
-class TheoryRecord:
+class TheoryRecord(Record):
     """What one supercharacter theory takes from its group, made once per
     group and Springer name by ``_theory_record``.
 
@@ -99,10 +98,10 @@ class TheoryRecord:
     dual: Callable
     stabiliser: Callable
     subgroup: Callable
-    _flats: list | None = field(default=None, repr=False)
-    _conjugacy: ConjugacyClasses | None = field(default=None, repr=False)
-    _walks: dict = field(default_factory=dict, repr=False)
-    _subgroups: dict = field(default_factory=dict, repr=False)
+    _flats: list | None = None
+    _conjugacy: ConjugacyClasses | None = None
+    _walks: dict = dict
+    _subgroups: dict = dict
 
     def element_data(self):
         """flat(e - 1) for every element, in element order, made on first
@@ -189,16 +188,14 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
     )
 
 
-@dataclass
-class Superclass:
+class Superclass(Record):
     class_id: int
     rep: TriMatrix
     size: int
     member_ids: list
 
 
-@dataclass
-class SuperclassTable:
+class SuperclassTable(Record):
     record: TheoryRecord
     classes: list
     class_of: list  # superclass id per element of record.elements
@@ -215,8 +212,7 @@ class SuperclassTable:
         return {frozenset(ids) for ids in members.values()}
 
 
-@dataclass
-class SupercharRow:
+class SupercharRow(Record):
     lam: tuple
     orbit_size: int
     h_orbit_size: int  # the stabiliser-orbit size
@@ -225,8 +221,7 @@ class SupercharRow:
     values: list
 
 
-@dataclass
-class SupercharTable:
+class SupercharTable(Record):
     sc_table: SuperclassTable
     theta: Theta
     rows: list
@@ -334,6 +329,8 @@ class DigitColumns:
         if self.cap >= 2:
             self.scale = [bytes(d * w % p for d in range(256)) for w in range(p)]
             self.fold = bytes(b % p for b in range(256))
+        # the histogram of a one-point segment whose lane reads v
+        self.units = [tuple(int(u == v) for u in range(p)) for v in range(p)]
 
     def histograms(self, coeffs, theta: Theta):
         """[(#x with theta(c . x) = zeta^v, for v in range(p))] per segment."""
@@ -353,7 +350,11 @@ class DigitColumns:
                     acc += int.from_bytes(col.translate(self.scale[w]), "little")
                     height += 1
             lanes = self._folded(acc)
-        return [tuple(map(lanes[s:e].count, range(p))) for s, e in self.bounds]
+        units = self.units
+        return [
+            units[lanes[s]] if e - s == 1 else tuple(map(lanes[s:e].count, range(p)))
+            for s, e in self.bounds
+        ]
 
     def _folded(self, acc):
         """The byte lanes of acc, each reduced mod p."""
@@ -515,8 +516,7 @@ def _generator_walk(rec: TheoryRecord, members):
     return walk
 
 
-@dataclass
-class ConjugacyClasses:
+class ConjugacyClasses(Record):
     class_of: list  # conjugacy class id per element, numbered by least member
     sizes: list
 
@@ -686,8 +686,7 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
 # -- named verification checks ----------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool | None  # None marks an informational (reported) result
     detail: str = ""
@@ -697,10 +696,9 @@ class CheckResult:
         return f"{tag:6s} {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
-@dataclass
-class Report:
+class Report(Record):
     label: str
-    results: list = field(default_factory=list)
+    results: list = list
     seed: int = SAMPLE_SEED
 
     def add(self, name, passed, detail=""):
@@ -920,7 +918,7 @@ def verify_theta_independence(bg, springer_name: str = "cayley") -> Report:
 def ambient_group(bg: BuiltGroup) -> BuiltGroup:
     """The pattern group of bg's spec viewed as an algebra group over its
     full coefficient field, made once per group."""
-    spec = replace(bg.spec, family="UT", scalar_degree=bg.tower.degree)
+    spec = bg.spec.replace(family="UT", scalar_degree=bg.tower.degree)
     return _cached(bg, "ambient", lambda: build_group(spec, force=bg.force))
 
 
@@ -1069,7 +1067,8 @@ def verify_structure(bg: BuiltGroup) -> Report:
 
     # uniqueness of the antisymmetric extension: the homogeneous system
     # {mu|_u = 0, mu(x) + mu(x^dagger) = 0} must have trivial kernel
-    rows = [bg.flatten(b) for b in ub]
+    u_flats = [bg.flatten(b) for b in ub]
+    rows = list(u_flats)
     for c in bg.g_basis_mats:
         fa = bg.flatten(c)
         fb = bg.flatten(bg.dagger(c))
@@ -1108,12 +1107,7 @@ def verify_structure(bg: BuiltGroup) -> Report:
         if h_eta != frozenset(affine):
             ok_hlam = False
         # {mu|_u : mu in H eta} = H . lambda
-        restr = {
-            tuple(
-                bg.sc.dot(mu, bg.flatten(b)) for b in ub
-            )
-            for mu in h_eta
-        }
+        restr = {tuple(bg.sc.dot(mu, flat) for flat in u_flats) for mu in h_eta}
         if restr != set(h_orbit_of_functional(bg, lam_coeffs)):
             ok_seteq = False
     rep.add("extension-restriction", ok_restr, f"eta|_u = lambda ({mode})")
@@ -1156,7 +1150,7 @@ def verify_subfield_independence(bg: BuiltGroup) -> Report:
     if (spec.scalar_degree or spec.e) == 1:
         rep.add("subfield-comparison", None, "scalars already prime; nothing to compare")
         return rep
-    other = build_group(replace(spec, scalar_degree=1), force=bg.force)
+    other = build_group(spec.replace(scalar_degree=1), force=bg.force)
     sct_a, scht_a = theory(bg)
     sct_b, scht_b = theory(other)
     same_u = [u.serialize() for u in bg.U] == [u.serialize() for u in other.U]

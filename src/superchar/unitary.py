@@ -18,13 +18,12 @@ evaluated alongside and diffed in the audit, not trusted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import CycloValue, root_power
 from .errors import NonIntegralityError, ShapeError, VerificationError
 from .gf import FieldTower, Theta
 from .involution_group import BuiltGroup, Functional
 from .orbits import h_orbit_of_functional, orbit_partition_dual
+from .record import FrozenRecord, Record
 from .sct import Report, SuperclassTable, SupercharTable
 from .triangular import TriMatrix
 
@@ -37,8 +36,7 @@ def _mirror_label(tower: FieldTower, a: int) -> int:
     return tower.neg_enc(tower.frobenius_q_enc(a))
 
 
-@dataclass(frozen=True)
-class TwistedSetPartition:
+class TwistedSetPartition(FrozenRecord):
     """An arc-labeled set partition with mirror closure; labels are
     canonical field encodings in F_{q^2}^x."""
 
@@ -341,8 +339,7 @@ def printed_degree_formulas(n: int, q: int, eta_r: TwistedSetPartition) -> dict:
     return out
 
 
-@dataclass
-class DegreeAuditRow:
+class DegreeAuditRow(Record):
     positions: tuple
     labels_seen: int
     brute: int

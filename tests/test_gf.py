@@ -279,3 +279,30 @@ def test_frobenius_q_is_a_ring_automorphism_random(p, e):
         assert frob(mul(a, b)) == mul(frob(a), frob(b))
         assert frob(frob(a)) == a
         assert (frob(a) == a) == tower.base.contains(a)
+
+
+# (p, degree) of every table-backed field checked exhaustively, up to F_243;
+# the tables depend on (p, e k) only, since the modulus does
+EXHAUSTIVE_TABLE_FIELDS = [
+    (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3),
+    (7, 1), (7, 2), (11, 2), (13, 2), (131, 1), (241, 1),
+]
+
+
+@pytest.mark.parametrize("p,degree", EXHAUSTIVE_TABLE_FIELDS)
+def test_tables_equal_raw_arithmetic_exhaustive(p, degree):
+    tower = make_tower(p, degree, 1)
+    n = tower.size
+    for a in range(n):
+        add_row, mul_row = tower.add_table[a], tower.mul_table[a]
+        assert add_row == [tower._add_raw(a, b) for b in range(n)], a
+        assert mul_row == [tower._mul_raw(a, b) for b in range(n)], a
+
+
+def test_tables_equal_raw_arithmetic_on_a_sample():
+    tower = make_tower(3, 6, 1)  # F_729, the largest table-backed field of p = 3
+    sample = random.Random(729).sample(range(tower.size), 200)
+    for a in sample:
+        add_row, mul_row = tower.add_table[a], tower.mul_table[a]
+        assert [add_row[b] for b in sample] == [tower._add_raw(a, b) for b in sample], a
+        assert [mul_row[b] for b in sample] == [tower._mul_raw(a, b) for b in sample], a

@@ -906,3 +906,23 @@ def test_springer_tables_identical_uu3(groups):
     sct_l, scht_l = theory(bg, "log")
     assert sct_c.partition_sets() == sct_l.partition_sets()
     assert [r.values for r in scht_c.rows] == [r.values for r in scht_l.rows]
+
+
+def test_one_point_segments_match_exponent_vectors():
+    # UO3(F_27): u is one-dimensional and abelian, so every dual orbit is
+    # a single point and every row cell is read from a unit histogram
+    bg = build_group(GroupSpec(family="UO", n=3, p=3, e=3))
+    theta = standard_theta(bg)
+    sct, scht = theory(bg)
+    od = sct.record.dual(bg)
+    segments = [[od.space[i] for i in orbit.members] for orbit in od.orbits]
+    assert all(len(seg) == 1 for seg in segments) and len(segments) == 27
+    kernel = DigitColumns(bg.sc, segments)
+    expect: dict = {}
+    for K in sct.classes:
+        x = sct.record.points[K.member_ids[0]]
+        counts = product_order_histograms(segments, x, theta)
+        assert kernel.histograms(x, theta) == counts
+        for (mu,), c in zip(segments, counts):
+            expect.setdefault(mu, []).append(CycloValue.from_exponents(3, c))
+    assert {row.lam: row.values for row in scht.rows} == expect
