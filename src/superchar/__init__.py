@@ -2,16 +2,8 @@
 anti-involutions (orthogonal, symplectic, unitary, and mirror-poset
 pattern subgroups) over small finite fields."""
 
-from .cyclotomic import CycloRational, CycloValue, inner_product, root_power
-from .gf import (
-    FieldElement,
-    FieldTower,
-    Theta,
-    additive_char_exponent,
-    frobenius_q,
-    herm_trace,
-    make_tower,
-)
+from .cyclotomic import CycloRational, CycloValue, root_power
+from .gf import FieldTower, Theta, make_tower
 from .involution_group import (
     BuiltGroup,
     Functional,
@@ -46,7 +38,6 @@ from .triangular import (
     TriMatrix,
     cayley,
     cayley_inv,
-    dagger,
     pattern_space,
     trunc_exp,
     trunc_log,

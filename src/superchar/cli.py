@@ -73,7 +73,7 @@ def _add_spec_args(sub):
 def _spec_from_args(args) -> GroupSpec:
     if args.spec:
         return load_spec(args.spec)
-    if not (args.family and args.n and args.p):
+    if args.family is None or args.n is None or args.p is None:
         raise _UsageError("need either --spec or --family/--n/--p")
     k = args.k if args.k is not None else (2 if args.family == "UU" else 1)
     poset = MirrorPoset.from_file(args.poset) if args.poset else None
@@ -107,12 +107,8 @@ def _spec_json(spec: GroupSpec) -> dict:
 
 def _write_output(args, text: str):
     if getattr(args, "output", None):
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            raise
+        with open(args.output, "w") as fh:
+            fh.write(text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 

@@ -10,7 +10,6 @@ point enters any value computation.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 
 class CycloValue:
@@ -144,10 +143,6 @@ class CycloValue:
     def to_json(self) -> dict:
         return {"p": self.p, "coeffs": list(self.coeffs)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CycloValue":
-        return cls(data["p"], data["coeffs"])
-
     def to_string(self) -> str:
         """Render as "c0+c1·z+c2·z^2+..." with zero terms dropped."""
         terms = []
@@ -224,41 +219,8 @@ class CycloRational:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def to_json(self) -> dict:
-        d = self.num.to_json()
-        d["den"] = self.den
-        return d
-
     def __repr__(self):
         if self.den == 1:
             return f"CycloRat({self.num.to_string()})"
         return f"CycloRat(({self.num.to_string()})/{self.den})"
 
-
-def inner_product(
-    f: Iterable[tuple[CycloValue, int]],
-    g: Iterable[tuple[CycloValue, int]],
-    group_order: int,
-) -> CycloRational:
-    """Hermitian inner product (1/|U|) sum over classes |K| f(K) conj(g(K)).
-
-    Both functions are given as parallel (value, class size) sequences over
-    a common class partition; the sizes must sum to the group order.
-    """
-    f = list(f)
-    g = list(g)
-    if len(f) != len(g):
-        raise ValueError("class functions live on different partitions")
-    total = 0
-    acc = None
-    for (fv, fs), (gv, gs) in zip(f, g):
-        if fs != gs:
-            raise ValueError("class sizes disagree between the two functions")
-        total += fs
-        term = fv * gv.conjugate() * fs
-        acc = term if acc is None else acc + term
-    if total != group_order:
-        raise ValueError(f"class sizes sum to {total}, expected {group_order}")
-    if acc is None:
-        raise ValueError("empty class partition")
-    return CycloRational(acc, group_order)

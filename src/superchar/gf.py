@@ -6,19 +6,17 @@ smallest irreducible, constant coefficient compared first) so that every
 serialized artifact is reproducible.  The canonical integer encoding of an
 element is the base-p evaluation of its coefficient vector, constant
 coefficient least significant; this encoding is the wire format used by
-every other module.
-
-Cross-tower arithmetic is a hard error, never a coercion.  Towers with
-equal (p, e, k) have equal moduli and compare equal.
+every other module, and all arithmetic is on encodings, through the
+tower's add, mul and neg tables.  Towers with equal (p, e, k) have
+equal moduli and compare equal.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable
 
-from .errors import ShapeError, SizeGuardError, VerificationError
+from .errors import SizeGuardError, VerificationError
 
 TOWER_SIZE_LIMIT = 1 << 16
 _TABLE_LIMIT = 1024
@@ -283,37 +281,6 @@ class FieldTower:
             self._frob_cache[a] = v
         return v
 
-    # -- elements ----------------------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        """Coerce an int in [0, p) (a prime-field constant) to an element."""
-        if isinstance(value, FieldElement):
-            if value.tower != self:
-                raise ShapeError("element belongs to a different tower")
-            return value
-        return FieldElement(self, value % self.p)
-
-    def from_enc(self, enc: int) -> "FieldElement":
-        if not 0 <= enc < self.size:
-            raise ValueError(f"encoding {enc} out of range for {self!r}")
-        return FieldElement(self, enc)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self) -> "FieldElement":
-        """The residue of t; a primitive element of the extension."""
-        return FieldElement(self, self.p if self.degree > 1 else 0)
-
-    def elements(self) -> Iterable["FieldElement"]:
-        return (FieldElement(self, enc) for enc in range(self.size))
-
     # -- subfields ----------------------------------------------------------
 
     def subfield(self, degree: int) -> "Subfield":
@@ -434,73 +401,20 @@ class Subfield:
 
 
 class FieldElement:
-    """An element of the tower's top field, immutable and hashable."""
+    """An element of the tower's top field, immutable and hashable: the
+    read-only view that ``TriMatrix.entries`` gives of one encoding.  All
+    arithmetic is on encodings, through the tower's tables."""
 
     __slots__ = ("tower", "enc")
 
     def __init__(self, tower: FieldTower, enc: int):
-        self.tower = tower
-        self.enc = enc
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "enc", enc)
 
-    @property
-    def coeffs(self) -> tuple:
-        return _enc_to_coeffs(self.enc, self.tower.p, self.tower.degree)
-
-    def _check(self, other) -> "FieldElement":
-        if isinstance(other, int):
-            return self.tower.element(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if other.tower != self.tower:
-            raise ShapeError("cross-tower arithmetic is not allowed")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.tower, self.tower.add_enc(self.enc, other.enc))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.tower, self.tower.sub_enc(self.enc, other.enc))
-
-    def __rsub__(self, other):
-        return self.tower.element(other) - self
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.tower, self.tower.mul_enc(self.enc, other.enc))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __neg__(self):
-        return FieldElement(self.tower, self.tower.neg_enc(self.enc))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.tower, self.tower.pow_enc(self.enc, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.tower, self.tower.inv_enc(self.enc))
-
-    def __bool__(self):
-        return self.enc != 0
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldElement is immutable")
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.enc == other % self.tower.p and self.enc < self.tower.p
         return (
             isinstance(other, FieldElement)
             and other.tower == self.tower
@@ -518,27 +432,6 @@ class FieldElement:
 def make_tower(p: int, e: int, k: int) -> FieldTower:
     """Build (and cache) the tower F_p <= F_{p^e} <= F_{p^{e*k}}."""
     return FieldTower(p, e, k)
-
-
-def frobenius_q(a: FieldElement) -> FieldElement:
-    """a -> a^q; an involution when k = 2 and the identity on F_q."""
-    return FieldElement(a.tower, a.tower.frobenius_q_enc(a.enc))
-
-
-def herm_trace(a: FieldElement) -> FieldElement:
-    """a + a^q, mapping F_{q^2} onto F_q; only defined for k = 2."""
-    if a.tower.k != 2:
-        raise ValueError("herm_trace requires a quadratic extension (k = 2)")
-    return a + frobenius_q(a)
-
-
-def additive_char_exponent(a: FieldElement) -> int:
-    """Tr_{F_q/F_p}(a) as an exponent mod p; requires a in F_q.
-
-    The standard additive character is theta(a) = zeta_p^trace; it is a
-    nontrivial homomorphism F_q^+ -> C^x.
-    """
-    return a.tower.base.trace_exponent(a.enc)
 
 
 class Theta:

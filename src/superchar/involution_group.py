@@ -229,7 +229,7 @@ class BuiltGroup:
 
         # standard basis of g over the scalar field: position-major, power-minor
         self.g_basis_mats = [
-            TriMatrix.elementary(self.n, self.tower, i, j, self.tower.from_enc(b))
+            TriMatrix.elementary(self.n, self.tower, i, j, b)
             for (i, j) in self.positions
             for b in self.sc.power_basis
         ]
@@ -245,7 +245,7 @@ class BuiltGroup:
             else [self.tower.pow_enc(self.tower.p, i) for i in range(self.tower.degree)]
         )
         self.G_gens = [
-            TriMatrix.elementary(self.n, self.tower, i, j, self.tower.from_enc(b), True)
+            TriMatrix.elementary(self.n, self.tower, i, j, b, True)
             for (i, j) in self.positions
             for b in pbasis
         ]

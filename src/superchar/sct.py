@@ -41,7 +41,6 @@ from .involution_group import (
 from .linalg import Subspace
 from .orbits import (
     _cached,
-    closure_of,
     h_left_orbit_of_g_functional,
     h_orbit_of_functional,
     h_orbit_partition_dual,
@@ -49,6 +48,7 @@ from .orbits import (
     left_orbit_partition_g_dual,
     orbit_partition_dual,
     orbit_partition_u,
+    partition_space,
     two_sided_canonical,
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
@@ -527,13 +527,14 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
 
     ``_generator_walk`` over all of E picks generators T and checks, at
     |E| |T| products, that E is closed under multiplication; this is the
-    one closure check of E, and it runs on the verify path only.  Each
-    class is then ``closure_of`` its least unlabelled member under the
-    maps x -> t x t^-1 (t in T) on slot encodings, at 2 |E| |T| products
-    in all.  E is finite and generated by T, so these orbits are the
-    orbits of all of E."""
+    one closure check of E, and it runs on the verify path only.  The
+    classes are then the orbits (``partition_space``) of E's slot
+    encodings under the maps x -> t x t^-1 (t in T), at 2 |E| |T|
+    products in all.  E is finite and generated by T, so these orbits are
+    the orbits of all of E; elements sort by serialization, so orbits
+    ordered by least member are numbered by least element id."""
     if rec._conjugacy is None:
-        elements, index = rec.elements, rec.index
+        elements = rec.elements
         product = kernel(rec.group.tower, "umul", rec.group.n)
 
         def conjugation(t):
@@ -541,15 +542,8 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
             return lambda x: product(product(t_encs, x), t_inv)
 
         maps = [conjugation(elements[t]) for t in _generator_walk(rec, range(len(elements)))[0]]
-        class_of = [-1] * len(elements)
-        sizes = []
-        for first, e in enumerate(elements):
-            if class_of[first] < 0:
-                cl = closure_of(e.encs, maps)
-                for x in cl:
-                    class_of[index[x]] = len(sizes)
-                sizes.append(len(cl))
-        rec._conjugacy = ConjugacyClasses(class_of, sizes)
+        oi = partition_space(([e.encs for e in elements], rec.index), maps)
+        rec._conjugacy = ConjugacyClasses(oi.orbit_of, oi.sizes())
     return rec._conjugacy
 
 

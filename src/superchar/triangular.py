@@ -3,7 +3,9 @@ anti-involutions and Springer morphisms.
 
 A TriMatrix stores its strictly-upper entries as a tuple of field
 encodings, one per slot of the row-major layout defined here; that tuple
-is also its serialization.  FieldElements appear only at the API edge.
+is also its serialization.  Every constructor and ``scale`` take
+encodings, and ``entries`` is a read-only view of the nonzero slots as
+FieldElements; no arithmetic goes through them.
 The ``unipotent`` flag says whether it stands for 1+x (a group element)
 or x (an algebra element).  The two readings share a representation but
 the Springer morphisms are the only sanctioned bridge between them, so
@@ -153,10 +155,12 @@ class TriMatrix:
     __slots__ = ("n", "tower", "unipotent", "encs")
 
     def __init__(self, n, tower, unipotent, entries):
+        """The matrix with the encodings {(i, j): enc} of ``entries``,
+        trusted as given."""
         index = slot_index(n)
         encs = [0] * len(index)
         for pos, v in entries.items():
-            encs[index[pos]] = v.enc
+            encs[index[pos]] = v
         self.n = n
         self.tower = tower
         self.unipotent = unipotent
@@ -182,14 +186,18 @@ class TriMatrix:
 
     @classmethod
     def from_entries(cls, n, tower, entries, unipotent=False) -> "TriMatrix":
-        for i, j in entries:
+        """The matrix with the encodings {(i, j): enc} of ``entries``,
+        each checked to be a strictly upper position and an encoding."""
+        for (i, j), v in entries.items():
             if not (1 <= i < j <= n):
                 raise ShapeError(f"position ({i},{j}) is not strictly upper for n={n}")
-        # element() coerces ints and rejects an element of another tower
-        return cls(n, tower, unipotent, {pos: tower.element(v) for pos, v in entries.items()})
+            if not isinstance(v, int) or not 0 <= v < tower.size:
+                raise ValueError(f"entry {v!r} at ({i},{j}) is not an encoding of {tower!r}")
+        return cls(n, tower, unipotent, entries)
 
     @classmethod
     def elementary(cls, n, tower, i, j, value=1, unipotent=False) -> "TriMatrix":
+        """The encoding ``value`` at (i, j), checked as in ``from_entries``."""
         return cls.from_entries(n, tower, {(i, j): value}, unipotent)
 
     def _like(self, encs) -> "TriMatrix":
@@ -200,10 +208,6 @@ class TriMatrix:
         """The nonzero entries as {(i, j): FieldElement}, in slot order."""
         positions = _layout(self.n)[0]
         return {pos: FieldElement(self.tower, v) for pos, v in zip(positions, self.encs) if v}
-
-    def get(self, i: int, j: int) -> FieldElement:
-        s = slot_index(self.n).get((i, j))
-        return FieldElement(self.tower, 0 if s is None else self.encs[s])
 
     def serialize(self) -> tuple:
         """Row-major strict-upper entries as canonical integer encodings."""
@@ -235,10 +239,11 @@ class TriMatrix:
         neg = self.tower.neg_table
         return self._like([neg[a] for a in self.encs])
 
-    def scale(self, c) -> "TriMatrix":
+    def scale(self, c: int) -> "TriMatrix":
+        """c x for the encoding c."""
         if self.unipotent:
             raise ShapeError("scaling is an algebra operation")
-        row = self.tower.mul_table[self.tower.element(c).enc]
+        row = self.tower.mul_table[c]
         return self._like([row[a] for a in self.encs])
 
     def __mul__(self, other: "TriMatrix") -> "TriMatrix":
@@ -404,6 +409,7 @@ class Involution:
             self._moves.append((source, neg_sigma if flip else sigma))
 
     def apply(self, x: TriMatrix) -> TriMatrix:
+        """x^dagger; on unipotents (1+x)^dagger = 1 + x^dagger."""
         if x.n != self.n or x.tower != self.tower:
             raise ShapeError("matrix does not match the involution's shape")
         return x._like(self.apply_encs(x.encs))
@@ -414,11 +420,6 @@ class Involution:
 
     def __repr__(self):
         return f"Involution({self.kind}, n={self.n})"
-
-
-def dagger(x: TriMatrix, inv: Involution) -> TriMatrix:
-    """Apply the anti-involution; extends to unipotents by (1+x)^t = 1+x^t."""
-    return inv.apply(x)
 
 
 # -- Springer morphisms ----------------------------------------------------

@@ -25,7 +25,7 @@ from .involution_group import BuiltGroup, Functional
 from .orbits import h_orbit_of_functional, orbit_partition_dual
 from .record import FrozenRecord, Record
 from .sct import Report, SuperclassTable, SupercharTable
-from .triangular import TriMatrix
+from .triangular import TriMatrix, slot_index
 
 
 def _mirror_pos(n: int, i: int, j: int):
@@ -47,7 +47,6 @@ class TwistedSetPartition(FrozenRecord):
     def from_arcs(cls, n: int, tower: FieldTower, arcs) -> "TwistedSetPartition":
         closed = set()
         for (i, j, a) in arcs:
-            a = a.enc if hasattr(a, "enc") else a
             closed.add((i, j, a))
             mi, mj = _mirror_pos(n, i, j)
             closed.add((mi, mj, _mirror_label(tower, a)))
@@ -102,14 +101,6 @@ class TwistedSetPartition(FrozenRecord):
                 seen.add(mirror)
             out.append(frozenset(group))
         return out
-
-    def to_json(self) -> dict:
-        reps = [min(orbit) for orbit in self.mirror_orbits()]
-        return {"n": self.n, "arcs": [list(arc) for arc in sorted(reps)]}
-
-    @classmethod
-    def from_json(cls, tower: FieldTower, data: dict) -> "TwistedSetPartition":
-        return cls.from_arcs(data["n"], tower, [tuple(a) for a in data["arcs"]])
 
     def __repr__(self):
         body = ", ".join(f"{i}~{j}:{a}" for (i, j, a) in sorted(self.arcs))
@@ -201,10 +192,7 @@ def enumerate_labeled(n: int, num_labels: int) -> int:
 
 def rep_matrix(bg: BuiltGroup, eta: TwistedSetPartition) -> TriMatrix:
     """x_eta: the element of u with (x_eta)_{ij} = a for each arc."""
-    entries = {}
-    for (i, j, a) in eta.arcs:
-        entries[(i, j)] = bg.tower.from_enc(a)
-    x = TriMatrix(bg.n, bg.tower, False, entries)
+    x = TriMatrix(bg.n, bg.tower, False, {(i, j): a for (i, j, a) in eta.arcs})
     if bg.dagger(x) != -x:
         raise ShapeError("x_eta is not antisymmetric; invalid twisted partition")
     rows = [i for (i, j, _) in eta.arcs]
@@ -224,11 +212,12 @@ def rep_group_element(
 
 def lambda_functional(bg: BuiltGroup, eta: TwistedSetPartition) -> Functional:
     """lambda_eta(x) = sum of a * x_{ij} over arcs; lands in F_q on u."""
+    slots = [(a, slot_index(bg.n)[i, j]) for (i, j, a) in eta.arcs]
     coeffs = []
     for b in bg.u_basis.matrices:
         acc = 0
-        for (i, j, a) in eta.arcs:
-            acc = bg.tower.add_enc(acc, bg.tower.mul_enc(a, b.get(i, j).enc))
+        for a, s in slots:
+            acc = bg.tower.add_enc(acc, bg.tower.mul_enc(a, b.encs[s]))
         if not bg.sc.contains(acc):
             raise VerificationError("lambda_eta left the scalar subfield")
         coeffs.append(acc)

@@ -2,10 +2,12 @@
 interpreted per-slot and per-column loops that the generated kernels
 replaced, the per-product extension and eta-subalgebras, the oracle's
 per-row additivity check, the exponent vectors that the histogram kernel
-replaced, and brute-force orbit and subgroup oracles."""
+replaced, brute-force orbit and subgroup oracles, and the Hermitian
+inner product of class functions."""
 
 import operator
 
+from superchar.cyclotomic import CycloRational
 from superchar.involution_group import SpaceBasis
 from superchar.linalg import Subspace, combine
 from superchar.orbits import closure_of, g_left_matrix
@@ -216,3 +218,28 @@ def direct_histograms(segments, coeffs, theta):
         tuple(sum(theta.exponent(dot(coeffs, x)) == v for x in seg) for v in range(p))
         for seg in segments
     ]
+
+
+def inner_product(f, g, group_order: int) -> CycloRational:
+    """Hermitian inner product (1/|U|) sum over classes |K| f(K) conj(g(K)).
+
+    Both functions are given as parallel (value, class size) sequences over
+    a common class partition; the sizes must sum to the group order.
+    """
+    f = list(f)
+    g = list(g)
+    if len(f) != len(g):
+        raise ValueError("class functions live on different partitions")
+    total = 0
+    acc = None
+    for (fv, fs), (gv, gs) in zip(f, g):
+        if fs != gs:
+            raise ValueError("class sizes disagree between the two functions")
+        total += fs
+        term = fv * gv.conjugate() * fs
+        acc = term if acc is None else acc + term
+    if total != group_order:
+        raise ValueError(f"class sizes sum to {total}, expected {group_order}")
+    if acc is None:
+        raise ValueError("empty class partition")
+    return CycloRational(acc, group_order)

@@ -148,6 +148,17 @@ def test_missing_spec_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "n,p,message", [("0", "3", "n must be positive"), ("3", "0", "p = 0 is not prime")]
+)
+def test_zero_n_or_p_reports_the_spec_error(capsys, n, p, message):
+    """--n 0 and --p 0 are given flags, so the spec's own error is shown."""
+    for cmd in ("table", "count-partitions"):
+        code, out, err = run(capsys, cmd, "--family", "UU", "--n", n, "--p", p)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
 def test_log_rejected_when_undefined(capsys):
     code, _, err = run(
         capsys, "table", "--family", "UO", "--n", "4", "--p", "3", "--springer", "log"
@@ -178,6 +189,7 @@ def test_io_error_exit_code(capsys, tmp_path):
         "-o", str(tmp_path / "no" / "such" / "dir" / "t.json"),
     )
     assert code == 4
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
 
 
 def test_verify_all_pass(capsys):

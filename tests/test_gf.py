@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -11,11 +12,10 @@ from superchar.gf import (
     _Memo,
     _poly_mod,
     _poly_mul,
-    additive_char_exponent,
-    frobenius_q,
-    herm_trace,
     make_tower,
 )
+from superchar.triangular import TriMatrix
+from superchar.unitary import _self_labels
 
 
 def brute_irreducible(coeffs, p):
@@ -90,102 +90,91 @@ def test_encoding_roundtrip_bijective():
         tower = make_tower(*args)
         seen = set()
         for enc in range(tower.size):
-            el = tower.from_enc(enc)
-            assert el.enc == enc
-            seen.add(el.coeffs)
+            coeffs = _enc_to_coeffs(enc, tower.p, tower.degree)
+            assert _coeffs_to_enc(coeffs, tower.p) == enc
+            seen.add(coeffs)
         assert len(seen) == tower.size
 
 
 def test_field_axioms_exhaustive_f9():
     tower = make_tower(3, 1, 2)
-    els = list(tower.elements())
+    add, mul = tower.add_enc, tower.mul_enc
+    els = range(tower.size)
     for a in els:
-        assert a + tower.zero == a
-        assert a * tower.one == a
+        assert add(a, 0) == a
+        assert mul(a, 1) == a
         if a:
-            assert a * a.inverse() == tower.one
+            assert mul(a, tower.inv_enc(a)) == 1
         for b in els:
-            assert a + b == b + a
-            assert a * b == b * a
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
     # spot associativity/distributivity on all triples
     for a in els:
         for b in els:
             for c in els:
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
+                assert mul(mul(a, b), c) == mul(a, mul(b, c))
+                assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 def test_frobenius_involution_and_fixed_field():
     tower = make_tower(3, 1, 2)
+    frob = tower.frobenius_q_enc
     fixed = []
-    for a in tower.elements():
-        assert frobenius_q(frobenius_q(a)) == a
-        if frobenius_q(a) == a:
-            fixed.append(a.enc)
+    for a in range(tower.size):
+        assert frob(frob(a)) == a
+        if frob(a) == a:
+            fixed.append(a)
     assert sorted(fixed) == [0, 1, 2]
     assert tuple(sorted(fixed)) == tower.base.elements
 
 
 def test_frobenius_on_generator():
     tower = make_tower(3, 1, 2)
-    t = tower.gen
-    assert t * t == tower.element(2)  # t^2 = -1
-    assert frobenius_q(t) == -t  # t^3 = -t = 2t
-
-
-def test_herm_trace_values():
-    tower = make_tower(3, 1, 2)
-    t = tower.gen
-    assert herm_trace(tower.zero) == tower.zero
-    assert herm_trace(t) == tower.zero
-    assert herm_trace(tower.one) == tower.element(2)
+    t = tower.p  # the encoding of t, the residue of the indeterminate
+    assert tower.mul_enc(t, t) == 2  # t^2 = -1
+    assert tower.frobenius_q_enc(t) == tower.neg_enc(t)  # t^3 = -t = 2t
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_herm_trace_linear_image_and_kernel(p):
+    """a -> a + a^q maps F_{q^2} additively into F_q; its nonzero kernel is
+    the set of labels that a twisted partition allows on a self-mirror arc."""
     tower = make_tower(p, 1, 2)
-    kernel = 0
-    for a in tower.elements():
-        ta = herm_trace(a)
-        assert tower.base.contains(ta.enc)
-        if ta.enc == 0:
-            kernel += 1
-        for b in tower.elements():
-            assert herm_trace(a + b) == herm_trace(a) + herm_trace(b)
-    assert kernel == p
-
-
-def test_herm_trace_needs_quadratic_extension():
-    with pytest.raises(ValueError):
-        herm_trace(make_tower(3, 1, 1).one)
+    add, frob = tower.add_enc, tower.frobenius_q_enc
+    trace = [add(a, frob(a)) for a in range(tower.size)]
+    assert all(tower.base.contains(t) for t in trace)
+    for a in range(tower.size):
+        for b in range(tower.size):
+            assert trace[add(a, b)] == add(trace[a], trace[b])
+    kernel = [a for a in range(tower.size) if trace[a] == 0]
+    assert len(kernel) == p
+    assert _self_labels(tower) == kernel[1:]
 
 
 def test_additive_char_exponent_prime_field_is_identity():
     tower = make_tower(3, 1, 1)
-    for a in tower.elements():
-        assert additive_char_exponent(a) == a.enc
+    for a in range(tower.size):
+        assert tower.base.trace_exponent(a) == a
 
 
 def test_additive_char_exponent_trace_on_f9_top():
     tower = make_tower(3, 2, 1)  # F_9 as the base field itself
-    t = tower.gen
-    assert additive_char_exponent(t) == 0  # t + t^3 = 0
+    trace = tower.base.trace_exponent
+    t = tower.p  # the encoding of t
+    assert trace(t) == 0  # t + t^3 = 0
     # additive homomorphism onto Z/p (nontrivial)
     hits = set()
-    for a in tower.elements():
-        hits.add(additive_char_exponent(a))
-        for b in tower.elements():
-            assert (
-                additive_char_exponent(a + b)
-                == (additive_char_exponent(a) + additive_char_exponent(b)) % 3
-            )
+    for a in range(tower.size):
+        hits.add(trace(a))
+        for b in range(tower.size):
+            assert trace(tower.add_enc(a, b)) == (trace(a) + trace(b)) % 3
     assert hits == {0, 1, 2}
 
 
 def test_char_exponent_requires_subfield_membership():
     tower = make_tower(3, 1, 2)
     with pytest.raises(ValueError):
-        additive_char_exponent(tower.gen)  # t is not in F_3
+        tower.base.trace_exponent(tower.p)  # t, encoded p, is not in F_3
 
 
 def test_theta_standard_and_alternate_differ():
@@ -200,10 +189,11 @@ def test_theta_standard_and_alternate_differ():
 
 
 def test_cross_tower_arithmetic_is_an_error():
-    a = make_tower(3, 1, 2).one
-    b = make_tower(5, 1, 2).one
-    with pytest.raises(ShapeError):
-        a + b
+    a = TriMatrix.elementary(3, make_tower(3, 1, 2), 1, 2)
+    b = TriMatrix.elementary(3, make_tower(5, 1, 2), 1, 2)
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ShapeError):
+            op(a, b)
 
 
 def test_subfield_coords_roundtrip():

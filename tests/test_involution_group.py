@@ -12,7 +12,7 @@ from superchar.involution_group import (
     load_spec,
     sub_l_r_g,
 )
-from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
+from superchar.triangular import MirrorPoset, TriMatrix, slot_index, strict_positions
 
 import reference
 from reference import element_encs, stabilizer_subgroup
@@ -73,9 +73,10 @@ def test_u_antisymmetry_exhaustive():
 def test_uo3_u_is_one_dimensional_line():
     bg = build_group(GroupSpec(family="UO", n=3, p=3))
     (b,) = bg.u_basis.matrices
+    slot = slot_index(3)
     # x_23 = -x_12 and x_13 = 0 forced in odd characteristic
-    assert b.get(2, 3) == -b.get(1, 2)
-    assert b.get(1, 3).enc == 0
+    assert b.encs[slot[2, 3]] == bg.tower.neg_enc(b.encs[slot[1, 2]]) != 0
+    assert b.encs[slot[1, 3]] == 0
 
 
 def test_H_positions_and_orders():
@@ -177,16 +178,7 @@ def test_flatten_roundtrip():
     for combo in itertools.islice(
         itertools.product(range(bg.tower.size), repeat=3), 0, 200, 7
     ):
-        mat = TriMatrix(
-            3,
-            bg.tower,
-            False,
-            {
-                pos: bg.tower.from_enc(c)
-                for pos, c in zip(bg.positions, combo)
-                if c
-            },
-        )
+        mat = TriMatrix(3, bg.tower, False, dict(zip(bg.positions, combo)))
         assert bg.unflatten(bg.flatten(mat)) == mat
 
 
@@ -221,11 +213,11 @@ def test_sub_l_r_g_trivial_functional():
 def test_sub_l_r_g_unitary_selfarc():
     # lambda for the arc 1~3 with a trace-zero label; l_eta = {x : x_23 = 0}
     bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
-    t_enc = bg.tower.gen.enc
-    arc = TriMatrix.from_entries(3, bg.tower, {(1, 3): bg.tower.gen})
+    t = bg.tower.p  # the encoding of t, a trace-zero label of F_9
+    arc = TriMatrix.from_entries(3, bg.tower, {(1, 3): t})
     lam_coeffs = []
     for b in bg.u_basis.matrices:
-        lam_coeffs.append(bg.tower.mul_enc(t_enc, b.get(1, 3).enc))
+        lam_coeffs.append(bg.tower.mul_enc(t, b.encs[slot_index(3)[1, 3]]))
     lam = bg.functional_on_u(lam_coeffs)
     assert lam.evaluate(arc) != 0
     eta = extend_functional(bg, lam)

@@ -40,6 +40,7 @@ from reference import (
     additive_along_walk,
     algebra_l_lam,
     direct_histograms,
+    inner_product,
     left_orbit_of_g_element,
     product_order_histograms,
 )
@@ -105,8 +106,6 @@ def test_degree_equals_h_orbit_size(groups):
 def test_theta_lambda_f_orthonormal_on_elements(groups):
     """The functions theta∘lambda∘f over all lambda in u* form an
     orthonormal family for the element-level partition of U."""
-    from superchar.cyclotomic import inner_product
-
     bg = _bg(groups, family="UO", n=4, p=3)
     theta = standard_theta(bg)
     fwd, _ = bg.springer("cayley")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from superchar.errors import ShapeError, SpringerUndefinedError
-from superchar.gf import _TABLE_LIMIT, frobenius_q, make_tower
+from superchar.gf import _TABLE_LIMIT, make_tower
 from superchar.triangular import (
     Involution,
     MirrorPoset,
@@ -12,7 +12,6 @@ from superchar.triangular import (
     _layout,
     cayley,
     cayley_inv,
-    dagger,
     kernel,
     linear_kernel,
     pattern_space,
@@ -58,10 +57,8 @@ def dense_mul(a, b, tower):
 
 
 def random_unipotent(n, tower, rng):
-    entries = {
-        pos: tower.from_enc(rng.randrange(tower.size)) for pos in strict_positions(n)
-    }
-    return TriMatrix(n, tower, True, {p: v for p, v in entries.items() if v.enc})
+    entries = {pos: rng.randrange(tower.size) for pos in strict_positions(n)}
+    return TriMatrix(n, tower, True, entries)
 
 
 def test_mul_single_term():
@@ -185,6 +182,17 @@ def test_flag_mismatch_is_error():
         a + a
 
 
+@pytest.mark.parametrize("bad", [-1, T9.size, 1.0, "1", None])
+def test_entries_must_be_encodings(bad):
+    """An entry outside range(tower.size), or not an int, is refused; -1
+    is not read as p - 1."""
+    with pytest.raises(ValueError):
+        TriMatrix.from_entries(3, T9, {(1, 2): bad})
+    with pytest.raises(ValueError):
+        TriMatrix.elementary(3, T9, 1, 2, bad, unipotent=True)
+    assert TriMatrix.elementary(3, T9, 1, 2, T9.size - 1).encs == (T9.size - 1, 0, 0)
+
+
 # -- involutions against the dense matrix oracle --------------------------------
 
 
@@ -232,15 +240,15 @@ def oracle_dagger(mat, kind):
 def test_dagger_orthogonal_position_reflection():
     inv = Involution("orthogonal", 3, T9)
     e12 = TriMatrix.elementary(3, T9, 1, 2)
-    assert dagger(e12, inv).serialize() == (0, 0, 1)  # e23
+    assert inv.apply(e12).serialize() == (0, 0, 1)  # e23
 
 
 def test_dagger_unitary_frobenius_on_selfmirror():
     inv = Involution("unitary", 3, T9)
-    t = T9.gen
+    t = T9.p  # the encoding of t
     x = TriMatrix.from_entries(3, T9, {(1, 3): t})
-    assert dagger(x, inv) == TriMatrix.from_entries(3, T9, {(1, 3): frobenius_q(t)})
-    assert frobenius_q(t) == -t
+    assert inv.apply(x) == TriMatrix.from_entries(3, T9, {(1, 3): T9.frobenius_q_enc(t)})
+    assert T9.frobenius_q_enc(t) == T9.neg_enc(t)
 
 
 @pytest.mark.parametrize(
@@ -259,8 +267,8 @@ def test_dagger_matches_dense_oracle_on_basis(kind, n, tower):
     scalars = [1, tower.size - 1] if tower.size > 3 else [1, 2]
     for (i, j) in strict_positions(n):
         for s in scalars:
-            x = TriMatrix.from_entries(n, tower, {(i, j): tower.from_enc(s)})
-            assert dense(dagger(x, inv)) == oracle_dagger(x, kind)
+            x = TriMatrix.from_entries(n, tower, {(i, j): s})
+            assert dense(inv.apply(x)) == oracle_dagger(x, kind)
 
 
 @pytest.mark.parametrize(
@@ -270,28 +278,19 @@ def test_dagger_matches_dense_oracle_on_basis(kind, n, tower):
 def test_dagger_antiautomorphism_and_involutive(kind, n, tower):
     inv = Involution(kind, n, tower)
     basis = [
-        TriMatrix.elementary(n, tower, i, j, tower.from_enc(s))
+        TriMatrix.elementary(n, tower, i, j, s)
         for (i, j) in strict_positions(n)
         for s in (1, tower.size - 1)
     ]
     for x in basis:
-        assert dagger(dagger(x, inv), inv) == x
+        assert inv.apply(inv.apply(x)) == x
         for y in basis:
-            assert dagger(x * y, inv) == dagger(y, inv) * dagger(x, inv)
+            assert inv.apply(x * y) == inv.apply(y) * inv.apply(x)
     # involutive on all of g for a small case
     if tower is T3 and n == 4:
         for combo in itertools.product(range(3), repeat=6):
-            x = TriMatrix(
-                n,
-                tower,
-                False,
-                {
-                    pos: tower.from_enc(c)
-                    for pos, c in zip(strict_positions(n), combo)
-                    if c
-                },
-            )
-            assert dagger(dagger(x, inv), inv) == x
+            x = TriMatrix(n, tower, False, dict(zip(strict_positions(n), combo)))
+            assert inv.apply(inv.apply(x)) == x
 
 
 @pytest.mark.parametrize(
@@ -314,7 +313,7 @@ def test_dagger_single_entry_lands_on_mirror_position():
     ]:
         inv = Involution(kind, n, tower)
         for (i, j) in strict_positions(n):
-            img = dagger(TriMatrix.elementary(n, tower, i, j), inv)
+            img = inv.apply(TriMatrix.elementary(n, tower, i, j))
             assert set(img.entries) == {(n + 1 - j, n + 1 - i)}
             assert next(iter(img.entries.values())).enc != 0
 
@@ -359,7 +358,7 @@ def test_trunc_log_series_value():
 
 def test_trunc_log_oracle_direct_series():
     rng = random.Random(4)
-    half = T3.element(2).inverse()
+    half = T3.inv_enc(2)
     for _ in range(20):
         g = random_unipotent(3, T3, rng)
         x = g.nilpotent_part()
