@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage, 2 verification failure, 3 size guard
 exceeded, 4 I/O error; any other exception is a bug and ends in a
-traceback.  Identical invocations produce byte-identical output files.
+traceback.  ``unitary-check`` writes its degree audit, which needs no
+table, even when its tables hit a guard, and then exits 3.  Identical
+invocations produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -305,11 +307,16 @@ def cmd_unitary_check(args) -> int:
     bg = build_group(spec, force=args.force)
     if bg.poset != MirrorPoset.chain(bg.n):
         raise _UsageError("unitary-check requires the full chain poset")
-    sct, scht = _tables(bg, args)
-    lines = []
-    grid = formula_grid_check(bg, sct, scht)
-    lines += grid.lines()
-    lines += ennola_degree_check(scht).lines()
+    lines, failed, guard = [], False, None
+    try:
+        sct, scht = _tables(bg, args)
+    except SizeGuardError as exc:
+        guard = exc
+    else:
+        grid = formula_grid_check(bg, sct, scht)
+        lines += grid.lines()
+        lines += ennola_degree_check(scht).lines()
+        failed = any(r.passed is False for r in grid.results)
     lines.append(f"== degree audit {bg.label()}")
     rows = degree_audit(bg)
     lines += [r.line() for r in rows]
@@ -319,7 +326,8 @@ def cmd_unitary_check(args) -> int:
         " (reported, not patched)"
     )
     _write_output(args, "\n".join(lines) + "\n")
-    failed = [r for r in grid.results if r.passed is False]
+    if guard is not None:
+        raise guard
     return EXIT_VERIFY if failed else EXIT_OK
 
 

@@ -119,9 +119,6 @@ class SpaceBasis:
     def __init__(self, group: "BuiltGroup", space: Subspace):
         self.group = group
         self.space = space
-        # an RREF basis of all of its ambient space is the identity, so
-        # coordinates against it are the vector itself
-        self.full = space.dim == space.ambient
 
     @functools.cached_property
     def matrices(self):
@@ -166,17 +163,6 @@ class Functional:
             raise ShapeError("coefficient vector does not match the basis dimension")
         self.basis = basis
         self.coeffs = coeffs
-
-    def evaluate_flat(self, flat) -> int:
-        if self.basis.full:
-            return self.basis.group.sc.dot(self.coeffs, flat)
-        coords = self.basis.space.coords(flat)
-        if coords is None:
-            raise ShapeError("argument lies outside the functional's domain")
-        return self.basis.group.sc.dot(self.coeffs, coords)
-
-    def evaluate(self, mat: TriMatrix) -> int:
-        return self.evaluate_flat(self.basis.group.flatten(mat))
 
     def __eq__(self, other):
         return (
@@ -417,6 +403,12 @@ class BuiltGroup:
         pairs += [(b, self.dagger(y)) for y in h for b in g]
         return form_rows(self, pairs)
 
+    @functools.cached_property
+    def g_forms(self):
+        """eta -> the matrix of (x, y) -> eta(x y) over g's basis, compiled."""
+        g = self.g_basis_mats
+        return form_rows(self, [(y, b) for y in g for b in g])
+
     # -- enumeration of G ---------------------------------------------------------
 
     def enumerate_G(self):
@@ -442,10 +434,22 @@ def build_group(spec: GroupSpec, force: bool = False) -> BuiltGroup:
     return BuiltGroup(spec, force=force)
 
 
+def unsplit_positions(positions) -> set:
+    """The positions (i, k) that no j splits, that is, with no (i, j) and
+    (j, k) both in ``positions``: for G, the covering relations of the
+    poset.  e_ij e_jk = e_ik, so the products of two elements of g span
+    exactly the matrices that vanish at every unsplit position."""
+    inside = set(positions)
+    return {
+        (i, k)
+        for (i, k) in positions
+        if not any((i, j) in inside and (j, k) in inside for j in range(i + 1, k))
+    }
+
+
 def walk_generators(root_elements, positions):
-    """The root elements 1 + t^l e_ik whose position (i, k) no j splits,
-    that is, with no (i, j) and (j, k) both in ``positions``: for G, the
-    covering relations of the poset.
+    """The root elements 1 + t^l e_ik at the unsplit positions
+    (``unsplit_positions``).
 
     They generate the same group as all of ``root_elements``, for G and
     for H alike (their positions are closed: (i, j) and (j, k) in them
@@ -457,12 +461,7 @@ def walk_generators(root_elements, positions):
     the generated group; with b = 1 and a over F_q, so does every x_ik(a).
     The t^l span F_q over F_p, so the x_ik(t^l) themselves generate the
     root subgroup of an unsplit (i, k)."""
-    inside = set(positions)
-    unsplit = {
-        (i, k)
-        for (i, k) in positions
-        if not any((i, j) in inside and (j, k) in inside for j in range(i + 1, k))
-    }
+    unsplit = unsplit_positions(positions)
     return [g for g in root_elements if next(iter(g.entries)) in unsplit]
 
 

@@ -37,12 +37,14 @@ class Orbit(Record):
 class OrbitIndex:
     """A partition of an enumerated space into orbits, canonically ordered
     by each orbit's lexicographically least serialized member.  ``space``
-    and ``index`` are the group's shared (points, index) pair."""
+    and ``index`` are the group's shared (points, index) pair, and
+    ``maps`` the generators' maps that the walks closed under."""
 
-    def __init__(self, points, orbits, orbit_of):
+    def __init__(self, points, orbits, orbit_of, maps):
         self.space, self.index = points
         self.orbits = orbits
         self.orbit_of = orbit_of
+        self.maps = maps
 
     @property
     def count(self) -> int:
@@ -51,18 +53,12 @@ class OrbitIndex:
     def orbit_id(self, vec) -> int:
         return self.orbit_of[self.index[vec]]
 
-    def sizes(self):
-        return [o.size for o in self.orbits]
-
-    def members(self, orbit_id: int):
-        return [self.space[i] for i in self.orbits[orbit_id].members]
-
 
 def closure_of(start, maps) -> frozenset:
-    """BFS closure of a single element under a family of self-maps; the
-    one orbit walk, behind every orbit partition and conjugacy class."""
-    seen = {tuple(start)}
-    frontier = [tuple(start)]
+    """BFS closure of a single hashable point under a family of self-maps;
+    the one orbit walk, behind every orbit partition and conjugacy class."""
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
@@ -105,7 +101,7 @@ def partition_space(points, maps, canon_key=None) -> OrbitIndex:
         orbits.append(Orbit(oid, rep_key, rep, members, len(members)))
         for i in members:
             orbit_of[i] = oid
-    return OrbitIndex(points, orbits, orbit_of)
+    return OrbitIndex(points, orbits, orbit_of, maps)
 
 
 # -- matrices of the linear actions ---------------------------------------
@@ -141,10 +137,16 @@ def _maps_from_matrices(matrices, sc):
     return [linear_kernel(sc.tower, M, len(M)) for M in matrices]
 
 
+def _transposed_maps(matrices, sc):
+    """mu -> P^T mu for each matrix P of a generator g, so (P^T mu) . x =
+    mu . (P x): the dual action (g mu)(x) = mu(g^-1 x) of g^-1, and the
+    inverses of a generating set generate the same group."""
+    return _maps_from_matrices([transpose(M) for M in matrices], sc)
+
+
 def _dual_maps(bg, gens, matrix_fn):
-    """Dual action (g mu)(x) = mu(g^{-1} x): transposed inverse matrices."""
-    mats = [transpose(matrix_fn(bg, g.inverse())) for g in gens]
-    return _maps_from_matrices(mats, bg.sc)
+    """The dual action of the group that ``gens`` generate, as transposes."""
+    return _transposed_maps([matrix_fn(bg, g) for g in gens], bg.sc)
 
 
 # -- the four orbit partitions ----------------------------------------------
@@ -156,14 +158,21 @@ def _cached(bg: BuiltGroup, key, builder):
     return bg.cache[key]
 
 
+def walk_matrices(bg: BuiltGroup, action: str):
+    """The matrices P of the walk generators G_walk, made once per group:
+    ``action`` "u" for x -> g x g^dagger on u, "left" and "right" for
+    x -> g x and x -> x g on g.  A primal partition closes under the maps
+    P and its dual partition under the P^T (``sct._constancy_check``)."""
+    matrix_fn = {"u": u_action_matrix, "left": g_left_matrix, "right": g_right_matrix}[action]
+    return _cached(bg, ("walk", action), lambda: [matrix_fn(bg, g) for g in bg.G_walk])
+
+
 def orbit_partition_u(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G acting by g . x = g x g^dagger on the enumerated u."""
 
     def build():
-        mats = [u_action_matrix(bg, g) for g in bg.G_walk]
-        return partition_space(
-            bg.u_points, _maps_from_matrices(mats, bg.sc), canon_key=bg.u_basis.element_encs
-        )
+        maps = _maps_from_matrices(walk_matrices(bg, "u"), bg.sc)
+        return partition_space(bg.u_points, maps, canon_key=bg.u_basis.element_encs)
 
     return _cached(bg, "u", build)
 
@@ -172,8 +181,7 @@ def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G on the full dual space of u; (g.lam)(x) = lam(g^{-1}.x)."""
 
     def build():
-        maps = _dual_maps(bg, bg.G_walk, u_action_matrix)
-        return partition_space(bg.u_points, maps)
+        return partition_space(bg.u_points, _transposed_maps(walk_matrices(bg, "u"), bg.sc))
 
     return _cached(bg, "dual", build)
 
@@ -282,8 +290,7 @@ def two_sided_orbit_partition_g(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G x G acting by (g, h) . x = g x h^{-1} on g."""
 
     def build():
-        mats = [g_left_matrix(bg, g) for g in bg.G_walk]
-        mats += [g_right_matrix(bg, g) for g in bg.G_walk]
+        mats = walk_matrices(bg, "left") + walk_matrices(bg, "right")
         # g's basis is the standard one, so a point's coordinates are its
         # flat form and element_encs gives unflatten's slot encodings
         return partition_space(
@@ -297,17 +304,15 @@ def two_sided_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits on g* under ((g,h).lam)(x) = lam(g^{-1} x h)."""
 
     def build():
-        maps = _dual_maps(bg, bg.G_walk, g_left_matrix)
-        maps += _dual_maps(bg, bg.G_walk, g_right_matrix)
-        return partition_space(bg.g_points, maps)
+        mats = walk_matrices(bg, "left") + walk_matrices(bg, "right")
+        return partition_space(bg.g_points, _transposed_maps(mats, bg.sc))
 
     return _cached(bg, "g2_dual", build)
 
 
 def left_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     def build():
-        maps = _dual_maps(bg, bg.G_walk, g_left_matrix)
-        return partition_space(bg.g_points, maps)
+        return partition_space(bg.g_points, _transposed_maps(walk_matrices(bg, "left"), bg.sc))
 
     return _cached(bg, "g_left_dual", build)
 

@@ -1,13 +1,14 @@
 """Reference implementations the tests compare the library against: the
 interpreted per-slot and per-column loops that the generated kernels
-replaced, the per-product extension and eta-subalgebras, the oracle's
-per-row additivity check, the exponent vectors that the histogram kernel
-replaced, brute-force orbit and subgroup oracles, and the Hermitian
-inner product of class functions."""
+replaced, functional evaluation, the per-product extension and
+eta-subalgebras, the oracle's per-row additivity check, the direct orbit
+sums and the exponent vectors that the histogram kernel replaced,
+brute-force orbit and subgroup oracles, and the Hermitian inner product
+of class functions."""
 
 import operator
 
-from superchar.cyclotomic import CycloRational
+from superchar.cyclotomic import CycloRational, CycloValue
 from superchar.involution_group import SpaceBasis
 from superchar.linalg import Subspace, combine
 from superchar.orbits import closure_of, g_left_matrix
@@ -121,11 +122,19 @@ def rref(rows, sc):
     return [tuple(row) for row in rows[:r]], pivots
 
 
+def evaluate(functional, mat) -> int:
+    """A Functional at a matrix of its domain: the dot product of its
+    coefficients with the matrix's coordinates against its basis."""
+    coords = functional.basis.coords(mat)
+    assert coords is not None, "argument lies outside the functional's domain"
+    return functional.basis.group.sc.dot(functional.coeffs, coords)
+
+
 def extend_functional(group, lam):
     """eta(b) = (1/2) lambda(b - b^dagger) for each matrix b of g's basis,
     one evaluation of lambda per basis matrix."""
     half = group.tower.inv_enc(2)
-    coeffs = [group.sc.mul(half, lam.evaluate(b - group.dagger(b))) for b in group.g_basis_mats]
+    coeffs = [group.sc.mul(half, evaluate(lam, b - group.dagger(b))) for b in group.g_basis_mats]
     return group.functional_on_g(coeffs)
 
 
@@ -168,6 +177,17 @@ def additive_along_walk(rec, members, lam, theta) -> bool:
     return not phi[0] and all(
         phi[k] == (phi[r] + phi[t]) % p for t, row in zip(gens, right) for r, k in zip(reached, row)
     )
+
+
+def orbit_sum_values(p, members, points, dot, theta_exp):
+    """sum over mu in members of theta(mu(x)), for each x in points."""
+    out = []
+    for x in points:
+        counts = [0] * p
+        for mu in members:
+            counts[theta_exp(dot(mu, x))] += 1
+        out.append(CycloValue.from_exponents(p, counts))
+    return out
 
 
 def exponent_vector(x, elements, theta, p):

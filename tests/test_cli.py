@@ -25,13 +25,21 @@ TABLE_SHA256 = {
 
 # sha256 of `superchar verify`, `orbits` and `table` stdout, keyed by
 # (command, family, n, p, extra flags); the first ones captured before
-# TriMatrix stored its entries as a tuple of encodings
+# TriMatrix stored its entries as a tuple of encodings.  Each entry marked
+# "exhaustive" was re-captured when every sampled check became exhaustive:
+# only the detail strings of dagger-action-restricts-to-conjugation,
+# springer-*-leading-term, springer-adjoint-equivariance,
+# extension-restriction and axiom-constancy changed, and for unitary-check
+# the two report headers, which lost their "(sample seed N)"
 COMMAND_SHA256 = {
-    ("verify", "UO", "4", "3"): "db887dd47a1f1a0d8e205eea569beee7fbb4d16657ac20e35cccf8371f997701",
+    # exhaustive
+    ("verify", "UO", "4", "3"): "7331f37eb5fdd39a6b45e0104d820b8f7d5e0888ff6999daa917d8086f02e12d",
+    # exhaustive
     ("verify", "USp", "4", "3"):
-        "be5506436c37ef45cd4f6ab04a8d1ff9fed9b5ffbba5d1288f42367efe4e3926",
+        "b4fa436bbb78fa0b52103c19949671fc900a3adf39deeed67308dcd5ca8fd0cb",
     ("verify", "UT", "3", "3"): "068daf6f1a60ef93b9ba40359f7e152992fb0d7a9ec07a9ea4e2df79ae874f19",
-    ("verify", "UU", "3", "3"): "0243a612ad05e8d3fa511efdbaa411293ccd24d6e5a686543a5c1f1853284045",
+    # exhaustive
+    ("verify", "UU", "3", "3"): "86a428316ad782beb4bb6ba692218e7bc53749167cac6bb46a5d1b046ecf0003",
     ("orbits", "UO", "4", "3", "--space", "u"):
         "e6b20e4b7bb3368f7083b9f50b341fa8b9f0c58c3398bea031cd8ad9936f73fc",
     ("orbits", "UO", "4", "3", "--space", "dual"):
@@ -44,51 +52,54 @@ COMMAND_SHA256 = {
     # the closure walk of the induction oracle; captured before it
     ("verify", "UT", "3", "5"):
         "09677187987f1a4afff3c6ae34d36e66eacd550be107dbe3e10dfeec2a2a495d",
-    # captured before the oracle used Frobenius's formula over conjugacy classes
+    # captured before the oracle used Frobenius's formula over conjugacy
+    # classes; exhaustive
     ("verify", "UO", "5", "3"):
-        "302460253be58ea58ab52e960e9d9685ee22c8e90838e3ebc9eaafa95710330c",
+        "a9488e33f7f12679c7907651d53d304cb4b2075a07d59ce75bad6cbbd251d17f",
     # captured after it: |U| = 729, and union-of-conjugacy became exhaustive
-    # (it sampled 200 pairs before; no other line changed)
+    # (it sampled 200 pairs before; no other line changed); exhaustive
     ("verify", "UU", "4", "3"):
-        "0578426177ed737e7a8ef458fd520980d42d7532feb0c5dfbe0fb09ee36d187d",
-    # captured while left-multiplication-collapse walked all of G x
+        "c03a0079dc58636c21b18f46cf15c844e49f2a7d2f519a7277f545cde075d0eb",
+    # captured while left-multiplication-collapse walked all of G x; exhaustive
     ("verify", "UO", "6", "3", "--check", "structure"):
-        "6bee0867fc3fb4a7b045e14d266bf2168243c19f49c4563ba2e0eed870c5793c",
+        "0e14df12745f86c5ca63eff0e56783f25ae19aa833e691ac30e9acb5b2e4dbaf",
     # captured once U was built on first use; before, build_group refused
     # UU6(F_9) at the guard (exit 3) although the audit never reads U
     ("verify", "UU", "6", "3", "--check", "degree-audit"):
         "80c07cb83c0df2e3ff27d25e1e3cb594d64a48f99ff62a3c55c4b27fa52ab186",
     # the truncated logarithm's tables and checks; captured while every
-    # table evaluated f on all of U
+    # table evaluated f on all of U; the two verify pins exhaustive
     ("table", "UU", "3", "3", "--springer", "log"):
         "8669ce56a4103faae548c1b595ac7f6228d131a391e833cf0e0abad53a50454a",
     ("table", "USp", "4", "5", "--springer", "log"):
         "dfb8b721728faaf26746bae463fa53001c45962d45140a400fe38cbd6606fae2",
-    ("verify", "USp", "4", "5"): "16fa591bb7398d340da27b7eec450f57ccbdb9fbf66d09c749622595cd0bd8fe",
-    ("verify", "UO", "4", "5"): "4b49885fe56bc2770114465cf78fa10ed18c0188047516a07a0f38dd26c52eee",
+    ("verify", "USp", "4", "5"): "fcf84a195daec104e1578f1f17efb754446086f549b89eb2f8d8ed62a071d2d6",
+    ("verify", "UO", "4", "5"): "2f7f067cb181a46ce455f6a65b0228cecbb3d4232363717486ba81e94510d33a",
     # edge layouts, captured before the kernels were generated: dim u = 0
-    # (UO1, and UO2 with its one slot outside u) and a single slot (UT2)
+    # (UO1, and UO2 with its one slot outside u) and a single slot (UT2);
+    # the UO1 and UO2 verify pins exhaustive
     ("table", "UO", "1", "3"): "a13b04061072132a08d3d5f1fb9f84b9f497b63a0ec327bb93879acebac9785f",
-    ("verify", "UO", "1", "3"): "5d89d7daba393f28076694ba1010b8b4ae0c831bfb238a254a6e9a52e51a339e",
+    ("verify", "UO", "1", "3"): "6e180ba778aafb209300d0c13fcffb6e4d475d7f90e8efe564574a8756cd3340",
     ("table", "UO", "2", "3"): "86dfdaeb66a4b59ce7922f5e69ab9e3f604a8cfcfe62dd8082bb738675c1589b",
-    ("verify", "UO", "2", "3"): "d31dcd3a65c63b5a4404d7caaa324723af11a0b2161fee7547dd33507a057934",
+    ("verify", "UO", "2", "3"): "6ac94c4e8d8c70b57057963de9acf90cc8579e93e547de664db88c85def03f49",
     ("table", "UT", "2", "3"): "b605f37e9c5c0fda37415d1eed4edfeba5403a03fb6f40f3a54acb12d3648f44",
     ("verify", "UT", "2", "3"): "854fa88af1de4d3f8eed3a1e4727d51af999e8c742150a15ee58f4e24c3023aa",
     # scalars F_9 with p = 3: the F_p-span of a set of vectors is larger
     # than its F_q-span; captured while the oracle checked every row's
-    # additivity along the walk
+    # additivity along the walk; exhaustive
     ("verify", "UO", "4", "3", "--e", "2"):
-        "724986ea9197ea41c25898b86a21be5c71dc8c64d3cc876ceb36a92e294afcb2",
+        "4e037692b88bbe4a71111486ab55294d5dca93167bf6b0c1f2221b9f42fd7b1d",
     ("verify", "UU", "3", "3", "--e", "2"):
-        "2bbbc270432ef399bae79a89f95f5762470f4604f348ad69a80e49e542fdcaa0",
+        "6c3a61fe003335d625d2dc61f9c0b19ccc089e2640ffe322bb9ed018d34ba2c2",
     # the log map with the alternate theta, and the unitary check under it;
-    # captured while the CLI kept each run's tables in its own state
+    # captured while the CLI kept each run's tables in its own state; all
+    # three exhaustive
     ("verify", "UU", "3", "3", "--springer", "log", "--theta", "alternate"):
-        "0243a612ad05e8d3fa511efdbaa411293ccd24d6e5a686543a5c1f1853284045",
+        "86a428316ad782beb4bb6ba692218e7bc53749167cac6bb46a5d1b046ecf0003",
     ("verify", "USp", "4", "5", "--springer", "log", "--theta", "alternate"):
-        "16fa591bb7398d340da27b7eec450f57ccbdb9fbf66d09c749622595cd0bd8fe",
+        "fcf84a195daec104e1578f1f17efb754446086f549b89eb2f8d8ed62a071d2d6",
     ("unitary-check", "UU", "3", "3", "--theta", "alternate"):
-        "e33ea925cc80a90e160174c7d0a8de2d99896331264afa8f0ba2edf42493b787",
+        "f37a09920ec4a8be606e8b6fe6cc2223f0ab0b931426997472f380da99632476",
     # captured while the rows and the oracle read exponent vectors laid out
     # over the whole product space: the benchmark's own table, and scalars
     # F_9 inside F_81 (two F_p-digits per coordinate) with the alternate theta
@@ -228,10 +239,12 @@ def test_verify_fault_injection_names_axiom_ut(capsys):
 
 # sha256 of a full `verify --inject-fault` (exit 2), captured while every
 # check built its own tables: the shared, faulted table reaches only the
-# checks that read it, and theta-independence still compares clean rows
+# checks that read it, and theta-independence still compares clean rows.
+# Re-captured when every sampled check became exhaustive: only the
+# structure checks' detail strings changed
 FAULT_SHA256 = {
-    "UO": "2496426c78941395f4138a57ae7de9cf613ba6a061ac2d78c3fb19afe2207eb1",
-    "USp": "3e499cdee5c2092e224288a1a8a6dcf37f214ed22353393796f2beeec790cd33",
+    "UO": "182a2c3ef006b1ebeacda11d72be4716ebf725fbf20880998d514a3954a824a6",
+    "USp": "08fa71195099396d0571c4be4186a3b927440e7ec02ae9215df11ba4b260fe1c",
 }
 
 
@@ -250,16 +263,19 @@ def test_verify_fault_injection_with_flags_is_pinned(capsys):
     axiom and induction checks only: springer-rows and theta-row-set
     compare clean rows, so they pass only while the faulted copy stays
     out of the cache.  Captured while the CLI kept each run's tables in
-    its own state."""
+    its own state; re-captured when every sampled check became
+    exhaustive: |U| = 625, where axiom-constancy used to sample, and it
+    now fails too (27/31 checks pass, not 28/31)."""
     code, out, _ = run(
         capsys, "verify", "--family", "USp", "--n", "4", "--p", "5",
         "--springer", "log", "--theta", "alternate", "--inject-fault",
     )
     assert code == 2
     assert "PASS   springer-rows" in out and "PASS   theta-row-set" in out
+    assert "FAIL   axiom-constancy" in out and "== 27/31 checks passed" in out
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "9bcb6451cb33888d518f042557f1e2b58aa894784a6db34efe66baf06d153f8d"
+        == "d864b8b0b4b21c2b31e2d2fc235da32be3268df1a29f58534076d109ee02e5bd"
     )
 
 
@@ -393,6 +409,36 @@ def test_unitary_check(capsys):
     assert "formula-values" in out
     assert "degree audit" in out
     assert "MISMATCH" in out  # the flagged n-odd self-arc degree formula
+
+
+def test_unitary_check_past_the_guard_prints_the_degree_audit(capsys):
+    # UU6(F_9) has |u| = 3^15, past u's guard, but its degree audit needs no
+    # table: it is written, then the guard ends the run with exit 3
+    spec = ["--family", "UU", "--n", "6", "--p", "3", "--k", "2"]
+    code, out, err = run(capsys, "unitary-check", *spec)
+    assert code == 3
+    assert err.startswith("size guard: |u| = 14348907") and err.count("\n") == 1
+    lines = out.splitlines()
+    assert lines[0] == "== degree audit UU6(F_9)"
+    assert lines[-1].startswith("== 2 printed degree formulas disagree with brute force")
+    code, audit, _ = run(capsys, "verify", *spec, "--check", "degree-audit")
+    assert code == 0
+    prefix = "REPORT degree-audit: "
+    reported = [line[len(prefix) :] for line in audit.splitlines() if line.startswith(prefix)]
+    assert lines[1:-1] == reported
+
+
+def test_no_line_says_sample(capsys):
+    # every check runs exhaustively, and the report headers carry no seed
+    runs = [
+        ("verify", "UO", "4", "3"), ("verify", "USp", "4", "3"), ("verify", "UO", "5", "3"),
+        ("verify", "UU", "4", "3"), ("verify", "UT", "3", "5"), ("unitary-check", "UU", "4", "3"),
+    ]
+    for cmd, family, n, p in runs:
+        k = "2" if family == "UU" else "1"
+        code, out, _ = run(capsys, cmd, "--family", family, "--n", n, "--p", p, "--k", k)
+        assert code == 0
+        assert [line for line in out.splitlines() if "sampl" in line] == [], (cmd, family, n)
 
 
 def test_unitary_check_requires_uu(capsys):

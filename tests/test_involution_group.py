@@ -3,7 +3,7 @@ import json
 import pytest
 
 from superchar import involution_group
-from superchar.errors import ShapeError, SizeGuardError, VerificationError
+from superchar.errors import SizeGuardError, VerificationError
 from superchar.involution_group import (
     GroupSpec,
     build_group,
@@ -15,7 +15,7 @@ from superchar.involution_group import (
 from superchar.triangular import MirrorPoset, TriMatrix, slot_index, strict_positions
 
 import reference
-from reference import element_encs, stabilizer_subgroup
+from reference import element_encs, evaluate, stabilizer_subgroup
 
 
 def exhaustive_U(bg):
@@ -198,9 +198,9 @@ def test_extend_functional_restriction_and_antisymmetry():
         lam = bg.functional_on_u(coeffs)
         eta = extend_functional(bg, lam)
         for b in bg.u_basis.matrices:
-            assert eta.evaluate(b) == lam.evaluate(b)
+            assert evaluate(eta, b) == evaluate(lam, b)
         for c in bg.g_basis_mats:
-            assert eta.evaluate(bg.dagger(c)) == bg.sc.neg(eta.evaluate(c))
+            assert evaluate(eta, bg.dagger(c)) == bg.sc.neg(evaluate(eta, c))
 
 
 def test_sub_l_r_g_trivial_functional():
@@ -219,7 +219,7 @@ def test_sub_l_r_g_unitary_selfarc():
     for b in bg.u_basis.matrices:
         lam_coeffs.append(bg.tower.mul_enc(t, b.encs[slot_index(3)[1, 3]]))
     lam = bg.functional_on_u(lam_coeffs)
-    assert lam.evaluate(arc) != 0
+    assert evaluate(lam, arc) != 0
     eta = extend_functional(bg, lam)
     l, r, g_eta = sub_l_r_g(bg, eta)
     assert l.dim == bg.flat_dim - 2  # one F_9 entry killed
@@ -231,7 +231,7 @@ def test_sub_l_r_g_unitary_selfarc():
     # kernel property on g_eta
     for x in g_eta.matrices:
         for y in g_eta.matrices:
-            assert eta.evaluate(x * y) == 0
+            assert evaluate(eta, x * y) == 0
 
 
 _TYPE_D_UO4 = MirrorPoset.from_pairs(4, [pos for pos in strict_positions(4) if pos != (2, 3)])
@@ -275,14 +275,6 @@ def test_stabilizer_subgroup_of_zero_is_U():
     eta = extend_functional(bg, bg.functional_on_u((0, 0)))
     _, _, g_eta = sub_l_r_g(bg, eta)
     assert len(stabilizer_subgroup(bg, g_eta)) == bg.order_U
-
-
-def test_functional_outside_domain_is_error():
-    bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
-    lam = bg.functional_on_u((1,) * bg.u_basis.dim)
-    e12 = TriMatrix.elementary(3, bg.tower, 1, 2)  # not antisymmetric
-    with pytest.raises(ShapeError):
-        lam.evaluate(e12)
 
 
 def test_poset_restricted_group():

@@ -71,7 +71,7 @@ def test_orbit_counts(kwargs, count):
     bg = build_group(GroupSpec(**kwargs))
     oi = orbit_partition_u(bg)
     assert oi.count == count
-    assert sum(oi.sizes()) == bg.sc.size**bg.u_basis.dim
+    assert sum(o.size for o in oi.orbits) == bg.sc.size**bg.u_basis.dim
 
 
 @pytest.mark.parametrize(
@@ -116,7 +116,7 @@ def test_dual_orbits_equal_full_group_sweep(kwargs):
                 for in_h, rows in sweep
                 if in_h or not only_h
             }
-            assert swept == set(oi.members(orbit.orbit_id)), (only_h, orbit.rep)
+            assert swept == {oi.space[i] for i in orbit.members}, (only_h, orbit.rep)
 
 
 def _closure_order(bg, gens):
@@ -194,8 +194,8 @@ def test_orbit_sizes_divide_group_order():
     ]:
         bg = build_group(GroupSpec(**kwargs))
         for engine in (orbit_partition_u, orbit_partition_dual):
-            for size in engine(bg).sizes():
-                assert bg.order_G % size == 0
+            for orbit in engine(bg).orbits:
+                assert bg.order_G % orbit.size == 0
 
 
 @pytest.mark.parametrize(
@@ -216,7 +216,7 @@ def test_two_sided_orbits_ut2():
     bg = build_group(GroupSpec(family="UT", n=2, p=3))
     o2 = two_sided_orbit_partition_g(bg)
     assert o2.count == 3  # the action is trivial on a 1-dim algebra
-    assert sorted(o2.sizes()) == [1, 1, 1]
+    assert sorted(o.size for o in o2.orbits) == [1, 1, 1]
 
 
 def test_two_sided_orbits_ut3_match_labeled_partitions():

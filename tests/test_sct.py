@@ -7,13 +7,12 @@ from superchar import involution_group
 from superchar.cyclotomic import CycloValue, root_power
 from superchar.errors import NonIntegralityError, VerificationError
 from superchar.gf import Theta, make_tower
-from superchar.involution_group import GroupSpec, build_group
+from superchar.involution_group import GroupSpec, build_group, unsplit_positions
 from superchar.linalg import Subspace
 from superchar.orbits import orbit_partition_u
 from superchar.sct import (
     DigitColumns,
     _generator_walk,
-    _orbit_sum_values,
     algebra_group_sct,
     alternate_theta,
     ambient_group,
@@ -34,7 +33,7 @@ from superchar.sct import (
     verify_subfield_independence,
     verify_theta_independence,
 )
-from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
+from superchar.triangular import MirrorPoset, TriMatrix, slot_index, strict_positions
 
 from reference import (
     additive_along_walk,
@@ -42,6 +41,7 @@ from reference import (
     direct_histograms,
     inner_product,
     left_orbit_of_g_element,
+    orbit_sum_values,
     product_order_histograms,
 )
 
@@ -723,8 +723,8 @@ def test_row_cells_match_orbit_sums(nonabelian, groups, which, theta_fn):
     reference = _reference_points(rec)
     points = [reference[rec.index[K.rep.serialize()]] for K in sct.classes]
     for row in scht.rows:
-        members = od.members(od.orbit_id(row.lam))
-        sums = _orbit_sum_values(bg.tower.p, members, points, bg.sc.dot, theta.exponent)
+        members = [od.space[i] for i in od.orbits[od.orbit_id(row.lam)].members]
+        sums = orbit_sum_values(bg.tower.p, members, points, bg.sc.dot, theta.exponent)
         assert [v * row.n_lambda for v in row.values] == sums, row.lam
 
 
@@ -766,17 +766,79 @@ def nonabelian():
 
 def test_springer_image_fails_on_swapped_points(monkeypatch, groups):
     # two elements of U with their points exchanged: f(U) is still u, but
-    # the pairing every table is built from is wrong
+    # the pairing every table is built from is wrong.  The first of them is
+    # not central, so the pairing no longer commutes with conjugation;
+    # swapping the points of two central elements would keep it equivariant
     bg = _bg(groups, family="UU", n=3, p=3, k=2)
     rec = superclasses(bg, "cayley").record
+    cc = conjugacy_classes(rec)
+    i = cc.class_of.index(next(cid for cid, size in enumerate(cc.sizes) if size > 1))
     swapped = list(rec.points)
-    swapped[1], swapped[2] = swapped[2], swapped[1]
+    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
     monkeypatch.setattr(rec, "points", swapped)
     results = verify_structure(bg).results
     assert {r.name: r.passed for r in results if r.name.endswith("-image")} == {
         "springer-cayley-image": False,
         "springer-log-image": True,
     }
+    assert [r.passed for r in results if r.name == "springer-adjoint-equivariance"] == [False]
+
+
+def test_springer_leading_term_fails_on_point_changed_at_unsplit_slot(monkeypatch):
+    # one paired point moved by a basis vector of u that is nonzero at an
+    # unsplit position: f(e) - (e - 1) then has a degree-1 term there
+    bg = build_group(GroupSpec(family="USp", n=4, p=3))
+    rec = superclasses(bg, "cayley").record
+    slots = {slot_index(bg.n)[pos] for pos in unsplit_positions(bg.positions)}
+    j = next(j for j, b in enumerate(bg.u_basis.matrices) if any(b.encs[s] for s in slots))
+    i = len(rec.points) // 2
+    add = bg.tower.add_table
+    moved = tuple(add[x][1] if k == j else x for k, x in enumerate(rec.points[i]))
+    monkeypatch.setattr(rec, "points", rec.points[:i] + [moved] + rec.points[i + 1 :])
+    failed = {r.name for r in verify_structure(bg).results if r.passed is False}
+    assert "springer-cayley-leading-term" in failed
+
+
+def test_leading_term_slots_are_those_outside_the_span_of_products(groups):
+    # the products of two elements of g vanish exactly at the unsplit slots
+    for kw in SMALL_SPECS:
+        bg = _bg(groups, **kw)
+        g = bg.g_basis_mats
+        flats = [bg.flatten(a * b) for a in g for b in g]
+        products = Subspace.from_spanning(bg.sc, bg.flat_dim, flats)
+        unsplit = unsplit_positions(bg.positions)
+        for b in g:
+            (pos,) = b.entries
+            assert products.contains(bg.flatten(b)) == (pos not in unsplit), (kw, pos)
+
+
+def test_dagger_action_fails_without_the_dagger_term(monkeypatch):
+    # g . x = g x g^dagger with the right factor dropped is g x, which is
+    # not conjugation; the first run fills the caches that the action built
+    bg = build_group(GroupSpec(family="UO", n=5, p=3))
+    assert verify_structure(bg).ok
+    monkeypatch.setattr(bg, "act", lambda g, x: x + g.nilpotent_part() * x)
+    failed = {r.name for r in verify_structure(bg).results if r.passed is False}
+    assert "dagger-action-restricts-to-conjugation" in failed
+
+
+@pytest.mark.parametrize("which", ["UO5", "UT3"])
+def test_constancy_fails_on_member_moved_between_dual_orbits(which):
+    # a fresh group, as the fault changes the dual partition it keeps.  The
+    # member moves in orbit_of and in the member lists alike, so the lists
+    # still agree with orbit_of, and only the walk generators' transposes
+    # can tell that the new partition is not invariant
+    bg = build_group(GroupSpec(**NONABELIAN_SPECS[which[:2]]))
+    sct, scht = theory(bg)
+    od = sct.record.dual(bg)
+    source = next(o for o in od.orbits if o.size > 1)
+    target = od.orbits[(source.orbit_id + 1) % od.count]
+    moved = source.members.pop()
+    target.members.append(moved)
+    od.orbit_of[moved] = target.orbit_id
+    results = verify_axioms(bg, sct, scht).results
+    (constancy,) = [r for r in results if r.name == "axiom-constancy"]
+    assert not constancy.passed and "is not invariant" in constancy.detail
 
 
 def test_induction_values_fail_on_swapped_theta():
@@ -794,8 +856,8 @@ def test_induction_values_fail_on_swapped_theta():
 
 
 def test_union_of_conjugacy_fails_on_moved_element_uu4():
-    # |U| = 729, above the 256 elements where the constancy check turns to
-    # sampling; union-of-conjugacy must still see every element
+    # |U| = 729, above the 256 elements where the constancy check used to
+    # sample; union-of-conjugacy must see every element
     bg = build_group(GroupSpec(family="UU", n=4, p=3, k=2))
     assert bg.order_U == 729
     sct, scht = theory(bg)
