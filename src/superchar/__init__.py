@@ -6,13 +6,10 @@ from .cyclotomic import CycloRational, CycloValue, root_power
 from .gf import FieldTower, Theta, make_tower
 from .involution_group import (
     BuiltGroup,
-    Functional,
     GroupSpec,
     SpaceBasis,
     build_group,
-    extend_functional,
     load_spec,
-    sub_l_r_g,
 )
 from .orbits import (
     OrbitIndex,

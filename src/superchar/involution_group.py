@@ -1,13 +1,13 @@
 """Construction of U = {u : u^dagger = u^(-1)} inside a pattern group G,
 its Lie algebra u = {x : x^dagger = -x}, the normal subgroup H, and the
-functional machinery (extension lambda -> eta and the subalgebras
-l_eta, r_eta, g_eta).
+compiled maps behind the functionals (extension lambda -> eta and the
+rows that cut out g_eta).
 
 All linear algebra is over the scalar subfield F_q of F_{q^k}: matrices
 are flattened position-by-position to F_q-coordinate tuples, so k = 1 and
-k = 2 go through one code path.  Functionals are stored as coefficient
-vectors against explicit bases and evaluated by dot products; they are
-never identified with matrix entries.
+k = 2 go through one code path.  A functional is its coefficient tuple
+against an explicit basis (u's for lambda, g's standard one for eta) and
+is evaluated by dot products; it is never identified with matrix entries.
 """
 
 from __future__ import annotations
@@ -140,42 +140,12 @@ class SpaceBasis:
     def coords(self, mat: TriMatrix):
         return self.space.coords(self.group.flatten(mat))
 
-    def contains(self, mat: TriMatrix) -> bool:
-        return self.space.contains(self.group.flatten(mat))
-
     def element(self, coords) -> TriMatrix:
         """sum c_i b_i over the basis matrices b_i (``element_encs``)."""
         return TriMatrix.from_encs(self.group.n, self.group.tower, self.element_encs(coords))
 
     def __repr__(self):
         return f"SpaceBasis(dim={self.dim} over F_{self.group.sc.size})"
-
-
-class Functional:
-    """A scalar-field linear functional on a subspace of g, stored as a
-    coefficient vector against the subspace's basis."""
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis: SpaceBasis, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != basis.dim:
-            raise ShapeError("coefficient vector does not match the basis dimension")
-        self.basis = basis
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Functional)
-            and other.basis is self.basis
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Functional{self.coeffs}"
 
 
 class BuiltGroup:
@@ -379,7 +349,7 @@ class BuiltGroup:
             )
         raise ValueError(f"unknown Springer morphism {name!r}")
 
-    # -- the compiled maps behind extend_functional and sub_l_r_g -----------------
+    # -- the compiled maps behind eta and g_eta -----------------------------------
 
     @functools.cached_property
     def extension_map(self):
@@ -414,14 +384,6 @@ class BuiltGroup:
     def enumerate_G(self):
         """1 + x for every point x of ``g_points``, in that order."""
         return (self.unflatten(x).as_unipotent() for x in self.g_points[0])
-
-    # -- functionals -------------------------------------------------------------
-
-    def functional_on_u(self, coeffs) -> Functional:
-        return Functional(self.u_basis, coeffs)
-
-    def functional_on_g(self, coeffs) -> Functional:
-        return Functional(self.g_basis, coeffs)
 
     def label(self) -> str:
         return self.spec.label()
@@ -471,7 +433,7 @@ def sort_paired(elements, points):
     return [elements[i] for i in order], [points[i] for i in order]
 
 
-# -- the lambda -> eta extension and the eta-subalgebras -----------------------
+# -- the bilinear-form rows behind eta and g_eta ---------------------------------
 
 
 def form_rows(group: BuiltGroup, pairs):
@@ -490,35 +452,10 @@ def form_rows(group: BuiltGroup, pairs):
     return rows
 
 
-def extend_functional(group: BuiltGroup, lam: Functional) -> Functional:
-    """The unique eta on g with eta|_u = lambda and eta(x^dagger) = -eta(x);
-    concretely eta(x) = (1/2) lambda(x - x^dagger), one call of the
-    compiled ``BuiltGroup.extension_map``."""
-    if lam.basis is not group.u_basis:
-        raise ShapeError("expected a functional on u")
-    return group.functional_on_g(group.extension_map(lam.coeffs))
-
-
 def kernel_in_g(group: BuiltGroup, rows) -> Subspace:
     """The x in g with r . flat(x) = 0 for every row r; all of g for no
     rows."""
     return Subspace.kernel(group.sc, group.flat_dim, rows) if rows else group.g_space
-
-
-def sub_l_r_g(group: BuiltGroup, eta: Functional):
-    """The subalgebras l_eta, r_eta and g_eta = l_eta ∩ r_eta.
-
-    l_eta kills eta(y x) for y in h; r_eta kills eta(x y) for y in
-    h^dagger.  One call of the compiled ``BuiltGroup.eta_forms`` gives
-    both sets of bilinear-form rows, and each subalgebra is solved as
-    their kernel.  The oracle needs only g_eta, and solves it alone from
-    the stacked rows.
-    """
-    if eta.basis is not group.g_basis:
-        raise ShapeError("expected a functional on g")
-    rows = group.eta_forms(eta.coeffs)
-    left, right = rows[: len(rows) // 2], rows[len(rows) // 2 :]
-    return tuple(SpaceBasis(group, kernel_in_g(group, r)) for r in (left, right, rows))
 
 
 def h_u_product_order(group: BuiltGroup) -> int:

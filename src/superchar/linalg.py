@@ -70,7 +70,10 @@ class Subspace:
             for row, pc in zip(rows, pivots):
                 v[pc] = sc.neg(row[fc])
             basis.append(tuple(v))
-        # re-reduce so coords() can read coefficients off the pivots
+        # re-reduce so coords() can read coefficients off the pivots: the
+        # free-column basis carries entries at pivot columns left of its
+        # leading 1, so it is not in RREF (for u on UO4, USp4, UU3 and UO5
+        # alike), and u's RREF basis fixes the lambda column of every table
         return cls.from_spanning(sc, ambient, basis)
 
     @property
@@ -95,6 +98,17 @@ class Subspace:
 
     def contains(self, v) -> bool:
         return self.coords(v) is not None
+
+    def coset(self, origin):
+        """Every point of origin + the subspace, each made once: the points
+        so far, shifted by every nonzero multiple of one row at a time."""
+        tower = self.sc.tower
+        add, mul = tower.add_table, tower.mul_table
+        points = [tuple(origin)]
+        for row in self.rows:
+            shifts = [[mul[c][x] for x in row] for c in self.sc.elements if c]
+            points += [tuple(add[a][b] for a, b in zip(pt, s)) for s in shifts for pt in points]
+        return points
 
     def combine(self, coeffs):
         return combine(self.sc.tower, self.rows, coeffs, self.ambient)

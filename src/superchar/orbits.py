@@ -17,7 +17,6 @@ named without any enumeration, by its quasi-monomial normal form
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .errors import VerificationError
 from .involution_group import BuiltGroup
@@ -212,9 +211,10 @@ def h_left_orbit_of_g_functional(bg: BuiltGroup, coeffs) -> frozenset:
     return closure_of(coeffs, maps)
 
 
-def left_orbit_in_u(bg: BuiltGroup, flat) -> frozenset:
-    """G x ∩ u for the element x (flat) of u, enumerated as the affine set
-    x + (g x ∩ u) without visiting the rest of G x.
+def left_orbit_in_u(bg: BuiltGroup, coords):
+    """G x ∩ u for the point x of u with u-coordinates ``coords``, as the
+    subspace W of u-coordinates with G x ∩ u = coords + W; None if a
+    vector of the meet has no u-coordinates.
 
     G is a pattern group, so G = 1 + g and G x = {x + a x : a in g} =
     x + g x, where g x = span{b x : b in g_basis_mats} is a subspace of g
@@ -223,19 +223,16 @@ def left_orbit_in_u(bg: BuiltGroup, flat) -> frozenset:
     c running over the annihilator of u (the kernel of u's rows),
     sum k_i r_i lies in u exactly when sum k_i (c . r_i) = 0 for every c;
     so g x ∩ u is the image of the kernel K of the matrix [c . r_i], and
-    the points are x + sum k_i r_i for k in K."""
+    W is spanned by the u-coordinates of the images of K's basis."""
     sc = bg.sc
-    x = bg.unflatten(flat)
+    x = bg.u_basis.element(coords)
     gx = Subspace.from_spanning(sc, bg.flat_dim, [bg.flatten(b * x) for b in bg.g_basis_mats])
     annihilator = _cached(
         bg, "u_annihilator", lambda: Subspace.kernel(sc, bg.flat_dim, bg.u_space.rows).rows
     )
     meet = Subspace.kernel(sc, gx.dim, [[sc.dot(c, r) for r in gx.rows] for c in annihilator])
-    add = sc.tower.add_table
-    return frozenset(
-        tuple(add[a][b] for a, b in zip(flat, gx.combine(meet.combine(k))))
-        for k in itertools.product(sc.elements, repeat=meet.dim)
-    )
+    w = [bg.u_space.coords(gx.combine(k)) for k in meet.rows]
+    return None if None in w else Subspace.from_spanning(sc, bg.u_basis.dim, w)
 
 
 # -- ambient algebra-group orbits ---------------------------------------------

@@ -31,11 +31,9 @@ from .gf import Theta
 from .involution_group import (
     BuiltGroup,
     build_group,
-    extend_functional,
     h_u_product_order,
     kernel_in_g,
     sort_paired,
-    sub_l_r_g,
     unsplit_positions,
 )
 from .linalg import Subspace, combine
@@ -987,8 +985,9 @@ def verify_structure(bg: BuiltGroup) -> Report:
 
     ``left-multiplication-collapse`` checks, for every u-orbit rep x,
     that each point of G x ∩ u lies in the dagger orbit of x.  It visits
-    only those points, enumerated by ``left_orbit_in_u`` as the affine set
-    x + (g x ∩ u); a point without u-coordinates fails the check."""
+    only those points, in u-coordinates: ``left_orbit_in_u`` solves
+    G x ∩ u = x + W once per rep, and a meet vector without u-coordinates
+    fails the check."""
     rep = Report(f"structure {bg.label()}")
     ub, sc, tower = bg.u_basis.matrices, bg.sc, bg.tower
 
@@ -1062,57 +1061,54 @@ def verify_structure(bg: BuiltGroup) -> Report:
     rep.add("springer-adjoint-equivariance", ok, "f(hgh^-1) = h.f(g), U's generators x U")
 
     # uniqueness of the antisymmetric extension: the homogeneous system
-    # {mu|_u = 0, mu(x) + mu(x^dagger) = 0} must have trivial kernel
-    u_flats = [bg.flatten(b) for b in ub]
-    g_flats = [bg.flatten(c) for c in bg.g_basis_mats]
-    dagger_flats = [bg.flatten(bg.dagger(c)) for c in bg.g_basis_mats]
-    rows = u_flats + [tuple(map(sc.add, fa, fb)) for fa, fb in zip(g_flats, dagger_flats)]
-    kern = Subspace.kernel(sc, bg.flat_dim, rows)
+    # {mu|_u = 0, mu(b + b^dagger) = 0 for b in g's basis} must have
+    # trivial kernel
+    u_rows = bg.u_space.rows
+    sym = [bg.flatten(b + bg.dagger(b)) for b in bg.g_basis_mats]
+    kern = Subspace.kernel(sc, bg.flat_dim, u_rows + sym)
     rep.add("extension-unique", kern.dim == 0, f"kernel dim {kern.dim}")
 
-    dot, neg = sc.dot, sc.neg
+    # every functional is its coefficient tuple: lambda against u's basis,
+    # eta against g's standard basis, so eta(x) = eta . flat(x), and
+    # restrict(mu) = (mu(b_i)) over u's basis b_i is mu|_u
+    dot = sc.dot
+    restrict = linear_kernel(tower, u_rows, bg.flat_dim)
     ok_restr = ok_anti = ok_kernel = ok_hlam = ok_seteq = True
     for orbit in orbit_partition_dual(bg).orbits:
-        lam_coeffs = orbit.rep
-        eta = extend_functional(bg, bg.functional_on_u(lam_coeffs))
-        c = eta.coeffs
-        # lambda(b_i) = lambda_i on u's basis b, whose coordinates are unit vectors
-        if tuple(dot(c, flat) for flat in u_flats) != lam_coeffs:
-            ok_restr = False
-        if any(dot(c, fd) != neg(dot(c, f)) for f, fd in zip(g_flats, dagger_flats)):
-            ok_anti = False
-        l_sp, _, g_sp = sub_l_r_g(bg, eta)
-        # eta(x y) = sum_ij x_i y_j eta(b_i b_j) over g's standard basis b
-        form = bg.g_forms(c)
-        g_rows = g_sp.space.rows
-        for x in g_rows:
-            x_form = combine(tower, form, x, bg.flat_dim)
-            if any(dot(x_form, y) for y in g_rows):
-                ok_kernel = False
-        # H eta (left action on g*) = {mu : mu|_l = eta|_l}
-        h_eta = h_left_orbit_of_g_functional(bg, c)
-        kern_l = Subspace.kernel(sc, bg.flat_dim, l_sp.space.rows)
-        shifts = itertools.product(sc.elements, repeat=kern_l.dim)
-        affine = {tuple(map(sc.add, c, kern_l.combine(k))) for k in shifts}
-        if h_eta != frozenset(affine):
-            ok_hlam = False
+        lam = orbit.rep
+        eta = bg.extension_map(lam)
+        ok_restr = ok_restr and restrict(eta) == lam
+        ok_anti = ok_anti and not any(dot(eta, s) for s in sym)
+        # eta(x y) = sum_ij x_i y_j eta(b_i b_j) over g's standard basis b,
+        # on the oracle's own g_eta
+        form = bg.g_forms(eta)
+        g_eta = base.subgroup(lam).rows
+        x_forms = [combine(tower, form, x, bg.flat_dim) for x in g_eta]
+        ok_kernel = ok_kernel and not any(dot(f, y) for f in x_forms for y in g_eta)
+        # H eta (left action on g*) = {mu : mu|_l = eta|_l} = eta + ann(l_eta),
+        # and l_eta is the kernel of the rows eta(y b), y in h, so its
+        # annihilator is their span
+        h_eta = h_left_orbit_of_g_functional(bg, eta)
+        rows = bg.eta_forms(eta)
+        left = Subspace.from_spanning(sc, bg.flat_dim, rows[: len(rows) // 2])
+        ok_hlam = ok_hlam and h_eta == frozenset(left.coset(eta))
         # {mu|_u : mu in H eta} = H . lambda
-        restr = {tuple(dot(mu, flat) for flat in u_flats) for mu in h_eta}
-        if restr != set(h_orbit_of_functional(bg, lam_coeffs)):
-            ok_seteq = False
+        ok_seteq = ok_seteq and set(map(restrict, h_eta)) == h_orbit_of_functional(bg, lam)
     rep.add("extension-restriction", ok_restr, "eta|_u = lambda (all dual-orbit representatives)")
     rep.add("extension-antisymmetry", ok_anti, "eta(x^dagger) = -eta(x)")
     rep.add("eta-kernel-on-g_eta", ok_kernel, "eta(xy) = 0 on g_eta, basis pairs")
     rep.add("h-orbit-as-affine-set", ok_hlam, "H.eta = {mu : mu|_l = eta|_l}")
     rep.add("restriction-set-equality", ok_seteq, "{mu|_u : mu in H.eta} = H.lambda")
 
+    # G x ∩ u = x + W for each u-orbit rep x, read point by point in
+    # u-coordinates straight off the u partition
     oi = orbit_partition_u(bg)
     ok = True
     for o in oi.orbits:
-        for y_flat in left_orbit_in_u(bg, bg.u_space.combine(o.rep)):
-            c = bg.u_space.coords(y_flat)
-            if c is None or oi.orbit_id(c) != o.orbit_id:
-                ok = False
+        meet = left_orbit_in_u(bg, o.rep)
+        ok = ok and meet is not None and all(
+            oi.orbit_id(y) == o.orbit_id for y in meet.coset(o.rep)
+        )
     rep.add(
         "left-multiplication-collapse",
         ok,

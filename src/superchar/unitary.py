@@ -21,7 +21,7 @@ from __future__ import annotations
 from .cyclotomic import CycloValue, root_power
 from .errors import NonIntegralityError, ShapeError, VerificationError
 from .gf import FieldTower, Theta
-from .involution_group import BuiltGroup, Functional
+from .involution_group import BuiltGroup
 from .orbits import h_orbit_of_functional, orbit_partition_dual
 from .record import FrozenRecord, Record
 from .sct import Report, SuperclassTable, SupercharTable
@@ -210,8 +210,9 @@ def rep_group_element(
     return inv(rep_matrix(bg, eta))
 
 
-def lambda_functional(bg: BuiltGroup, eta: TwistedSetPartition) -> Functional:
-    """lambda_eta(x) = sum of a * x_{ij} over arcs; lands in F_q on u."""
+def lambda_functional(bg: BuiltGroup, eta: TwistedSetPartition) -> tuple:
+    """lambda_eta(x) = sum of a * x_{ij} over arcs, as its coefficient
+    tuple against u's basis; lands in F_q on u."""
     slots = [(a, slot_index(bg.n)[i, j]) for (i, j, a) in eta.arcs]
     coeffs = []
     for b in bg.u_basis.matrices:
@@ -221,7 +222,7 @@ def lambda_functional(bg: BuiltGroup, eta: TwistedSetPartition) -> Functional:
         if not bg.sc.contains(acc):
             raise VerificationError("lambda_eta left the scalar subfield")
         coeffs.append(acc)
-    return bg.functional_on_u(coeffs)
+    return tuple(coeffs)
 
 
 # -- the value formula --------------------------------------------------------------
@@ -259,7 +260,7 @@ def elementary_degree(bg: BuiltGroup, eta_r: TwistedSetPartition) -> int:
     """|H . lambda_{eta_r}| by direct orbit closure; the authoritative
     degree of an elementary supercharacter."""
     lam = lambda_functional(bg, eta_r)
-    return len(h_orbit_of_functional(bg, lam.coeffs))
+    return len(h_orbit_of_functional(bg, lam))
 
 
 def bruteforce_degree(bg: BuiltGroup, eta: TwistedSetPartition) -> int:
@@ -419,7 +420,7 @@ def formula_grid_check(
     seen_orbits = set()
     for eta in partitions:
         lam = lambda_functional(bg, eta)
-        oid = od.orbit_id(lam.coeffs)
+        oid = od.orbit_id(lam)
         if oid in seen_orbits:
             rep.add("lambda-transversal", False, f"{eta!r} repeats a dual orbit")
             return rep

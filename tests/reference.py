@@ -1,15 +1,14 @@
 """Reference implementations the tests compare the library against: the
 interpreted per-slot and per-column loops that the generated kernels
-replaced, functional evaluation, the per-product extension and
-eta-subalgebras, the oracle's per-row additivity check, the direct orbit
-sums and the exponent vectors that the histogram kernel replaced,
-brute-force orbit and subgroup oracles, and the Hermitian inner product
-of class functions."""
+replaced, functional evaluation on coefficient tuples, the per-product
+extension and eta-subalgebras l_eta, r_eta and g_eta, the oracle's
+per-row additivity check, the direct orbit sums and the exponent vectors
+that the histogram kernel replaced, brute-force orbit and subgroup
+oracles, and the Hermitian inner product of class functions."""
 
 import operator
 
 from superchar.cyclotomic import CycloRational, CycloValue
-from superchar.involution_group import SpaceBasis
 from superchar.linalg import Subspace, combine
 from superchar.orbits import closure_of, g_left_matrix
 from superchar.sct import _generator_walk
@@ -96,8 +95,9 @@ def full_sweep_orbit_u(bg, coords) -> frozenset:
 
 
 def stabilizer_subgroup(group, g_eta):
-    """U_lambda = U ∩ (1 + g_eta), as a sub-list of U's element list."""
-    return [u for u in group.U if g_eta.contains(u.nilpotent_part())]
+    """U_lambda = U ∩ (1 + g_eta), as a sub-list of U's element list, for
+    the subspace g_eta of g."""
+    return [u for u in group.U if g_eta.contains(group.flatten(u.nilpotent_part()))]
 
 
 def rref(rows, sc):
@@ -122,39 +122,42 @@ def rref(rows, sc):
     return [tuple(row) for row in rows[:r]], pivots
 
 
-def evaluate(functional, mat) -> int:
-    """A Functional at a matrix of its domain: the dot product of its
-    coefficients with the matrix's coordinates against its basis."""
-    coords = functional.basis.coords(mat)
+def evaluate(basis, coeffs, mat) -> int:
+    """The functional with coefficient tuple ``coeffs`` against a
+    SpaceBasis, at a matrix of its span: the dot product of the
+    coefficients with the matrix's coordinates against the basis."""
+    coords = basis.coords(mat)
     assert coords is not None, "argument lies outside the functional's domain"
-    return functional.basis.group.sc.dot(functional.coeffs, coords)
+    return basis.group.sc.dot(coeffs, coords)
 
 
 def extend_functional(group, lam):
-    """eta(b) = (1/2) lambda(b - b^dagger) for each matrix b of g's basis,
-    one evaluation of lambda per basis matrix."""
+    """The coefficients of eta against g's basis, from those of lambda
+    against u's: eta(b) = (1/2) lambda(b - b^dagger) for each matrix b of
+    g's basis, one evaluation of lambda per basis matrix."""
     half = group.tower.inv_enc(2)
-    coeffs = [group.sc.mul(half, evaluate(lam, b - group.dagger(b))) for b in group.g_basis_mats]
-    return group.functional_on_g(coeffs)
+    return tuple(
+        group.sc.mul(half, evaluate(group.u_basis, lam, b - group.dagger(b)))
+        for b in group.g_basis_mats
+    )
 
 
 def sub_l_r_g(group, eta):
-    """(l_eta, r_eta, g_eta) from the rows eta(y b) and eta(b y^dagger),
-    one product and one dot product per y in h's basis and b in g's, each
-    subspace solved on its own."""
-    dot, flatten, coeffs = group.sc.dot, group.flatten, eta.coeffs
+    """The subspaces (l_eta, r_eta, g_eta) of g for eta's coefficients,
+    from the rows eta(y b) and eta(b y^dagger), one product and one dot
+    product per y in h's basis and b in g's, each subspace solved on its
+    own."""
+    dot, flatten = group.sc.dot, group.flatten
     left_rows, right_rows = [], []
     for y in group.h_basis.matrices:
         yd = group.dagger(y)
-        left_rows.append(tuple(dot(coeffs, flatten(y * b)) for b in group.g_basis_mats))
-        right_rows.append(tuple(dot(coeffs, flatten(b * yd)) for b in group.g_basis_mats))
+        left_rows.append(tuple(dot(eta, flatten(y * b)) for b in group.g_basis_mats))
+        right_rows.append(tuple(dot(eta, flatten(b * yd)) for b in group.g_basis_mats))
 
     def solve(rows):
         return Subspace.kernel(group.sc, group.flat_dim, rows) if rows else group.g_space
 
-    return tuple(
-        SpaceBasis(group, solve(rows)) for rows in (left_rows, right_rows, left_rows + right_rows)
-    )
+    return tuple(solve(rows) for rows in (left_rows, right_rows, left_rows + right_rows))
 
 
 def algebra_l_lam(bg, lam):

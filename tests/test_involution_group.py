@@ -7,11 +7,11 @@ from superchar.errors import SizeGuardError, VerificationError
 from superchar.involution_group import (
     GroupSpec,
     build_group,
-    extend_functional,
     h_u_product_order,
+    kernel_in_g,
     load_spec,
-    sub_l_r_g,
 )
+from superchar.linalg import Subspace
 from superchar.triangular import MirrorPoset, TriMatrix, slot_index, strict_positions
 
 import reference
@@ -187,51 +187,54 @@ def test_flatten_roundtrip():
 
 def test_extend_functional_zero():
     bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
-    lam = bg.functional_on_u((0,) * bg.u_basis.dim)
-    eta = extend_functional(bg, lam)
-    assert all(c == 0 for c in eta.coeffs)
+    eta = bg.extension_map((0,) * bg.u_basis.dim)
+    assert all(c == 0 for c in eta)
 
 
 def test_extend_functional_restriction_and_antisymmetry():
     bg = build_group(GroupSpec(family="USp", n=4, p=3))
-    for coeffs in [(1, 0, 0, 0), (0, 1, 2, 0), (2, 2, 1, 1)]:
-        lam = bg.functional_on_u(coeffs)
-        eta = extend_functional(bg, lam)
+    for lam in [(1, 0, 0, 0), (0, 1, 2, 0), (2, 2, 1, 1)]:
+        eta = bg.extension_map(lam)
         for b in bg.u_basis.matrices:
-            assert evaluate(eta, b) == evaluate(lam, b)
+            assert evaluate(bg.g_basis, eta, b) == evaluate(bg.u_basis, lam, b)
         for c in bg.g_basis_mats:
-            assert evaluate(eta, bg.dagger(c)) == bg.sc.neg(evaluate(eta, c))
+            assert evaluate(bg.g_basis, eta, bg.dagger(c)) == bg.sc.neg(
+                evaluate(bg.g_basis, eta, c)
+            )
 
 
 def test_sub_l_r_g_trivial_functional():
+    # the reference's l_eta, r_eta and g_eta, and the compiled rows' g_eta
     bg = build_group(GroupSpec(family="UO", n=4, p=3))
-    eta = bg.functional_on_g((0,) * bg.flat_dim)
-    l, r, g = sub_l_r_g(bg, eta)
+    eta = (0,) * bg.flat_dim
+    l, r, g = reference.sub_l_r_g(bg, eta)
     assert l.dim == r.dim == g.dim == bg.flat_dim
+    assert kernel_in_g(bg, bg.eta_forms(eta)).dim == bg.flat_dim
 
 
 def test_sub_l_r_g_unitary_selfarc():
     # lambda for the arc 1~3 with a trace-zero label; l_eta = {x : x_23 = 0}
+    from superchar.sct import _theory_record
+
     bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
     t = bg.tower.p  # the encoding of t, a trace-zero label of F_9
     arc = TriMatrix.from_entries(3, bg.tower, {(1, 3): t})
-    lam_coeffs = []
-    for b in bg.u_basis.matrices:
-        lam_coeffs.append(bg.tower.mul_enc(t, b.encs[slot_index(3)[1, 3]]))
-    lam = bg.functional_on_u(lam_coeffs)
-    assert evaluate(lam, arc) != 0
-    eta = extend_functional(bg, lam)
-    l, r, g_eta = sub_l_r_g(bg, eta)
+    lam = tuple(bg.tower.mul_enc(t, b.encs[slot_index(3)[1, 3]]) for b in bg.u_basis.matrices)
+    assert evaluate(bg.u_basis, lam, arc) != 0
+    eta = bg.extension_map(lam)
+    l, _, g_eta = reference.sub_l_r_g(bg, eta)
     assert l.dim == bg.flat_dim - 2  # one F_9 entry killed
     e23 = TriMatrix.elementary(3, bg.tower, 2, 3)
     e12 = TriMatrix.elementary(3, bg.tower, 1, 2)
     e13 = TriMatrix.elementary(3, bg.tower, 1, 3)
-    assert not l.contains(e23)
-    assert l.contains(e12) and l.contains(e13)
-    # kernel property on g_eta
-    for x in g_eta.matrices:
-        for y in g_eta.matrices:
-            assert evaluate(eta, x * y) == 0
+    assert not l.contains(bg.flatten(e23))
+    assert l.contains(bg.flatten(e12)) and l.contains(bg.flatten(e13))
+    # the oracle's g_eta is the reference's, and eta(xy) vanishes on it
+    assert _theory_record(bg, "cayley").subgroup(lam).rows == g_eta.rows
+    mats = [bg.unflatten(row) for row in g_eta.rows]
+    for x in mats:
+        for y in mats:
+            assert evaluate(bg.g_basis, eta, x * y) == 0
 
 
 _TYPE_D_UO4 = MirrorPoset.from_pairs(4, [pos for pos in strict_positions(4) if pos != (2, 3)])
@@ -257,23 +260,27 @@ def test_compiled_extension_and_subalgebras_match_per_product_reference(kwargs):
     bg = build_group(GroupSpec(**kwargs))
     subgroup = _theory_record(bg, "cayley").subgroup
     reps = [o.rep for o in orbit_partition_dual(bg).orbits]
-    for lam_coeffs in reps:
-        lam = bg.functional_on_u(lam_coeffs)
-        eta = extend_functional(bg, lam)
-        assert eta.coeffs == reference.extend_functional(bg, lam).coeffs, lam_coeffs
-        got = sub_l_r_g(bg, eta)
-        want = reference.sub_l_r_g(bg, eta)
-        for a, b in zip(got, want):
-            assert (a.space.rows, a.space.pivots) == (b.space.rows, b.space.pivots), lam_coeffs
+    for lam in reps:
+        eta = bg.extension_map(lam)
+        assert eta == reference.extend_functional(bg, lam), lam
+        l_eta, _, g_eta = reference.sub_l_r_g(bg, eta)
+        rows = bg.eta_forms(eta)
+        left = rows[: len(rows) // 2]
+        assert kernel_in_g(bg, left).rows == l_eta.rows, lam
         # the oracle's g_eta, solved from the stacked rows alone
-        assert subgroup(lam_coeffs).rows == want[2].space.rows, lam_coeffs
+        got = subgroup(lam)
+        assert (got.rows, got.pivots) == (g_eta.rows, g_eta.pivots), lam
+        # ann(l_eta) is the span of the left rows, as verify_structure reads it
+        ann = Subspace.kernel(bg.sc, bg.flat_dim, l_eta.rows)
+        assert Subspace.from_spanning(bg.sc, bg.flat_dim, left).rows == ann.rows, lam
     assert len(reps) > 1
 
 
 def test_stabilizer_subgroup_of_zero_is_U():
+    from superchar.sct import _theory_record
+
     bg = build_group(GroupSpec(family="UO", n=4, p=3))
-    eta = extend_functional(bg, bg.functional_on_u((0, 0)))
-    _, _, g_eta = sub_l_r_g(bg, eta)
+    g_eta = _theory_record(bg, "cayley").subgroup((0, 0))
     assert len(stabilizer_subgroup(bg, g_eta)) == bg.order_U
 
 

@@ -289,13 +289,13 @@ def test_left_multiplication_collapse():
     ids=["UO5", "USp4", "UU3", "UU4"],
 )
 def test_left_orbit_in_u_is_brute_force_meet(kwargs):
-    """The affine set x + (g x ∩ u) is exactly the BFS closure G x cut
-    down to u, for every u-orbit rep x."""
+    """The affine set x + W in u-coordinates is exactly the BFS closure
+    G x cut down to u, for every u-orbit rep x."""
     bg = build_group(GroupSpec(**kwargs))
     for orbit in orbit_partition_u(bg).orbits:
-        flat = bg.u_space.combine(orbit.rep)
-        brute = {y for y in left_orbit_of_g_element(bg, flat) if bg.u_space.contains(y)}
-        assert left_orbit_in_u(bg, flat) == brute, orbit.rep
+        closure = left_orbit_of_g_element(bg, bg.u_space.combine(orbit.rep))
+        brute = {bg.u_space.coords(y) for y in closure} - {None}
+        assert set(left_orbit_in_u(bg, orbit.rep).coset(orbit.rep)) == brute, orbit.rep
 
 
 def test_h_suborbits_refine_dual_orbits():

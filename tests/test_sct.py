@@ -9,7 +9,7 @@ from superchar.errors import NonIntegralityError, VerificationError
 from superchar.gf import Theta, make_tower
 from superchar.involution_group import GroupSpec, build_group, unsplit_positions
 from superchar.linalg import Subspace
-from superchar.orbits import orbit_partition_u
+from superchar.orbits import left_orbit_in_u, orbit_partition_u
 from superchar.sct import (
     DigitColumns,
     _generator_walk,
@@ -184,25 +184,23 @@ def test_left_multiplication_collapse_fails_on_moved_point(kw):
     bg = build_group(GroupSpec(**kw))
     oi = orbit_partition_u(bg)
     for orbit in oi.orbits:
-        x = bg.u_space.combine(orbit.rep)
-        others = sorted(
-            y for y in left_orbit_of_g_element(bg, x) if y != x and bg.u_space.contains(y)
-        )
+        closure = left_orbit_of_g_element(bg, bg.u_space.combine(orbit.rep))
+        others = sorted({bg.u_space.coords(y) for y in closure} - {None, orbit.rep})
         if others:
             break
     assert others
-    oi.orbit_of[oi.index[bg.u_space.coords(others[0])]] = (orbit.orbit_id + 1) % oi.count
+    oi.orbit_of[oi.index[others[0]]] = (orbit.orbit_id + 1) % oi.count
     assert _collapse_result(verify_structure(bg)) == [False]
 
 
-def test_left_multiplication_collapse_fails_on_point_outside_u(monkeypatch, groups):
-    # a point of G x that is not in u has no u-coordinates; it must fail the
-    # check, not be skipped
-    bg = _bg(groups, family="USp", n=4, p=3)
-    outside = next(
-        bg.flatten(b) for b in bg.g_basis_mats if not bg.u_space.contains(bg.flatten(b))
-    )
-    monkeypatch.setattr("superchar.sct.left_orbit_in_u", lambda bg, flat: {flat, outside})
+def test_left_multiplication_collapse_fails_on_point_outside_u():
+    # an empty annihilator of u lets all of g x into the meet, so some meet
+    # vector has no u-coordinates; it must fail the check, not be skipped.
+    # A fresh group, as the fault changes a cache entry it keeps
+    bg = build_group(GroupSpec(family="USp", n=4, p=3))
+    assert _collapse_result(verify_structure(bg)) == [True]
+    bg.cache["u_annihilator"] = []
+    assert any(left_orbit_in_u(bg, o.rep) is None for o in orbit_partition_u(bg).orbits)
     assert _collapse_result(verify_structure(bg)) == [False]
 
 
@@ -820,6 +818,66 @@ def test_dagger_action_fails_without_the_dagger_term(monkeypatch):
     monkeypatch.setattr(bg, "act", lambda g, x: x + g.nilpotent_part() * x)
     failed = {r.name for r in verify_structure(bg).results if r.passed is False}
     assert "dagger-action-restricts-to-conjugation" in failed
+
+
+def _antisymmetric_basis(monkeypatch, bg):
+    # g's basis replaced by the parts b - b^dagger, which span only u: no
+    # symmetric element is left to pin eta down off u
+    monkeypatch.setattr(bg, "g_basis_mats", [b - bg.dagger(b) for b in bg.g_basis_mats])
+
+
+def _eta_off_antisymmetric(monkeypatch, bg):
+    # eta + delta for a nonzero delta that vanishes on u: the restriction
+    # to u still holds, but delta(x^dagger) = -delta(x) would force delta = 0
+    (delta, *_) = Subspace.kernel(bg.sc, bg.flat_dim, bg.u_space.rows).rows
+    extend, add = bg.extension_map, bg.tower.add_table
+    monkeypatch.setattr(
+        bg, "extension_map", lambda lam: tuple(add[a][b] for a, b in zip(extend(lam), delta))
+    )
+
+
+def _g_eta_is_all_of_g(monkeypatch, bg):
+    # eta(x y) = 0 holds on g_eta, not on all of g for a nonzero eta
+    monkeypatch.setattr(superclasses(bg, "cayley").record, "subgroup", lambda lam: bg.g_space)
+
+
+def _form_halves_swapped(monkeypatch, bg):
+    # the rows eta(b y^dagger) in place of eta(y b): g_eta, which stacks
+    # both halves, is unchanged, but the span read as ann(l_eta) is ann(r_eta)
+    forms = bg.eta_forms
+
+    def swapped(eta):
+        rows = forms(eta)
+        half = len(rows) // 2
+        return rows[half:] + rows[:half]
+
+    monkeypatch.setattr(bg, "eta_forms", swapped)
+
+
+def _h_orbit_of_lambda_is_lambda(monkeypatch, bg):
+    monkeypatch.setattr("superchar.sct.h_orbit_of_functional", lambda bg, lam: frozenset([lam]))
+
+
+EXTENSION_FAULTS = {
+    "extension-unique": _antisymmetric_basis,
+    "extension-antisymmetry": _eta_off_antisymmetric,
+    "eta-kernel-on-g_eta": _g_eta_is_all_of_g,
+    "h-orbit-as-affine-set": _form_halves_swapped,
+    "restriction-set-equality": _h_orbit_of_lambda_is_lambda,
+}
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(family="UO", n=5, p=3), dict(family="UU", n=3, p=3, k=2)], ids=["UO5", "UU3"]
+)
+@pytest.mark.parametrize("check", sorted(EXTENSION_FAULTS))
+def test_extension_check_fails_on_its_fault(monkeypatch, check, kw):
+    # a fresh group, as each fault patches it; the first run fills the
+    # caches, so the fault reaches the named check and no other
+    bg = build_group(GroupSpec(**kw))
+    assert verify_structure(bg).ok
+    EXTENSION_FAULTS[check](monkeypatch, bg)
+    assert {r.name for r in verify_structure(bg).results if r.passed is False} == {check}
 
 
 @pytest.mark.parametrize("which", ["UO5", "UT3"])

@@ -132,7 +132,7 @@ def test_rep_matrix_mirror_pair_is_antisymmetric(uu3):
 def test_lambda_functional_is_fq_valued(uu3):
     for part in enumerate_twisted(3, T9):
         lam = lambda_functional(uu3, part)  # raises if a value leaves F_q
-        assert len(lam.coeffs) == uu3.u_basis.dim
+        assert len(lam) == uu3.u_basis.dim
 
 
 # -- the combinatorial statistics ----------------------------------------------------
@@ -273,20 +273,20 @@ def test_stabilizer_description_a2ulambda(uu4):
     """u_{lambda_eta} from the kernel solve equals the positionwise
     description {x in u : x_{ij} = 0 if i~k in eta, j < k, 2j <= n+1},
     and equals f(U_lambda)."""
-    from superchar.involution_group import extend_functional, sub_l_r_g
+    from superchar.sct import _theory_record
     from reference import stabilizer_subgroup
 
     bg = uu4
+    subgroup = _theory_record(bg, "cayley").subgroup
     for eta in enumerate_twisted(4, T9):
-        lam = lambda_functional(bg, eta)
-        ext = extend_functional(bg, lam)
-        _, _, g_eta = sub_l_r_g(bg, ext)
+        g_eta = subgroup(lambda_functional(bg, eta))
         arcs = {(i, j) for (i, j, _) in eta.arcs}
         described = set()
         in_kernel = set()
         springer_image = set()
         for coords in bg.u_points[0]:
-            x = bg.unflatten(bg.u_space.combine(coords))
+            flat = bg.u_space.combine(coords)
+            x = bg.unflatten(flat)
             blocked_positions = [
                 (i, j)
                 for (i, j) in x.entries
@@ -294,7 +294,7 @@ def test_stabilizer_description_a2ulambda(uu4):
             ]
             if not blocked_positions:
                 described.add(x.serialize())
-            if g_eta.contains(x):
+            if g_eta.contains(flat):
                 in_kernel.add(x.serialize())
         for u in stabilizer_subgroup(bg, g_eta):
             fwd, _ = bg.springer("cayley")
