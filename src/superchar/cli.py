@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 usage, 2 verification failure, 3 size guard
 exceeded, 4 I/O error; any other exception is a bug and ends in a
 traceback.  ``unitary-check`` writes its degree audit, which needs no
-table, even when its tables hit a guard, and then exits 3.  Identical
-invocations produce byte-identical output files.
+table, even when its tables hit a guard, and then exits 3; ``verify``
+hit by a guard writes the results of the checks before it, with no
+summary line, and exits 3.  Identical invocations produce byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cyclotomic import CycloValue
 from .errors import ShapeError, SizeGuardError, SpringerUndefinedError, VerificationError
 from .involution_group import GroupSpec, build_group, load_spec
 from .orbits import (
@@ -95,9 +96,8 @@ def _theta(bg, args):
 
 def _tables(bg, args):
     """The superclass and supercharacter tables for the --springer and
-    --theta flags; under --inject-fault a faulted copy of the rows."""
-    sct, scht = theory(bg, _springer(bg, args), _theta(bg, args))
-    return sct, _with_fault(bg, scht) if getattr(args, "inject_fault", False) else scht
+    --theta flags."""
+    return theory(bg, _springer(bg, args), _theta(bg, args))
 
 
 def _spec_json(spec: GroupSpec) -> dict:
@@ -183,25 +183,11 @@ _ALGEBRA_CHECKS = ["axioms", "induction"]
 _OPTIONAL_CHECKS = ["subfield-independence"]
 
 
-def _with_fault(bg, scht):
-    """A copy of the table with one cell of one row (its copy) off by 1;
-    the table given, which ``theory`` keeps, is left as it is."""
-    i = min(1, len(scht.rows) - 1)
-    row = scht.rows[i]
-    cid = min(1, len(row.values) - 1)
-    values = list(row.values)
-    values[cid] = values[cid] + CycloValue.integer(bg.tower.p, 1)
-    rows = list(scht.rows)
-    rows[i] = row.replace(values=values)
-    return scht.replace(rows=rows)
-
-
 def _run_check(name, bg, args) -> list:
     """One named check's results.  Every table comes from ``theory``,
-    which builds each once per group; under --inject-fault the checks
-    that read the --springer/--theta table get a faulted copy of its
-    rows (``_tables``), while the independence checks compare the clean
-    cached ones."""
+    which builds each once per group; the checks that read the
+    --springer/--theta table fetch it through ``_tables``, while the
+    independence checks compare the cached tables they name."""
     springer = _springer(bg, args)
     if name == "structure":
         return verify_structure(bg).results
@@ -261,17 +247,23 @@ def cmd_verify(args) -> int:
                 f"unknown or inapplicable check {args.check!r}; choose from {valid}"
             )
         checks = [args.check]
-    results = []
-    for name in checks:
-        results.extend(_run_check(name, bg, args))
+    results, guard = [], None
+    try:
+        for name in checks:
+            results.extend(_run_check(name, bg, args))
+    except SizeGuardError as exc:
+        guard = exc
     lines = [f"== verify {spec.label()} =="]
     lines += [r.line() for r in results]
     failed = [r for r in results if r.passed is False]
-    lines.append(
-        f"== {len(results) - len(failed)}/{len(results)} checks passed"
-        + (f"; FAILED: {', '.join(r.name for r in failed)}" if failed else "")
-    )
+    if guard is None:
+        lines.append(
+            f"== {len(results) - len(failed)}/{len(results)} checks passed"
+            + (f"; FAILED: {', '.join(r.name for r in failed)}" if failed else "")
+        )
     _write_output(args, "\n".join(lines) + "\n")
+    if guard is not None:
+        raise guard
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -369,7 +361,6 @@ def build_parser() -> _Parser:
     v.add_argument("--theta", choices=["standard", "alternate"], default="standard")
     v.add_argument("--check", help="run a single named check")
     v.add_argument("--output", "-o")
-    v.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify)
 
     o = subs.add_parser("orbits", help="dump an orbit partition as JSON lines")

@@ -2,9 +2,10 @@
 
 The engine works on coordinate tuples over the scalar field: each
 generator's action is linear, so it is applied as its matrix compiled
-to straight-line code (``triangular.linear_kernel``).  Each orbit is the
-BFS closure of one point under the generators (``closure_of``); the
-output is deterministic because the final order is a canonical sort.
+to straight-line code (``triangular.linear_kernel``), once per group by
+``walk_maps``.  Each orbit is the BFS closure of one point under the
+generators (``closure_of``); the output is deterministic because the
+final order is a canonical sort.
 The walks close under ``BuiltGroup.G_walk`` and ``H_walk``, the root
 elements at positions that no intermediate index splits (for G, the
 covering relations of the poset); commutators give every other root
@@ -131,84 +132,65 @@ def g_right_matrix(bg: BuiltGroup, g: TriMatrix):
     return transpose(cols)
 
 
-def _maps_from_matrices(matrices, sc):
-    """Each square matrix as its compiled linear kernel on coordinate tuples."""
-    return [linear_kernel(sc.tower, M, len(M)) for M in matrices]
-
-
-def _transposed_maps(matrices, sc):
-    """mu -> P^T mu for each matrix P of a generator g, so (P^T mu) . x =
-    mu . (P x): the dual action (g mu)(x) = mu(g^-1 x) of g^-1, and the
-    inverses of a generating set generate the same group."""
-    return _maps_from_matrices([transpose(M) for M in matrices], sc)
-
-
-def _dual_maps(bg, gens, matrix_fn):
-    """The dual action of the group that ``gens`` generate, as transposes."""
-    return _transposed_maps([matrix_fn(bg, g) for g in gens], bg.sc)
-
-
-# -- the four orbit partitions ----------------------------------------------
-
-
 def _cached(bg: BuiltGroup, key, builder):
     if key not in bg.cache:
         bg.cache[key] = builder()
     return bg.cache[key]
 
 
-def walk_matrices(bg: BuiltGroup, action: str):
-    """The matrices P of the walk generators G_walk, made once per group:
-    ``action`` "u" for x -> g x g^dagger on u, "left" and "right" for
-    x -> g x and x -> x g on g.  A primal partition closes under the maps
-    P and its dual partition under the P^T (``sct._constancy_check``)."""
-    matrix_fn = {"u": u_action_matrix, "left": g_left_matrix, "right": g_right_matrix}[action]
-    return _cached(bg, ("walk", action), lambda: [matrix_fn(bg, g) for g in bg.G_walk])
+_MATRIX_FNS = {"u": u_action_matrix, "left": g_left_matrix, "right": g_right_matrix}
+
+
+def walk_maps(bg: BuiltGroup, gens, actions, dual=False):
+    """The compiled maps of every orbit walk, made once per group and kept
+    in ``bg.cache``: for each action in ``actions`` ("u" for x -> g x
+    g^dagger on u, "left" and "right" for x -> g x and x -> x g on g), the
+    matrix P of each generator in ``gens`` (``bg.G_walk`` or ``bg.H_walk``)
+    as a linear kernel on coordinate tuples.  With ``dual`` each map is
+    mu -> P^T mu instead, so (P^T mu) . x = mu . (P x): the dual action
+    (g mu)(x) = mu(g^-1 x) of g^-1, and the inverses of a generating set
+    generate the same group."""
+    key = ("walk maps", tuple(g.encs for g in gens), tuple(actions), dual)
+
+    def build():
+        mats = [_MATRIX_FNS[a](bg, g) for a in actions for g in gens]
+        if dual:
+            mats = [transpose(M) for M in mats]
+        return [linear_kernel(bg.sc.tower, M, len(M)) for M in mats]
+
+    return _cached(bg, key, build)
+
+
+# -- the orbit partitions and single orbits ---------------------------------------
 
 
 def orbit_partition_u(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G acting by g . x = g x g^dagger on the enumerated u."""
-
-    def build():
-        maps = _maps_from_matrices(walk_matrices(bg, "u"), bg.sc)
-        return partition_space(bg.u_points, maps, canon_key=bg.u_basis.element_encs)
-
-    return _cached(bg, "u", build)
+    maps = walk_maps(bg, bg.G_walk, ["u"])
+    return _cached(bg, "u", lambda: partition_space(bg.u_points, maps, bg.u_basis.element_encs))
 
 
 def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G on the full dual space of u; (g.lam)(x) = lam(g^{-1}.x)."""
-
-    def build():
-        return partition_space(bg.u_points, _transposed_maps(walk_matrices(bg, "u"), bg.sc))
-
-    return _cached(bg, "dual", build)
-
-
-def _h_dual_maps(bg: BuiltGroup):
-    """The dual action of H's generators on u*, built once per group."""
-    return _cached(bg, "h_dual_maps", lambda: _dual_maps(bg, bg.H_walk, u_action_matrix))
+    maps = walk_maps(bg, bg.G_walk, ["u"], dual=True)
+    return _cached(bg, "dual", lambda: partition_space(bg.u_points, maps))
 
 
 def h_orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """The same dual space partitioned by the normal subgroup H."""
-
-    def build():
-        return partition_space(bg.u_points, _h_dual_maps(bg))
-
-    return _cached(bg, "dual_h", build)
+    maps = walk_maps(bg, bg.H_walk, ["u"], dual=True)
+    return _cached(bg, "dual_h", lambda: partition_space(bg.u_points, maps))
 
 
 def h_orbit_of_functional(bg: BuiltGroup, coeffs) -> frozenset:
     """Closure of one u* vector under H (no full-space enumeration)."""
-    return closure_of(coeffs, _h_dual_maps(bg))
+    return closure_of(coeffs, walk_maps(bg, bg.H_walk, ["u"], dual=True))
 
 
-def h_left_orbit_of_g_functional(bg: BuiltGroup, coeffs) -> frozenset:
-    """Closure of one g* vector under the left action of H:
-    (h mu)(x) = mu(h^{-1} x)."""
-    maps = _cached(bg, "h_left_dual_maps", lambda: _dual_maps(bg, bg.H_walk, g_left_matrix))
-    return closure_of(coeffs, maps)
+def left_orbit_of_g_functional(bg: BuiltGroup, coeffs, gens) -> frozenset:
+    """Closure of one g* vector under the left action of the group that
+    ``gens`` generate (G or H): (g mu)(x) = mu(g^{-1} x)."""
+    return closure_of(coeffs, walk_maps(bg, gens, ["left"], dual=True))
 
 
 def left_orbit_in_u(bg: BuiltGroup, coords):
@@ -285,33 +267,22 @@ def two_sided_canonical(mat: TriMatrix) -> tuple:
 
 def two_sided_orbit_partition_g(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G x G acting by (g, h) . x = g x h^{-1} on g."""
-
-    def build():
-        mats = walk_matrices(bg, "left") + walk_matrices(bg, "right")
-        # g's basis is the standard one, so a point's coordinates are its
-        # flat form and element_encs gives unflatten's slot encodings
-        return partition_space(
-            bg.g_points, _maps_from_matrices(mats, bg.sc), canon_key=bg.g_basis.element_encs
-        )
-
-    return _cached(bg, "g2", build)
+    # g's basis is the standard one, so a point's coordinates are its flat
+    # form and element_encs gives unflatten's slot encodings
+    maps = walk_maps(bg, bg.G_walk, ["left", "right"])
+    return _cached(bg, "g2", lambda: partition_space(bg.g_points, maps, bg.g_basis.element_encs))
 
 
 def two_sided_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits on g* under ((g,h).lam)(x) = lam(g^{-1} x h)."""
-
-    def build():
-        mats = walk_matrices(bg, "left") + walk_matrices(bg, "right")
-        return partition_space(bg.g_points, _transposed_maps(mats, bg.sc))
-
-    return _cached(bg, "g2_dual", build)
+    maps = walk_maps(bg, bg.G_walk, ["left", "right"], dual=True)
+    return _cached(bg, "g2_dual", lambda: partition_space(bg.g_points, maps))
 
 
 def left_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
-    def build():
-        return partition_space(bg.g_points, _transposed_maps(walk_matrices(bg, "left"), bg.sc))
-
-    return _cached(bg, "g_left_dual", build)
+    """Orbits on g* under the left action of G."""
+    maps = walk_maps(bg, bg.G_walk, ["left"], dual=True)
+    return _cached(bg, "g_left_dual", lambda: partition_space(bg.g_points, maps))
 
 
 def orbit_dump_lines(oi: OrbitIndex):

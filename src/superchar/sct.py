@@ -40,11 +40,9 @@ from .linalg import Subspace, combine
 from .orbits import (
     _cached,
     closure_of,
-    h_left_orbit_of_g_functional,
     h_orbit_of_functional,
-    h_orbit_partition_dual,
     left_orbit_in_u,
-    left_orbit_partition_g_dual,
+    left_orbit_of_g_functional,
     orbit_partition_dual,
     orbit_partition_u,
     two_sided_canonical,
@@ -66,9 +64,10 @@ class TheoryRecord(Record):
     is the vector that dual vectors are dotted with: each point x of the
     primal space is paired with its element f^-1(x) as the two lists are
     built, so only ``verify_structure``'s image check evaluates f.
-    ``primal``, ``dual`` and ``stabiliser`` give the orbit partitions of
-    the points, of the functionals (one row per orbit) and of the same dual
-    space under the subgroup whose orbit size is a row's degree.
+    ``primal`` and ``dual`` give the orbit partitions of the points and of
+    the functionals (one row per orbit); ``stabiliser(bg, lam)`` gives the
+    orbit of the one functional lam under the subgroup whose orbit size is
+    a row's degree, H.lam (for UT, G lam under the left action).
     ``subgroup(lam)`` is the subspace S of g such that the induction
     oracle's subgroup is {e : e - 1 in S}.  ``element_data()`` holds
     flat(e - 1) for every element.  ``_generator_walk`` is the one
@@ -146,7 +145,7 @@ def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
         points,
         primal=orbit_partition_u,
         dual=orbit_partition_dual,
-        stabiliser=h_orbit_partition_dual,
+        stabiliser=h_orbit_of_functional,
         subgroup=subgroup,
     )
 
@@ -176,7 +175,7 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
         points,
         primal=two_sided_orbit_partition_g,
         dual=two_sided_orbit_partition_g_dual,
-        stabiliser=left_orbit_partition_g_dual,
+        stabiliser=lambda bg, lam: left_orbit_of_g_functional(bg, lam, bg.G_walk),
         subgroup=subgroup,
     )
 
@@ -343,30 +342,45 @@ class DigitColumns:
         return acc.to_bytes(self.n, "little").translate(self.fold)
 
 
-def _dual_kernel(bg: BuiltGroup, od) -> DigitColumns:
-    """The rows' histogram kernel, with one segment per dual orbit."""
-    space = od.space
-    return DigitColumns(bg.sc, [[space[i] for i in orbit.members] for orbit in od.orbits])
+def _dual_kernel(rec: TheoryRecord) -> DigitColumns:
+    """The rows' histogram kernel, with one segment per dual orbit, made
+    once per theory: every Springer name and theta reads the same dual
+    partition."""
+    bg = rec.group
+
+    def build():
+        od = rec.dual(bg)
+        return DigitColumns(bg.sc, [[od.space[i] for i in o.members] for o in od.orbits])
+
+    return _cached(bg, ("dual kernel", rec.symbol), build)
 
 
 def supercharacters(
     bg: BuiltGroup,
     springer_name: str,
     theta: Theta,
-    sc_table: SuperclassTable | None = None,
+    sc_table: SuperclassTable,
 ) -> SupercharTable:
     """chi_lambda = (1/n_lambda) sum over the dual orbit of lambda of
-    theta(mu(f(.))), with n_lambda = |dual orbit| / |stabiliser orbit|.
+    theta(mu(f(.))), with n_lambda = |dual orbit| / |stabiliser orbit|,
+    for the superclass table ``sc_table`` of the Springer map named
+    ``springer_name``.
+
+    The stabiliser orbit is one ``closure_of`` of the row's
+    representative lam (``TheoryRecord.stabiliser``).  Its size is the
+    same at every member g lam of the dual orbit: H is normal in G, so
+    H.(g lam) = g (g^-1 H g).lam = g H.lam; for UT, x -> g x commutes with
+    the right action.  ``verify`` checks both sides: H-normal-in-G checks
+    the normality, induction-degree compares every row's degree with
+    [E : S], and axiom-orthogonality fails on a row scaled by a wrong
+    n_lambda.
 
     The dual space is listed once, in orbit order, as ``DigitColumns``;
     for each class rep x, one call gives the histogram of the exponents
     theta(mu(f(x))) over every dual orbit at once.  Equal cells of equal
     n_lambda share one divided value, made once per table."""
-    if sc_table is None:
-        sc_table = superclasses(bg, springer_name)
     rec = sc_table.record
     od = rec.dual(bg)
-    oh = rec.stabiliser(bg)
     points = [rec.points[K.member_ids[0]] for K in sc_table.classes]
     p = bg.tower.p
     elements = bg.sc.elements
@@ -378,18 +392,14 @@ def supercharacters(
         raise VerificationError("the dual space is not the full product space")
     rows = []
     for orbit in od.orbits:
-        # od and oh enumerate the same dual space in the same order
-        h_sizes = {oh.orbits[oh.orbit_of[i]].size for i in orbit.members}
-        if len(h_sizes) != 1:
-            raise VerificationError("the stabiliser-orbit size varies across a dual orbit")
-        h_size = h_sizes.pop()
+        h_size = len(rec.stabiliser(bg, orbit.rep))
         if orbit.size % h_size:
             raise NonIntegralityError(
                 "n_lambda = |dual orbit| / |stabiliser orbit| is not integral"
             )
         # the degree is read off the identity column once all cells are in
         rows.append(SupercharRow(orbit.rep, orbit.size, h_size, orbit.size // h_size, 0, []))
-    kernel = _dual_kernel(bg, od)
+    kernel = _dual_kernel(rec)
     cells: dict = {}  # (n_lambda, counts) -> the divided cell
     for x in points:
         for row, counts in zip(rows, kernel.histograms(x, theta)):
@@ -735,7 +745,7 @@ def _conjugation_closure_check(bg, sct: SuperclassTable) -> CheckResult:
 def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckResult:
     """Each row must be constant on every superclass, with the values the
     table holds.  The primal walk closes under the maps P of
-    ``orbits.walk_matrices`` and the dual walk under their transposes,
+    ``orbits.walk_maps`` and the dual walk under their transposes,
     ``od.maps``.  An orbit sum s_O(x) = sum_{mu in O} theta(mu . x) has
     s_O(P x) = s_{P^T O}(x); so if every P^T maps every dual orbit onto
     itself, which takes |dual space| |T| map calls, each s_O is constant
@@ -752,7 +762,7 @@ def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckRes
         stray += [a for a, mu in zip(orbit_of, od.space) if orbit_of[od.index[mp(mu)]] != a]
     if stray:
         return CheckResult("axiom-constancy", False, f"dual orbit {min(stray)} is not invariant")
-    kernel, p = _dual_kernel(bg, od), bg.tower.p
+    kernel, p = _dual_kernel(rec), bg.tower.p
     rows = {od.orbit_id(row.lam): row for row in scht.rows}
     for K in sct.classes:
         hists = kernel.histograms(rec.points[K.member_ids[-1]], scht.theta)
@@ -1088,7 +1098,7 @@ def verify_structure(bg: BuiltGroup) -> Report:
         # H eta (left action on g*) = {mu : mu|_l = eta|_l} = eta + ann(l_eta),
         # and l_eta is the kernel of the rows eta(y b), y in h, so its
         # annihilator is their span
-        h_eta = h_left_orbit_of_g_functional(bg, eta)
+        h_eta = left_orbit_of_g_functional(bg, eta, bg.H_walk)
         rows = bg.eta_forms(eta)
         left = Subspace.from_spanning(sc, bg.flat_dim, rows[: len(rows) // 2])
         ok_hlam = ok_hlam and h_eta == frozenset(left.coset(eta))

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from superchar import cli
 from superchar.cli import main
+from superchar.cyclotomic import CycloValue
 from superchar.involution_group import G_SPACE_GUARD
 
 # sha256 of `superchar table` stdout, captured before the involution and
@@ -220,28 +222,64 @@ def test_verify_single_check(capsys):
     assert "springer-rows" in out
 
 
+def _with_fault(bg, scht):
+    """A copy of the table with one cell of one row (its copy) off by 1;
+    the table given, which ``theory`` keeps, is left as it is."""
+    i = min(1, len(scht.rows) - 1)
+    row = scht.rows[i]
+    cid = min(1, len(row.values) - 1)
+    values = list(row.values)
+    values[cid] = values[cid] + CycloValue.integer(bg.tower.p, 1)
+    rows = list(scht.rows)
+    rows[i] = row.replace(values=values)
+    return scht.replace(rows=rows)
+
+
+@pytest.fixture
+def faulted(monkeypatch):
+    """Every table that ``verify`` fetches through ``cli._tables`` (the
+    axiom, induction and unitary checks) comes back as a faulted copy of
+    its rows; the independence checks still compare the clean cached
+    tables."""
+    tables = cli._tables
+
+    def faulted_tables(bg, args):
+        sct, scht = tables(bg, args)
+        return sct, _with_fault(bg, scht)
+
+    monkeypatch.setattr(cli, "_tables", faulted_tables)
+
+
 def _verify_injected_fault(capsys, family):
     code, out, _ = run(
-        capsys, "verify", "--family", family, "--n", "3", "--p", "3",
-        "--check", "axioms", "--inject-fault",
+        capsys, "verify", "--family", family, "--n", "3", "--p", "3", "--check", "axioms"
     )
     assert code == 2
     assert "FAIL" in out and "axiom-" in out
 
 
-def test_verify_fault_injection_names_axiom(capsys):
+def test_verify_fault_injection_names_axiom(capsys, faulted):
     _verify_injected_fault(capsys, "UO")
 
 
-def test_verify_fault_injection_names_axiom_ut(capsys):
+def test_verify_fault_injection_names_axiom_ut(capsys, faulted):
     _verify_injected_fault(capsys, "UT")
 
 
-# sha256 of a full `verify --inject-fault` (exit 2), captured while every
-# check built its own tables: the shared, faulted table reaches only the
-# checks that read it, and theta-independence still compares clean rows.
-# Re-captured when every sampled check became exhaustive: only the
-# structure checks' detail strings changed
+def test_inject_fault_is_not_a_verify_flag(capsys):
+    code, out, err = run(
+        capsys, "verify", "--family", "UO", "--n", "3", "--p", "3", "--inject-fault"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "--inject-fault" in err
+
+
+# sha256 of a full faulted `verify` (exit 2), captured while every check
+# built its own tables and the fault came from a hidden CLI flag: the
+# shared, faulted table reaches only the checks that read it, and
+# theta-independence still compares clean rows.  Re-captured when every
+# sampled check became exhaustive: only the structure checks' detail
+# strings changed
 FAULT_SHA256 = {
     "UO": "182a2c3ef006b1ebeacda11d72be4716ebf725fbf20880998d514a3954a824a6",
     "USp": "08fa71195099396d0571c4be4186a3b927440e7ec02ae9215df11ba4b260fe1c",
@@ -249,16 +287,14 @@ FAULT_SHA256 = {
 
 
 @pytest.mark.parametrize("family", sorted(FAULT_SHA256))
-def test_verify_fault_injection_full_run_is_pinned(capsys, family):
-    code, out, _ = run(
-        capsys, "verify", "--family", family, "--n", "4", "--p", "3", "--inject-fault"
-    )
+def test_verify_fault_injection_full_run_is_pinned(capsys, faulted, family):
+    code, out, _ = run(capsys, "verify", "--family", family, "--n", "4", "--p", "3")
     assert code == 2
     assert "PASS   theta-row-set" in out and "PASS   intersection-partition" in out
     assert hashlib.sha256(out.encode()).hexdigest() == FAULT_SHA256[family]
 
 
-def test_verify_fault_injection_with_flags_is_pinned(capsys):
+def test_verify_fault_injection_with_flags_is_pinned(capsys, faulted):
     """Under --springer log --theta alternate the faulted rows reach the
     axiom and induction checks only: springer-rows and theta-row-set
     compare clean rows, so they pass only while the faulted copy stays
@@ -268,7 +304,7 @@ def test_verify_fault_injection_with_flags_is_pinned(capsys):
     now fails too (27/31 checks pass, not 28/31)."""
     code, out, _ = run(
         capsys, "verify", "--family", "USp", "--n", "4", "--p", "5",
-        "--springer", "log", "--theta", "alternate", "--inject-fault",
+        "--springer", "log", "--theta", "alternate",
     )
     assert code == 2
     assert "PASS   springer-rows" in out and "PASS   theta-row-set" in out
@@ -347,7 +383,6 @@ def test_verify_intersection_builds_only_the_superclass_table(capsys, monkeypatc
 
 
 def test_with_fault_leaves_the_cached_rows_unchanged():
-    from superchar.cli import _with_fault
     from superchar.involution_group import GroupSpec, build_group
     from superchar.sct import theory
 
@@ -409,6 +444,33 @@ def test_unitary_check(capsys):
     assert "formula-values" in out
     assert "degree audit" in out
     assert "MISMATCH" in out  # the flagged n-odd self-arc degree formula
+
+
+def test_verify_hit_by_a_guard_keeps_the_report(capsys, monkeypatch, tmp_path):
+    """Off the chain the intersection check scans the ambient g (|g| =
+    3^5 for the type-D UO4 poset).  With the guard below that, the
+    results of every check before it are written, to stdout or -o, with
+    no summary line, and the guard ends the run with exit 3."""
+    monkeypatch.setattr("superchar.involution_group.G_SPACE_GUARD", 100)
+    poset = tmp_path / "poset.txt"
+    poset.write_text("4\n1 2\n1 3\n1 4\n2 4\n3 4\n")
+    spec = ["--family", "UO", "--n", "4", "--p", "3", "--poset", str(poset)]
+    code, out, err = run(capsys, "verify", *spec)
+    assert code == 3
+    assert err == "size guard: |g| = 243 exceeds the guard 100 (use --force to override)\n"
+    lines = out.splitlines()
+    assert lines[0] == "== verify UO4(F_3)|poset =="
+    assert all(line.startswith("PASS   ") for line in lines[1:])
+    names = {line.split()[1].rstrip(":") for line in lines[1:]}
+    assert {
+        "left-multiplication-collapse", "axiom-regular-sum", "induction-identity",
+    } <= names
+    assert lines[-1] == "PASS   orbit-count-duality: primal 9, dual 9"
+    assert "intersection-partition" not in names and "checks passed" not in out
+    written = tmp_path / "report.txt"
+    code, stdout, _ = run(capsys, "verify", *spec, "-o", str(written))
+    assert code == 3 and stdout == ""
+    assert written.read_text() == out
 
 
 def test_unitary_check_past_the_guard_prints_the_degree_audit(capsys):

@@ -22,6 +22,7 @@ from superchar.orbits import (
     two_sided_orbit_partition_g_dual,
     u_action_matrix,
 )
+from superchar.sct import theory
 from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
 
 from reference import full_sweep_orbit_u, left_orbit_of_g_element, map_from_matrix, mul_encs
@@ -316,6 +317,28 @@ def test_h_orbit_closure_matches_partition():
     for orbit in oh.orbits[:6]:
         closure = h_orbit_of_functional(bg, orbit.rep)
         assert closure == {oh.space[i] for i in orbit.members}
+
+
+@pytest.mark.parametrize("kwargs", WALK_SPECS, ids=WALK_IDS)
+def test_row_stabiliser_orbit_is_the_whole_space_partitions_orbit(kwargs):
+    """Each row's |H.lam| is one closure of its representative (for UT,
+    G lam under the left action).  The whole-space partition is the
+    reference: its orbit at lam is that closure, and its orbit size is
+    the same at every member of the row's dual orbit."""
+    bg = build_group(GroupSpec(**kwargs))
+    _, scht = theory(bg)
+    rec = scht.sc_table.record
+    od = rec.dual(bg)
+    if bg.involution is not None:
+        whole = h_orbit_partition_dual(bg)
+    else:
+        whole = left_orbit_partition_g_dual(bg)
+    for row in scht.rows:
+        members = whole.orbits[whole.orbit_id(row.lam)].members
+        assert rec.stabiliser(bg, row.lam) == {whole.space[i] for i in members}
+        dual_orbit = od.orbits[od.orbit_id(row.lam)]
+        sizes = {whole.orbits[whole.orbit_of[i]].size for i in dual_orbit.members}
+        assert sizes == {row.h_orbit_size}, row.lam
 
 
 def test_orbit_dump_lines_format():

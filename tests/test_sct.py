@@ -692,7 +692,8 @@ def test_prime_digits_are_coordinates_in_the_subfield(p, e, k):
 
 def test_equal_cells_share_one_value(groups):
     bg = _bg(groups, family="USp", n=4, p=3)
-    scht = supercharacters(bg, "cayley", standard_theta(bg))
+    sct = superclasses(bg, "cayley")
+    scht = supercharacters(bg, "cayley", standard_theta(bg), sc_table=sct)
     ids: dict = {}
     for row in scht.rows:
         for v in row.values:
@@ -937,6 +938,46 @@ def test_injected_fault_fails_by_name(family, fault):
         results += verify_induction(bg, sct, scht).results
     failed = {r.name for r in results if r.passed is False}
     assert expected <= failed, [r.line() for r in results]
+
+
+def _one_point_stabiliser_orbit(monkeypatch, bg):
+    """The record's stabiliser patched so that the first row with
+    |H.lam| > 1 gets the one-point orbit {lam}; returns that lam."""
+    rec = superclasses(bg, "cayley").record
+    stabiliser = rec.stabiliser
+    lam = next(o.rep for o in rec.dual(bg).orbits if len(stabiliser(bg, o.rep)) > 1)
+    monkeypatch.setattr(
+        rec, "stabiliser", lambda bg, mu: frozenset([mu]) if mu == lam else stabiliser(bg, mu)
+    )
+    return lam
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(family="UO", n=4, p=3), dict(family="UU", n=3, p=3, k=2)], ids=["UO4", "UU3"]
+)
+def test_one_point_stabiliser_orbit_fails_by_name(monkeypatch, kw):
+    # the row is scaled by n_lambda = |G.lam| where |G.lam| / |H.lam| is
+    # right; its degree reads 1, so only the checks that compare the row
+    # with the rest of the theory can tell.  A fresh group, as the rows
+    # that theory() keeps are built under the fault
+    bg = build_group(GroupSpec(**kw))
+    lam = _one_point_stabiliser_orbit(monkeypatch, bg)
+    sct, scht = theory(bg)
+    (row,) = [r for r in scht.rows if r.lam == lam]
+    assert row.h_orbit_size == row.degree == 1 and row.n_lambda == row.orbit_size
+    results = verify_axioms(bg, sct, scht).results + verify_induction(bg, sct, scht).results
+    assert {r.name for r in results if r.passed is False} == {
+        "axiom-orthogonality",
+        "induction-degree",
+    }
+
+
+def test_one_point_stabiliser_orbit_is_not_integral_usp4(monkeypatch):
+    # here some cell of the orbit sum is not divisible by |G.lam|
+    bg = build_group(GroupSpec(family="USp", n=4, p=3))
+    _one_point_stabiliser_orbit(monkeypatch, bg)
+    with pytest.raises(NonIntegralityError):
+        theory(bg)
 
 
 # -- intersection with the ambient theory -----------------------------------------
