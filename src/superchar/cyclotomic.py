@@ -5,10 +5,23 @@ relation 1 + zeta + ... + zeta^(p-1) = 0 reduces the top power, so the
 representation is a unique normal form and equality is a coefficient
 compare.  Coefficients are arbitrary-precision integers; no floating
 point enters any value computation.
+
+``Lanes`` checks many identities at once on packed integers.  ``lift``
+writes a value as p nonnegative raw coefficients r_0, ..., r_(p-1) by
+adding m (1 + zeta + ... + zeta^(p-1)) = 0; the lanes of one int hold
+them, w bits each, and a sum of products of packed ints is a sum of
+polynomial products in zeta, lane by lane, as long as no lane reaches
+2^w.  Lane p + i of a product folds onto lane i (zeta^p = 1).  p raw
+coefficients are 0 in Z[zeta_p] exactly when they are all equal (the
+kernel of Z[x]/(x^p - 1) -> Z[zeta_p] is spanned by 1 + x + ... +
+x^(p-1)), and the integer n exactly when lanes 1, ..., p-1 are equal,
+with n = r_0 - r_1.  The folded lanes give the exact value back, so a
+failed identity is still reported with its exact value.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 
@@ -193,20 +206,6 @@ class CycloRational:
         self.num = num
         self.den = den
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_integer(self) -> bool:
-        return self.den == 1 and self.num.is_integer()
-
-    def as_integer(self) -> int:
-        if self.den != 1:
-            raise ValueError(f"{self!r} is not an integer")
-        return self.num.as_integer()
-
-    def conjugate(self) -> "CycloRational":
-        return CycloRational(self.num.conjugate(), self.den)
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.den == 1 and self.num == other
@@ -224,3 +223,74 @@ class CycloRational:
             return f"CycloRat({self.num.to_string()})"
         return f"CycloRat(({self.num.to_string()})/{self.den})"
 
+
+# -- packed lanes ------------------------------------------------------------------
+
+
+def lift(value: CycloValue) -> tuple:
+    """p nonnegative raw coefficients r_i with sum r_i zeta^i = value:
+    coefficient i plus m for i < p - 1, and m at zeta^(p-1), for m the
+    largest negated coefficient (0 if none is negative)."""
+    m = max(0, -min(value.coeffs))
+    return (*(c + m for c in value.coeffs), m)
+
+
+def conjugate_lift(raw) -> tuple:
+    """The raw coefficients of the conjugate: r_i moves to zeta^(p-i)."""
+    return (raw[0], *reversed(raw[1:]))
+
+
+def fold(raw, p: int) -> list:
+    """The p raw coefficients of a product's 2p - 1: lane p + i adds onto
+    lane i, as zeta^p = 1."""
+    return [a + b for a, b in itertools.zip_longest(raw[:p], raw[p:], fillvalue=0)]
+
+
+def read_integer(raw):
+    """The integer that p raw coefficients make, or None if they make none."""
+    return raw[0] - raw[1] if len(set(raw[1:])) == 1 else None
+
+
+class Lanes:
+    """Nonnegative raw coefficients, ``width`` bits per lane, packed into
+    one int: ``lanes`` lanes make a slot of ``slot`` bytes, and slot b of
+    a packed column starts at byte b * slot.  ``bound`` must bound every
+    lane that a sum of packed terms can reach; the width is its bit
+    length, so no lane carries into the next.  A product of two p-lane
+    values takes 2p - 1 lanes."""
+
+    __slots__ = ("p", "width", "lanes", "slot")
+
+    def __init__(self, p: int, bound: int, lanes: int):
+        self.p, self.lanes = p, lanes
+        self.width = max(1, bound.bit_length())
+        self.slot = -(-lanes * self.width // 8)
+
+    def pack(self, raw) -> int:
+        w = self.width
+        return sum(r << (w * i) for i, r in enumerate(raw))
+
+    def unpack(self, acc: int, b: int = 0) -> list:
+        """The lanes of slot b of acc, folded if they hold a product."""
+        w, mask = self.width, (1 << self.width) - 1
+        acc >>= 8 * self.slot * b
+        raw = [(acc >> (w * i)) & mask for i in range(self.lanes)]
+        return fold(raw, self.p) if self.lanes > self.p else raw
+
+    def value(self, acc: int, b: int = 0) -> CycloValue:
+        """The exact value that slot b of acc holds."""
+        return CycloValue.from_exponents(self.p, self.unpack(acc, b))
+
+    def nonzero(self, acc: int, count: int) -> int:
+        """For slots that hold products: an int that is 0 at slot b, for
+        b < count, exactly when slot b of acc folds to 0.  Every slot is
+        folded at once and compared with its lane 0 copied into each lane,
+        with no Python loop over the slots."""
+        p, w = self.p, self.width
+
+        def every(bits):  # the low ``bits`` bits of each slot
+            return int.from_bytes(((1 << bits) - 1).to_bytes(self.slot, "little") * count, "little")
+
+        folded = (acc & every(p * w)) + ((acc >> (p * w)) & every((p - 1) * w))
+        copies = sum(1 << (w * i) for i in range(p))
+        return folded ^ ((folded & every(w)) * copies)

@@ -16,6 +16,14 @@ Every character value is exact in Z[zeta_p]; any failed division would
 falsify the construction and raises immediately.  The verification
 entry points return named check results rather than asserting, so the
 CLI can render a report and pick an exit code.
+
+Orthogonality and the regular-character sum are checked on packed
+integer lanes (``cyclotomic.Lanes``): each distinct cell is lifted once
+to p nonnegative raw coefficients, and a row's inner products with every
+later row come from one multiply-sum over the classes.  The lane width
+is the bit length of a bound read from the table (``_gram_rows``), so
+the folded lanes hold the exact sums, and a FAIL detail prints the exact
+value.
 """
 
 from __future__ import annotations
@@ -24,8 +32,9 @@ import itertools
 import operator
 from array import array
 from collections.abc import Callable
+from functools import cached_property
 
-from .cyclotomic import CycloRational, CycloValue
+from .cyclotomic import CycloRational, CycloValue, Lanes, conjugate_lift, lift, read_integer
 from .errors import NonIntegralityError, SizeGuardError, VerificationError
 from .gf import Theta
 from .involution_group import (
@@ -54,6 +63,7 @@ from .record import Record
 from .triangular import MirrorPoset, TriMatrix, kernel, linear_kernel, slot_index, straight_line
 
 _ALGEBRA_ENUM_GUARD = 1 << 14
+_coeffs = operator.attrgetter("coeffs")
 
 
 class TheoryRecord(Record):
@@ -78,7 +88,8 @@ class TheoryRecord(Record):
     Frobenius's formula over those classes.  ``_subgroup_data`` keeps, in
     ``_subgroups`` and keyed by S's RREF rows, what the oracle needs of
     each distinct S: its size, an F_p-basis of its walk's defects and a
-    histogram kernel over its points.
+    histogram kernel over its points; ``_induced`` keeps each distinct
+    induced value, keyed by its histogram and divisor.
     All of these are built on first use, and the table path needs none
     of them.
     """
@@ -96,6 +107,7 @@ class TheoryRecord(Record):
     _flats: list | None = None
     _conjugacy: ConjugacyClasses | None = None
     _subgroups: dict = dict
+    _induced: dict = dict
 
     def element_data(self):
         """flat(e - 1) for every element, in element order, made on first
@@ -202,6 +214,14 @@ class SuperclassTable(Record):
         for idx, cid in enumerate(self.class_of):
             members.setdefault(cid, []).append(idx)
         return {frozenset(ids) for ids in members.values()}
+
+    @cached_property
+    def rep_conjugacy(self):
+        """The conjugacy class id (``conjugacy_classes``) of each class
+        rep, read once per table for every row of the induction oracle."""
+        rec = self.record
+        class_of = conjugacy_classes(rec).class_of
+        return [class_of[rec.index[K.rep.serialize()]] for K in self.classes]
 
 
 class SupercharRow(Record):
@@ -669,7 +689,10 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
     ``DigitColumns`` with the coefficients lam, over the points of S
     only.  |E| / |cl(g)| is an integer, so the division by
     |cl(g)| |S| is exact exactly when the defining sum is divisible by
-    |S|.  Returns the values and |E| / |S|.
+    |S|.  Each distinct (histogram, |cl(g)| |S|) is divided once per
+    record, and the reps' conjugacy classes are read once per table
+    (``SuperclassTable.rep_conjugacy``).  Returns the values and
+    |E| / |S|.
     """
     rec = sc_table.record
     size, defects, cids, kernel = _subgroup_data(rec, rec.subgroup(lam_coeffs))
@@ -681,15 +704,19 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
         raise NonIntegralityError(
             "restriction of theta∘lambda∘f to the oracle's subgroup is not multiplicative"
         )
-    cc = conjugacy_classes(rec)
+    sizes = conjugacy_classes(rec).sizes
     # conjugacy class id -> counts of each exponent of phi on S
     hist = dict(zip(cids, kernel.histograms(lam_coeffs, theta)))
-    order = len(rec.elements)
+    order, absent, cells = len(rec.elements), (0,) * p, rec._induced
     values = []
-    for K in sc_table.classes:
-        cid = cc.class_of[rec.index[K.rep.serialize()]]
-        counts = CycloValue.from_exponents(p, hist.get(cid, [0] * p))
-        values.append(_divexact(counts * order, cc.sizes[cid] * size, "induced character"))
+    for cid in sc_table.rep_conjugacy:
+        key = (hist.get(cid, absent), sizes[cid] * size)
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = _divexact(
+                CycloValue.from_exponents(p, key[0]) * order, key[1], "induced character"
+            )
+        values.append(cell)
     return values, order // size
 
 
@@ -752,7 +779,8 @@ def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckRes
     on the primal orbits, whose preimages under f are the superclasses.
     Then every cell is read again at the last member of its class, and
     compared with n_lambda times the table's value without dividing, so
-    that a wrong n_lambda fails the check rather than raising."""
+    that a wrong n_lambda fails the check rather than raising; each
+    distinct (n_lambda, histogram, value) is compared once."""
     rec = sct.record
     od = rec.dual(bg)
     orbit_of = od.orbit_of
@@ -763,12 +791,17 @@ def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckRes
     if stray:
         return CheckResult("axiom-constancy", False, f"dual orbit {min(stray)} is not invariant")
     kernel, p = _dual_kernel(rec), bg.tower.p
-    rows = {od.orbit_id(row.lam): row for row in scht.rows}
+    by_orbit = {od.orbit_id(row.lam): row for row in scht.rows}
+    rows = [by_orbit[orbit.orbit_id] for orbit in od.orbits]
+    same: dict = {}  # (n_lambda, counts, value's coefficients) -> equal?
     for K in sct.classes:
         hists = kernel.histograms(rec.points[K.member_ids[-1]], scht.theta)
-        for orbit, counts in zip(od.orbits, hists):
-            row = rows[orbit.orbit_id]
-            if CycloValue.from_exponents(p, counts) != row.values[K.class_id] * row.n_lambda:
+        for row, counts in zip(rows, hists):
+            value = row.values[K.class_id]
+            key = (row.n_lambda, counts, value.coeffs)
+            if key not in same:
+                same[key] = CycloValue.from_exponents(p, counts) == value * row.n_lambda
+            if not same[key]:
                 return CheckResult(
                     "axiom-constancy",
                     False,
@@ -777,58 +810,104 @@ def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckRes
     return CheckResult("axiom-constancy", True, "exhaustive")
 
 
+def _lifts(scht: SupercharTable) -> dict:
+    """Every distinct cell of the table, by coefficients, as its lift
+    (``cyclotomic.lift``): each is lifted once."""
+    values = list(itertools.chain.from_iterable(row.values for row in scht.rows))
+    return {c: lift(v) for c, v in dict(zip(map(_coeffs, values), values)).items()}
+
+
+def _gram_rows(p: int, scht: SupercharTable):
+    """(lanes, acc) for each row a in turn, where slot j of acc holds the
+    raw lanes of |E| <chi_a, chi_b> = sum_K |K| chi_a(K) conj(chi_b(K))
+    for b = a + j, every row b >= a (``cyclotomic.Lanes``).
+
+    Each class K packs the lifted conjugates of every row's cell at K,
+    row b at slot b, into one column, and each row a takes one
+    multiply-sum: |K| times a's packed cell at K times K's column, summed
+    over the classes.  The columns then drop their first slot, so row
+    a + 1 starts at slot 0.  Lane k of a slot sums |K| r_i r'_j over
+    i + j = k, at most sum_K |K| (sum_i r_i) max_j r'_j; so sum_K |K|
+    times the largest lane sum of a lifted cell times its largest lane
+    bounds every lane, folded or not."""
+    sizes = [K.size for K in scht.classes]
+    lifts = _lifts(scht)
+    bound = sum(sizes) * max(map(sum, lifts.values())) * max(map(max, lifts.values()))
+    lanes = Lanes(p, bound, 2 * p - 1)
+    packed = {c: lanes.pack(raw) for c, raw in lifts.items()}
+    conj = {
+        c: lanes.pack(conjugate_lift(raw)).to_bytes(lanes.slot, "little")
+        for c, raw in lifts.items()
+    }
+    columns = [
+        int.from_bytes(b"".join(map(conj.__getitem__, map(_coeffs, column))), "little")
+        for column in zip(*(row.values for row in scht.rows))
+    ]
+    for row in scht.rows:
+        weighted = map(operator.mul, sizes, map(packed.__getitem__, map(_coeffs, row.values)))
+        yield lanes, sum(map(operator.mul, weighted, columns))
+        columns = [c >> (8 * lanes.slot) for c in columns]
+
+
 def _orthogonality_check(bg, scht: SupercharTable) -> CheckResult:
     """<chi_a, chi_b> = (1/|E|) sum_K |K| chi_a(K) conj(chi_b(K)) for every
-    pair of rows.  Each row is weighted by the class sizes and conjugated
-    once; a pair's product is accumulated as a raw exponent vector, one
-    dot product over the classes per pair of power-basis coefficients."""
-    p = bg.tower.p
-    sizes = [K.size for K in scht.classes]
+    pair of rows, exactly, on the packed lanes of ``_gram_rows``: row a's
+    norm, read from slot 0, must be a positive integer, and every later
+    slot must fold to 0, read for all of them at once by
+    ``Lanes.nonzero``.  The first failing pair is reported with the exact
+    inner product that its slot holds."""
     order = len(scht.sc_table.record.elements)
-    # columns over the classes: weighted[a][i] holds coefficient i of
-    # |K| chi_a(K), conj[b][j] coefficient j of conj(chi_b(K))
-    weighted = [
-        list(zip(*([c * s for c in v.coeffs] for v, s in zip(row.values, sizes))))
-        for row in scht.rows
-    ]
-    conj = [list(zip(*(v.conjugate().coeffs for v in row.values))) for row in scht.rows]
-    for a in range(len(scht.rows)):
-        for b in range(a, len(scht.rows)):
-            raw = [0] * p
-            for i, x in enumerate(weighted[a]):
-                for j, y in enumerate(conj[b]):
-                    raw[(i + j) % p] += sum(map(operator.mul, x, y))
-            ip = CycloRational(CycloValue.from_exponents(p, raw), order)
-            if a == b:
-                if not (ip.is_integer() and ip.as_integer() > 0):
-                    return CheckResult(
-                        "axiom-orthogonality",
-                        False,
-                        f"<chi,chi> not a positive integer for row {a}: {ip!r}",
-                    )
-                if ip != ip.conjugate():
-                    return CheckResult(
-                        "axiom-orthogonality", False, f"norm not conjugation-fixed, row {a}"
-                    )
-            elif not ip.is_zero():
-                return CheckResult(
-                    "axiom-orthogonality", False, f"rows {a},{b} not orthogonal: {ip!r}"
-                )
+    for a, (lanes, acc) in enumerate(_gram_rows(bg.tower.p, scht)):
+        norm = read_integer(lanes.unpack(acc))
+        if norm is None or norm <= 0 or norm % order:
+            ip = CycloRational(lanes.value(acc), order)
+            return CheckResult(
+                "axiom-orthogonality",
+                False,
+                f"<chi,chi> not a positive integer for row {a}: {ip!r}",
+            )
+        slot = 8 * lanes.slot
+        later = lanes.nonzero(acc, len(scht.rows)) >> slot
+        if later:
+            j = ((later & -later).bit_length() - 1) // slot + 1
+            ip = CycloRational(lanes.value(acc, j), order)
+            return CheckResult(
+                "axiom-orthogonality", False, f"rows {a},{a + j} not orthogonal: {ip!r}"
+            )
     return CheckResult("axiom-orthogonality", True, f"{len(scht.rows)} rows, exact")
 
 
+def _regular_sums(p: int, scht: SupercharTable):
+    """(lanes, acc) for each class K in turn, where acc holds the lanes
+    of sum_lambda n_lambda chi_lambda(K): one multiply-sum of n_lambda
+    times each row's packed cell at K.  With every n_lambda at least 1,
+    sum n_lambda times the largest lane of a lifted cell bounds the
+    lanes."""
+    ns = [row.n_lambda for row in scht.rows]
+    lifts = _lifts(scht)
+    lanes = Lanes(p, sum(ns) * max(map(max, lifts.values())), p)
+    packed = {c: lanes.pack(raw) for c, raw in lifts.items()}
+    for column in zip(*(row.values for row in scht.rows)):
+        yield lanes, sum(map(operator.mul, ns, map(packed.__getitem__, map(_coeffs, column))))
+
+
 def _regular_character_check(bg, scht: SupercharTable) -> CheckResult:
+    """sum_lambda n_lambda chi_lambda is the regular character: |E| at
+    the identity's class and 0 at every other, read off the lanes of
+    ``_regular_sums``; a failing class is reported with its exact sum."""
     order = len(scht.sc_table.record.elements)
-    for cid, K in enumerate(scht.classes):
-        acc = CycloValue.zero(bg.tower.p)
-        for row in scht.rows:
-            acc = acc + row.values[cid] * row.n_lambda
+    low = next((row for row in scht.rows if row.n_lambda < 1), None)
+    if low is not None:
+        return CheckResult(
+            "axiom-regular-sum", False, f"n_lambda = {low.n_lambda} for row {low.lam}"
+        )
+    for cid, (lanes, acc) in enumerate(_regular_sums(bg.tower.p, scht)):
         expect = order if cid == 0 else 0
-        if acc != expect:
+        if read_integer(lanes.unpack(acc)) != expect:
             return CheckResult(
                 "axiom-regular-sum",
                 False,
-                f"sum n_lambda chi_lambda = {acc!r} at class {cid}, expected {expect}",
+                f"sum n_lambda chi_lambda = {lanes.value(acc)!r} at class {cid}, expected {expect}",
             )
     return CheckResult("axiom-regular-sum", True, "exact")
 
@@ -862,7 +941,7 @@ def verify_induction(bg, sct, scht) -> Report:
         if degree != row.degree:
             rep.add("induction-degree", False, f"row {row.lam}: {degree} != {row.degree}")
             return rep
-        if values != row.values:
+        if list(map(_coeffs, values)) != list(map(_coeffs, row.values)):
             rep.add("induction-values", False, f"row {row.lam} differs from Ind")
             return rep
     rep.add("induction-identity", True, f"{len(scht.rows)} rows, exact")

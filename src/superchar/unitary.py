@@ -276,20 +276,23 @@ def formula_value(
     nu: TwistedSetPartition,
     theta: Theta,
     degree: int | None = None,
+    powers: dict | None = None,
 ) -> CycloValue:
-    """The closed-form value chi^eta(u_nu)."""
+    """The closed-form value chi^eta(u_nu).  ``powers`` keeps each value
+    zeta^e * scalar by (e, scalar), for callers that evaluate many cells."""
     p = bg.tower.p
     if blocked(eta, nu):
         return CycloValue.zero(p)
     degree = bruteforce_degree(bg, eta) if degree is None else degree
     q = bg.tower.q
-    power = q ** nst(eta, nu)
+    nests = nst(eta, nu)
+    power = q ** nests
     if degree % power:
         raise NonIntegralityError(
             f"degree {degree} is not divisible by (-q)^nst = {power}"
         )
     scalar = degree // power
-    if nst(eta, nu) % 2:
+    if nests % 2:
         scalar = -scalar
     nu_by_pos = {(i, j): b for (i, j, b) in nu.arcs}
     acc = 0
@@ -299,7 +302,11 @@ def formula_value(
             acc = bg.tower.add_enc(acc, bg.tower.mul_enc(a, b))
     if not bg.sc.contains(acc):
         raise VerificationError("label product sum left F_q")
-    return root_power(p, theta.exponent(acc)) * scalar
+    powers = {} if powers is None else powers
+    key = (theta.exponent(acc), scalar)
+    if key not in powers:
+        powers[key] = root_power(p, key[0]) * scalar
+    return powers[key]
 
 
 # -- printed degree formulas and the audit ----------------------------------------
@@ -444,6 +451,8 @@ def formula_grid_check(
     }
     mismatches = 0
     zero_mismatches = 0
+    classes = [class_of[nu.sort_key()] for nu in partitions]
+    powers: dict = {}
     for eta in partitions:
         row = scht.rows[row_of[eta.sort_key()]]
         if degrees[eta.sort_key()] != row.degree:
@@ -453,9 +462,9 @@ def formula_grid_check(
                 f"{eta!r}: product of elementary degrees != |H.lambda|",
             )
             return rep
-        for nu in partitions:
-            want = row.values[class_of[nu.sort_key()]]
-            got = formula_value(bg, eta, nu, scht.theta, degree=row.degree)
+        for nu, cid in zip(partitions, classes):
+            want = row.values[cid]
+            got = formula_value(bg, eta, nu, scht.theta, degree=row.degree, powers=powers)
             if got != want:
                 mismatches += 1
             if got.is_zero() != want.is_zero():

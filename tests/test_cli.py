@@ -108,6 +108,11 @@ COMMAND_SHA256 = {
     ("table", "USp", "6", "3"): "4858dcbd1c0581cd72b89aab028eb081280ccd6ff265fe9f945d30010ba6dd93",
     ("table", "UU", "3", "3", "--e", "2", "--theta", "alternate"):
         "77a5d2f8b38517ea0e1fbd208ba3ec17ce57f46fe0bebde15ea377d3a29b415e",
+    # p = 7: six power-basis coefficients per cell; captured while the
+    # orthogonality and regular-sum checks summed CycloValue objects one
+    # pair at a time
+    ("verify", "UT", "3", "7"): "15d1aed552b31f29e72ded0017ec93352660e48e3c56a049fccb83e78030e5cc",
+    ("verify", "UO", "4", "7"): "c880ee1cda3699fde761249a37d857df12fb4fa1f4c40d755e3ef77639aaa4ac",
 }
 
 

@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from superchar.cyclotomic import CycloRational, CycloValue, root_power
+from superchar.cyclotomic import (
+    CycloRational,
+    CycloValue,
+    Lanes,
+    conjugate_lift,
+    fold,
+    lift,
+    read_integer,
+    root_power,
+)
 
 from reference import inner_product
 
@@ -148,3 +157,58 @@ def test_ring_laws_seeded_property(p):
         assert root_power(p, i) * root_power(p, j) == root_power(p, i + j)
         # the normal form is unique: a value is zero only with zero coefficients
         assert (a - b).is_zero() == (a.coeffs == b.coeffs)
+
+
+# -- packed lanes ------------------------------------------------------------------
+
+
+def test_lift_examples():
+    # zeta^2 = -1 - zeta for p = 3: its lift is one lane at zeta^2
+    assert lift(root_power(3, 2)) == (0, 0, 1)
+    assert lift(CycloValue(3, (4, -7))) == (11, 0, 7)
+    assert lift(CycloValue(5, (2, 0, 1, 3))) == (2, 0, 1, 3, 0)
+    assert conjugate_lift((1, 2, 3, 4, 5)) == (1, 5, 4, 3, 2)
+    assert fold([1, 2, 3, 4, 5], 3) == [5, 7, 3]
+    assert read_integer([9, 2, 2]) == 7 and read_integer([9, 2, 3]) is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_packed_products_are_exact(p):
+    # sum_k w_k a_k conj(b_k) through packed lanes, one column per term
+    # with the conjugates of several values in its slots, against direct
+    # arithmetic; lanes read 0 and integers as the value says
+    rng = random.Random(2000 + p)
+
+    def value():
+        return CycloValue(p, [rng.randint(-30, 30) for _ in range(p - 1)])
+
+    for _ in range(20):
+        terms = [(rng.randint(1, 50), value(), [value() for _ in range(4)]) for _ in range(5)]
+        lifts = [lift(v) for _, a, bs in terms for v in [a, *bs]]
+        bound = sum(w for w, _, _ in terms) * max(map(sum, lifts)) * max(map(max, lifts))
+        lanes = Lanes(p, bound, 2 * p - 1)
+        acc = sum(
+            w * lanes.pack(lift(a)) * int.from_bytes(
+                b"".join(
+                    lanes.pack(conjugate_lift(lift(b))).to_bytes(lanes.slot, "little") for b in bs
+                ),
+                "little",
+            )
+            for w, a, bs in terms
+        )
+        flags = lanes.nonzero(acc, 4)
+        for j in range(4):
+            direct = sum((a * bs[j].conjugate() * w for w, a, bs in terms), CycloValue.zero(p))
+            assert lanes.value(acc, j) == direct
+            raw = lanes.unpack(acc, j)
+            assert (read_integer(raw) == direct.coeffs[0]) == direct.is_integer()
+            nonzero = (flags >> (8 * lanes.slot * j)) % (1 << (8 * lanes.slot)) != 0
+            assert nonzero == (not direct.is_zero())
+    # a slot that holds 0 without zero lanes: v conj(v) plus the lift of
+    # -v conj(v); every lane stays below 10^6 for coefficients up to 30
+    v = value()
+    lanes = Lanes(p, 10**6, 2 * p - 1)
+    zero = lanes.pack(lift(v)) * lanes.pack(conjugate_lift(lift(v))) + lanes.pack(
+        lift(-(v * v.conjugate()))
+    )
+    assert lanes.value(zero).is_zero() and lanes.nonzero(zero, 1) == 0

@@ -1,10 +1,11 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from superchar import involution_group
-from superchar.cyclotomic import CycloValue, root_power
+from superchar.cyclotomic import CycloRational, CycloValue, Lanes, root_power
 from superchar.errors import NonIntegralityError, VerificationError
 from superchar.gf import Theta, make_tower
 from superchar.involution_group import GroupSpec, build_group, unsplit_positions
@@ -12,7 +13,14 @@ from superchar.linalg import Subspace
 from superchar.orbits import left_orbit_in_u, orbit_partition_u
 from superchar.sct import (
     DigitColumns,
+    Superclass,
+    SuperclassTable,
+    SupercharRow,
+    SupercharTable,
     _generator_walk,
+    _gram_rows,
+    _orthogonality_check,
+    _regular_sums,
     algebra_group_sct,
     alternate_theta,
     ambient_group,
@@ -746,10 +754,15 @@ def _perturbed_cell(bg, sct, scht):
     row.values[1] = row.values[1] + 1
 
 
+def _duplicate_row(bg, sct, scht):
+    scht.rows[2].values = list(scht.rows[1].values)
+
+
 FAULTS = {
     "class-partition": (_move_noncentral_element, {"superclasses-union-of-conjugacy"}),
     "n-lambda": (_wrong_n_lambda, {"axiom-regular-sum"}),
     "cell": (_perturbed_cell, {"axiom-constancy", "induction-values"}),
+    "duplicate-row": (_duplicate_row, {"axiom-orthogonality"}),
 }
 
 
@@ -938,6 +951,117 @@ def test_injected_fault_fails_by_name(family, fault):
         results += verify_induction(bg, sct, scht).results
     failed = {r.name for r in results if r.passed is False}
     assert expected <= failed, [r.line() for r in results]
+
+
+@pytest.mark.parametrize("family", ["UO", "UT"])
+def test_duplicate_row_fails_orthogonality_naming_the_pair(family):
+    # rows 0 and 1 are untouched, so the first pair that fails is (1, 2),
+    # and its inner product is <chi_1, chi_1>, reported exactly
+    bg = build_group(GroupSpec(**NONABELIAN_SPECS[family]))
+    sct, scht = theory(bg)
+    sizes = [K.size for K in sct.classes]
+    norm = inner_product(
+        zip(scht.rows[1].values, sizes), zip(scht.rows[1].values, sizes), len(sct.record.elements)
+    )
+    _duplicate_row(bg, sct, scht)
+    (result,) = [r for r in verify_axioms(bg, sct, scht).results if r.name == "axiom-orthogonality"]
+    assert not result.passed
+    assert result.detail == f"rows 1,2 not orthogonal: {norm!r}"
+
+
+def test_regular_sum_fails_on_n_lambda_below_one():
+    # the packed sum needs nonnegative multipliers; rows from
+    # supercharacters() always have n_lambda >= 1
+    bg = build_group(GroupSpec(**NONABELIAN_SPECS["UO"]))
+    sct, scht = theory(bg)
+    scht.rows[1].n_lambda = 0
+    (result,) = [r for r in verify_axioms(bg, sct, scht).results if r.name == "axiom-regular-sum"]
+    assert not result.passed and result.detail == f"n_lambda = 0 for row {scht.rows[1].lam}"
+
+
+# -- the packed-lane checks against direct Z[zeta_p] arithmetic -------------------
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(family="UT", n=3, p=5), dict(family="UU", n=3, p=3, k=2), dict(family="UO", n=4, p=7)],
+    ids=["UT3_F5", "UU3_F9", "UO4_F7"],
+)
+def test_packed_checks_match_direct_sums(kw):
+    bg = build_group(GroupSpec(**kw))
+    sct, scht = theory(bg)
+    p, order = bg.tower.p, len(sct.record.elements)
+    sizes = [K.size for K in sct.classes]
+    assert any(not v.is_integer() for row in scht.rows for v in row.values)
+    for a, (lanes, acc) in enumerate(_gram_rows(p, scht)):
+        f = list(zip(scht.rows[a].values, sizes))
+        for b in range(a, scht.count):
+            expected = inner_product(f, zip(scht.rows[b].values, sizes), order)
+            assert CycloRational(lanes.value(acc, b - a), order) == expected, (a, b)
+    for cid, (lanes, acc) in enumerate(_regular_sums(p, scht)):
+        direct = CycloValue.zero(p)
+        for row in scht.rows:
+            direct = direct + row.values[cid] * row.n_lambda
+        assert lanes.value(acc) == direct, cid
+
+
+def _synthetic_table(p, order, sizes, rows):
+    """A table of the given cells, for the checks that read only the
+    cells, the class sizes, n_lambda and |E|."""
+    record = SimpleNamespace(elements=range(order))
+    classes = [Superclass(cid, None, size, []) for cid, size in enumerate(sizes)]
+    sct = SuperclassTable(record, classes, [])
+    table = [
+        SupercharRow((i,), 1, 1, 1, 1, [CycloValue(p, c) for c in cells])
+        for i, cells in enumerate(rows)
+    ]
+    return SimpleNamespace(tower=SimpleNamespace(p=p)), SupercharTable(sct, None, table)
+
+
+def test_orthogonality_lane_width_is_tight(monkeypatch):
+    # p = 3, classes of sizes 109 and 1; row 0 is (37 zeta^2, 1), row 1 is
+    # (65 zeta^2, zeta).  The largest lane sum and lane of a lifted cell
+    # are both 65, so the lanes are bounded by 110 * 65 * 65 = 464,750, 19
+    # bits.  |E| <chi_0, chi_1> has raw lanes (0, 0, 1, 2^18 + 1, 0), which
+    # fold to 2^18 + 1 + zeta^2, not 0; at 18 bits lane 3 carries into
+    # lane 4, and the folded lanes read (1, 1, 1), which is 0.  Row 0's
+    # norm, 109 * 37^2 + 1 = |E|, fits in 18 bits, so at 18 bits the
+    # pair (0, 1) is the one that the narrower width lets through
+    sizes, order = [109, 1], 109 * 37**2 + 1
+    rows = [[(-37, -37), (1, 0)], [(-65, -65), (0, 1)]]
+    bg, scht = _synthetic_table(3, order, sizes, rows)
+    assert 109 * 37 * 65 == 2**18 + 1
+    (lanes, _), *_ = _gram_rows(3, scht)
+    assert lanes.width == 19
+    a, b = ([CycloValue(3, c) for c in row] for row in rows)
+    total = sum((x * y.conjugate() * s for x, y, s in zip(a, b, sizes)), CycloValue.zero(3))
+    ip = CycloRational(total, order)
+    assert ip != 0
+    result = _orthogonality_check(bg, scht)
+    assert not result.passed and result.detail == f"rows 0,1 not orthogonal: {ip!r}"
+
+    class Narrower(Lanes):
+        def __init__(self, p, bound, lanes):
+            super().__init__(p, bound >> 1, lanes)
+
+    monkeypatch.setattr("superchar.sct.Lanes", Narrower)
+    (lanes, acc), *_ = _gram_rows(3, scht)
+    assert lanes.width == 18 and lanes.unpack(acc, 1) == [1, 1, 1]
+    # the pair passes, and only row 1's own norm, also too wide, fails
+    narrow = _orthogonality_check(bg, scht)
+    assert narrow.detail.startswith("<chi,chi> not a positive integer for row 1:")
+
+
+def test_passing_axioms_build_no_cyclo_rational(monkeypatch):
+    # the exact quotient is built only to report a failure
+    bg = build_group(GroupSpec(family="UU", n=4, p=3, k=2))
+    sct, scht = theory(bg)
+
+    def refuse(*args):
+        raise AssertionError("CycloRational built on a passing table")
+
+    monkeypatch.setattr("superchar.sct.CycloRational", refuse)
+    assert verify_axioms(bg, sct, scht).ok
 
 
 def _one_point_stabiliser_orbit(monkeypatch, bg):
