@@ -57,7 +57,7 @@ from .orbits import (
     two_sided_canonical,
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
-    u_action_matrix,
+    walk_maps,
 )
 from .record import Record
 from .triangular import MirrorPoset, TriMatrix, kernel, linear_kernel, slot_index, straight_line
@@ -83,13 +83,14 @@ class TheoryRecord(Record):
     flat(e - 1) for every element.  ``_generator_walk`` is the one
     closure check, exhaustive at every size, for the elements themselves
     and for each oracle subgroup; its walks are kept in the group's cache,
-    keyed by the element set and the member ids.  ``conjugacy_classes(record)`` partitions the
-    elements over ``conjugation_table(record)``, and the oracle evaluates
-    Frobenius's formula over those classes.  ``_subgroup_data`` keeps, in
+    keyed by the element set and the member ids.
+    ``conjugacy_classes(record)`` partitions the elements over
+    ``conjugation_table(record)``, and the oracle evaluates Frobenius's
+    formula over those classes.  ``_subgroup_data`` keeps, in
     ``_subgroups`` and keyed by S's RREF rows, what the oracle needs of
-    each distinct S: its size, an F_p-basis of its walk's defects and a
-    histogram kernel over its points; ``_induced`` keeps each distinct
-    induced value, keyed by its histogram and divisor.
+    each distinct S: its size and a histogram kernel over its points and
+    its walk's defects; ``_induced`` keeps each distinct induced value,
+    keyed by its histogram and divisor.
     All of these are built on first use, and the table path needs none
     of them.
     """
@@ -597,63 +598,36 @@ def _defect_kernel(tower, m):
 def _subgroup_data(rec: TheoryRecord, space: Subspace):
     """What the induction oracle needs of S = {e : flat(e - 1) in space},
     whatever the row, made once per space and kept on the record, keyed by
-    the space's RREF rows: (|S|, defects, class ids, kernel).
+    the space's RREF rows: (|S|, class ids, kernel).
 
-    S is found by an annihilator test: flat(e - 1) lies in the space
-    exactly when c . flat(e - 1) = 0 for every c in a basis of the
-    space's annihilator (the kernel of its rows).  ``_generator_walk``
-    then proves S closed (VerificationError if not).  ``defects`` are
-    distinct vectors f(r t) - f(r) - f(t), over the walk's steps r -> r t,
-    that span every step's defect over F_p.  They are reduced over F_p,
-    not over F_q: a row's test is F_p-linear only (see
-    ``induction_oracle``), and for q > p the F_q-span of a set can be
-    larger than its F_p-span.  The kernel is ``DigitColumns`` over the
-    points f(s) of S, one segment per conjugacy class
-    (``conjugacy_classes``) that meets S; the class ids list them in the
-    same order."""
+    S is found by one compiled map: flat(e - 1) lies in the space exactly
+    when the space's annihilator (the kernel of its rows) sends it to 0.
+    ``_generator_walk`` then proves S closed (VerificationError if not).
+    The kernel is ``DigitColumns`` over the points f(s) of S, one segment
+    per conjugacy class (``conjugacy_classes``) that meets S, in the order
+    of the class ids, and one last segment: f(1) and the distinct defects
+    f(r t) - f(r) - f(t) over the walk's steps r -> r t."""
     key = tuple(space.rows)
     data = rec._subgroups.get(key)
     if data is None:
         bg = rec.group
         tower, points = bg.tower, rec.points
-        add, mul = tower.add_table, tower.mul_table
-        # each annihilator row c as its nonzero terms (column, row of x -> c_j x)
-        constraints = [
-            [(j, mul[c_j]) for j, c_j in enumerate(c) if c_j]
-            for c in Subspace.kernel(bg.sc, space.ambient, space.rows).rows
-        ]
-        members = []
-        for i, flat in enumerate(rec.element_data()):
-            for terms in constraints:
-                acc = 0
-                for j, times in terms:
-                    acc = add[acc][times[flat[j]]]
-                if acc:
-                    break
-            else:
-                members.append(i)
+        annihilator = Subspace.kernel(bg.sc, space.ambient, space.rows).rows
+        test = linear_kernel(tower, annihilator, space.ambient)
+        members = [i for i, v in enumerate(map(test, rec.element_data())) if not any(v)]
         gens, reached, right = _generator_walk(rec, members)
         m = len(points[0])
         defect = _cached(bg, ("defect", m), lambda: _defect_kernel(tower, m))
-        seen = set()
+        defects = {points[0]}
         for t, row in zip(gens, right):
             pt = points[t]
-            seen.update(defect(points[k], points[r], pt) for r, k in zip(reached, row))
-        # keep each defect that leaves the F_p-span of those kept before it,
-        # in F_p-coordinates against the tower's power basis
-        prime = tower.subfield(1)
-        defects, span = [], Subspace(prime, m * tower.degree, [], [])
-        for d in seen:
-            v = tuple(c for x in d for c in prime.coords(x))
-            if not span.contains(v):
-                defects.append(d)
-                span = Subspace.from_spanning(prime, span.ambient, span.rows + [v])
+            defects.update(defect(points[k], points[r], pt) for r, k in zip(reached, row))
         class_of = conjugacy_classes(rec).class_of
         by_class: dict = {}  # conjugacy class id -> the points of its members in S
         for i in members:
             by_class.setdefault(class_of[i], []).append(points[i])
-        kernel = DigitColumns(bg.sc, list(by_class.values()))
-        data = rec._subgroups[key] = (len(members), defects, list(by_class), kernel)
+        kernel = DigitColumns(bg.sc, [*by_class.values(), list(defects)])
+        data = rec._subgroups[key] = (len(members), list(by_class), kernel)
     return data
 
 
@@ -665,17 +639,16 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
     Everything that depends only on S is made once per distinct S by
     ``_subgroup_data``: the members, the closure walk and the defects.
     The restriction phi of theta∘lam∘f to S must be a linear character,
-    and a failure is fatal (NonIntegralityError).  Write phi = L∘f with
-    L(x) = Tr(c lam(x)), F_p-linear on the points.  Along the walk,
-    phi(r t) = phi(r) + phi(t) at a step holds exactly when L vanishes
-    on the step's defect d = f(r t) - f(r) - f(t), and L vanishes on
-    every defect exactly when it vanishes on an F_p-spanning set of
-    them; so each row checks phi(1) = 0 and L(d) = 0 for the kept
-    defects d.  That proves phi(s s') = phi(s) + phi(s') on all of
-    S x S: write s' = t_1 ... t_m as the walk reached it; then phi(s') =
-    phi(1) + sum phi(t_i), and s t_1 ... t_j stays in S with phi growing
-    by phi(t_j) at each letter.  phi(1) = 0 is checked on its own, as
-    no step covers it when S = {1}.
+    and a failure is fatal (NonIntegralityError).  theta∘lam is
+    additive, so phi(r t) = phi(r) + phi(t) at a walk step holds exactly
+    when theta∘lam reads 1 on the step's defect d = f(r t) - f(r) - f(t).
+    The row's one kernel call also histograms the last segment, f(1) and
+    every distinct defect, and every lane there must read exponent 0.
+    That proves phi(s s') = phi(s) + phi(s') on all of S x S: write s' =
+    t_1 ... t_m as the walk reached it; then phi(s') = phi(1) + sum
+    phi(t_i), and s t_1 ... t_j stays in S with phi growing by phi(t_j)
+    at each letter.  f(1) is in the segment because no step covers
+    phi(1) = 0 when S = {1}.
 
     The values come from Frobenius's formula over the conjugacy classes
     of E (``conjugacy_classes``): with phi° = phi on S and 0 off S,
@@ -685,9 +658,9 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
 
     since h -> h g h^-1 maps E onto cl(g) and each fibre is a coset of the
     centraliser, of size |C_E(g)| = |E| / |cl(g)|.  Every row reads the
-    histogram of phi on each conjugacy class of S from one call of S's
-    ``DigitColumns`` with the coefficients lam, over the points of S
-    only.  |E| / |cl(g)| is an integer, so the division by
+    histogram of phi on each conjugacy class of S from that same call,
+    over the points of S only.  |E| / |cl(g)| is an integer, so the
+    division by
     |cl(g)| |S| is exact exactly when the defining sum is divisible by
     |S|.  Each distinct (histogram, |cl(g)| |S|) is divided once per
     record, and the reps' conjugacy classes are read once per table
@@ -695,18 +668,16 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
     |E| / |S|.
     """
     rec = sc_table.record
-    size, defects, cids, kernel = _subgroup_data(rec, rec.subgroup(lam_coeffs))
+    size, cids, kernel = _subgroup_data(rec, rec.subgroup(lam_coeffs))
     p = bg.tower.p
-    dot, exponent = bg.sc.dot, theta.exponent
-    if exponent(dot(lam_coeffs, rec.points[0])) or any(
-        exponent(dot(lam_coeffs, d)) for d in defects
-    ):
+    *hists, vanish = kernel.histograms(lam_coeffs, theta)
+    if any(vanish[1:]):
         raise NonIntegralityError(
             "restriction of theta∘lambda∘f to the oracle's subgroup is not multiplicative"
         )
     sizes = conjugacy_classes(rec).sizes
     # conjugacy class id -> counts of each exponent of phi on S
-    hist = dict(zip(cids, kernel.histograms(lam_coeffs, theta)))
+    hist = dict(zip(cids, hists))
     order, absent, cells = len(rec.elements), (0,) * p, rec._induced
     values = []
     for cid in sc_table.rep_conjugacy:
@@ -1135,13 +1106,7 @@ def verify_structure(bg: BuiltGroup) -> Report:
         rep.add(name, lead, "f(1+x) - x has degree >= 2, all of U")
 
     # every record pairs the same list of elements, bg.U, that the table indexes
-    acts = _cached(
-        bg,
-        "U generator maps",
-        lambda: [
-            linear_kernel(tower, u_action_matrix(bg, t.inverse()), bg.u_basis.dim) for t in gens
-        ],
-    )
+    acts = walk_maps(bg, [t.inverse() for t in gens], ["u"])
     ok = True
     for name in bg.springer_names():
         points = _theory_record(bg, name).points

@@ -21,6 +21,7 @@ from superchar.sct import (
     _gram_rows,
     _orthogonality_check,
     _regular_sums,
+    _subgroup_data,
     algebra_group_sct,
     alternate_theta,
     ambient_group,
@@ -318,6 +319,9 @@ def _oracle_group(nonabelian, groups, which):
         return nonabelian["UO"]
     if which == "UU3":
         return _bg(groups, family="UU", n=3, p=3, k=2)
+    if which == "UO3_F131":
+        # p > 127: the kernels' lanes are lists of ints, not bytes
+        return build_group(GroupSpec(family="UO", n=3, p=131))
     return build_group(GroupSpec(family="UT", n=3, p=5))
 
 
@@ -389,9 +393,10 @@ def test_log_record_refuses_a_non_bijective_exp(monkeypatch):
         superclasses(bg, "log")
 
 
-def _counted_induction(bg, lam, theta, sct):
+def _counted_induction(bg, lam, theta, sct, conj):
     """The induced character counted as (1/|S|) sum over h in E of
-    phi°(h g h^-1), through conjugation_index and Subspace.contains."""
+    phi°(h g h^-1), through ``conj`` = conjugation_index(bg, sct) and
+    Subspace.contains."""
     rec = sct.record
     p = bg.tower.p
     space = rec.subgroup(lam)
@@ -402,7 +407,7 @@ def _counted_induction(bg, lam, theta, sct):
         if space.contains(flat)
     }
     values = []
-    for targets in conjugation_index(bg, sct):
+    for targets in conj:
         counts = [0] * p
         for t in targets:
             if t in phi:
@@ -412,15 +417,16 @@ def _counted_induction(bg, lam, theta, sct):
 
 
 @pytest.mark.parametrize("theta_fn", [standard_theta, alternate_theta])
-@pytest.mark.parametrize("which", ["UO5", "UU3", "UT3_F5"])
+@pytest.mark.parametrize("which", ["UO5", "UU3", "UT3_F5", "UO3_F131"])
 def test_oracle_matches_conjugation_count(nonabelian, groups, which, theta_fn):
     bg = _oracle_group(nonabelian, groups, which)
     theta = theta_fn(bg)
     sct = superclasses(bg, "cayley")
     scht = supercharacters(bg, "cayley", theta, sc_table=sct)
+    conj = conjugation_index(bg, sct)
     for row in scht.rows:
         got = induction_oracle(bg, row.lam, theta, sct)
-        assert got == _counted_induction(bg, row.lam, theta, sct), row.lam
+        assert got == _counted_induction(bg, row.lam, theta, sct, conj), row.lam
         assert got == (row.values, row.degree), row.lam
 
 
@@ -502,10 +508,9 @@ def test_closure_check_refuses_uu4_subsets(monkeypatch):
     assert (refused, len(scht.rows)) == (14, 41)
 
 
-def test_identity_must_map_to_zero(monkeypatch):
+def _refuses_identity_off_zero(monkeypatch, bg):
     # S = {1} has no generators, so no walk step covers phi(1) = 0.  A fresh
     # group: the oracle keeps what it learns of each S, patched points too
-    bg = build_group(GroupSpec(family="UO", n=5, p=3))
     sct, scht = theory(bg)
     rec = sct.record
     lam = scht.rows[1].lam
@@ -517,6 +522,49 @@ def test_identity_must_map_to_zero(monkeypatch):
     _stub_subgroup(monkeypatch, sct, Subspace.from_spanning(bg.sc, bg.flat_dim, []))
     with pytest.raises(NonIntegralityError, match=NOT_MULTIPLICATIVE):
         induction_oracle(bg, lam, scht.theta, sct)
+
+
+def test_identity_must_map_to_zero(monkeypatch):
+    _refuses_identity_off_zero(monkeypatch, build_group(GroupSpec(family="UO", n=5, p=3)))
+
+
+def test_identity_must_map_to_zero_on_list_lanes(monkeypatch):
+    # p > 127: the kernel's lanes are lists of ints, not bytes
+    _refuses_identity_off_zero(monkeypatch, build_group(GroupSpec(family="UO", n=3, p=131)))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(family="UO", n=5, p=3),
+        dict(family="UU", n=4, p=3, k=2),
+        dict(family="UT", n=3, p=5),
+        dict(family="UU", n=3, p=3, e=2, k=2),
+    ],
+    ids=["UO5", "UU4_F9", "UT3_F5", "UU3_e2"],
+)
+def test_subgroup_members_are_the_space_members(kwargs):
+    # every distinct S, all of g (no annihilator rows: S = E) and the zero
+    # space (S = {1}); the members' walk is the one the oracle cached
+    bg = build_group(GroupSpec(**kwargs))
+    sct, scht = theory(bg)
+    rec = sct.record
+    flats = rec.element_data()
+    zero = Subspace.from_spanning(bg.sc, bg.flat_dim, [])
+    spaces = {(): zero, tuple(bg.g_space.rows): bg.g_space}
+    for row in scht.rows:
+        space = rec.subgroup(row.lam)
+        spaces[tuple(space.rows)] = space
+    assert Subspace.kernel(bg.sc, bg.flat_dim, bg.g_space.rows).dim == 0
+    for space in spaces.values():
+        size = _subgroup_data(rec, space)[0]
+        members = [i for i, flat in enumerate(flats) if space.contains(flat)]
+        assert size == len(members)
+        cached = len(bg.cache)
+        reached = _generator_walk(rec, members)[1]
+        assert len(bg.cache) == cached and sorted(reached) == members
+    assert _subgroup_data(rec, bg.g_space)[0] == len(rec.elements)
+    assert _subgroup_data(rec, zero)[0] == 1
 
 
 @pytest.mark.parametrize(
