@@ -12,6 +12,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ShapeError, SizeGuardError, SpringerUndefinedError, VerificationError
@@ -411,5 +412,26 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run(argv=None):
+    """The process entry point: ``main(argv)``, then exit with its code.
+
+    Once stdout and stderr are flushed, ``os._exit`` ends the process
+    without the interpreter's teardown, which only frees what the kernel
+    reclaims at exit anyway; ``main`` has closed every file it opened.
+    If a flush fails (say, the reader closed stdout), ``sys.exit`` hands
+    the exit to the interpreter, which reports it as it would without
+    ``run``.  A stream is None when its descriptor was closed at start,
+    and there is nothing to flush.  Exceptions out of ``main`` propagate
+    as they would too."""
+    code = main(argv)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

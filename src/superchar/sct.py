@@ -60,7 +60,15 @@ from .orbits import (
     walk_maps,
 )
 from .record import Record
-from .triangular import MirrorPoset, TriMatrix, kernel, linear_kernel, slot_index, straight_line
+from .triangular import (
+    MirrorPoset,
+    TriMatrix,
+    kernel,
+    linear_kernel,
+    slot_index,
+    straight_line,
+    strict_positions,
+)
 
 _ALGEBRA_ENUM_GUARD = 1 << 14
 _coeffs = operator.attrgetter("coeffs")
@@ -80,10 +88,11 @@ class TheoryRecord(Record):
     a row's degree, H.lam (for UT, G lam under the left action).
     ``subgroup(lam)`` is the subspace S of g such that the induction
     oracle's subgroup is {e : e - 1 in S}.  ``element_data()`` holds
-    flat(e - 1) for every element.  ``_generator_walk`` is the one
-    closure check, exhaustive at every size, for the elements themselves
-    and for each oracle subgroup; its walks are kept in the group's cache,
-    keyed by the element set and the member ids.
+    flat(e - 1) for every element, and ``walk_order()`` the order in
+    which ``_generator_walk`` tries generators.  ``_generator_walk`` is
+    the one closure check, exhaustive at every size, for the elements
+    themselves and for each oracle subgroup; its walks are kept in the
+    group's cache, keyed by the element set and the member ids.
     ``conjugacy_classes(record)`` partitions the elements over
     ``conjugation_table(record)``, and the oracle evaluates Frobenius's
     formula over those classes.  ``_subgroup_data`` keeps, in
@@ -106,6 +115,7 @@ class TheoryRecord(Record):
     stabiliser: Callable
     subgroup: Callable
     _flats: list | None = None
+    _walk_order: list | None = None
     _conjugacy: ConjugacyClasses | None = None
     _subgroups: dict = dict
     _induced: dict = dict
@@ -116,6 +126,22 @@ class TheoryRecord(Record):
         if self._flats is None:
             self._flats = [self.group.flatten(e.nilpotent_part()) for e in self.elements]
         return self._flats
+
+    def walk_order(self):
+        """Element ids by weight, ties by id, made on first use: the weight
+        of e is the sum of the heights j - i of the nonzero entries of
+        e - 1.  The Frattini subgroup of any group S of these elements is
+        generated by commutators and p-th powers, which vanish at height
+        1; so light members tend to lie outside it, and a walk that tries
+        them first tends to close S on d(S) generators, the fewest there
+        are (Burnside's basis theorem), where serialization order picks
+        log_p |S|.  The order moves only the walk's cost, not its
+        verdict."""
+        if self._walk_order is None:
+            heights = [j - i for i, j in strict_positions(self.group.n)]
+            weight = [sum(itertools.compress(heights, e.encs)) for e in self.elements]
+            self._walk_order = sorted(range(len(weight)), key=weight.__getitem__)
+        return self._walk_order
 
 
 def _theory_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
@@ -493,12 +519,12 @@ def _generator_walk(rec: TheoryRecord, members):
     the records of every Springer name pair the same list U.
 
     The walk starts from the identity, rec.elements[0] (elements sort by
-    serialization), and takes members in order; a member not yet reached
-    becomes a new generator.  Each reached r meets each generator t
-    once, earlier generators and later ones alike: the product r t must
-    be a member, and joins the reached set, so the walk costs
-    |reached| |T| products.  The first product outside the members
-    raises VerificationError.
+    serialization), and takes members in ``rec.walk_order()`` until all
+    are reached; a member not yet reached becomes a new generator.  Each
+    reached r meets each generator t once, earlier generators and later
+    ones alike: the product r t must be a member, and joins the reached
+    set, so the walk costs |reached| |T| products.  The first product
+    outside the members raises VerificationError.
 
     The walk passes exactly when the members S are closed under
     multiplication.  Every step is one of the |S|^2 pairs, so a closed S
@@ -515,8 +541,10 @@ def _generator_walk(rec: TheoryRecord, members):
         what = rec.symbol if len(inside) == len(elements) else "the oracle's subgroup"
         reached, seen = [0], {0}
         gens, right = [], []
-        for s in members:
-            if s in seen:
+        for s in rec.walk_order():
+            if len(reached) == len(inside):
+                break
+            if s in seen or s not in inside:
                 continue
             gens.append(s)
             right.append([])

@@ -1,6 +1,15 @@
-"""Every name a ``superchar`` module imports with ``from ... import`` is
-used in that module.  ``__init__.py`` is skipped: its imports are the
-package's re-exports.  Parsed with ``ast`` only, without importing."""
+"""Checks on the ``superchar`` modules, parsed with ``ast`` only, without
+importing.
+
+Every name a module imports with ``from ... import`` is used in that
+module; ``__init__.py`` is skipped there, since its imports are the
+package's re-exports.
+
+No module relies on the interpreter's teardown, which ``cli.run`` skips
+with ``os._exit``: none imports ``atexit`` (whose handlers would never
+run), ``threading``, ``concurrent`` or ``multiprocessing`` (whose workers
+would never be joined), or defines ``__del__`` (which would never be
+called)."""
 
 import ast
 from pathlib import Path
@@ -9,6 +18,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "superchar"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+TEARDOWN_MODULES = {"atexit", "threading", "concurrent", "multiprocessing"}
 
 
 def _annotations(tree):
@@ -56,3 +67,48 @@ def test_unused_import_is_found():
         "    return a.g(d, 'c')\n"
     )
     assert _unused_imports(ast.parse(source)) == ["c"]
+
+
+def _teardown_reliance(tree):
+    """What in the module needs the interpreter's teardown: each imported
+    module of TEARDOWN_MODULES and each ``__del__`` defined, in source
+    order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) and node.name == "__del__":
+            found.append((node.lineno, "__del__"))
+            continue
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.split(".")[0] in TEARDOWN_MODULES]
+    return [what for _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_nothing_needs_interpreter_teardown(path):
+    assert _teardown_reliance(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_teardown_reliance_is_found():
+    source = (
+        "import atexit\n"
+        "import os, threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from multiprocessing import Pool\n"
+        "from .threading import x\n"
+        "class C:\n"
+        "    def __del__(self):\n"
+        "        pass\n"
+        "atexit.register(print)\n"
+    )
+    assert _teardown_reliance(ast.parse(source)) == [
+        "atexit",
+        "threading",
+        "concurrent.futures",
+        "multiprocessing",
+        "__del__",
+    ]

@@ -669,6 +669,32 @@ def test_generator_walk_reaches_members_and_records_products(nonabelian, groups,
     assert len({id(w) for w in walks.values()}) == len(subsets)
 
 
+@pytest.mark.parametrize(
+    "kwargs,count",
+    [
+        (dict(family="USp", n=4, p=3), 2),
+        (dict(family="UO", n=5, p=3), 2),
+        (dict(family="UU", n=4, p=3, k=2), 3),
+    ],
+    ids=["USp4_F3", "UO5_F3", "UU4_F9"],
+)
+def test_u_walk_picks_a_minimal_generating_set(kwargs, count):
+    # e -> the height-1 coordinates of flat(e - 1) is a homomorphism onto
+    # an elementary abelian p-group of order p^r, so every generating set
+    # of U has at least r members; the walk's has exactly r (serialization
+    # order picked log_p |U| = 4, 4 and 6)
+    bg = build_group(GroupSpec(**kwargs))
+    rec = superclasses(bg, "cayley").record
+    low = [
+        k for k, (i, j) in enumerate(pos for pos in bg.positions for _ in range(bg.kdim))
+        if j - i == 1
+    ]
+    image = {tuple(flat[k] for k in low) for flat in rec.element_data()}
+    gens = _generator_walk(rec, range(len(rec.elements)))[0]
+    assert len(image) == bg.tower.p**count
+    assert len(gens) == count
+
+
 def test_verify_axioms_refuses_u_not_closed(monkeypatch):
     # with one element's key gone, some product of the walk over U lands
     # outside U; the group is built here, so that no walk is cached yet
