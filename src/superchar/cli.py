@@ -24,7 +24,7 @@ from .orbits import (
     two_sided_orbit_partition_g,
 )
 from .sct import (
-    CheckResult,
+    Report,
     alternate_theta,
     ambient_group,
     intersection_check,
@@ -40,10 +40,10 @@ from .sct import (
 )
 from .triangular import MirrorPoset
 from .unitary import (
+    count_twisted,
     degree_audit,
     ennola_degree_check,
     enumerate_labeled,
-    enumerate_twisted,
     formula_grid_check,
 )
 
@@ -72,6 +72,11 @@ def _add_spec_args(sub):
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--poset", help="poset file (first line n, then 'i j' generators)")
     sub.add_argument("--force", action="store_true", help="override the size guards")
+
+
+def _add_table_args(sub):
+    sub.add_argument("--springer", choices=["cayley", "log"])
+    sub.add_argument("--theta", choices=["standard", "alternate"], default="standard")
 
 
 def _spec_from_args(args) -> GroupSpec:
@@ -170,88 +175,80 @@ def cmd_table(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-_INVOLUTION_CHECKS = [
-    "structure",
-    "axioms",
-    "induction",
-    "duality",
-    "intersection",
-    "springer-independence",
-    "theta-independence",
-]
-_UNITARY_CHECKS = ["unitary-formula", "ennola-degrees", "degree-audit"]
-_ALGEBRA_CHECKS = ["axioms", "induction"]
-_OPTIONAL_CHECKS = ["subfield-independence"]
+def _on_chain(bg) -> bool:
+    """The twisted-partition formulas and the printed degrees are the
+    paper's for the full chain; the Ennola property holds on any poset."""
+    return bg.poset == MirrorPoset.chain(bg.n)
 
 
-def _run_check(name, bg, args) -> list:
-    """One named check's results.  Every table comes from ``theory``,
-    which builds each once per group; the checks that read the
-    --springer/--theta table fetch it through ``_tables``, while the
-    independence checks compare the cached tables they name."""
-    springer = _springer(bg, args)
-    if name == "structure":
-        return verify_structure(bg).results
-    if name == "axioms":
-        sct, scht = _tables(bg, args)
-        return verify_axioms(bg, sct, scht).results
-    if name == "induction":
-        sct, scht = _tables(bg, args)
-        return verify_induction(bg, sct, scht).results
-    if name == "duality":
-        return verify_duality(bg).results
-    if name == "intersection":
-        return intersection_check(bg, springer).results
-    if name == "springer-independence":
-        return verify_springer_independence(bg).results
-    if name == "theta-independence":
-        return verify_theta_independence(bg, springer).results
-    if name == "unitary-formula":
-        sct, scht = _tables(bg, args)
-        return formula_grid_check(bg, sct, scht).results
-    if name == "ennola-degrees":
-        _, scht = _tables(bg, args)
-        return ennola_degree_check(scht).results
-    if name == "degree-audit":
-        out = []
-        rows = degree_audit(bg)
-        for row in rows:
-            out.append(CheckResult("degree-audit", None, row.line()))
-        flagged = [r for r in rows if not r.all_match]
-        out.append(
-            CheckResult(
-                "degree-audit-discrepancies",
-                None,
-                f"{len(flagged)} elementary degree formulas disagree with brute force"
-                " (reported, not patched)",
-            )
-        )
-        return out
-    if name == "subfield-independence":
-        return verify_subfield_independence(bg).results
-    raise _UsageError(f"unknown check {name!r}")
+def _audit_report(bg) -> Report:
+    rep, rows = Report(f"degree audit {bg.label()}"), degree_audit(bg)
+    for row in rows:
+        rep.add("degree-audit", None, row.line())
+    flagged = sum(not r.all_match for r in rows)
+    rep.add(
+        "degree-audit-discrepancies",
+        None,
+        f"{flagged} elementary degree formulas disagree with brute force (reported, not patched)",
+    )
+    return rep
+
+
+_INVOLUTION = ("UO", "USp", "UU", "UU|poset")
+
+# Every check of ``verify`` in run order: name -> (the groups that run it
+# by default, its report for the group, the arguments and the --springer
+# name).  "UU" is UU on the full chain poset, "UU|poset" UU on any other;
+# a check that no group runs by default runs only when --check names it.
+# Each call looks its check and ``_tables`` up as it runs, so a patched
+# module attribute reaches it.
+_CHECKS = {
+    "structure": (_INVOLUTION, lambda bg, *_: verify_structure(bg)),
+    "axioms": (("UT",) + _INVOLUTION, lambda bg, args, _: verify_axioms(bg, *_tables(bg, args))),
+    "induction": (
+        ("UT",) + _INVOLUTION, lambda bg, args, _: verify_induction(bg, *_tables(bg, args))
+    ),
+    "duality": (_INVOLUTION, lambda bg, *_: verify_duality(bg)),
+    "intersection": (_INVOLUTION, lambda bg, _, springer: intersection_check(bg, springer)),
+    "springer-independence": (_INVOLUTION, lambda bg, *_: verify_springer_independence(bg)),
+    "theta-independence": (
+        _INVOLUTION, lambda bg, _, springer: verify_theta_independence(bg, springer)
+    ),
+    "unitary-formula": (("UU",), lambda bg, args, _: formula_grid_check(bg, *_tables(bg, args))),
+    "ennola-degrees": (
+        ("UU", "UU|poset"), lambda bg, args, _: ennola_degree_check(_tables(bg, args)[1])
+    ),
+    "degree-audit": (("UU",), lambda bg, *_: _audit_report(bg)),
+    "subfield-independence": ((), lambda bg, *_: verify_subfield_independence(bg)),
+}
+
+
+def _report(args, lines, guard, failed) -> int:
+    """Write the lines of what ran, to stdout or -o; then re-raise the
+    size guard that stopped the run, if one did."""
+    _write_output(args, "\n".join(lines) + "\n")
+    if guard is not None:
+        raise guard
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     bg = build_group(spec, force=args.force)
-    checks = list(_ALGEBRA_CHECKS if spec.family == "UT" else _INVOLUTION_CHECKS)
-    if spec.family == "UU":
-        # the twisted-partition formulas and the printed degrees are the
-        # paper's for the full chain; the Ennola property holds on any poset
-        chain = bg.poset == MirrorPoset.chain(bg.n)
-        checks += _UNITARY_CHECKS if chain else ["ennola-degrees"]
+    kind = "UU|poset" if spec.family == "UU" and not _on_chain(bg) else spec.family
+    checks = [name for name, (kinds, _) in _CHECKS.items() if kind in kinds]
     if args.check:
-        valid = checks + _OPTIONAL_CHECKS
+        valid = [name for name, (kinds, _) in _CHECKS.items() if name in checks or not kinds]
         if args.check not in valid:
             raise _UsageError(
                 f"unknown or inapplicable check {args.check!r}; choose from {valid}"
             )
         checks = [args.check]
+    springer = _springer(bg, args)
     results, guard = [], None
     try:
         for name in checks:
-            results.extend(_run_check(name, bg, args))
+            results.extend(_CHECKS[name][1](bg, args, springer).results)
     except SizeGuardError as exc:
         guard = exc
     lines = [f"== verify {spec.label()} =="]
@@ -262,10 +259,7 @@ def cmd_verify(args) -> int:
             f"== {len(results) - len(failed)}/{len(results)} checks passed"
             + (f"; FAILED: {', '.join(r.name for r in failed)}" if failed else "")
         )
-    _write_output(args, "\n".join(lines) + "\n")
-    if guard is not None:
-        raise guard
-    return EXIT_VERIFY if failed else EXIT_OK
+    return _report(args, lines, guard, failed)
 
 
 # -- orbits ---------------------------------------------------------------------
@@ -298,7 +292,7 @@ def cmd_unitary_check(args) -> int:
     if spec.family != "UU":
         raise _UsageError("unitary-check requires --family UU")
     bg = build_group(spec, force=args.force)
-    if bg.poset != MirrorPoset.chain(bg.n):
+    if not _on_chain(bg):
         raise _UsageError("unitary-check requires the full chain poset")
     lines, failed, guard = [], False, None
     try:
@@ -318,10 +312,7 @@ def cmd_unitary_check(args) -> int:
         f"== {len(flagged)} printed degree formulas disagree with brute force"
         " (reported, not patched)"
     )
-    _write_output(args, "\n".join(lines) + "\n")
-    if guard is not None:
-        raise guard
-    return EXIT_VERIFY if failed else EXIT_OK
+    return _report(args, lines, guard, failed)
 
 
 # -- count-partitions ----------------------------------------------------------------
@@ -330,7 +321,7 @@ def cmd_unitary_check(args) -> int:
 def cmd_count_partitions(args) -> int:
     spec = _spec_from_args(args)
     if spec.family == "UU":
-        count = len(enumerate_twisted(spec.n, spec.tower))
+        count = count_twisted(spec.n, spec.tower)
         kind = "twisted"
     elif spec.family == "UT":
         count = enumerate_labeled(spec.n, spec.tower.size - 1)
@@ -350,16 +341,14 @@ def build_parser() -> _Parser:
 
     t = subs.add_parser("table", help="compute and write a supercharacter table")
     _add_spec_args(t)
-    t.add_argument("--springer", choices=["cayley", "log"])
-    t.add_argument("--theta", choices=["standard", "alternate"], default="standard")
+    _add_table_args(t)
     t.add_argument("--format", choices=["json", "csv"], default="json")
     t.add_argument("--output", "-o")
     t.set_defaults(func=cmd_table)
 
     v = subs.add_parser("verify", help="run the named verification checks")
     _add_spec_args(v)
-    v.add_argument("--springer", choices=["cayley", "log"])
-    v.add_argument("--theta", choices=["standard", "alternate"], default="standard")
+    _add_table_args(v)
     v.add_argument("--check", help="run a single named check")
     v.add_argument("--output", "-o")
     v.set_defaults(func=cmd_verify)
@@ -374,8 +363,7 @@ def build_parser() -> _Parser:
         "unitary-check", help="closed-form value grid and degree audit (UU)"
     )
     _add_spec_args(u)
-    u.add_argument("--springer", choices=["cayley", "log"])
-    u.add_argument("--theta", choices=["standard", "alternate"], default="standard")
+    _add_table_args(u)
     u.add_argument("--output", "-o")
     u.set_defaults(func=cmd_unitary_check)
 

@@ -18,6 +18,9 @@ evaluated alongside and diffed in the audit, not trusted).
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .cyclotomic import CycloValue, root_power
 from .errors import NonIntegralityError, ShapeError, VerificationError
 from .gf import FieldTower, Theta
@@ -25,7 +28,7 @@ from .involution_group import BuiltGroup
 from .orbits import h_orbit_of_functional, orbit_partition_dual
 from .record import FrozenRecord, Record
 from .sct import Report, SuperclassTable, SupercharTable
-from .triangular import TriMatrix, slot_index
+from .triangular import TriMatrix, slot_index, strict_positions
 
 
 def _mirror_pos(n: int, i: int, j: int):
@@ -79,9 +82,6 @@ class TwistedSetPartition(FrozenRecord):
     def sort_key(self):
         return tuple(sorted(self.arcs))
 
-    def is_elementary(self) -> bool:
-        return len(self.mirror_orbits()) == 1
-
     def mirror_orbits(self):
         """Arcs grouped into mirror orbits, ordered by left endpoint."""
         seen = set()
@@ -110,19 +110,6 @@ class TwistedSetPartition(FrozenRecord):
 # -- enumeration ----------------------------------------------------------------
 
 
-def _position_mirror_orbits(n: int):
-    orbits = []
-    seen = set()
-    for pos in sorted((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)):
-        if pos in seen:
-            continue
-        mpos = _mirror_pos(n, *pos)
-        orbit = (pos,) if mpos == pos else (pos, mpos)
-        seen.update(orbit)
-        orbits.append(orbit)
-    return orbits
-
-
 def _self_labels(tower: FieldTower):
     """Nonzero labels with a^q + a = 0."""
     return [
@@ -132,59 +119,69 @@ def _self_labels(tower: FieldTower):
     ]
 
 
-def enumerate_twisted(n: int, tower: FieldTower):
-    """All twisted F_q-set partitions of [n], canonically ordered."""
+def _arc_sets(groups):
+    """Every choice of ``groups``, (positions, labels) pairs, whose
+    positions have distinct left and distinct right endpoints, as the
+    tuple of chosen pairs."""
+
+    def rec(idx, lefts, rights, chosen):
+        if idx == len(groups):
+            yield chosen
+            return
+        yield from rec(idx + 1, lefts, rights, chosen)
+        ls = {i for (i, _) in groups[idx][0]}
+        rs = {j for (_, j) in groups[idx][0]}
+        if not (ls & lefts or rs & rights):
+            yield from rec(idx + 1, lefts | ls, rights | rs, chosen + (groups[idx],))
+
+    return rec(0, frozenset(), frozenset(), ())
+
+
+def _count(groups) -> int:
+    """The labeled arc sets over ``groups``, counted without listing."""
+    return sum(math.prod(len(labels) for _, labels in arcs) for arcs in _arc_sets(groups))
+
+
+def _twisted_groups(n: int, tower: FieldTower):
+    """The mirror orbits of positions, in position order, with their
+    labels: a^q + a = 0 on a self-mirror position, any nonzero a on a
+    mirror pair."""
     if tower.k != 2:
         raise ValueError("twisted partitions need a quadratic extension")
-    orbits = _position_mirror_orbits(n)
-    nonzero = list(range(1, tower.size))
-    selfz = _self_labels(tower)
-    out = []
+    nonzero, selfz = range(1, tower.size), _self_labels(tower)
+    groups = []
+    for pos in strict_positions(n):
+        mirror = _mirror_pos(n, *pos)
+        if mirror == pos:
+            groups.append(((pos,), selfz))
+        elif mirror > pos:
+            groups.append(((pos, mirror), nonzero))
+    return groups
 
-    def compatible(chosen, orbit):
-        lefts = {i for (i, j) in chosen}
-        rights = {j for (i, j) in chosen}
-        for (i, j) in orbit:
-            if i in lefts or j in rights:
-                return False
-            lefts.add(i)
-            rights.add(j)
-        return True
 
-    def rec(idx, chosen, labeled):
-        if idx == len(orbits):
-            out.append(TwistedSetPartition.from_arcs(n, tower, labeled))
-            return
-        rec(idx + 1, chosen, labeled)
-        orbit = orbits[idx]
-        if not compatible(chosen, orbit):
-            return
-        (i, j) = orbit[0]
-        labels = selfz if len(orbit) == 1 else nonzero
-        for a in labels:
-            rec(idx + 1, chosen + list(orbit), labeled + [(i, j, a)])
-
-    rec(0, [], [])
-    out.sort(key=lambda t: t.sort_key())
+def enumerate_twisted(n: int, tower: FieldTower):
+    """All twisted F_q-set partitions of [n], canonically ordered."""
+    out = [
+        TwistedSetPartition.from_arcs(
+            n, tower, [(*orbit[0], a) for (orbit, _), a in zip(arcs, labels)]
+        )
+        for arcs in _arc_sets(_twisted_groups(n, tower))
+        for labels in itertools.product(*(ls for _, ls in arcs))
+    ]
+    out.sort(key=TwistedSetPartition.sort_key)
     return out
+
+
+def count_twisted(n: int, tower: FieldTower) -> int:
+    """``len(enumerate_twisted(n, tower))``, counted without listing."""
+    return _count(_twisted_groups(n, tower))
 
 
 def enumerate_labeled(n: int, num_labels: int) -> int:
     """Count of ordinary labeled set partitions of [n] (arcs i<j with
     distinct left and right endpoints, labels from a set of the given
     size); the type-A counting oracle."""
-    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-    def rec(idx, lefts, rights):
-        if idx == len(positions):
-            return 1
-        total = rec(idx + 1, lefts, rights)
-        (i, j) = positions[idx]
-        if i not in lefts and j not in rights:
-            total += num_labels * rec(idx + 1, lefts | {i}, rights | {j})
-        return total
-
-    return rec(0, frozenset(), frozenset())
+    return _count([((pos,), range(num_labels)) for pos in strict_positions(n)])
 
 
 # -- representatives -------------------------------------------------------------
@@ -359,27 +356,24 @@ class DegreeAuditRow(Record):
 def degree_audit(bg: BuiltGroup) -> list:
     """Brute-force elementary degrees vs the printed formulas.
 
-    The degree must not depend on the labels; that is asserted.  The
-    formula disagreements are reported, never patched over.
+    One row per mirror orbit of positions, from its elementary
+    partitions, one for each label.  The degree must not depend on the
+    labels; that is asserted.  The formula disagreements are reported,
+    never patched over.
     """
     q = bg.tower.q
-    rows = {}
-    for eta in enumerate_twisted(bg.n, bg.tower):
-        if not eta.is_elementary():
-            continue
-        key = tuple(eta.positions())
-        deg = elementary_degree(bg, eta)
-        if key in rows:
-            if rows[key].brute != deg:
-                raise VerificationError("elementary degree depends on the label")
-            rows[key] = DegreeAuditRow(
-                key, rows[key].labels_seen + 1, deg, rows[key].formulas
+    rows = []
+    for orbit, labels in _twisted_groups(bg.n, bg.tower):
+        etas = [TwistedSetPartition.from_arcs(bg.n, bg.tower, [(*orbit[0], a)]) for a in labels]
+        degrees = {elementary_degree(bg, eta) for eta in etas}
+        if len(degrees) > 1:
+            raise VerificationError("elementary degree depends on the label")
+        rows.append(
+            DegreeAuditRow(
+                orbit, len(etas), degrees.pop(), printed_degree_formulas(bg.n, q, etas[0])
             )
-        else:
-            rows[key] = DegreeAuditRow(
-                key, 1, deg, printed_degree_formulas(bg.n, q, eta)
-            )
-    return [rows[k] for k in sorted(rows)]
+        )
+    return rows
 
 
 def ennola_degree_check(scht: SupercharTable) -> Report:

@@ -145,3 +145,22 @@ def test_console_script_is_run():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["superchar"] == "superchar.cli:run"
+
+
+def test_count_partitions_counts_without_listing():
+    """UU_10(F_9) has 362,931 twisted partitions; listing them took about
+    490 MB, and counting them needs no more than the interpreter."""
+    argv = ["count-partitions", "--family", "UU", "--n", "10", "--p", "3"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superchar.cli", *argv],
+        stdout=subprocess.PIPE,
+        env=_child_env(),
+        cwd=ROOT,
+    )
+    with proc.stdout:
+        out = proc.stdout.read()
+    # wait4 reaps this child alone, with its own peak RSS (KiB on Linux)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert (proc.returncode, out) == (0, b"twisted set partitions of [10]: 362931\n")
+    assert usage.ru_maxrss < 100 * 1024

@@ -968,6 +968,90 @@ def test_extension_check_fails_on_its_fault(monkeypatch, check, kw):
     assert {r.name for r in verify_structure(bg).results if r.passed is False} == {check}
 
 
+def _u_cut_to_height_one(monkeypatch, bg):
+    # u read as the span of its basis vectors on the first superdiagonal,
+    # which their commutators leave
+    flats = [
+        bg.flatten(b) for b in bg.u_basis.matrices if all(j - i == 1 for (i, j) in b.entries)
+    ]
+    monkeypatch.setattr(bg, "u_space", Subspace.from_spanning(bg.sc, bg.flat_dim, flats))
+
+
+def _star_without_the_dagger_term(monkeypatch, bg):
+    # y * x read as y x: h . x = h x h^dagger is then not (h - 1) * x + x
+    monkeypatch.setattr("superchar.sct._star", lambda bg, y, x: y * x)
+
+
+def _h_counted_short(monkeypatch, bg):
+    # |H| one F_q-coordinate short, so |H||U|/|H ∩ U| falls below |G|
+    monkeypatch.setattr(bg, "order_H", bg.order_H // bg.sc.size)
+
+
+def _h_without_its_corner(monkeypatch, bg):
+    # h read without the corner (1, n), where the products y b and b y land
+    kept = [m for m in bg.h_basis.matrices if (1, bg.n) not in m.entries]
+    flats = [bg.flatten(m) for m in kept]
+    monkeypatch.setattr(bg, "h_space", Subspace.from_spanning(bg.sc, bg.flat_dim, flats))
+
+
+def _h_gens_with_an_outsider(monkeypatch, bg):
+    # a generator of G outside H listed among H's: its conjugates leave H
+    outsider = next(g for g in bg.G_gens if not bg.in_h(g))
+    monkeypatch.setattr(bg, "H_gens", bg.H_gens + [outsider])
+
+
+STRUCTURE_FAULTS = {
+    "u-lie-closed": _u_cut_to_height_one,
+    "h-action-linearization": _star_without_the_dagger_term,
+    "g-equals-hu": _h_counted_short,
+    "h-two-sided-ideal": _h_without_its_corner,
+    "H-normal-in-G": _h_gens_with_an_outsider,
+}
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(family="UO", n=5, p=3), dict(family="UU", n=4, p=3, k=2)], ids=["UO5", "UU4"]
+)
+@pytest.mark.parametrize("check", sorted(STRUCTURE_FAULTS))
+def test_structure_check_fails_on_its_fault(monkeypatch, check, kw):
+    # a fresh group, as each fault patches it; the first run fills the
+    # caches.  A fault may reach other checks too (a wrong u_space reaches
+    # the extension checks), but it must fail the one it is named for
+    bg = build_group(GroupSpec(**kw))
+    assert verify_structure(bg).ok
+    STRUCTURE_FAULTS[check](monkeypatch, bg)
+    assert check in {r.name for r in verify_structure(bg).results if r.passed is False}
+
+
+def _one_row_repeated(sct, scht):
+    return sct, scht.replace(rows=scht.rows + scht.rows[-1:])
+
+
+def _one_class_grown(sct, scht):
+    *kept, last = sct.classes
+    return sct.replace(classes=kept + [last.replace(size=last.size + 1)]), scht
+
+
+@pytest.mark.parametrize(
+    "check, fault",
+    [("axiom-count", _one_row_repeated), ("superclasses-partition", _one_class_grown)],
+)
+@pytest.mark.parametrize("family", ["UO", "UT"])
+def test_axiom_check_fails_on_a_copied_table(check, fault, family):
+    bg = build_group(GroupSpec(**NONABELIAN_SPECS[family]))
+    results = verify_axioms(bg, *fault(*theory(bg))).results
+    assert check in {r.name for r in results if r.passed is False}, [r.line() for r in results]
+
+
+def test_springer_partition_fails_on_a_moved_log_class():
+    # a fresh group, as the fault changes the log table that theory() keeps;
+    # its rows are untouched, so springer-rows still passes
+    bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
+    _move_noncentral_element(bg, *theory(bg, "log"))
+    results = verify_springer_independence(bg).results
+    assert [r.name for r in results if r.passed is False] == ["springer-partition"]
+
+
 @pytest.mark.parametrize("which", ["UO5", "UT3"])
 def test_constancy_fails_on_member_moved_between_dual_orbits(which):
     # a fresh group, as the fault changes the dual partition it keeps.  The

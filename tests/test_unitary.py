@@ -1,5 +1,6 @@
 import pytest
 
+from superchar import unitary
 from superchar.errors import ShapeError
 from superchar.gf import make_tower
 from superchar.involution_group import GroupSpec, build_group
@@ -10,6 +11,7 @@ from superchar.unitary import (
     TwistedSetPartition,
     blocked,
     bruteforce_degree,
+    count_twisted,
     degree_audit,
     elementary_degree,
     ennola_degree_check,
@@ -68,6 +70,27 @@ def test_enumerate_n3_structure():
         ((i, j, a),) = p.arcs
         assert (i, j) == (1, 3)
         assert T9.add_enc(T9.frobenius_q_enc(a), a) == 0
+
+
+@pytest.mark.parametrize("p, e, top", [(3, 1, 7), (5, 1, 5), (3, 2, 5)], ids=["F9", "F25", "F81"])
+def test_count_twisted_is_the_listed_count(p, e, top):
+    tower = make_tower(p, e, 2)
+    for n in range(1, top + 1):
+        assert count_twisted(n, tower) == len(enumerate_twisted(n, tower)), n
+
+
+def test_count_twisted_reaches_sizes_that_listing_cannot():
+    assert count_twisted(10, T9) == 362931
+    assert count_twisted(12, T9) == 10429625
+
+
+# enumerate_labeled's values while it ran a recursion of its own
+LABELED_COUNTS = {3: [1, 1, 3, 11, 49, 257, 1539], 5: [1, 1, 5, 29, 201, 1657, 15821]}
+
+
+@pytest.mark.parametrize("p", sorted(LABELED_COUNTS))
+def test_enumerate_labeled_keeps_its_values(p):
+    assert [enumerate_labeled(n, p - 1) for n in range(7)] == LABELED_COUNTS[p]
 
 
 def test_enumeration_is_duplicate_free():
@@ -210,6 +233,45 @@ def test_formula_with_alternate_theta(uu3):
     sct = superclasses(uu3, "cayley")
     scht = supercharacters(uu3, "cayley", alternate_theta(uu3), sc_table=sct)
     assert formula_grid_check(uu3, sct, scht).ok
+
+
+# -- injected faults: each must fail by the check that guards it ----------------
+
+
+def _labels_forgotten(n):
+    """A map from each twisted partition of [n] to the first one with its
+    positions, as a formula that reads the arcs but not their labels would."""
+    first = {}
+    for eta in enumerate_twisted(n, T9):
+        first.setdefault(tuple(eta.positions()), eta)
+    return lambda eta: first[tuple(eta.positions())]
+
+
+@pytest.mark.parametrize(
+    "name, check",
+    [("lambda_functional", "lambda-transversal"), ("rep_group_element", "class-transversal")],
+)
+def test_transversal_fails_when_labels_are_forgotten(monkeypatch, uu3, name, check):
+    forget, built = _labels_forgotten(3), getattr(unitary, name)
+    monkeypatch.setattr(unitary, name, lambda bg, eta, *rest: built(bg, forget(eta), *rest))
+    results = formula_grid_check(uu3, *theory(uu3)).results
+    assert [r.name for r in results if r.passed is False] == [check]
+
+
+def test_degree_product_fails_when_a_factor_is_dropped(monkeypatch, uu4):
+    # only the last elementary factor: {1~4, 2~3} loses the degree of 1~4
+    factors = unitary.factor_elementary
+    monkeypatch.setattr(unitary, "factor_elementary", lambda eta: factors(eta)[-1:])
+    results = formula_grid_check(uu4, *theory(uu4)).results
+    assert [r.name for r in results if r.passed is False] == ["degree-product"]
+
+
+def test_zero_pattern_fails_when_nothing_is_blocked(monkeypatch, uu3):
+    monkeypatch.setattr(unitary, "blocked", lambda eta, nu: False)
+    results = formula_grid_check(uu3, *theory(uu3)).results
+    assert {r.name for r in results if r.passed is False} == {
+        "formula-values", "formula-zero-pattern",
+    }
 
 
 # -- degrees ----------------------------------------------------------------------
