@@ -155,9 +155,9 @@ class FieldTower:
         self.neg_table = [0] * size
         for a in range(1, size):
             self.neg_table[a] = -a % p + p * self.neg_table[a // p]
-        self._inv_cache: dict = {}
-        self._frob_cache: dict = {}
-        self._subfields: dict = {}
+        self._inverse = _Memo(lambda a: self.pow_enc(a, self.size - 2))
+        self._frobenius = _Memo(lambda a: self.pow_enc(a, self.q))
+        self._subfields = _Memo(functools.partial(Subfield, self))
         # straight-line kernels compiled by triangular.kernel, by (name, n)
         self.kernels: dict = {}
 
@@ -267,29 +267,17 @@ class FieldTower:
     def inv_enc(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        v = self._inv_cache.get(a)
-        if v is None:
-            v = self.pow_enc(a, self.size - 2)
-            self._inv_cache[a] = v
-        return v
+        return self._inverse[a]
 
     def frobenius_q_enc(self, a: int) -> int:
         """a -> a^q, the generator of Gal(F_{q^k}/F_q)."""
-        v = self._frob_cache.get(a)
-        if v is None:
-            v = self.pow_enc(a, self.q)
-            self._frob_cache[a] = v
-        return v
+        return self._frobenius[a]
 
     # -- subfields ----------------------------------------------------------
 
     def subfield(self, degree: int) -> "Subfield":
         """The subfield F_{p^degree}; degree must divide e*k."""
-        sf = self._subfields.get(degree)
-        if sf is None:
-            sf = Subfield(self, degree)
-            self._subfields[degree] = sf
-        return sf
+        return self._subfields[degree]
 
     @property
     def base(self) -> "Subfield":

@@ -161,8 +161,7 @@ class BuiltGroup:
         # the TriMatrix slot of each position, in flat (position-major) order
         self.slots = [slot_index(spec.n)[pos] for pos in self.positions]
         self.force = force
-        # orbit partitions, theory records and the ambient group, made
-        # once per group through orbits._cached
+        # every keyed build of the group, by key (``cached``)
         self.cache: dict = {}
         degree = spec.scalar_degree if spec.scalar_degree is not None else spec.e
         if self.tower.degree % degree:
@@ -224,6 +223,14 @@ class BuiltGroup:
             self.order_U = self.sc.size**self.u_basis.dim
         else:
             self.u_basis = None
+
+    def cached(self, key, build):
+        """build(), made once per group and key: the one memo of every
+        keyed build, such as an orbit partition, a theory record or a
+        closure walk.  Builds with no key are cached properties."""
+        if key not in self.cache:
+            self.cache[key] = build()
+        return self.cache[key]
 
     def in_h(self, mat: TriMatrix) -> bool:
         """Whether mat vanishes off the positions of H, so lies in H or h."""

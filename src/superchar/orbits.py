@@ -132,18 +132,12 @@ def g_right_matrix(bg: BuiltGroup, g: TriMatrix):
     return transpose(cols)
 
 
-def _cached(bg: BuiltGroup, key, builder):
-    if key not in bg.cache:
-        bg.cache[key] = builder()
-    return bg.cache[key]
-
-
 _MATRIX_FNS = {"u": u_action_matrix, "left": g_left_matrix, "right": g_right_matrix}
 
 
 def walk_maps(bg: BuiltGroup, gens, actions, dual=False):
-    """The compiled maps of every orbit walk, made once per group and kept
-    in ``bg.cache``: for each action in ``actions`` ("u" for x -> g x
+    """The compiled maps of every orbit walk, made once per group
+    (``bg.cached``): for each action in ``actions`` ("u" for x -> g x
     g^dagger on u, "left" and "right" for x -> g x and x -> x g on g), the
     matrix P of each generator in ``gens`` (``bg.G_walk`` or ``bg.H_walk``)
     as a linear kernel on coordinate tuples.  With ``dual`` each map is
@@ -158,7 +152,7 @@ def walk_maps(bg: BuiltGroup, gens, actions, dual=False):
             mats = [transpose(M) for M in mats]
         return [linear_kernel(bg.sc.tower, M, len(M)) for M in mats]
 
-    return _cached(bg, key, build)
+    return bg.cached(key, build)
 
 
 # -- the orbit partitions and single orbits ---------------------------------------
@@ -167,19 +161,19 @@ def walk_maps(bg: BuiltGroup, gens, actions, dual=False):
 def orbit_partition_u(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G acting by g . x = g x g^dagger on the enumerated u."""
     maps = walk_maps(bg, bg.G_walk, ["u"])
-    return _cached(bg, "u", lambda: partition_space(bg.u_points, maps, bg.u_basis.element_encs))
+    return bg.cached("u", lambda: partition_space(bg.u_points, maps, bg.u_basis.element_encs))
 
 
 def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G on the full dual space of u; (g.lam)(x) = lam(g^{-1}.x)."""
     maps = walk_maps(bg, bg.G_walk, ["u"], dual=True)
-    return _cached(bg, "dual", lambda: partition_space(bg.u_points, maps))
+    return bg.cached("dual", lambda: partition_space(bg.u_points, maps))
 
 
 def h_orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """The same dual space partitioned by the normal subgroup H."""
     maps = walk_maps(bg, bg.H_walk, ["u"], dual=True)
-    return _cached(bg, "dual_h", lambda: partition_space(bg.u_points, maps))
+    return bg.cached("dual_h", lambda: partition_space(bg.u_points, maps))
 
 
 def h_orbit_of_functional(bg: BuiltGroup, coeffs) -> frozenset:
@@ -209,8 +203,8 @@ def left_orbit_in_u(bg: BuiltGroup, coords):
     sc = bg.sc
     x = bg.u_basis.element(coords)
     gx = Subspace.from_spanning(sc, bg.flat_dim, [bg.flatten(b * x) for b in bg.g_basis_mats])
-    annihilator = _cached(
-        bg, "u_annihilator", lambda: Subspace.kernel(sc, bg.flat_dim, bg.u_space.rows).rows
+    annihilator = bg.cached(
+        "u_annihilator", lambda: Subspace.kernel(sc, bg.flat_dim, bg.u_space.rows).rows
     )
     meet = Subspace.kernel(sc, gx.dim, [[sc.dot(c, r) for r in gx.rows] for c in annihilator])
     w = [bg.u_space.coords(gx.combine(k)) for k in meet.rows]
@@ -270,19 +264,19 @@ def two_sided_orbit_partition_g(bg: BuiltGroup) -> OrbitIndex:
     # g's basis is the standard one, so a point's coordinates are its flat
     # form and element_encs gives unflatten's slot encodings
     maps = walk_maps(bg, bg.G_walk, ["left", "right"])
-    return _cached(bg, "g2", lambda: partition_space(bg.g_points, maps, bg.g_basis.element_encs))
+    return bg.cached("g2", lambda: partition_space(bg.g_points, maps, bg.g_basis.element_encs))
 
 
 def two_sided_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits on g* under ((g,h).lam)(x) = lam(g^{-1} x h)."""
     maps = walk_maps(bg, bg.G_walk, ["left", "right"], dual=True)
-    return _cached(bg, "g2_dual", lambda: partition_space(bg.g_points, maps))
+    return bg.cached("g2_dual", lambda: partition_space(bg.g_points, maps))
 
 
 def left_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits on g* under the left action of G."""
     maps = walk_maps(bg, bg.G_walk, ["left"], dual=True)
-    return _cached(bg, "g_left_dual", lambda: partition_space(bg.g_points, maps))
+    return bg.cached("g_left_dual", lambda: partition_space(bg.g_points, maps))
 
 
 def orbit_dump_lines(oi: OrbitIndex):

@@ -47,7 +47,6 @@ from .involution_group import (
 )
 from .linalg import Subspace, combine
 from .orbits import (
-    _cached,
     closure_of,
     h_orbit_of_functional,
     left_orbit_in_u,
@@ -91,17 +90,16 @@ class TheoryRecord(Record):
     flat(e - 1) for every element, and ``walk_order()`` the order in
     which ``_generator_walk`` tries generators.  ``_generator_walk`` is
     the one closure check, exhaustive at every size, for the elements
-    themselves and for each oracle subgroup; its walks are kept in the
-    group's cache, keyed by the element set and the member ids.
+    themselves and for each oracle subgroup.
     ``conjugacy_classes(record)`` partitions the elements over
     ``conjugation_table(record)``, and the oracle evaluates Frobenius's
-    formula over those classes.  ``_subgroup_data`` keeps, in
-    ``_subgroups`` and keyed by S's RREF rows, what the oracle needs of
-    each distinct S: its size and a histogram kernel over its points and
-    its walk's defects; ``_induced`` keeps each distinct induced value,
-    keyed by its histogram and divisor.
-    All of these are built on first use, and the table path needs none
-    of them.
+    formula over those classes.  ``_subgroup_data`` holds what the oracle
+    needs of each distinct S: its size and a histogram kernel over its
+    points and its walk's defects.
+    All of these are built on first use by ``BuiltGroup.cached``, and the
+    table path needs none of them.  Every record of a group lists the
+    same elements under the same ``symbol``, so only ``_subgroup_data``,
+    which reads the points, is kept per Springer name.
     """
 
     group: BuiltGroup
@@ -114,34 +112,32 @@ class TheoryRecord(Record):
     dual: Callable
     stabiliser: Callable
     subgroup: Callable
-    _flats: list | None = None
-    _walk_order: list | None = None
-    _conjugacy: ConjugacyClasses | None = None
-    _subgroups: dict = dict
-    _induced: dict = dict
 
     def element_data(self):
-        """flat(e - 1) for every element, in element order, made on first
-        use."""
-        if self._flats is None:
-            self._flats = [self.group.flatten(e.nilpotent_part()) for e in self.elements]
-        return self._flats
+        """flat(e - 1) for every element, in element order, made once per
+        element set."""
+        return self.group.cached(
+            ("element data", self.symbol),
+            lambda: [self.group.flatten(e.nilpotent_part()) for e in self.elements],
+        )
 
     def walk_order(self):
-        """Element ids by weight, ties by id, made on first use: the weight
-        of e is the sum of the heights j - i of the nonzero entries of
-        e - 1.  The Frattini subgroup of any group S of these elements is
+        """Element ids by weight, ties by id, made once per element set: the
+        weight of e is the sum of the heights j - i of the nonzero entries
+        of e - 1.  The Frattini subgroup of any group S of these elements is
         generated by commutators and p-th powers, which vanish at height
         1; so light members tend to lie outside it, and a walk that tries
         them first tends to close S on d(S) generators, the fewest there
         are (Burnside's basis theorem), where serialization order picks
         log_p |S|.  The order moves only the walk's cost, not its
         verdict."""
-        if self._walk_order is None:
+
+        def build():
             heights = [j - i for i, j in strict_positions(self.group.n)]
             weight = [sum(itertools.compress(heights, e.encs)) for e in self.elements]
-            self._walk_order = sorted(range(len(weight)), key=weight.__getitem__)
-        return self._walk_order
+            return sorted(range(len(weight)), key=weight.__getitem__)
+
+        return self.group.cached(("walk order", self.symbol), build)
 
 
 def _theory_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
@@ -149,8 +145,8 @@ def _theory_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
     UT family, which has no involution, the algebra-group theory of G.
     Made once per group and name."""
     if bg.spec.family == "UT":
-        return _cached(bg, ("record", "g-1"), lambda: _algebra_record(bg))
-    return _cached(bg, ("record", springer_name), lambda: _involution_record(bg, springer_name))
+        return bg.cached(("record", "g-1"), lambda: _algebra_record(bg))
+    return bg.cached(("record", springer_name), lambda: _involution_record(bg, springer_name))
 
 
 def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
@@ -399,7 +395,7 @@ def _dual_kernel(rec: TheoryRecord) -> DigitColumns:
         od = rec.dual(bg)
         return DigitColumns(bg.sc, [[od.space[i] for i in o.members] for o in od.orbits])
 
-    return _cached(bg, ("dual kernel", rec.symbol), build)
+    return bg.cached(("dual kernel", rec.symbol), build)
 
 
 def supercharacters(
@@ -469,20 +465,19 @@ def supercharacters(
 
 def _superclass_table(bg: BuiltGroup, springer_name: str) -> SuperclassTable:
     """The superclass table, built once per group and Springer name."""
-    return _cached(bg, ("classes", springer_name), lambda: superclasses(bg, springer_name))
+    return bg.cached(("classes", springer_name), lambda: superclasses(bg, springer_name))
 
 
 def theory(bg: BuiltGroup, springer_name: str = "cayley", theta: Theta | None = None):
     """(superclass table, supercharacter table) for the Springer map and
     theta (the standard one by default).  Every table is built here, once
     per group: the superclass table per Springer name, the rows per name
-    and theta's multiplier; both are kept in ``bg.cache``, and every check
+    and theta's multiplier; both are kept by ``bg.cached``, and every check
     that reads them fetches them here.  The tables are shared, so callers
     do not mutate them."""
     theta = theta or standard_theta(bg)
     sct = _superclass_table(bg, springer_name)
-    scht = _cached(
-        bg,
+    scht = bg.cached(
         ("rows", springer_name, theta.c_enc),
         lambda: supercharacters(bg, springer_name, theta, sc_table=sct),
     )
@@ -532,9 +527,8 @@ def _generator_walk(rec: TheoryRecord, members):
     each reached element is a word t_1 ... t_m in T; so s s' stays in S
     one letter at a time, for any s and s' in S."""
     members = tuple(members)
-    key = ("closure walk", rec.symbol, members)
-    walk = rec.group.cache.get(key)
-    if walk is None:
+
+    def build():
         elements, index = rec.elements, rec.index
         product = kernel(rec.group.tower, "umul", rec.group.n)
         inside = set(members)
@@ -560,8 +554,9 @@ def _generator_walk(rec: TheoryRecord, members):
                         if k not in seen:
                             seen.add(k)
                             reached.append(k)
-        walk = rec.group.cache[key] = (gens, reached, right)
-    return walk
+        return gens, reached, right
+
+    return rec.group.cached(("closure walk", rec.symbol, members), build)
 
 
 def conjugation_table(rec: TheoryRecord):
@@ -571,8 +566,8 @@ def conjugation_table(rec: TheoryRecord):
     element set.  The walk proves E a group and records g -> g t, so
     t^-1 g t = ((g t)^-1 t)^-1 takes no product, only each element's
     inverse.  The conjugacy classes and the equivariance check read it."""
-    key = ("conjugation", rec.symbol)
-    if key not in rec.group.cache:
+
+    def build():
         elements, index = rec.elements, rec.index
         inverse = kernel(rec.group.tower, "inverse", rec.group.n)
         gens, reached, right = _generator_walk(rec, range(len(elements)))
@@ -583,8 +578,9 @@ def conjugation_table(rec: TheoryRecord):
             for r, k in zip(reached, row):
                 times_t[r] = k
             tables.append(array("i", [inv[times_t[inv[k]]] for k in times_t]))
-        rec.group.cache[key] = (gens, tables)
-    return rec.group.cache[key]
+        return gens, tables
+
+    return rec.group.cached(("conjugation", rec.symbol), build)
 
 
 class ConjugacyClasses(Record):
@@ -594,12 +590,13 @@ class ConjugacyClasses(Record):
 
 def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
     """The conjugacy classes of the record's elements E, made once per
-    record: the orbits of E under conjugation by the generators T of
+    element set: the orbits of E under conjugation by the generators T of
     ``conjugation_table``, read off its index tables (``closure_of``).  E
     is finite and generated by T, so these orbits are the classes of all
     of E.  Each unlabelled id, in order, starts a class, so classes are
     numbered by least member."""
-    if rec._conjugacy is None:
+
+    def build():
         maps = [table.__getitem__ for table in conjugation_table(rec)[1]]
         class_of, sizes = [-1] * len(rec.elements), []
         for start in range(len(class_of)):
@@ -608,8 +605,9 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
                 for i in members:
                     class_of[i] = len(sizes)
                 sizes.append(len(members))
-        rec._conjugacy = ConjugacyClasses(class_of, sizes)
-    return rec._conjugacy
+        return ConjugacyClasses(class_of, sizes)
+
+    return rec.group.cached(("conjugacy", rec.symbol), build)
 
 
 def _defect_kernel(tower, m):
@@ -625,8 +623,8 @@ def _defect_kernel(tower, m):
 
 def _subgroup_data(rec: TheoryRecord, space: Subspace):
     """What the induction oracle needs of S = {e : flat(e - 1) in space},
-    whatever the row, made once per space and kept on the record, keyed by
-    the space's RREF rows: (|S|, class ids, kernel).
+    whatever the row, made once per Springer name and space, keyed by the
+    space's RREF rows: (|S|, class ids, kernel).
 
     S is found by one compiled map: flat(e - 1) lies in the space exactly
     when the space's annihilator (the kernel of its rows) sends it to 0.
@@ -635,17 +633,16 @@ def _subgroup_data(rec: TheoryRecord, space: Subspace):
     per conjugacy class (``conjugacy_classes``) that meets S, in the order
     of the class ids, and one last segment: f(1) and the distinct defects
     f(r t) - f(r) - f(t) over the walk's steps r -> r t."""
-    key = tuple(space.rows)
-    data = rec._subgroups.get(key)
-    if data is None:
-        bg = rec.group
+    bg = rec.group
+
+    def build():
         tower, points = bg.tower, rec.points
         annihilator = Subspace.kernel(bg.sc, space.ambient, space.rows).rows
         test = linear_kernel(tower, annihilator, space.ambient)
         members = [i for i, v in enumerate(map(test, rec.element_data())) if not any(v)]
         gens, reached, right = _generator_walk(rec, members)
         m = len(points[0])
-        defect = _cached(bg, ("defect", m), lambda: _defect_kernel(tower, m))
+        defect = bg.cached(("defect", m), lambda: _defect_kernel(tower, m))
         defects = {points[0]}
         for t, row in zip(gens, right):
             pt = points[t]
@@ -655,8 +652,9 @@ def _subgroup_data(rec: TheoryRecord, space: Subspace):
         for i in members:
             by_class.setdefault(class_of[i], []).append(points[i])
         kernel = DigitColumns(bg.sc, [*by_class.values(), list(defects)])
-        data = rec._subgroups[key] = (len(members), list(by_class), kernel)
-    return data
+        return len(members), list(by_class), kernel
+
+    return bg.cached(("subgroup", rec.springer_name, tuple(space.rows)), build)
 
 
 def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: SuperclassTable):
@@ -691,7 +689,7 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
     division by
     |cl(g)| |S| is exact exactly when the defining sum is divisible by
     |S|.  Each distinct (histogram, |cl(g)| |S|) is divided once per
-    record, and the reps' conjugacy classes are read once per table
+    element set, and the reps' conjugacy classes are read once per table
     (``SuperclassTable.rep_conjugacy``).  Returns the values and
     |E| / |S|.
     """
@@ -706,7 +704,8 @@ def induction_oracle(bg: BuiltGroup, lam_coeffs, theta: Theta, sc_table: Supercl
     sizes = conjugacy_classes(rec).sizes
     # conjugacy class id -> counts of each exponent of phi on S
     hist = dict(zip(cids, hists))
-    order, absent, cells = len(rec.elements), (0,) * p, rec._induced
+    order, absent = len(rec.elements), (0,) * p
+    cells = bg.cached(("induced", rec.symbol), dict)
     values = []
     for cid in sc_table.rep_conjugacy:
         key = (hist.get(cid, absent), sizes[cid] * size)
@@ -791,7 +790,10 @@ def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckRes
         return CheckResult("axiom-constancy", False, f"dual orbit {min(stray)} is not invariant")
     kernel, p = _dual_kernel(rec), bg.tower.p
     by_orbit = {od.orbit_id(row.lam): row for row in scht.rows}
-    rows = [by_orbit[orbit.orbit_id] for orbit in od.orbits]
+    rows = [by_orbit.get(orbit.orbit_id) for orbit in od.orbits]
+    if None in rows:
+        orbit = od.orbits[rows.index(None)]
+        return CheckResult("axiom-constancy", False, f"dual orbit {orbit.orbit_id} has no row")
     same: dict = {}  # (n_lambda, counts, value's coefficients) -> equal?
     for K in sct.classes:
         hists = kernel.histograms(rec.points[K.member_ids[-1]], scht.theta)
@@ -1007,7 +1009,7 @@ def ambient_group(bg: BuiltGroup) -> BuiltGroup:
     """The pattern group of bg's spec viewed as an algebra group over its
     full coefficient field, made once per group."""
     spec = bg.spec.replace(family="UT", scalar_degree=bg.tower.degree)
-    return _cached(bg, "ambient", lambda: build_group(spec, force=bg.force))
+    return bg.cached("ambient", lambda: build_group(spec, force=bg.force))
 
 
 def intersection_check(bg: BuiltGroup, springer_name: str = "cayley") -> Report:

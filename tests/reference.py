@@ -80,11 +80,11 @@ def element_encs(basis, coords):
 def left_orbit_of_g_element(bg, flat) -> frozenset:
     """G x for one element x of g, by BFS under left multiplication by
     every root element; the brute-force reference for ``left_orbit_in_u``."""
-    if "reference_g_left_maps" not in bg.cache:
-        bg.cache["reference_g_left_maps"] = [
-            map_from_matrix(g_left_matrix(bg, g), bg.sc) for g in bg.G_gens
-        ]
-    return closure_of(flat, bg.cache["reference_g_left_maps"])
+    maps = bg.cached(
+        "reference_g_left_maps",
+        lambda: [map_from_matrix(g_left_matrix(bg, g), bg.sc) for g in bg.G_gens],
+    )
+    return closure_of(flat, maps)
 
 
 def full_sweep_orbit_u(bg, coords) -> frozenset:

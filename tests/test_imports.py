@@ -9,7 +9,12 @@ No module relies on the interpreter's teardown, which ``cli.run`` skips
 with ``os._exit``: none imports ``atexit`` (whose handlers would never
 run), ``threading``, ``concurrent`` or ``multiprocessing`` (whose workers
 would never be joined), or defines ``__del__`` (which would never be
-called)."""
+called).
+
+Every keyed build of a group goes through ``BuiltGroup.cached``: no
+attribute named ``cache`` is read or written outside
+``BuiltGroup.__init__`` and ``BuiltGroup.cached``, and nothing is
+defined as ``_cached``, so one hook there sees every such build."""
 
 import ast
 from pathlib import Path
@@ -112,3 +117,47 @@ def test_teardown_reliance_is_found():
         "multiprocessing",
         "__del__",
     ]
+
+
+def _stray_caches(tree):
+    """Each ``.cache`` attribute outside ``BuiltGroup.__init__`` and
+    ``BuiltGroup.cached`` and each definition named ``_cached``, in
+    source order."""
+    allowed = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "BuiltGroup"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "cached")
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "cache" and id(node) not in allowed:
+            found.append((node.lineno, ".cache"))
+        elif "_cached" in (getattr(node, "name", None), getattr(node, "id", None)):
+            found.append((node.lineno, "_cached"))  # a def, class, import or name
+    return [what for _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_every_keyed_build_goes_through_built_group_cached(path):
+    assert _stray_caches(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_stray_caches_are_found():
+    source = (
+        "from .orbits import _cached\n"
+        "class BuiltGroup:\n"
+        "    def __init__(self):\n"
+        "        self.cache = {}\n"
+        "    def cached(self, key, build):\n"
+        "        return self.cache.setdefault(key, build())\n"
+        "    def other(self):\n"
+        "        return self.cache\n"
+        "def _cached(bg, key, build):\n"
+        "    return bg.cache[key]\n"
+        "_cached = None\n"
+    )
+    found = ["_cached", ".cache", "_cached", ".cache", "_cached"]
+    assert _stray_caches(ast.parse(source)) == found

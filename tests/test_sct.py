@@ -345,6 +345,25 @@ def test_conjugacy_classes_match_brute_force(nonabelian, groups, which):
     assert firsts == sorted(firsts)
 
 
+def test_records_of_one_group_share_what_depends_on_the_elements():
+    # UU3(F_9) has log (n <= p), and its record lists the same U as
+    # cayley's; only the oracle's subgroup data, which reads the points,
+    # is made per Springer name
+    bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
+    cayley, log = (theory(bg, name)[0].record for name in ("cayley", "log"))
+    assert cayley is not log
+    assert conjugacy_classes(cayley) is conjugacy_classes(log)
+    assert cayley.element_data() is log.element_data()
+    assert cayley.walk_order() is log.walk_order()
+    assert _subgroup_data(cayley, bg.g_space) is not _subgroup_data(log, bg.g_space)
+    for name in ("cayley", "log"):
+        assert verify_induction(bg, *theory(bg, name)).ok
+    keys = set(bg.cache)
+    for name in ("cayley", "log"):
+        assert verify_induction(bg, *theory(bg, name)).ok
+    assert set(bg.cache) == keys
+
+
 def _reference_points(rec):
     """f(e) for every element by its definition: the u-coordinates of the
     Springer map, or flat(g - 1) for the algebra-group theory."""
@@ -870,19 +889,30 @@ def test_springer_image_fails_on_swapped_points(monkeypatch, groups):
     assert [r.passed for r in results if r.name == "springer-adjoint-equivariance"] == [False]
 
 
-def test_springer_leading_term_fails_on_point_changed_at_unsplit_slot(monkeypatch):
+def _point_moved_at_unsplit_slot(monkeypatch, bg, springer):
     # one paired point moved by a basis vector of u that is nonzero at an
     # unsplit position: f(e) - (e - 1) then has a degree-1 term there
-    bg = build_group(GroupSpec(family="USp", n=4, p=3))
-    rec = superclasses(bg, "cayley").record
+    rec = superclasses(bg, springer).record
     slots = {slot_index(bg.n)[pos] for pos in unsplit_positions(bg.positions)}
     j = next(j for j, b in enumerate(bg.u_basis.matrices) if any(b.encs[s] for s in slots))
     i = len(rec.points) // 2
     add = bg.tower.add_table
     moved = tuple(add[x][1] if k == j else x for k, x in enumerate(rec.points[i]))
     monkeypatch.setattr(rec, "points", rec.points[:i] + [moved] + rec.points[i + 1 :])
-    failed = {r.name for r in verify_structure(bg).results if r.passed is False}
+    return {r.name for r in verify_structure(bg).results if r.passed is False}
+
+
+def test_springer_leading_term_fails_on_point_changed_at_unsplit_slot(monkeypatch):
+    bg = build_group(GroupSpec(family="USp", n=4, p=3))
+    failed = _point_moved_at_unsplit_slot(monkeypatch, bg, "cayley")
     assert "springer-cayley-leading-term" in failed
+
+
+def test_springer_log_leading_term_fails_on_point_changed_at_unsplit_slot(monkeypatch):
+    # log is defined on USp4 from p = 5; the moved point leaves log's image too
+    bg = build_group(GroupSpec(family="USp", n=4, p=5))
+    failed = _point_moved_at_unsplit_slot(monkeypatch, bg, "log")
+    assert {"springer-log-image", "springer-log-leading-term"} <= failed
 
 
 def test_leading_term_slots_are_those_outside_the_span_of_products(groups):
@@ -1027,6 +1057,10 @@ def _one_row_repeated(sct, scht):
     return sct, scht.replace(rows=scht.rows + scht.rows[-1:])
 
 
+def _one_row_dropped(sct, scht):
+    return sct, scht.replace(rows=scht.rows[:-1])
+
+
 def _one_class_grown(sct, scht):
     *kept, last = sct.classes
     return sct.replace(classes=kept + [last.replace(size=last.size + 1)]), scht
@@ -1034,13 +1068,27 @@ def _one_class_grown(sct, scht):
 
 @pytest.mark.parametrize(
     "check, fault",
-    [("axiom-count", _one_row_repeated), ("superclasses-partition", _one_class_grown)],
+    [
+        ("axiom-count", _one_row_repeated),
+        ("axiom-count", _one_row_dropped),
+        ("superclasses-partition", _one_class_grown),
+    ],
 )
 @pytest.mark.parametrize("family", ["UO", "UT"])
 def test_axiom_check_fails_on_a_copied_table(check, fault, family):
     bg = build_group(GroupSpec(**NONABELIAN_SPECS[family]))
     results = verify_axioms(bg, *fault(*theory(bg))).results
     assert check in {r.name for r in results if r.passed is False}, [r.line() for r in results]
+
+
+@pytest.mark.parametrize("family", ["UO", "UT"])
+def test_constancy_names_the_dual_orbit_of_a_dropped_row(nonabelian, family):
+    bg = nonabelian[family]
+    sct, scht = theory(bg)
+    missing = sct.record.dual(bg).orbit_id(scht.rows[-1].lam)
+    results = verify_axioms(bg, *_one_row_dropped(sct, scht)).results
+    (constancy,) = [r for r in results if r.name == "axiom-constancy"]
+    assert constancy.line() == f"FAIL   axiom-constancy: dual orbit {missing} has no row"
 
 
 def test_springer_partition_fails_on_a_moved_log_class():
