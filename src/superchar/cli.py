@@ -335,47 +335,72 @@ def cmd_count_partitions(args) -> int:
 # -- entry point ------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="superchar", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    t = subs.add_parser("table", help="compute and write a supercharacter table")
+def _table_parser(t):
     _add_spec_args(t)
     _add_table_args(t)
     t.add_argument("--format", choices=["json", "csv"], default="json")
     t.add_argument("--output", "-o")
     t.set_defaults(func=cmd_table)
 
-    v = subs.add_parser("verify", help="run the named verification checks")
+
+def _verify_parser(v):
     _add_spec_args(v)
     _add_table_args(v)
     v.add_argument("--check", help="run a single named check")
     v.add_argument("--output", "-o")
     v.set_defaults(func=cmd_verify)
 
-    o = subs.add_parser("orbits", help="dump an orbit partition as JSON lines")
+
+def _orbits_parser(o):
     _add_spec_args(o)
     o.add_argument("--space", choices=["u", "dual", "two-sided"], default="u")
     o.add_argument("--output", "-o")
     o.set_defaults(func=cmd_orbits)
 
-    u = subs.add_parser(
-        "unitary-check", help="closed-form value grid and degree audit (UU)"
-    )
+
+def _unitary_check_parser(u):
     _add_spec_args(u)
     _add_table_args(u)
     u.add_argument("--output", "-o")
     u.set_defaults(func=cmd_unitary_check)
 
-    c = subs.add_parser("count-partitions", help="count the indexing set partitions")
+
+def _count_partitions_parser(c):
     _add_spec_args(c)
     c.set_defaults(func=cmd_count_partitions)
 
+
+# Every subcommand in help order: name -> (help, the function that fills in
+# its arguments)
+_COMMANDS = {
+    "table": ("compute and write a supercharacter table", _table_parser),
+    "verify": ("run the named verification checks", _verify_parser),
+    "orbits": ("dump an orbit partition as JSON lines", _orbits_parser),
+    "unitary-check": ("closed-form value grid and degree audit (UU)", _unitary_check_parser),
+    "count-partitions": ("count the indexing set partitions", _count_partitions_parser),
+}
+
+
+def build_parser(argv=()) -> _Parser:
+    """The parser with every subcommand registered, and the arguments of
+    only the one that ``argv`` names filled in; of all five when it names
+    none.  argparse reads the command as the first argument that is not
+    an option, and no name starts with "-", so the first name in ``argv``
+    is the command whenever the command is valid; otherwise parsing stops
+    at the root parser, before any subcommand's arguments are read."""
+    parser = _Parser(prog="superchar", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (help_text, fill) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if named in (None, name):
+            fill(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -322,13 +322,15 @@ class Subfield:
         self._elem_set = frozenset(fixed)
         # coordinates of every tower element against {t^i} over this subfield
         self.power_basis = tuple(tower.pow_enc(tower.p, i) for i in range(self.index))
-        self._combine = {
+        combine = {
             tup: self.dot(tup, self.power_basis)
             for tup in itertools.product(fixed, repeat=self.index)
         }
-        self._coords = {enc: tup for tup, enc in self._combine.items()}
-        if len(self._coords) != tower.size:
+        coords = {enc: tup for tup, enc in combine.items()}
+        if len(coords) != tower.size:
             raise VerificationError("power basis failed to span the tower")
+        # the tables' own lookups, so that a map over them runs at C speed
+        self.coords, self.combine = coords.__getitem__, combine.__getitem__
         self._trace_exp = {}
         for a in fixed:
             t = 0
@@ -340,12 +342,6 @@ class Subfield:
 
     def contains(self, enc: int) -> bool:
         return enc in self._elem_set
-
-    def coords(self, enc: int) -> tuple:
-        return self._coords[enc]
-
-    def combine(self, coords) -> int:
-        return self._combine[coords]
 
     def trace_exponent(self, enc: int) -> int:
         """Tr_{F_{p^d}/F_p} as an integer exponent mod p."""

@@ -239,10 +239,11 @@ class BuiltGroup:
     # -- flattening ---------------------------------------------------------
 
     def flatten(self, mat: TriMatrix):
-        """Scalar-field coordinates of a nilpotent matrix, position-major."""
-        coords = self.sc.coords
-        encs = mat.encs
-        return tuple(c for s in self.slots for c in coords(encs[s]))
+        """Scalar-field coordinates of a nilpotent matrix, position-major:
+        one C-level pass that picks the group's slots and chains their
+        coordinates out of the subfield's table."""
+        coords = map(self.sc.coords, map(mat.encs.__getitem__, self.slots))
+        return tuple(itertools.chain.from_iterable(coords))
 
     def unflatten(self, flat) -> TriMatrix:
         combine = self.sc.combine

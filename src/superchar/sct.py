@@ -65,7 +65,6 @@ from .triangular import (
     kernel,
     linear_kernel,
     slot_index,
-    straight_line,
     strict_positions,
 )
 
@@ -86,9 +85,10 @@ class TheoryRecord(Record):
     orbit of the one functional lam under the subgroup whose orbit size is
     a row's degree, H.lam (for UT, G lam under the left action).
     ``subgroup(lam)`` is the subspace S of g such that the induction
-    oracle's subgroup is {e : e - 1 in S}.  ``element_data()`` holds
-    flat(e - 1) for every element, and ``walk_order()`` the order in
-    which ``_generator_walk`` tries generators.  ``_generator_walk`` is
+    oracle's subgroup is {e : e - 1 in S}, solved once per group and lam.
+    ``element_data()`` holds flat(e - 1) for every element, and
+    ``walk_order()`` the order in which ``_generator_walk`` tries
+    generators.  ``_generator_walk`` is
     the one closure check, exhaustive at every size, for the elements
     themselves and for each oracle subgroup.
     ``conjugacy_classes(record)`` partitions the elements over
@@ -168,8 +168,12 @@ def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
 
     def subgroup(lam_coeffs):
         # U_lam = U ∩ (1 + g_eta) for the antisymmetric extension eta of lam;
-        # g_eta is solved alone, from the stacked rows of l_eta and r_eta
-        return kernel_in_g(bg, bg.eta_forms(bg.extension_map(lam_coeffs)))
+        # g_eta is solved alone, from the stacked rows of l_eta and r_eta,
+        # once per lam for every Springer name
+        return bg.cached(
+            ("g_eta", lam_coeffs),
+            lambda: kernel_in_g(bg, bg.eta_forms(bg.extension_map(lam_coeffs))),
+        )
 
     return TheoryRecord(
         bg,
@@ -199,7 +203,10 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
 
     def subgroup(lam_coeffs):
         # L_lam = 1 + l_lam with l_lam = {x : lam(y x) = 0 for all y in g}
-        return Subspace.kernel(bg.sc, bg.flat_dim, bg.g_forms(lam_coeffs))
+        return bg.cached(
+            ("l_lam", lam_coeffs),
+            lambda: Subspace.kernel(bg.sc, bg.flat_dim, bg.g_forms(lam_coeffs)),
+        )
 
     return TheoryRecord(
         bg,
@@ -333,22 +340,26 @@ class DigitColumns:
     point, so no Python loop runs over the points.  The lanes are folded
     mod p before any of them can pass 255, and each segment's counts are
     read off the folded bytes.  For p > 127 a byte cannot hold a folded
-    lane plus one column, and the lanes are a list of ints instead."""
+    lane plus one column, and the lanes are a list of ints instead.
+
+    ``differences`` reads the same columns at lists of point ids, and
+    gives the distinct differences of the points paired by two lists."""
 
     def __init__(self, sc, segments):
+        self.sc = sc
         self.p = p = sc.tower.p
         self.mul = sc.tower.mul_table
-        self.basis, digits = sc.prime_digits
+        self.basis, self.digits = sc.prime_digits
         points = [x for seg in segments for x in seg]
         self.n = len(points)
         self.bounds = list(itertools.pairwise(itertools.accumulate(map(len, segments), initial=0)))
         # a folded lane holds up to p - 1, and so does each scaled column
         self.cap = 255 // (p - 1)
-        pack = tuple if self.cap < 2 else bytes
+        self.pack = tuple if self.cap < 2 else bytes
         self.columns = [
-            pack(map(digit.__getitem__, coordinate))
+            self.pack(map(digit.__getitem__, coordinate))
             for coordinate in zip(*points)
-            for digit in digits
+            for digit in self.digits
         ]
         if self.cap >= 2:
             self.scale = [bytes(d * w % p for d in range(256)) for w in range(p)]
@@ -358,31 +369,65 @@ class DigitColumns:
 
     def histograms(self, coeffs, theta: Theta):
         """[(#x with theta(c . x) = zeta^v, for v in range(p))] per segment."""
-        p, mul, exponent = self.p, self.mul, theta.exponent
+        mul, exponent = self.mul, theta.exponent
         weights = [exponent(mul[b][c]) for c in coeffs for b in self.basis]
-        if self.cap < 2:
-            lanes = [0] * self.n
-            for col, w in zip(self.columns, weights):
-                if w:
-                    lanes = [(a + d * w) % p for a, d in zip(lanes, col)]
-        else:
-            acc, height = 0, 0  # height: the bound on every lane, in units of p - 1
-            for col, w in zip(self.columns, weights):
-                if w:
-                    if height == self.cap:
-                        acc, height = int.from_bytes(self._folded(acc), "little"), 1
-                    acc += int.from_bytes(col.translate(self.scale[w]), "little")
-                    height += 1
-            lanes = self._folded(acc)
+        lanes = self._lanes(self.n, zip(self.columns, weights))
         units = self.units
         return [
-            units[lanes[s]] if e - s == 1 else tuple(map(lanes[s:e].count, range(p)))
+            units[lanes[s]] if e - s == 1 else tuple(map(lanes[s:e].count, range(self.p)))
             for s, e in self.bounds
         ]
 
-    def _folded(self, acc):
-        """The byte lanes of acc, each reduced mod p."""
-        return acc.to_bytes(self.n, "little").translate(self.fold)
+    def differences(self, base, others):
+        """For each list in ``others``, the set of distinct x_o - x_b over
+        the id pairs (o, b) of zip(list, base), as points of F_q^m.  Ids
+        number the points in segment order, and every list holds the
+        same number of ids, at least two.
+
+        Each digit column is gathered at the ids by one
+        ``operator.itemgetter`` and, as lanes, o + (p - 1) b is folded mod
+        p (``_lanes``): one pass per digit column and list, with no Python
+        loop over the pairs.  One ``set(zip(...))`` then keeps the distinct
+        rows of digits, and only those are read back as points."""
+        p, d, pick = self.p, len(self.basis), operator.itemgetter(*base)
+        negated = [(self.pack(pick(col)), p - 1) for col in self.columns]
+        point = {tuple(digit[a] for digit in self.digits): a for a in self.sc.elements}
+        found = []
+        for ids in others:
+            pick = operator.itemgetter(*ids)
+            lanes = [
+                self._lanes(len(base), [(self.pack(pick(col)), 1), b])
+                for col, b in zip(self.columns, negated)
+            ]
+            found.append(
+                {
+                    tuple(point[row[i : i + d]] for i in range(0, len(row), d))
+                    for row in set(zip(*lanes))
+                }
+            )
+        return found
+
+    def _lanes(self, n, weighted):
+        """The n lanes of sum w col over the (col, w) pairs, mod p."""
+        p = self.p
+        if self.cap < 2:
+            lanes = [0] * n
+            for col, w in weighted:
+                if w:
+                    lanes = [(a + d * w) % p for a, d in zip(lanes, col)]
+            return lanes
+        acc, height = 0, 0  # height: the bound on every lane, in units of p - 1
+        for col, w in weighted:
+            if w:
+                if height == self.cap:
+                    acc, height = int.from_bytes(self._folded(acc, n), "little"), 1
+                acc += int.from_bytes(col.translate(self.scale[w]), "little")
+                height += 1
+        return self._folded(acc, n)
+
+    def _folded(self, acc, n):
+        """The n byte lanes of acc, each reduced mod p."""
+        return acc.to_bytes(n, "little").translate(self.fold)
 
 
 def _dual_kernel(rec: TheoryRecord) -> DigitColumns:
@@ -610,17 +655,6 @@ def conjugacy_classes(rec: TheoryRecord) -> ConjugacyClasses:
     return rec.group.cached(("conjugacy", rec.symbol), build)
 
 
-def _defect_kernel(tower, m):
-    """(k, r, t) -> k - (r + t) on vectors of m encodings, generated."""
-    return straight_line(
-        tower,
-        [("k", m), ("r", m), ("t", m)],
-        [(f"s{j}", [(f"r{j}",), (f"t{j}",)], True) for j in range(m)]
-        + [(f"d{j}", [(f"k{j}",), (f"s{j}",)], False) for j in range(m)],
-        [f"d{j}" for j in range(m)],
-    )
-
-
 def _subgroup_data(rec: TheoryRecord, space: Subspace):
     """What the induction oracle needs of S = {e : flat(e - 1) in space},
     whatever the row, made once per Springer name and space, keyed by the
@@ -632,7 +666,10 @@ def _subgroup_data(rec: TheoryRecord, space: Subspace):
     The kernel is ``DigitColumns`` over the points f(s) of S, one segment
     per conjugacy class (``conjugacy_classes``) that meets S, in the order
     of the class ids, and one last segment: f(1) and the distinct defects
-    f(r t) - f(r) - f(t) over the walk's steps r -> r t."""
+    f(r t) - f(r) - f(t) over the walk's steps r -> r t.  For each
+    generator t, ``DigitColumns.differences`` over all of the record's
+    points gives the distinct f(r t) - f(r) on whole digit columns, and
+    f(t) is subtracted from those alone."""
     bg = rec.group
 
     def build():
@@ -641,12 +678,14 @@ def _subgroup_data(rec: TheoryRecord, space: Subspace):
         test = linear_kernel(tower, annihilator, space.ambient)
         members = [i for i, v in enumerate(map(test, rec.element_data())) if not any(v)]
         gens, reached, right = _generator_walk(rec, members)
-        m = len(points[0])
-        defect = bg.cached(("defect", m), lambda: _defect_kernel(tower, m))
         defects = {points[0]}
-        for t, row in zip(gens, right):
-            pt = points[t]
-            defects.update(defect(points[k], points[r], pt) for r, k in zip(reached, row))
+        if gens:  # S = {1} takes no step
+            digits = bg.cached(
+                ("point digits", rec.springer_name), lambda: DigitColumns(bg.sc, [points])
+            )
+            # f(r t) - f(r) over each generator's steps, less f(t)
+            for t, found in zip(gens, digits.differences(reached, right)):
+                defects.update(tuple(map(tower.sub_enc, x, points[t])) for x in found)
         class_of = conjugacy_classes(rec).class_of
         by_class: dict = {}  # conjugacy class id -> the points of its members in S
         for i in members:

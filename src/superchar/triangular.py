@@ -13,10 +13,12 @@ every map is explicit about which side it acts on.
 
 The arithmetic on slot encodings is generated: ``straight_line`` turns
 a list of sums of products into one Python function over the tower's
-add, mul and neg tables, with every slot unrolled.  ``kernel`` compiles
-the product, the inverse and both Cayley maps once per (tower, n, name)
-on first use; ``linear_kernel`` compiles one F_q-linear map, as the
-orbit walks and ``SpaceBasis.element`` use them.
+add, mul and neg tables, with every slot unrolled.  It emits a step only
+when the step computes something: a step whose value is 0 or a single
+variable is substituted wherever it is read, and in the returned tuple.
+``kernel`` compiles the product, the inverse and both Cayley maps once
+per (tower, n, name) on first use; ``linear_kernel`` compiles one
+F_q-linear map, as the orbit walks and ``SpaceBasis.element`` use them.
 """
 
 from __future__ import annotations
@@ -65,24 +67,40 @@ def straight_line(tower: FieldTower, params, steps, result):
     encodings whose i-th entry becomes the variable f"{name}{i}".  Each
     step (target, terms, negate) assigns target = ±(sum of the terms),
     where a term is a variable (v,) or a product (a, v) of a variable or
-    int encoding a with a variable v (just v when a = 1).  ``result``
-    lists the variables of the returned tuple.  Each term is its own
-    statement, so no expression nests deeper than A[t][M[a][v]] however
-    wide the layout, and a program with no slots (n = 1, dim 0) still
-    compiles to ``return ()``.
+    int encoding a with a variable v (just v when a = 1).  Every target is
+    assigned by one step.  ``result`` lists the variables of the returned
+    tuple.  Each term is its own statement, so no expression nests deeper
+    than A[t][M[a][v]] however wide the layout, and a program with no
+    slots (n = 1, dim 0) still compiles to ``return ()``.
+
+    A step is emitted only when it computes something.  A term that reads
+    0 is dropped; a step left with no term has the value 0, and one left
+    with a single variable, not negated, has that variable's value.  Such
+    a step stores nothing: later steps and the returned tuple read its
+    value in its place.  So an identity row of a linear map returns its
+    argument's slot and a zero row returns the literal 0.
     """
     body = [
         f"    {''.join(f'{name}{i}, ' for i in range(length))}= {name}"
         for name, length in params
         if length
     ]
+    value: dict = {}  # a target that stores nothing -> the variable or 0 it reads as
     for target, terms, negate in steps:
-        exprs = [f"M[{t[0]}][{t[1]}]" if len(t) == 2 and t[0] != 1 else t[-1] for t in terms]
-        body.append(f"    {target} = {exprs[0] if exprs else 0}")
+        kept = []  # each term read through ``value``, as (v,) or (a, v) with a != 1
+        for term in terms:
+            term = [value.get(x, x) for x in term]
+            if 0 not in term:
+                kept.append(term[1:] if term[0] == 1 else term)
+        if not kept or (len(kept) == 1 and len(kept[0]) == 1 and not negate):
+            value[target] = kept[0][0] if kept else 0
+            continue
+        exprs = [f"M[{t[0]}][{t[1]}]" if len(t) == 2 else t[0] for t in kept]
+        body.append(f"    {target} = {exprs[0]}")
         body += [f"    {target} = A[{target}][{e}]" for e in exprs[1:]]
         if negate:
             body.append(f"    {target} = N[{target}]")
-    body.append(f"    return ({''.join(f'{r}, ' for r in result)})")
+    body.append(f"    return ({''.join(f'{value.get(r, r)}, ' for r in result)})")
     args = ", ".join(name for name, _ in params)
     namespace = {"A": tower.add_table, "M": tower.mul_table, "N": tower.neg_table}
     exec("\n".join([f"def kernel({args}):"] + body), namespace)

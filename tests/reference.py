@@ -2,9 +2,10 @@
 interpreted per-slot and per-column loops that the generated kernels
 replaced, functional evaluation on coefficient tuples, the per-product
 extension and eta-subalgebras l_eta, r_eta and g_eta, the oracle's
-per-row additivity check, the direct orbit sums and the exponent vectors
-that the histogram kernel replaced, brute-force orbit and subgroup
-oracles, and the Hermitian inner product of class functions."""
+per-row additivity check and per-step walk defects, the direct orbit
+sums and the exponent vectors that the histogram kernel replaced,
+brute-force orbit and subgroup oracles, and the Hermitian inner product
+of class functions."""
 
 import operator
 
@@ -180,6 +181,19 @@ def additive_along_walk(rec, members, lam, theta) -> bool:
     return not phi[0] and all(
         phi[k] == (phi[r] + phi[t]) % p for t, row in zip(gens, right) for r, k in zip(reached, row)
     )
+
+
+def walk_defects(rec, members) -> set:
+    """f(1) and f(r t) - f(r) - f(t) at every step r -> r t of the
+    generator walk over the members S, one step at a time with the
+    scalar field's subtraction."""
+    sub, points = rec.group.sc.sub, rec.points
+    gens, reached, right = _generator_walk(rec, members)
+    return {points[0]} | {
+        tuple(sub(sub(a, b), c) for a, b, c in zip(points[k], points[r], points[t]))
+        for t, row in zip(gens, right)
+        for r, k in zip(reached, row)
+    }
 
 
 def orbit_sum_values(p, members, points, dot, theta_exp):

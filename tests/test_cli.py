@@ -697,3 +697,49 @@ def test_only_verification_errors_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_duality", failing(AssertionError("a bug")))
     with pytest.raises(AssertionError, match="a bug"):
         main(argv)
+
+
+# each subcommand's --help and one usage error, the root's help, no
+# command, an unknown command and an option before the command
+PARSE_CASES = [[name, "--help"] for name in cli._COMMANDS] + [
+    ["table", "--format", "xml"],
+    ["verify", "--n", "four"],
+    ["orbits", "--space", "left"],
+    ["unitary-check", "--theta", "other"],
+    ["count-partitions", "--bogus"],
+    ["--help"],
+    [],
+    ["frobnicate", "--family", "UO"],
+    ["--family", "UO", "verify"],
+]
+
+
+def _parse(capsys, parser, argv):
+    """What parsing argv does: the namespace, the usage error or the exit
+    code, with the bytes written to stdout and stderr."""
+    try:
+        outcome = ("args", vars(parser.parse_args(argv)))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    except cli._UsageError as exc:
+        outcome = ("usage error", str(exc))
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_parser_for_one_command_prints_what_the_full_parser_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    lazy = _parse(capsys, cli.build_parser(argv), argv)
+    assert lazy == _parse(capsys, cli.build_parser(), argv)
+    assert lazy[0][0] != "args"
+    # main writes the same usage error as the full parser and exits 1
+    if lazy[0][0] == "usage error":
+        assert run(capsys, *argv) == (1, "", f"usage error: {lazy[0][1]}\n")
+
+
+def test_parser_fills_in_only_the_named_command():
+    parser = cli.build_parser(["verify", "--n", "3"])
+    assert parser.parse_args(["verify", "--n", "3"]).n == 3
+    with pytest.raises(cli._UsageError, match="unrecognized arguments: --n 3"):
+        parser.parse_args(["table", "--n", "3"])

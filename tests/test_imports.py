@@ -14,7 +14,11 @@ called).
 Every keyed build of a group goes through ``BuiltGroup.cached``: no
 attribute named ``cache`` is read or written outside
 ``BuiltGroup.__init__`` and ``BuiltGroup.cached``, and nothing is
-defined as ``_cached``, so one hook there sees every such build."""
+defined as ``_cached``, so one hook there sees every such build.
+
+``triangular.straight_line`` is the one place code is generated: no
+other code names the builtins ``exec``, ``eval`` or ``compile``, neither
+bare nor as an attribute of ``builtins``."""
 
 import ast
 from pathlib import Path
@@ -161,3 +165,53 @@ def test_stray_caches_are_found():
     )
     found = ["_cached", ".cache", "_cached", ".cache", "_cached"]
     assert _stray_caches(ast.parse(source)) == found
+
+
+GENERATORS = {"exec", "eval", "compile"}
+
+
+def _generated_code(tree, allowed_function=None):
+    """Each name of GENERATORS read outside the function named
+    ``allowed_function``, bare or as ``builtins.<name>``, in source
+    order."""
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == allowed_function
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Name) and node.id in GENERATORS:
+            found.append((node.lineno, node.id))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in GENERATORS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "builtins"
+        ):
+            found.append((node.lineno, f"builtins.{node.attr}"))
+    return [what for _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_code_is_generated_only_in_straight_line(path):
+    allowed = "straight_line" if path.name == "triangular.py" else None
+    assert _generated_code(ast.parse(path.read_text(), str(path)), allowed) == []
+
+
+def test_generated_code_is_found():
+    source = (
+        "import builtins, re\n"
+        "def straight_line(src):\n"
+        "    exec(src, {})\n"
+        "def other(src):\n"
+        "    run = eval\n"
+        "    builtins.exec(src)\n"
+        "    return compile(src, '<s>', 'exec'), re.compile(src)\n"
+    )
+    tree = ast.parse(source)
+    assert _generated_code(tree, "straight_line") == ["eval", "builtins.exec", "compile"]
+    assert _generated_code(tree) == ["exec", "eval", "builtins.exec", "compile"]

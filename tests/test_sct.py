@@ -5,12 +5,14 @@ from types import SimpleNamespace
 import pytest
 
 from superchar import involution_group
+from superchar import sct as sct_module
+from superchar.cli import main
 from superchar.cyclotomic import CycloRational, CycloValue, Lanes, root_power
 from superchar.errors import NonIntegralityError, VerificationError
 from superchar.gf import Theta, make_tower
 from superchar.involution_group import GroupSpec, build_group, unsplit_positions
 from superchar.linalg import Subspace
-from superchar.orbits import left_orbit_in_u, orbit_partition_u
+from superchar.orbits import left_orbit_in_u, orbit_partition_dual, orbit_partition_u
 from superchar.sct import (
     DigitColumns,
     Superclass,
@@ -52,6 +54,7 @@ from reference import (
     left_orbit_of_g_element,
     orbit_sum_values,
     product_order_histograms,
+    walk_defects,
 )
 
 SMALL_SPECS = [
@@ -653,6 +656,56 @@ def test_oracle_refuses_a_point_patched_inside_a_proper_subgroup(monkeypatch, kw
     monkeypatch.setattr(rec, "points", rec.points[:i] + [patched] + rec.points[i + 1 :])
     with pytest.raises(NonIntegralityError, match=NOT_MULTIPLICATIVE):
         induction_oracle(bg, lam, theta, sct)
+
+
+def _digit_rows(kernel, segment):
+    """The points of one segment of a ``DigitColumns``, as their rows of
+    F_p-digits, sorted."""
+    s, e = kernel.bounds[segment]
+    return sorted(zip(*(col[s:e] for col in kernel.columns)))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(family="UO", n=4, p=3),
+        dict(family="USp", n=4, p=3),
+        dict(family="UU", n=3, p=3, k=2),
+        dict(family="UT", n=3, p=3),
+        dict(family="UO", n=3, p=131),
+    ],
+    ids=["UO4", "USp4", "UU3_F9", "UT3", "UO3_F131"],
+)
+def test_oracle_last_segment_is_the_per_step_defect_set(kwargs):
+    # every distinct S of the rows; UO3(F_131) keeps its lanes as ints
+    bg = build_group(GroupSpec(**kwargs))
+    sct, scht = theory(bg)
+    rec = sct.record
+    flats = rec.element_data()
+    spaces = {}
+    for row in scht.rows:
+        space = rec.subgroup(row.lam)
+        spaces[tuple(space.rows)] = space
+    steps = 0
+    for space in spaces.values():
+        members = [i for i, flat in enumerate(flats) if space.contains(flat)]
+        want = walk_defects(rec, members)
+        kernel = _subgroup_data(rec, space)[2]
+        assert kernel.bounds[-1][1] - kernel.bounds[-1][0] == len(want)
+        assert _digit_rows(kernel, -1) == _digit_rows(DigitColumns(bg.sc, [list(want)]), 0)
+        steps += len(members) > 1
+    assert steps, "no S takes a step"
+
+
+def test_verify_solves_each_g_eta_once(capsys, monkeypatch):
+    # the structure check and the induction oracle share one solve per lam
+    calls = []
+    solve = sct_module.kernel_in_g
+    monkeypatch.setattr(sct_module, "kernel_in_g", lambda *a: calls.append(a) or solve(*a))
+    assert main(["verify", "--family", "UU", "--n", "3", "--p", "3"]) == 0
+    assert "checks passed" in capsys.readouterr().out
+    orbits = orbit_partition_dual(build_group(GroupSpec(family="UU", n=3, p=3, k=2))).count
+    assert len(calls) == orbits
 
 
 @pytest.mark.parametrize("kwargs", [dict(n=3, p=5), dict(n=4, p=3)], ids=["UT3_F5", "UT4_F3"])

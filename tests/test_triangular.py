@@ -171,6 +171,20 @@ def test_linear_kernel_on_near_identity_matrices():
                 assert fn(v) == ref(v)
 
 
+@pytest.mark.parametrize("tower", [T3, T9, T25, T2187], ids=["F3", "F9", "F25", "F3^7"])
+@pytest.mark.parametrize("dim", range(7))
+def test_identity_and_zero_linear_kernels_store_no_output(tower, dim):
+    """A row that reads one slot as it is, or nothing, stores no variable:
+    the kernel returns that slot, or the literal 0, in the row's place."""
+    v = _random_encs(random.Random(dim), tower, dim)
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    zero = [[0] * dim for _ in range(dim)]
+    for matrix, expect in ((identity, v), (zero, (0,) * dim)):
+        fn = linear_kernel(tower, matrix, dim)
+        assert fn.__code__.co_varnames == ("v", *(f"v{i}" for i in range(dim)))
+        assert fn(v) == expect
+
+
 def test_flag_mismatch_is_error():
     a = TriMatrix.from_entries(3, T9, {(1, 2): 1}, unipotent=True)
     x = TriMatrix.from_entries(3, T9, {(1, 2): 1})
