@@ -234,15 +234,23 @@ class BuiltGroup:
 
     def in_h(self, mat: TriMatrix) -> bool:
         """Whether mat vanishes off the positions of H, so lies in H or h."""
-        return not any(mat.encs[s] for s in self._outside_h)
+        return self.in_h_encs(mat.encs)
+
+    def in_h_encs(self, encs) -> bool:
+        """``in_h`` of the matrix with slot encodings ``encs``."""
+        return not any(encs[s] for s in self._outside_h)
 
     # -- flattening ---------------------------------------------------------
 
     def flatten(self, mat: TriMatrix):
-        """Scalar-field coordinates of a nilpotent matrix, position-major:
-        one C-level pass that picks the group's slots and chains their
+        """Scalar-field coordinates of a nilpotent matrix, position-major."""
+        return self.flatten_encs(mat.encs)
+
+    def flatten_encs(self, encs):
+        """``flatten`` of the matrix with slot encodings ``encs``: one
+        C-level pass that picks the group's slots and chains their
         coordinates out of the subfield's table."""
-        coords = map(self.sc.coords, map(mat.encs.__getitem__, self.slots))
+        coords = map(self.sc.coords, map(encs.__getitem__, self.slots))
         return tuple(itertools.chain.from_iterable(coords))
 
     def unflatten(self, flat) -> TriMatrix:
@@ -261,11 +269,15 @@ class BuiltGroup:
         return self.involution.apply(x)
 
     def act(self, g: TriMatrix, x: TriMatrix) -> TriMatrix:
-        """g . x = g x g^dagger for unipotent g and nilpotent x."""
-        a = g.nilpotent_part()
-        ad = self.dagger(a)
-        ax = a * x
-        return x + ax + (x + ax) * ad
+        """g . x = g x g^dagger for unipotent g and nilpotent x.  With
+        a = g - 1 and y = x + a x, that is y + y a^dagger, taken on slot
+        encodings through the product kernel; g^dagger = 1 + a^dagger
+        shares its slot encodings with a^dagger."""
+        if x.unipotent or x.n != self.n or x.tower != self.tower:
+            raise ShapeError("the action is on nilpotent matrices of the group's shape")
+        mul, add = kernel(self.tower, "mul", self.n), self.tower.add_table
+        y = [add[s][t] for s, t in zip(x.encs, mul(g.encs, x.encs))]
+        return x._like([add[s][t] for s, t in zip(y, mul(y, self.dagger(g).encs))])
 
     # -- u and U ---------------------------------------------------------------
 

@@ -21,7 +21,7 @@ import functools
 
 from .errors import VerificationError
 from .involution_group import BuiltGroup
-from .linalg import Subspace, transpose
+from .linalg import Subspace, combine, transpose
 from .record import Record
 from .triangular import TriMatrix, linear_kernel, slot_index
 
@@ -37,14 +37,12 @@ class Orbit(Record):
 class OrbitIndex:
     """A partition of an enumerated space into orbits, canonically ordered
     by each orbit's lexicographically least serialized member.  ``space``
-    and ``index`` are the group's shared (points, index) pair, and
-    ``maps`` the generators' maps that the walks closed under."""
+    and ``index`` are the group's shared (points, index) pair."""
 
-    def __init__(self, points, orbits, orbit_of, maps):
+    def __init__(self, points, orbits, orbit_of):
         self.space, self.index = points
         self.orbits = orbits
         self.orbit_of = orbit_of
-        self.maps = maps
 
     @property
     def count(self) -> int:
@@ -101,7 +99,7 @@ def partition_space(points, maps, canon_key=None) -> OrbitIndex:
         orbits.append(Orbit(oid, rep_key, rep, members, len(members)))
         for i in members:
             orbit_of[i] = oid
-    return OrbitIndex(points, orbits, orbit_of, maps)
+    return OrbitIndex(points, orbits, orbit_of)
 
 
 # -- matrices of the linear actions ---------------------------------------
@@ -135,24 +133,49 @@ def g_right_matrix(bg: BuiltGroup, g: TriMatrix):
 _MATRIX_FNS = {"u": u_action_matrix, "left": g_left_matrix, "right": g_right_matrix}
 
 
-def walk_maps(bg: BuiltGroup, gens, actions, dual=False):
-    """The compiled maps of every orbit walk, made once per group
-    (``bg.cached``): for each action in ``actions`` ("u" for x -> g x
-    g^dagger on u, "left" and "right" for x -> g x and x -> x g on g), the
-    matrix P of each generator in ``gens`` (``bg.G_walk`` or ``bg.H_walk``)
-    as a linear kernel on coordinate tuples.  With ``dual`` each map is
-    mu -> P^T mu instead, so (P^T mu) . x = mu . (P x): the dual action
-    (g mu)(x) = mu(g^-1 x) of g^-1, and the inverses of a generating set
-    generate the same group."""
+def _walk(bg: BuiltGroup, gens, actions, dual):
+    """(maps, moves) of one walk, made once per group (``bg.cached``); see
+    ``walk_maps`` and ``walk_moves``."""
     key = ("walk maps", tuple(g.encs for g in gens), tuple(actions), dual)
 
     def build():
         mats = [_MATRIX_FNS[a](bg, g) for a in actions for g in gens]
         if dual:
             mats = [transpose(M) for M in mats]
-        return [linear_kernel(bg.sc.tower, M, len(M)) for M in mats]
+        maps = [linear_kernel(bg.sc.tower, M, len(M)) for M in mats]
+        # equal matrices share one kernel, so dict.fromkeys drops repeats
+        moves = dict.fromkeys(mp for M, mp in zip(mats, maps) if not _is_identity(M))
+        return maps, list(moves)
 
     return bg.cached(key, build)
+
+
+def _is_identity(matrix) -> bool:
+    """Whether a square matrix of encodings is the identity (1 encodes one)."""
+    return all(a == (i == j) for i, row in enumerate(matrix) for j, a in enumerate(row))
+
+
+def walk_maps(bg: BuiltGroup, gens, actions, dual=False):
+    """The compiled maps of every orbit walk, one per generator and action,
+    made once per group: for each action in ``actions`` ("u" for
+    x -> g x g^dagger on u, "left" and "right" for x -> g x and x -> x g on
+    g), the matrix P of each generator in ``gens`` (``bg.G_walk`` or
+    ``bg.H_walk``) as a linear kernel on coordinate tuples.  With ``dual``
+    each map is mu -> P^T mu instead, so (P^T mu) . x = mu . (P x): the
+    dual action (g mu)(x) = mu(g^-1 x) of g^-1, and the inverses of a
+    generating set generate the same group.  The list follows ``gens``
+    and ``actions``, so a caller can zip it with the generators; the
+    whole-space partitions walk under it."""
+    return _walk(bg, gens, actions, dual)[0]
+
+
+def walk_moves(bg: BuiltGroup, gens, actions, dual=False):
+    """The distinct maps of ``walk_maps`` that are not the identity, in
+    first-seen order, from the same build.  They generate the same group,
+    so a walk under them finds the same orbits with fewer map calls; the
+    stabiliser walks (H.lam, H.eta, and G lam for UT) and
+    ``axiom-constancy``'s invariance loop use them."""
+    return _walk(bg, gens, actions, dual)[1]
 
 
 # -- the orbit partitions and single orbits ---------------------------------------
@@ -177,14 +200,21 @@ def h_orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
 
 
 def h_orbit_of_functional(bg: BuiltGroup, coeffs) -> frozenset:
-    """Closure of one u* vector under H (no full-space enumeration)."""
-    return closure_of(coeffs, walk_maps(bg, bg.H_walk, ["u"], dual=True))
+    """H.lam, the closure of one u* vector under H's ``walk_moves`` (no
+    full-space enumeration), walked once per group and lam
+    (``bg.cached``): every table, ``verify_structure`` and the degree
+    grid read the same walk."""
+    return bg.cached(
+        ("H orbit", coeffs),
+        lambda: closure_of(coeffs, walk_moves(bg, bg.H_walk, ["u"], dual=True)),
+    )
 
 
 def left_orbit_of_g_functional(bg: BuiltGroup, coeffs, gens) -> frozenset:
     """Closure of one g* vector under the left action of the group that
-    ``gens`` generate (G or H): (g mu)(x) = mu(g^{-1} x)."""
-    return closure_of(coeffs, walk_maps(bg, gens, ["left"], dual=True))
+    ``gens`` generate (G or H): (g mu)(x) = mu(g^{-1} x), walked under
+    ``walk_moves``."""
+    return closure_of(coeffs, walk_moves(bg, gens, ["left"], dual=True))
 
 
 def left_orbit_in_u(bg: BuiltGroup, coords):
@@ -199,12 +229,18 @@ def left_orbit_in_u(bg: BuiltGroup, coords):
     c running over the annihilator of u (the kernel of u's rows),
     sum k_i r_i lies in u exactly when sum k_i (c . r_i) = 0 for every c;
     so g x ∩ u is the image of the kernel K of the matrix [c . r_i], and
-    W is spanned by the u-coordinates of the images of K's basis."""
-    sc = bg.sc
-    x = bg.u_basis.element(coords)
-    gx = Subspace.from_spanning(sc, bg.flat_dim, [bg.flatten(b * x) for b in bg.g_basis_mats])
+    W is spanned by the u-coordinates of the images of K's basis.  With
+    x = sum_i c_i u_i over u's basis, flat(b x) = sum_i c_i flat(b u_i),
+    from one list of products flat(b u_i) made once per group."""
+    sc, width = bg.sc, bg.flat_dim
+    products = bg.cached(
+        "g u products",
+        lambda: [[bg.flatten(b * u) for u in bg.u_basis.matrices] for b in bg.g_basis_mats],
+    )
+    spanning = [combine(bg.tower, rows, coords, width) for rows in products]
+    gx = Subspace.from_spanning(sc, width, spanning)
     annihilator = bg.cached(
-        "u_annihilator", lambda: Subspace.kernel(sc, bg.flat_dim, bg.u_space.rows).rows
+        "u_annihilator", lambda: Subspace.kernel(sc, width, bg.u_space.rows).rows
     )
     meet = Subspace.kernel(sc, gx.dim, [[sc.dot(c, r) for r in gx.rows] for c in annihilator])
     w = [bg.u_space.coords(gx.combine(k)) for k in meet.rows]
@@ -226,7 +262,8 @@ def _slot_grid(n: int):
 def two_sided_canonical(mat: TriMatrix) -> tuple:
     """The slot encodings of the quasi-monomial matrix (at most one nonzero
     entry in each row and column) in the orbit of the nilpotent ``mat``
-    under x -> g x h^{-1}, g, h in UT_n over the full field.
+    under x -> g x h^{-1}, g, h in UT_n over the full field.  Only the
+    slot encodings are read, so a group element 1 + x stands for x.
 
     Rows are taken from the last up.  The leftmost nonzero (i, j) of row
     i clears the rest of its row by column operations col_l -= c col_j
@@ -242,8 +279,10 @@ def two_sided_canonical(mat: TriMatrix) -> tuple:
     x = list(mat.encs)
     for i in range(n - 1, 0, -1):
         row = grid[i]
-        j = next((j for j in range(i + 1, n + 1) if x[row[j]]), None)
-        if j is None:
+        for j in range(i + 1, n + 1):
+            if x[row[j]]:
+                break
+        else:
             continue
         a_inv = tower.inv_enc(x[row[j]])
         above = [(grid[r], x[grid[r][j]]) for r in range(1, i + 1) if x[grid[r][j]]]

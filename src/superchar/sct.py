@@ -45,7 +45,7 @@ from .involution_group import (
     sort_paired,
     unsplit_positions,
 )
-from .linalg import Subspace, combine
+from .linalg import Subspace
 from .orbits import (
     closure_of,
     h_orbit_of_functional,
@@ -57,6 +57,7 @@ from .orbits import (
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
     walk_maps,
+    walk_moves,
 )
 from .record import Record
 from .triangular import (
@@ -81,7 +82,8 @@ class TheoryRecord(Record):
     primal space is paired with its element f^-1(x) as the two lists are
     built, so only ``verify_structure``'s image check evaluates f.
     ``primal`` and ``dual`` give the orbit partitions of the points and of
-    the functionals (one row per orbit); ``stabiliser(bg, lam)`` gives the
+    the functionals (one row per orbit), and ``dual_moves`` the dual
+    walk's ``walk_moves``; ``stabiliser(bg, lam)`` gives the
     orbit of the one functional lam under the subgroup whose orbit size is
     a row's degree, H.lam (for UT, G lam under the left action).
     ``subgroup(lam)`` is the subspace S of g such that the induction
@@ -110,15 +112,17 @@ class TheoryRecord(Record):
     points: list
     primal: Callable
     dual: Callable
+    dual_moves: Callable
     stabiliser: Callable
     subgroup: Callable
 
     def element_data(self):
         """flat(e - 1) for every element, in element order, made once per
-        element set."""
+        element set; e and e - 1 share their slot encodings, which are all
+        that ``flatten`` reads."""
         return self.group.cached(
             ("element data", self.symbol),
-            lambda: [self.group.flatten(e.nilpotent_part()) for e in self.elements],
+            lambda: list(map(self.group.flatten, self.elements)),
         )
 
     def walk_order(self):
@@ -184,6 +188,7 @@ def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
         points,
         primal=orbit_partition_u,
         dual=orbit_partition_dual,
+        dual_moves=lambda bg: walk_moves(bg, bg.G_walk, ["u"], dual=True),
         stabiliser=h_orbit_of_functional,
         subgroup=subgroup,
     )
@@ -217,6 +222,7 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
         points,
         primal=two_sided_orbit_partition_g,
         dual=two_sided_orbit_partition_g_dual,
+        dual_moves=lambda bg: walk_moves(bg, bg.G_walk, ["left", "right"], dual=True),
         stabiliser=lambda bg, lam: left_orbit_of_g_functional(bg, lam, bg.G_walk),
         subgroup=subgroup,
     )
@@ -809,11 +815,13 @@ def _conjugation_closure_check(bg, sct: SuperclassTable) -> CheckResult:
 def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckResult:
     """Each row must be constant on every superclass, with the values the
     table holds.  The primal walk closes under the maps P of
-    ``orbits.walk_maps`` and the dual walk under their transposes,
-    ``od.maps``.  An orbit sum s_O(x) = sum_{mu in O} theta(mu . x) has
-    s_O(P x) = s_{P^T O}(x); so if every P^T maps every dual orbit onto
-    itself, which takes |dual space| |T| map calls, each s_O is constant
-    on the primal orbits, whose preimages under f are the superclasses.
+    ``orbits.walk_maps`` and the dual walk under their transposes.  An
+    orbit sum s_O(x) = sum_{mu in O} theta(mu . x) has s_O(P x) =
+    s_{P^T O}(x); so if every P^T maps every dual orbit onto itself, each
+    s_O is constant on the primal orbits, whose preimages under f are the
+    superclasses.  The identity and a repeated P^T need no test: the loop
+    runs over the distinct others (``TheoryRecord.dual_moves``, from
+    ``orbits.walk_moves``), |dual space| map calls each.
     Then every cell is read again at the last member of its class, and
     compared with n_lambda times the table's value without dividing, so
     that a wrong n_lambda fails the check rather than raising; each
@@ -823,7 +831,7 @@ def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckRes
     orbit_of = od.orbit_of
     # the rows sum over the member lists, which must be the orbits of orbit_of
     stray = [o.orbit_id for o in od.orbits if any(orbit_of[i] != o.orbit_id for i in o.members)]
-    for mp in od.maps:
+    for mp in rec.dual_moves(bg):
         stray += [a for a, mu in zip(orbit_of, od.space) if orbit_of[od.index[mp(mu)]] != a]
     if stray:
         return CheckResult("axiom-constancy", False, f"dual orbit {min(stray)} is not invariant")
@@ -1059,7 +1067,9 @@ def intersection_check(bg: BuiltGroup, springer_name: str = "cayley") -> Report:
     K_g is the two-sided orbit of g - 1.  On the full chain it is named by
     its quasi-monomial normal form (``two_sided_canonical``), |U|
     reductions and no ambient group; for any other poset no normal form
-    is known, and the orbits come from the scan of the ambient g."""
+    is known, and the orbits come from the scan of the ambient g.  Either
+    key reads only the slot encodings, which u and u - 1 share, so each
+    element is keyed as it is."""
     rep = Report(f"intersection {bg.label()}")
     if bg.poset == MirrorPoset.chain(bg.n):
         ambient_key = two_sided_canonical
@@ -1070,7 +1080,7 @@ def intersection_check(bg: BuiltGroup, springer_name: str = "cayley") -> Report:
     sct = _superclass_table(bg, springer_name)
     by_ambient: dict = {}
     for idx, u in enumerate(bg.U):
-        by_ambient.setdefault(ambient_key(u.nilpotent_part()), []).append(idx)
+        by_ambient.setdefault(ambient_key(u), []).append(idx)
     ours = sct.partition_sets()
     theirs = {frozenset(ids) for ids in by_ambient.values()}
     if ours == theirs:
@@ -1089,8 +1099,18 @@ def intersection_check(bg: BuiltGroup, springer_name: str = "cayley") -> Report:
 
 
 def _star(bg: BuiltGroup, y: TriMatrix, x: TriMatrix) -> TriMatrix:
-    """The auxiliary left action y * x = y x + x y^dagger."""
-    return y * x + x * bg.dagger(y)
+    """The auxiliary left action y * x = y x + x y^dagger, on slot
+    encodings through the product kernel."""
+    mul, add = kernel(bg.tower, "mul", bg.n), bg.tower.add_table
+    yx, xyd = mul(y.encs, x.encs), mul(x.encs, bg.dagger(y).encs)
+    return x._like([add[s][t] for s, t in zip(yx, xyd)])
+
+
+def _basis_products(bg: BuiltGroup, rows) -> set:
+    """The distinct nonzero flat(x y) over every pair x, y of the matrices
+    whose flat coordinates are ``rows``."""
+    mats = [bg.unflatten(r) for r in rows]
+    return {bg.flatten(x * y) for x in mats for y in mats} - {(0,) * bg.flat_dim}
 
 
 def verify_structure(bg: BuiltGroup) -> Report:
@@ -1119,11 +1139,14 @@ def verify_structure(bg: BuiltGroup) -> Report:
     fails the check."""
     rep = Report(f"structure {bg.label()}")
     ub, sc, tower = bg.u_basis.matrices, bg.sc, bg.tower
+    # the lemmas on products run on slot encodings through the layout kernels
+    mul, umul, inverse = (kernel(tower, name, bg.n) for name in ("mul", "umul", "inverse"))
+    add, neg, flat = tower.add_table, tower.neg_table, bg.flatten_encs
 
+    # [y, x] = -[x, y] and [x, x] = 0, so the pairs x < y cover every pair
     ok = all(
-        bg.u_space.contains(bg.flatten(x * y - y * x))
-        for x in ub
-        for y in ub
+        bg.u_space.contains(flat([add[a][neg[b]] for a, b in zip(mul(x, y), mul(y, x))]))
+        for x, y in itertools.combinations([m.encs for m in ub], 2)
     )
     rep.add("u-lie-closed", ok, "exhaustive on basis pairs")
 
@@ -1145,15 +1168,19 @@ def verify_structure(bg: BuiltGroup) -> Report:
 
     rep.add("g-equals-hu", h_u_product_order(bg) == bg.order_G, "|H||U|/|H∩U| = |G|")
 
-    hset = bg.h_space
+    hset, g_encs = bg.h_space, [b.encs for b in bg.g_basis_mats]
     ok = all(
-        hset.contains(bg.flatten(y * b)) and hset.contains(bg.flatten(b * y))
+        hset.contains(flat(mul(y.encs, b))) and hset.contains(flat(mul(b, y.encs)))
         for y in bg.h_basis.matrices
-        for b in bg.g_basis_mats
+        for b in g_encs
     )
     rep.add("h-two-sided-ideal", ok, "exhaustive on basis pairs")
 
-    ok = all(bg.in_h(g * h * g.inverse()) for g in bg.G_gens for h in bg.H_gens)
+    ok = all(
+        bg.in_h_encs(umul(umul(g, h.encs), g_inv))
+        for g, g_inv in [(g.encs, inverse(g.encs)) for g in bg.G_gens]
+        for h in bg.H_gens
+    )
     rep.add("H-normal-in-G", ok, "on generators")
 
     # f(e) = x for each element e and its paired point x; every point of u
@@ -1202,12 +1229,11 @@ def verify_structure(bg: BuiltGroup) -> Report:
         eta = bg.extension_map(lam)
         ok_restr = ok_restr and restrict(eta) == lam
         ok_anti = ok_anti and not any(dot(eta, s) for s in sym)
-        # eta(x y) = sum_ij x_i y_j eta(b_i b_j) over g's standard basis b,
-        # on the oracle's own g_eta
-        form = bg.g_forms(eta)
+        # eta(x y) = eta . flat(x y) on the oracle's own g_eta, whose distinct
+        # nonzero flat(x y) over basis pairs are made once per distinct g_eta
         g_eta = base.subgroup(lam).rows
-        x_forms = [combine(tower, form, x, bg.flat_dim) for x in g_eta]
-        ok_kernel = ok_kernel and not any(dot(f, y) for f in x_forms for y in g_eta)
+        products = bg.cached(("g_eta products", tuple(g_eta)), lambda: _basis_products(bg, g_eta))
+        ok_kernel = ok_kernel and not any(dot(eta, z) for z in products)
         # H eta (left action on g*) = {mu : mu|_l = eta|_l} = eta + ann(l_eta),
         # and l_eta is the kernel of the rows eta(y b), y in h, so its
         # annihilator is their span

@@ -17,8 +17,9 @@ add, mul and neg tables, with every slot unrolled.  It emits a step only
 when the step computes something: a step whose value is 0 or a single
 variable is substituted wherever it is read, and in the returned tuple.
 ``kernel`` compiles the product, the inverse and both Cayley maps once
-per (tower, n, name) on first use; ``linear_kernel`` compiles one
-F_q-linear map, as the orbit walks and ``SpaceBasis.element`` use them.
+per (tower, n, name) on first use; ``linear_kernel`` compiles each
+distinct F_q-linear map once per tower, as the orbit walks and
+``SpaceBasis.element`` use them.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _kernel_program(tower: FieldTower, name: str, n: int):
 def kernel(tower: FieldTower, name: str, n: int):
     """The compiled layout kernel ``name`` (see ``_kernel_program``) for
     size-n slot encodings over ``tower``; compiled on first use and kept
-    in ``tower.kernels``, whose keys are plain (name, n) pairs."""
+    in ``tower.kernels`` under the key (name, n)."""
     fn = tower.kernels.get((name, n))
     if fn is None:
         fn = tower.kernels[name, n] = straight_line(tower, *_kernel_program(tower, name, n))
@@ -158,12 +159,19 @@ def kernel(tower: FieldTower, name: str, n: int):
 
 def linear_kernel(tower: FieldTower, matrix, width: int):
     """The compiled map v -> M v for a matrix of encodings with ``width``
-    columns; each output is one sum over its row's nonzero entries."""
-    steps = [
-        (f"o{i}", [(a, f"v{j}") for j, a in enumerate(row) if a], False)
-        for i, row in enumerate(matrix)
-    ]
-    return straight_line(tower, [("v", width)], steps, [f"o{i}" for i in range(len(matrix))])
+    columns; each output is one sum over its row's nonzero entries.
+    Kept in ``tower.kernels`` under the key (width, M), so equal matrices
+    share one function, compiled once."""
+    rows = tuple(map(tuple, matrix))
+    fn = tower.kernels.get((width, rows))
+    if fn is None:
+        steps = [
+            (f"o{i}", [(a, f"v{j}") for j, a in enumerate(row) if a], False)
+            for i, row in enumerate(rows)
+        ]
+        outputs = [f"o{i}" for i in range(len(rows))]
+        fn = tower.kernels[width, rows] = straight_line(tower, [("v", width)], steps, outputs)
+    return fn
 
 
 class TriMatrix:

@@ -18,6 +18,7 @@ evaluated alongside and diffed in the audit, not trusted).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -78,6 +79,12 @@ class TwistedSetPartition(FrozenRecord):
 
     def positions(self):
         return sorted((i, j) for (i, j, _) in self.arcs)
+
+    @functools.cached_property
+    def labels(self) -> dict:
+        """The arcs as {(i, j): label}, made on first use: the value
+        formula reads it for every cell of its row or column."""
+        return {(i, j): a for (i, j, a) in self.arcs}
 
     def sort_key(self):
         return tuple(sorted(self.arcs))
@@ -237,7 +244,7 @@ def nst(eta: TwistedSetPartition, nu: TwistedSetPartition) -> int:
 
 def blocked(eta: TwistedSetPartition, nu: TwistedSetPartition) -> bool:
     """True when some eta-arc (i,j) sees a nu-arc i~k or k~j with i<k<j."""
-    nu_pos = {(i, j) for (i, j, _) in nu.arcs}
+    nu_pos = nu.labels
     for (i, j, _) in eta.arcs:
         for k in range(i + 1, j):
             if (i, k) in nu_pos or (k, j) in nu_pos:
@@ -291,12 +298,12 @@ def formula_value(
     scalar = degree // power
     if nests % 2:
         scalar = -scalar
-    nu_by_pos = {(i, j): b for (i, j, b) in nu.arcs}
+    add, mul, nu_labels = bg.tower.add_table, bg.tower.mul_table, nu.labels
     acc = 0
     for (i, j, a) in eta.arcs:
-        b = nu_by_pos.get((i, j))
+        b = nu_labels.get((i, j))
         if b is not None:
-            acc = bg.tower.add_enc(acc, bg.tower.mul_enc(a, b))
+            acc = add[acc][mul[a][b]]
     if not bg.sc.contains(acc):
         raise VerificationError("label product sum left F_q")
     powers = {} if powers is None else powers

@@ -654,6 +654,35 @@ def test_verify_and_orbits_bytes_match_pinned_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (cmd, family, n, p, *extra)
 
 
+# The straight-line compiles and the closure_of walks of one `verify`, from
+# towers that hold no compiled kernel yet.  Each distinct map compiles once,
+# and each H-orbit is walked once, so a compile or walk done twice moves
+# these counts; before that, UO4 took 26 compiles and 39 walks, UU4 39 and 383
+VERIFY_WORK = {
+    ("UO", "4", "3"): (17, 29),
+    ("UU", "4", "3"): (30, 221),
+}
+
+
+@pytest.mark.parametrize("family,n,p", sorted(VERIFY_WORK))
+def test_verify_compiles_and_walks_each_job_once(capsys, monkeypatch, family, n, p):
+    from superchar import orbits, sct, triangular
+    from superchar.gf import make_tower
+
+    k = "2" if family == "UU" else "1"
+    compiles, walks = [], []
+    compile_program, walk = triangular.straight_line, orbits.closure_of
+    monkeypatch.setattr(
+        triangular, "straight_line", lambda *a: compiles.append(a) or compile_program(*a)
+    )
+    for module in (orbits, sct):
+        monkeypatch.setattr(module, "closure_of", lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(make_tower(int(p), 1, int(k)), "kernels", {})
+    code, out, _ = run(capsys, "verify", "--family", family, "--n", n, "--p", p, "--k", k)
+    assert code == 0 and "FAIL" not in out
+    assert (len(compiles), len(walks)) == VERIFY_WORK[family, n, p]
+
+
 def test_ambient_scan_guard_refuses_ut6_f3(capsys):
     # ut_6(F_3) has 3^15 points; check the guard before anything is built.
     # The two-sided orbit dump still scans the whole ambient space.

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from superchar import orbits
 from superchar.errors import VerificationError
 from superchar.involution_group import GroupSpec, build_group
 from superchar.linalg import transpose
@@ -12,6 +13,7 @@ from superchar.orbits import (
     h_orbit_of_functional,
     h_orbit_partition_dual,
     left_orbit_in_u,
+    left_orbit_of_g_functional,
     left_orbit_partition_g_dual,
     orbit_dump_lines,
     orbit_partition_dual,
@@ -21,6 +23,8 @@ from superchar.orbits import (
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
     u_action_matrix,
+    walk_maps,
+    walk_moves,
 )
 from superchar.sct import theory
 from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
@@ -36,6 +40,24 @@ WALK_SPECS = [
     dict(family="UO", n=4, p=3, poset=TYPE_D_POSET),
 ]
 WALK_IDS = ["UO4", "USp4", "UU3", "UT4", "UO4-typeD"]
+# the groups that `verify` runs on in the benchmark's ladder, and UT3(F_5)
+LADDER_SPECS = [
+    dict(family="UO", n=4, p=3),
+    dict(family="USp", n=4, p=3),
+    dict(family="UO", n=5, p=3),
+    dict(family="UU", n=4, p=3, k=2),
+    dict(family="UT", n=3, p=5),
+]
+LADDER_IDS = ["UO4", "USp4", "UO5", "UU4", "UT3"]
+# how many maps walk_moves drops from each walk that
+# test_walk_moves_find_the_orbits_of_walk_maps compares
+DROPPED = {
+    "UO4(F_3)": [2, 2, 2],
+    "USp4(F_3)": [1, 1, 1],
+    "UO5(F_3)": [1, 1, 1],
+    "UU4(F_9)": [2, 2, 2],
+    "UT3(F_5)": [2, 2, 1],
+}
 
 
 def test_zero_is_a_fixed_point():
@@ -319,6 +341,59 @@ def test_h_orbit_closure_matches_partition():
         assert closure == {oh.space[i] for i in orbit.members}
 
 
+@pytest.mark.parametrize("kwargs", LADDER_SPECS, ids=LADDER_IDS)
+def test_walk_moves_find_the_orbits_of_walk_maps(kwargs):
+    """walk_moves drops the identity and the repeats from walk_maps, which
+    leaves the generated group, so every orbit, as it is: both partitions
+    of u and u*, every H.lam (the H partition of u*), and every H.eta that
+    verify walks; for UT, the two-sided partitions of g and g* and every
+    G lam on g* under the left action."""
+    bg = build_group(GroupSpec(**kwargs))
+
+    def by_both(points, gens, actions, dual=False, canon_key=None):
+        maps, moves = (walk(bg, gens, actions, dual) for walk in (walk_maps, walk_moves))
+        assert len(set(moves)) == len(moves) and set(moves) <= set(maps)
+        # a linear map is the identity exactly when it fixes every unit vector
+        dim = len(points[0][0])
+        units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        assert all(any(mp(e) != e for e in units) for mp in moves)
+        dropped.append(len(maps) - len(moves))
+        return [partition_space(points, walks, canon_key) for walks in (maps, moves)]
+
+    dropped = []
+    if bg.involution is None:
+        pairs = [
+            by_both(bg.g_points, bg.G_walk, ["left", "right"], False, bg.g_basis.element_encs),
+            by_both(bg.g_points, bg.G_walk, ["left", "right"], True),
+            by_both(bg.g_points, bg.G_walk, ["left"], True),
+        ]
+    else:
+        pairs = [
+            by_both(bg.u_points, bg.G_walk, ["u"], False, bg.u_basis.element_encs),
+            by_both(bg.u_points, bg.G_walk, ["u"], True),
+            by_both(bg.u_points, bg.H_walk, ["u"], True),
+        ]
+        h_left = walk_maps(bg, bg.H_walk, ["left"], dual=True)
+        for orbit in orbit_partition_dual(bg).orbits:
+            eta = bg.extension_map(orbit.rep)
+            assert left_orbit_of_g_functional(bg, eta, bg.H_walk) == closure_of(eta, h_left)
+    # UO4: 2 of the 3 walk generators act on u as the identity; UU4: 2 of 6
+    assert dropped == DROPPED[bg.label()]
+    for by_maps, by_moves in pairs:
+        assert by_moves.orbit_of == by_maps.orbit_of
+        assert [o.rep for o in by_moves.orbits] == [o.rep for o in by_maps.orbits]
+
+
+def test_h_orbit_of_functional_walks_each_functional_once(monkeypatch):
+    bg = build_group(GroupSpec(family="UU", n=4, p=3, k=2))
+    lams = [orbit.rep for orbit in orbit_partition_dual(bg).orbits]
+    first = [h_orbit_of_functional(bg, lam) for lam in lams]
+    walks = []
+    monkeypatch.setattr(orbits, "closure_of", lambda *args: walks.append(args))
+    assert all(h_orbit_of_functional(bg, lam) is orbit for lam, orbit in zip(lams, first))
+    assert walks == []
+
+
 @pytest.mark.parametrize("kwargs", WALK_SPECS, ids=WALK_IDS)
 def test_row_stabiliser_orbit_is_the_whole_space_partitions_orbit(kwargs):
     """Each row's |H.lam| is one closure of its representative (for UT,
@@ -370,3 +445,5 @@ def test_two_sided_canonical_matches_scan(n, p, e):
         assert len({i for i, _ in support}) == len({j for _, j in support}) == len(support)
         assert oi.orbit_id(bg.flatten(x)) == oi.orbit_of[ids[0]]
         assert two_sided_canonical(x) == form
+        # only the slot encodings are read, so the element 1 + x names x's orbit
+        assert two_sided_canonical(x.as_unipotent()) == form

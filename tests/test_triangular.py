@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from superchar import triangular
 from superchar.errors import ShapeError, SpringerUndefinedError
 from superchar.gf import _TABLE_LIMIT, make_tower
 from superchar.triangular import (
@@ -169,6 +170,26 @@ def test_linear_kernel_on_near_identity_matrices():
             for _ in range(10):
                 v = _random_encs(rng, T9, dim)
                 assert fn(v) == ref(v)
+
+
+def test_linear_kernel_compiles_each_matrix_once(monkeypatch):
+    """Equal matrices, as lists or as tuples, get the one function that
+    the first call compiled; another matrix or width gets its own."""
+    compiles = []
+    compile_program = triangular.straight_line
+    monkeypatch.setattr(
+        triangular, "straight_line", lambda *a: compiles.append(a) or compile_program(*a)
+    )
+    monkeypatch.setattr(T9, "kernels", {})
+    M = [[1, 2, 0], [0, 1, 2]]
+    fn = linear_kernel(T9, M, 3)
+    assert linear_kernel(T9, [list(row) for row in M], 3) is fn
+    assert linear_kernel(T9, tuple(map(tuple, M)), 3) is fn
+    assert len(compiles) == 1
+    assert linear_kernel(T9, [[1, 2, 0], [0, 1, 1]], 3) is not fn
+    assert linear_kernel(T9, M, 4) is not fn
+    assert len(compiles) == 3
+    assert linear_kernel(T3, M, 3) is not fn  # each tower keeps its own
 
 
 @pytest.mark.parametrize("tower", [T3, T9, T25, T2187], ids=["F3", "F9", "F25", "F3^7"])
