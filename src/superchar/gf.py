@@ -158,7 +158,7 @@ class FieldTower:
         self._inverse = _Memo(lambda a: self.pow_enc(a, self.size - 2))
         self._frobenius = _Memo(lambda a: self.pow_enc(a, self.q))
         self._subfields = _Memo(functools.partial(Subfield, self))
-        # straight-line kernels: triangular.kernel's by (name, n), and
+        # straight-line kernels: triangular.kernel's by (name, n, bound), and
         # triangular.linear_kernel's by (width, matrix)
         self.kernels: dict = {}
 

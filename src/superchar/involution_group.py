@@ -24,15 +24,11 @@ from .triangular import (
     Involution,
     MirrorPoset,
     TriMatrix,
-    cayley,
-    cayley_inv,
     kernel,
     linear_kernel,
     nilpotency_index,
     pattern_space,
     slot_index,
-    trunc_exp,
-    trunc_log,
 )
 
 FAMILIES = ("UT", "UO", "USp", "UU")
@@ -301,15 +297,16 @@ class BuiltGroup:
         ``u_points``, sorted by serialization, and the point of u that each
         element came from, so points[i] = cayley(elements[i]) without
         evaluating cayley."""
-        element, dagger = self.u_basis.element, self.involution.apply_encs
+        element, dagger = self.u_basis.element_encs, self.involution.apply_encs
+        _, cayley_inv = self.springer("cayley")
         inverse = kernel(self.tower, "inverse", self.n)
         elems = []
         for coords in self.u_points[0]:
             u = cayley_inv(element(coords))
             # u in U: u^dagger = u^-1, compared on slot encodings
-            if dagger(u.encs) != inverse(u.encs):
+            if dagger(u) != inverse(u):
                 raise VerificationError("Springer preimage left U; involution broken")
-            elems.append(u)
+            elems.append(TriMatrix.from_encs(self.n, self.tower, u, True))
         elems, points = sort_paired(elems, self.u_points[0])
         # q^dim u points give |U| = q^dim u elements only if no two coincide
         if any(a.encs == b.encs for a, b in zip(elems, elems[1:])):
@@ -354,19 +351,20 @@ class BuiltGroup:
         return names
 
     def springer(self, name: str):
+        """(forward, inverse) of the named Springer morphism as layout
+        kernels on slot encodings: the slots of 1 + x go to those of
+        f(1 + x), and back.  The truncated log and exp stop at the
+        nilpotency index of g, refused above p."""
         if name == "cayley":
-            return cayley, cayley_inv
+            return kernel(self.tower, "cayley", self.n), kernel(self.tower, "cayley_inv", self.n)
         if name == "log":
             if self.nilpotency > self.tower.p:
                 raise SpringerUndefinedError(
                     f"truncated logarithm undefined: nilpotency {self.nilpotency} "
                     f"> p = {self.tower.p}"
                 )
-            bound = self.nilpotency
-            return (
-                lambda g: trunc_log(g, bound),
-                lambda y: trunc_exp(y, bound),
-            )
+            m = self.nilpotency
+            return kernel(self.tower, "log", self.n, m), kernel(self.tower, "exp", self.n, m)
         raise ValueError(f"unknown Springer morphism {name!r}")
 
     # -- the compiled maps behind eta and g_eta -----------------------------------

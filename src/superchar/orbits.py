@@ -3,9 +3,10 @@
 The engine works on coordinate tuples over the scalar field: each
 generator's action is linear, so it is applied as its matrix compiled
 to straight-line code (``triangular.linear_kernel``), once per group by
-``walk_maps``.  Each orbit is the BFS closure of one point under the
-generators (``closure_of``); the output is deterministic because the
-final order is a canonical sort.
+``walk_moves``, which drops the maps that act as the identity and the
+repeats.  Each orbit is the BFS closure of one point under those maps
+(``closure_of``); the output is deterministic because the final order
+is a canonical sort.
 The walks close under ``BuiltGroup.G_walk`` and ``H_walk``, the root
 elements at positions that no intermediate index splits (for G, the
 covering relations of the poset); commutators give every other root
@@ -37,12 +38,14 @@ class Orbit(Record):
 class OrbitIndex:
     """A partition of an enumerated space into orbits, canonically ordered
     by each orbit's lexicographically least serialized member.  ``space``
-    and ``index`` are the group's shared (points, index) pair."""
+    and ``index`` are the group's shared (points, index) pair, and
+    ``maps`` the maps whose walks found the orbits."""
 
-    def __init__(self, points, orbits, orbit_of):
+    def __init__(self, points, orbits, orbit_of, maps):
         self.space, self.index = points
         self.orbits = orbits
         self.orbit_of = orbit_of
+        self.maps = maps
 
     @property
     def count(self) -> int:
@@ -99,7 +102,7 @@ def partition_space(points, maps, canon_key=None) -> OrbitIndex:
         orbits.append(Orbit(oid, rep_key, rep, members, len(members)))
         for i in members:
             orbit_of[i] = oid
-    return OrbitIndex(points, orbits, orbit_of)
+    return OrbitIndex(points, orbits, orbit_of, maps)
 
 
 # -- matrices of the linear actions ---------------------------------------
@@ -133,19 +136,26 @@ def g_right_matrix(bg: BuiltGroup, g: TriMatrix):
 _MATRIX_FNS = {"u": u_action_matrix, "left": g_left_matrix, "right": g_right_matrix}
 
 
-def _walk(bg: BuiltGroup, gens, actions, dual):
-    """(maps, moves) of one walk, made once per group (``bg.cached``); see
-    ``walk_maps`` and ``walk_moves``."""
-    key = ("walk maps", tuple(g.encs for g in gens), tuple(actions), dual)
+def walk_moves(bg: BuiltGroup, gens, actions, dual=False):
+    """The compiled maps of an orbit walk, made once per group: for each
+    action in ``actions`` ("u" for x -> g x g^dagger on u, "left" and
+    "right" for x -> g x and x -> x g on g), the matrix P of each
+    generator in ``gens`` (``bg.G_walk`` or ``bg.H_walk``) as a linear
+    kernel on coordinate tuples.  With ``dual`` each map is mu -> P^T mu
+    instead, so (P^T mu) . x = mu . (P x): the dual action
+    (g mu)(x) = mu(g^-1 x) of g^-1, and the inverses of a generating set
+    generate the same group.  The identity and the repeats are dropped,
+    which leaves the generated group, so every walk, whole-space or
+    single orbit, finds the same orbits with fewer map calls."""
+    key = ("walk moves", tuple(g.encs for g in gens), tuple(actions), dual)
 
     def build():
         mats = [_MATRIX_FNS[a](bg, g) for a in actions for g in gens]
         if dual:
             mats = [transpose(M) for M in mats]
-        maps = [linear_kernel(bg.sc.tower, M, len(M)) for M in mats]
+        maps = [linear_kernel(bg.tower, M, len(M)) for M in mats]
         # equal matrices share one kernel, so dict.fromkeys drops repeats
-        moves = dict.fromkeys(mp for M, mp in zip(mats, maps) if not _is_identity(M))
-        return maps, list(moves)
+        return list(dict.fromkeys(mp for M, mp in zip(mats, maps) if not _is_identity(M)))
 
     return bg.cached(key, build)
 
@@ -155,47 +165,24 @@ def _is_identity(matrix) -> bool:
     return all(a == (i == j) for i, row in enumerate(matrix) for j, a in enumerate(row))
 
 
-def walk_maps(bg: BuiltGroup, gens, actions, dual=False):
-    """The compiled maps of every orbit walk, one per generator and action,
-    made once per group: for each action in ``actions`` ("u" for
-    x -> g x g^dagger on u, "left" and "right" for x -> g x and x -> x g on
-    g), the matrix P of each generator in ``gens`` (``bg.G_walk`` or
-    ``bg.H_walk``) as a linear kernel on coordinate tuples.  With ``dual``
-    each map is mu -> P^T mu instead, so (P^T mu) . x = mu . (P x): the
-    dual action (g mu)(x) = mu(g^-1 x) of g^-1, and the inverses of a
-    generating set generate the same group.  The list follows ``gens``
-    and ``actions``, so a caller can zip it with the generators; the
-    whole-space partitions walk under it."""
-    return _walk(bg, gens, actions, dual)[0]
-
-
-def walk_moves(bg: BuiltGroup, gens, actions, dual=False):
-    """The distinct maps of ``walk_maps`` that are not the identity, in
-    first-seen order, from the same build.  They generate the same group,
-    so a walk under them finds the same orbits with fewer map calls; the
-    stabiliser walks (H.lam, H.eta, and G lam for UT) and
-    ``axiom-constancy``'s invariance loop use them."""
-    return _walk(bg, gens, actions, dual)[1]
-
-
 # -- the orbit partitions and single orbits ---------------------------------------
 
 
 def orbit_partition_u(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G acting by g . x = g x g^dagger on the enumerated u."""
-    maps = walk_maps(bg, bg.G_walk, ["u"])
+    maps = walk_moves(bg, bg.G_walk, ["u"])
     return bg.cached("u", lambda: partition_space(bg.u_points, maps, bg.u_basis.element_encs))
 
 
 def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G on the full dual space of u; (g.lam)(x) = lam(g^{-1}.x)."""
-    maps = walk_maps(bg, bg.G_walk, ["u"], dual=True)
+    maps = walk_moves(bg, bg.G_walk, ["u"], dual=True)
     return bg.cached("dual", lambda: partition_space(bg.u_points, maps))
 
 
 def h_orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
     """The same dual space partitioned by the normal subgroup H."""
-    maps = walk_maps(bg, bg.H_walk, ["u"], dual=True)
+    maps = walk_moves(bg, bg.H_walk, ["u"], dual=True)
     return bg.cached("dual_h", lambda: partition_space(bg.u_points, maps))
 
 
@@ -212,8 +199,7 @@ def h_orbit_of_functional(bg: BuiltGroup, coeffs) -> frozenset:
 
 def left_orbit_of_g_functional(bg: BuiltGroup, coeffs, gens) -> frozenset:
     """Closure of one g* vector under the left action of the group that
-    ``gens`` generate (G or H): (g mu)(x) = mu(g^{-1} x), walked under
-    ``walk_moves``."""
+    ``gens`` generate (G or H): (g mu)(x) = mu(g^{-1} x)."""
     return closure_of(coeffs, walk_moves(bg, gens, ["left"], dual=True))
 
 
@@ -302,19 +288,19 @@ def two_sided_orbit_partition_g(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G x G acting by (g, h) . x = g x h^{-1} on g."""
     # g's basis is the standard one, so a point's coordinates are its flat
     # form and element_encs gives unflatten's slot encodings
-    maps = walk_maps(bg, bg.G_walk, ["left", "right"])
+    maps = walk_moves(bg, bg.G_walk, ["left", "right"])
     return bg.cached("g2", lambda: partition_space(bg.g_points, maps, bg.g_basis.element_encs))
 
 
 def two_sided_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits on g* under ((g,h).lam)(x) = lam(g^{-1} x h)."""
-    maps = walk_maps(bg, bg.G_walk, ["left", "right"], dual=True)
+    maps = walk_moves(bg, bg.G_walk, ["left", "right"], dual=True)
     return bg.cached("g2_dual", lambda: partition_space(bg.g_points, maps))
 
 
 def left_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     """Orbits on g* under the left action of G."""
-    maps = walk_maps(bg, bg.G_walk, ["left"], dual=True)
+    maps = walk_moves(bg, bg.G_walk, ["left"], dual=True)
     return bg.cached("g_left_dual", lambda: partition_space(bg.g_points, maps))
 
 

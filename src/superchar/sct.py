@@ -56,8 +56,7 @@ from .orbits import (
     two_sided_canonical,
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
-    walk_maps,
-    walk_moves,
+    u_action_matrix,
 )
 from .record import Record
 from .triangular import (
@@ -82,8 +81,8 @@ class TheoryRecord(Record):
     primal space is paired with its element f^-1(x) as the two lists are
     built, so only ``verify_structure``'s image check evaluates f.
     ``primal`` and ``dual`` give the orbit partitions of the points and of
-    the functionals (one row per orbit), and ``dual_moves`` the dual
-    walk's ``walk_moves``; ``stabiliser(bg, lam)`` gives the
+    the functionals (one row per orbit), each with the maps it walked
+    under; ``stabiliser(bg, lam)`` gives the
     orbit of the one functional lam under the subgroup whose orbit size is
     a row's degree, H.lam (for UT, G lam under the left action).
     ``subgroup(lam)`` is the subspace S of g such that the induction
@@ -112,7 +111,6 @@ class TheoryRecord(Record):
     points: list
     primal: Callable
     dual: Callable
-    dual_moves: Callable
     stabiliser: Callable
     subgroup: Callable
 
@@ -161,10 +159,10 @@ def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
         elements, points = bg.cayley_pairing
     else:
         _, inverse = bg.springer(springer_name)
-        element, index = bg.u_basis.element, bg.U_index
+        element, index = bg.u_basis.element_encs, bg.U_index
         elements, points = bg.U, [None] * bg.order_U
         for x in bg.u_points[0]:
-            i = index.get(inverse(element(x)).encs)
+            i = index.get(inverse(element(x)))
             # |u| = |U|, so a map into U that hits no element twice hits each once
             if i is None or points[i] is not None:
                 raise VerificationError(f"{springer_name}^-1 is not a bijection from u onto U")
@@ -188,7 +186,6 @@ def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
         points,
         primal=orbit_partition_u,
         dual=orbit_partition_dual,
-        dual_moves=lambda bg: walk_moves(bg, bg.G_walk, ["u"], dual=True),
         stabiliser=h_orbit_of_functional,
         subgroup=subgroup,
     )
@@ -222,7 +219,6 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
         points,
         primal=two_sided_orbit_partition_g,
         dual=two_sided_orbit_partition_g_dual,
-        dual_moves=lambda bg: walk_moves(bg, bg.G_walk, ["left", "right"], dual=True),
         stabiliser=lambda bg, lam: left_orbit_of_g_functional(bg, lam, bg.G_walk),
         subgroup=subgroup,
     )
@@ -815,13 +811,13 @@ def _conjugation_closure_check(bg, sct: SuperclassTable) -> CheckResult:
 def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckResult:
     """Each row must be constant on every superclass, with the values the
     table holds.  The primal walk closes under the maps P of
-    ``orbits.walk_maps`` and the dual walk under their transposes.  An
-    orbit sum s_O(x) = sum_{mu in O} theta(mu . x) has s_O(P x) =
-    s_{P^T O}(x); so if every P^T maps every dual orbit onto itself, each
-    s_O is constant on the primal orbits, whose preimages under f are the
-    superclasses.  The identity and a repeated P^T need no test: the loop
-    runs over the distinct others (``TheoryRecord.dual_moves``, from
-    ``orbits.walk_moves``), |dual space| map calls each.
+    ``orbits.walk_moves`` and the dual walk under their transposes, the
+    maps the dual partition stores (``OrbitIndex.maps``).  An orbit sum
+    s_O(x) = sum_{mu in O} theta(mu . x) has s_O(P x) = s_{P^T O}(x); so
+    if every P^T maps every dual orbit onto itself, each s_O is constant
+    on the primal orbits, whose preimages under f are the superclasses.
+    The identity needs no test, and the walks keep no repeat, so the loop
+    makes |dual space| map calls per stored map.
     Then every cell is read again at the last member of its class, and
     compared with n_lambda times the table's value without dividing, so
     that a wrong n_lambda fails the check rather than raising; each
@@ -831,7 +827,7 @@ def _constancy_check(bg, scht: SupercharTable, sct: SuperclassTable) -> CheckRes
     orbit_of = od.orbit_of
     # the rows sum over the member lists, which must be the orbits of orbit_of
     stray = [o.orbit_id for o in od.orbits if any(orbit_of[i] != o.orbit_id for i in o.members)]
-    for mp in rec.dual_moves(bg):
+    for mp in od.maps:
         stray += [a for a, mu in zip(orbit_of, od.space) if orbit_of[od.index[mp(mu)]] != a]
     if stray:
         return CheckResult("axiom-constancy", False, f"dual orbit {min(stray)} is not invariant")
@@ -1113,6 +1109,29 @@ def _basis_products(bg: BuiltGroup, rows) -> set:
     return {bg.flatten(x * y) for x in mats for y in mats} - {(0,) * bg.flat_dim}
 
 
+def _springer_image_pass(bg: BuiltGroup, rep: Report):
+    """Add ``verify_structure``'s springer-{name}-image lines, then its
+    springer-{name}-leading-term lines, to ``rep``: one pass of each
+    Springer kernel over the slot encodings of U."""
+    # f(e) = x for each element e and its paired point x; every point of u
+    # is paired once, so this also proves f(U) = u
+    element = bg.u_basis.element_encs
+    unsplit = [slot_index(bg.n)[pos] for pos in sorted(unsplit_positions(bg.positions))]
+    leading = []  # reported after every image line
+    for name in bg.springer_names():
+        fwd, _ = bg.springer(name)
+        rec = _theory_record(bg, name)
+        image = lead = True
+        for e, x in zip(rec.elements, rec.points):
+            y = element(x)
+            image = image and fwd(e.encs) == y
+            lead = lead and [y[s] for s in unsplit] == [e.encs[s] for s in unsplit]
+        rep.add(f"springer-{name}-image", image, "f(U) = u")
+        leading.append((f"springer-{name}-leading-term", lead))
+    for name, lead in leading:
+        rep.add(name, lead, "f(1+x) - x has degree >= 2, all of U")
+
+
 def verify_structure(bg: BuiltGroup) -> Report:
     """The structural lemmas behind the construction, as executable
     checks: bracket closure of u, the action/conjugation agreement, the
@@ -1183,26 +1202,16 @@ def verify_structure(bg: BuiltGroup) -> Report:
     )
     rep.add("H-normal-in-G", ok, "on generators")
 
-    # f(e) = x for each element e and its paired point x; every point of u
-    # is paired once, so this also proves f(U) = u
-    element = bg.u_basis.element_encs
-    unsplit = [slot_index(bg.n)[pos] for pos in sorted(unsplit_positions(bg.positions))]
-    leading = []  # reported after every image line
-    for name in bg.springer_names():
-        fwd, _ = bg.springer(name)
-        rec = _theory_record(bg, name)
-        image = lead = True
-        for e, x in zip(rec.elements, rec.points):
-            y = element(x)
-            image = image and fwd(e).encs == y
-            lead = lead and [y[s] for s in unsplit] == [e.encs[s] for s in unsplit]
-        rep.add(f"springer-{name}-image", image, "f(U) = u")
-        leading.append((f"springer-{name}-leading-term", lead))
-    for name, lead in leading:
-        rep.add(name, lead, "f(1+x) - x has degree >= 2, all of U")
+    _springer_image_pass(bg, rep)
 
-    # every record pairs the same list of elements, bg.U, that the table indexes
-    acts = walk_maps(bg, [t.inverse() for t in gens], ["u"])
+    # every record pairs the same list of elements, bg.U, that the table
+    # indexes; one map per generator t, made once per group and zipped with
+    # t's table
+    def equivariance_maps():
+        mats = [u_action_matrix(bg, t.inverse()) for t in gens]
+        return [linear_kernel(tower, M, len(M)) for M in mats]
+
+    acts = bg.cached("equivariance maps", equivariance_maps)
     ok = True
     for name in bg.springer_names():
         points = _theory_record(bg, name).points

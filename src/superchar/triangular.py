@@ -16,10 +16,10 @@ a list of sums of products into one Python function over the tower's
 add, mul and neg tables, with every slot unrolled.  It emits a step only
 when the step computes something: a step whose value is 0 or a single
 variable is substituted wherever it is read, and in the returned tuple.
-``kernel`` compiles the product, the inverse and both Cayley maps once
-per (tower, n, name) on first use; ``linear_kernel`` compiles each
-distinct F_q-linear map once per tower, as the orbit walks and
-``SpaceBasis.element`` use them.
+``kernel`` compiles the product, the inverse, both Cayley maps and the
+truncated logarithm and exponential once per (tower, n, name) on first
+use; ``linear_kernel`` compiles each distinct F_q-linear map once per
+tower, as the orbit walks and ``SpaceBasis.element`` use them.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _slot_products(n, out, lead, x, y, negate=False):
     ]
 
 
-def _kernel_program(tower: FieldTower, name: str, n: int):
+def _kernel_program(tower: FieldTower, name: str, n: int, bound):
     """(params, steps, result) of the layout kernel ``name`` on size-n
     slot encodings x (and y):
 
@@ -129,7 +129,10 @@ def _kernel_program(tower: FieldTower, name: str, n: int):
     * "inverse": y with 1 + y = (1+x)^(-1), i.e. y = -(x + x y), solved
       from the last slot up, since y_ij needs only y_kj with k > i;
     * "cayley": x (1 + x/2)^(-1) = x z + x with 1 + z = (1 + x/2)^(-1);
-      "cayley_inv": y (1 - y/2)^(-1), the same with -1/2 for 1/2.
+      "cayley_inv": y (1 - y/2)^(-1), the same with -1/2 for 1/2;
+    * "log" and "exp": sum c_i x^i over 1 <= i < max(bound, 2), with the
+      powers x^i = x^(i-1) x, and c_i = (-1)^(i+1)/i for log (of 1 + x)
+      and 1/i! for exp (the slots of exp(x) - 1).
     """
     m = len(_layout(n)[0])
     xs = [("x", m)]
@@ -139,6 +142,15 @@ def _kernel_program(tower: FieldTower, name: str, n: int):
     if name == "inverse":
         steps = _slot_products(n, "y", ["x"], "x", "y", negate=True)[::-1]
         return xs, steps, [f"y{s}" for s in range(m)]
+    if name in ("log", "exp"):
+        p, steps, powers, fact = tower.p, [], [(1, "x")], 1
+        for i in range(2, bound):
+            fact *= i
+            c = (-1) ** (i + 1) * pow(i, -1, p) if name == "log" else pow(fact, -1, p)
+            steps += _slot_products(n, f"x{i}_", [], powers[-1][1], "x")
+            powers.append((c % p, f"x{i}_"))
+        steps += [(f"r{s}", [(c, f"{v}{s}") for c, v in powers], False) for s in range(m)]
+        return xs, steps, [f"r{s}" for s in range(m)]
     half = pow(2, -1, tower.p)
     c = {"cayley": half, "cayley_inv": tower.neg_table[half]}[name]
     steps = [(f"h{s}", [(c, f"x{s}")], False) for s in range(m)]
@@ -147,13 +159,15 @@ def _kernel_program(tower: FieldTower, name: str, n: int):
     return xs, steps, [f"r{s}" for s in range(m)]
 
 
-def kernel(tower: FieldTower, name: str, n: int):
+def kernel(tower: FieldTower, name: str, n: int, bound=None):
     """The compiled layout kernel ``name`` (see ``_kernel_program``) for
-    size-n slot encodings over ``tower``; compiled on first use and kept
-    in ``tower.kernels`` under the key (name, n)."""
-    fn = tower.kernels.get((name, n))
+    size-n slot encodings over ``tower``, with the truncation ``bound`` of
+    "log" and "exp"; compiled on first use and kept in ``tower.kernels``
+    under the key (name, n, bound)."""
+    key = (name, n, bound)
+    fn = tower.kernels.get(key)
     if fn is None:
-        fn = tower.kernels[name, n] = straight_line(tower, *_kernel_program(tower, name, n))
+        fn = tower.kernels[key] = straight_line(tower, *_kernel_program(tower, *key))
     return fn
 
 
@@ -471,7 +485,8 @@ def nilpotency_index(poset: MirrorPoset) -> int:
 
 
 def trunc_log(g: TriMatrix, bound: int | None = None) -> TriMatrix:
-    """The truncated logarithm sum (-1)^(i+1) x^i / i.
+    """The truncated logarithm sum (-1)^(i+1) x^i / i over i < bound
+    (default n), the layout kernel "log".
 
     Only a Springer morphism when x^p = 0 for all x in the ambient
     algebra; the caller passes the algebra's nilpotency index so the map
@@ -479,42 +494,24 @@ def trunc_log(g: TriMatrix, bound: int | None = None) -> TriMatrix:
     """
     if not g.unipotent:
         raise ShapeError("trunc_log maps group elements to algebra elements")
-    p = g.tower.p
-    m = bound if bound is not None else g.n
-    if m > p:
-        raise SpringerUndefinedError(
-            f"truncated logarithm needs nilpotency index <= p; got {m} > {p}"
-        )
-    x = g.nilpotent_part()
-    acc = x
-    total = x
-    sign = 1
-    for i in range(2, m):
-        acc = acc * x
-        if not any(acc.encs):
-            break
-        sign = -sign
-        total = total + acc.scale(sign * pow(i, -1, p) % p)
-    return total
+    m = _series_bound(g, bound, "logarithm")
+    return TriMatrix.from_encs(g.n, g.tower, kernel(g.tower, "log", g.n, m)(g.encs))
 
 
 def trunc_exp(y: TriMatrix, bound: int | None = None) -> TriMatrix:
-    """Inverse of ``trunc_log``: the truncated exponential series."""
+    """Inverse of ``trunc_log``: the truncated exponential series, the
+    layout kernel "exp"."""
     if y.unipotent:
         raise ShapeError("trunc_exp maps algebra elements to group elements")
-    p = y.tower.p
-    m = bound if bound is not None else y.n
-    if m > p:
+    m = _series_bound(y, bound, "exponential")
+    return TriMatrix.from_encs(y.n, y.tower, kernel(y.tower, "exp", y.n, m)(y.encs), True)
+
+
+def _series_bound(x: TriMatrix, bound, what) -> int:
+    """The truncation bound (default n), refused above p."""
+    m = bound if bound is not None else x.n
+    if m > x.tower.p:
         raise SpringerUndefinedError(
-            f"truncated exponential needs nilpotency index <= p; got {m} > {p}"
+            f"truncated {what} needs nilpotency index <= p; got {m} > {x.tower.p}"
         )
-    acc = y
-    total = y
-    fact = 1
-    for i in range(2, m):
-        acc = acc * y
-        if not any(acc.encs):
-            break
-        fact *= i
-        total = total + acc.scale(pow(fact, -1, p))
-    return total.as_unipotent()
+    return m

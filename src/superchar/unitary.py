@@ -211,7 +211,7 @@ def rep_group_element(
 ) -> TriMatrix:
     """u_eta, the group element with f(u_eta) = x_eta."""
     _, inv = bg.springer(springer_name)
-    return inv(rep_matrix(bg, eta))
+    return TriMatrix.from_encs(bg.n, bg.tower, inv(rep_matrix(bg, eta).encs), True)
 
 
 def lambda_functional(bg: BuiltGroup, eta: TwistedSetPartition) -> tuple:

@@ -1,9 +1,9 @@
 import json
+import math
 
 import pytest
 
-from superchar import involution_group
-from superchar.errors import SizeGuardError, VerificationError
+from superchar.errors import SizeGuardError, SpringerUndefinedError, VerificationError
 from superchar.involution_group import (
     GroupSpec,
     build_group,
@@ -12,7 +12,14 @@ from superchar.involution_group import (
     load_spec,
 )
 from superchar.linalg import Subspace
-from superchar.triangular import MirrorPoset, TriMatrix, slot_index, strict_positions
+from superchar.triangular import (
+    MirrorPoset,
+    TriMatrix,
+    slot_index,
+    strict_positions,
+    trunc_exp,
+    trunc_log,
+)
 
 import reference
 from reference import element_encs, evaluate, stabilizer_subgroup
@@ -137,16 +144,69 @@ def test_build_group_leaves_U_unbuilt():
 
 def test_U_refuses_a_non_injective_springer_preimage(monkeypatch):
     """Two points of u sent to one element must not pass as |U| = q^dim u."""
-    real = involution_group.cayley_inv
     bg = build_group(GroupSpec(family="UO", n=4, p=3))
-    target = bg.u_basis.element(bg.u_points[0][1]).encs
+    springer = bg.springer
+    target = bg.u_basis.element_encs(bg.u_points[0][1])
 
-    def collapse(y):
-        return real(y.scale(0) if y.encs == target else y)
+    def collapsed(name):
+        # cayley^-1 sends a second point of u, as 0 does, to the identity
+        fwd, inverse = springer(name)
+        return fwd, lambda y: inverse((0,) * len(y) if y == target else y)
 
-    monkeypatch.setattr(involution_group, "cayley_inv", collapse)
+    monkeypatch.setattr(bg, "springer", collapsed)
     with pytest.raises(VerificationError, match="not injective"):
         bg.U
+
+
+LOG_POSET = MirrorPoset.from_pairs(5, [(1, 2), (4, 5), (1, 3), (3, 5)])
+
+
+def _series(x, coeffs):
+    """sum c_i x^i over i = 1, 2, ... for coeffs = [c_1, c_2, ...], by
+    TriMatrix products and ``scale``."""
+    total = power = x
+    for c in coeffs[1:]:
+        power = power * x
+        total = total + power.scale(c)
+    return total
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(family="USp", n=4, p=5),
+        dict(family="UO", n=5, p=5),
+        dict(family="UU", n=3, p=3, k=2),
+        # m = 3 = p < n, so log and exp stop at the poset's nilpotency index
+        dict(family="UO", n=5, p=3, poset=LOG_POSET),
+    ],
+    ids=["USp4_F5", "UO5_F5", "UU3_F9", "UO5_F3-poset"],
+)
+def test_log_and_exp_kernels_are_the_truncated_series(kwargs):
+    bg = build_group(GroupSpec(**kwargs))
+    p, m = bg.tower.p, bg.nilpotency
+    log_c = [(-1) ** (i + 1) * pow(i, -1, p) % p for i in range(1, m)]
+    exp_c = [pow(math.factorial(i), -1, p) for i in range(1, m)]
+    log, exp = bg.springer("log")
+    for g in bg.U:
+        x = _series(g.nilpotent_part(), log_c)
+        assert trunc_log(g, m) == x and log(g.encs) == x.encs
+        assert trunc_exp(x, m) == _series(x, exp_c).as_unipotent() == g
+        assert exp(log(g.encs)) == g.encs
+    if m < bg.n:
+        with pytest.raises(SpringerUndefinedError):
+            trunc_log(bg.U[0])  # the default bound n > p
+
+
+def test_log_and_exp_refuse_nilpotency_above_p():
+    bg = build_group(GroupSpec(family="UO", n=4, p=3))  # m = 4 > p = 3
+    g = bg.U[-1]
+    with pytest.raises(SpringerUndefinedError):
+        trunc_log(g, 4)
+    with pytest.raises(SpringerUndefinedError):
+        trunc_exp(g.nilpotent_part(), 4)
+    with pytest.raises(SpringerUndefinedError):
+        bg.springer("log")
 
 
 @pytest.mark.parametrize(

@@ -23,11 +23,10 @@ from superchar.orbits import (
     two_sided_orbit_partition_g,
     two_sided_orbit_partition_g_dual,
     u_action_matrix,
-    walk_maps,
     walk_moves,
 )
-from superchar.sct import theory
-from superchar.triangular import MirrorPoset, TriMatrix, strict_positions
+from superchar.sct import _constancy_check, theory
+from superchar.triangular import MirrorPoset, TriMatrix, linear_kernel, strict_positions
 
 from reference import full_sweep_orbit_u, left_orbit_of_g_element, map_from_matrix, mul_encs
 
@@ -341,47 +340,65 @@ def test_h_orbit_closure_matches_partition():
         assert closure == {oh.space[i] for i in orbit.members}
 
 
+def _per_generator_maps(bg, gens, actions, dual):
+    """The reference walk: one compiled map per generator and action, the
+    identities and repeats kept."""
+    mats = [orbits._MATRIX_FNS[a](bg, g) for a in actions for g in gens]
+    if dual:
+        mats = [transpose(M) for M in mats]
+    return [linear_kernel(bg.tower, M, len(M)) for M in mats]
+
+
 @pytest.mark.parametrize("kwargs", LADDER_SPECS, ids=LADDER_IDS)
-def test_walk_moves_find_the_orbits_of_walk_maps(kwargs):
-    """walk_moves drops the identity and the repeats from walk_maps, which
-    leaves the generated group, so every orbit, as it is: both partitions
-    of u and u*, every H.lam (the H partition of u*), and every H.eta that
-    verify walks; for UT, the two-sided partitions of g and g* and every
-    G lam on g* under the left action."""
+def test_walk_moves_find_the_orbits_of_walk_maps(monkeypatch, kwargs):
+    """walk_moves drops the identity and the repeats from the per-generator
+    maps, which leaves the generated group, so every orbit, as it is: each
+    whole-space partition (u, u* and u* under H; for UT, g and g*
+    two-sided and g* under the left action) equals its partition under
+    the per-generator maps, and so does every H.eta that verify walks.
+    Each partition keeps the maps it walked, and axiom-constancy reads
+    the dual partition's."""
     bg = build_group(GroupSpec(**kwargs))
 
-    def by_both(points, gens, actions, dual=False, canon_key=None):
-        maps, moves = (walk(bg, gens, actions, dual) for walk in (walk_maps, walk_moves))
+    def against_reference(partition, points, gens, actions, dual=False, canon_key=None):
+        maps, oi = _per_generator_maps(bg, gens, actions, dual), partition(bg)
+        moves = oi.maps
+        assert moves == walk_moves(bg, gens, actions, dual)
         assert len(set(moves)) == len(moves) and set(moves) <= set(maps)
         # a linear map is the identity exactly when it fixes every unit vector
         dim = len(points[0][0])
         units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
         assert all(any(mp(e) != e for e in units) for mp in moves)
         dropped.append(len(maps) - len(moves))
-        return [partition_space(points, walks, canon_key) for walks in (maps, moves)]
+        by_maps = partition_space(points, maps, canon_key)
+        assert oi.orbit_of == by_maps.orbit_of
+        assert [o.rep for o in oi.orbits] == [o.rep for o in by_maps.orbits]
 
     dropped = []
     if bg.involution is None:
-        pairs = [
-            by_both(bg.g_points, bg.G_walk, ["left", "right"], False, bg.g_basis.element_encs),
-            by_both(bg.g_points, bg.G_walk, ["left", "right"], True),
-            by_both(bg.g_points, bg.G_walk, ["left"], True),
-        ]
+        both = ["left", "right"]
+        key = bg.g_basis.element_encs
+        against_reference(two_sided_orbit_partition_g, bg.g_points, bg.G_walk, both, False, key)
+        against_reference(two_sided_orbit_partition_g_dual, bg.g_points, bg.G_walk, both, True)
+        against_reference(left_orbit_partition_g_dual, bg.g_points, bg.G_walk, ["left"], True)
     else:
-        pairs = [
-            by_both(bg.u_points, bg.G_walk, ["u"], False, bg.u_basis.element_encs),
-            by_both(bg.u_points, bg.G_walk, ["u"], True),
-            by_both(bg.u_points, bg.H_walk, ["u"], True),
-        ]
-        h_left = walk_maps(bg, bg.H_walk, ["left"], dual=True)
+        u = bg.u_basis.element_encs
+        against_reference(orbit_partition_u, bg.u_points, bg.G_walk, ["u"], False, u)
+        against_reference(orbit_partition_dual, bg.u_points, bg.G_walk, ["u"], True)
+        against_reference(h_orbit_partition_dual, bg.u_points, bg.H_walk, ["u"], True)
+        h_left = _per_generator_maps(bg, bg.H_walk, ["left"], True)
         for orbit in orbit_partition_dual(bg).orbits:
             eta = bg.extension_map(orbit.rep)
             assert left_orbit_of_g_functional(bg, eta, bg.H_walk) == closure_of(eta, h_left)
     # UO4: 2 of the 3 walk generators act on u as the identity; UU4: 2 of 6
     assert dropped == DROPPED[bg.label()]
-    for by_maps, by_moves in pairs:
-        assert by_moves.orbit_of == by_maps.orbit_of
-        assert [o.rep for o in by_moves.orbits] == [o.rep for o in by_maps.orbits]
+
+    sc_table, scht = theory(bg)
+    od, calls = sc_table.record.dual(bg), []
+    walked = od.maps
+    monkeypatch.setattr(od, "maps", [lambda mu, mp=mp: calls.append(mp) or mp(mu) for mp in walked])
+    assert _constancy_check(bg, scht, sc_table).passed
+    assert calls == [mp for mp in walked for _ in od.space]
 
 
 def test_h_orbit_of_functional_walks_each_functional_once(monkeypatch):

@@ -4,7 +4,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from superchar import involution_group
 from superchar import sct as sct_module
 from superchar.cli import main
 from superchar.cyclotomic import CycloRational, CycloValue, Lanes, root_power
@@ -19,11 +18,14 @@ from superchar.sct import (
     SuperclassTable,
     SupercharRow,
     SupercharTable,
+    Report,
     _generator_walk,
     _gram_rows,
     _orthogonality_check,
     _regular_sums,
+    _springer_image_pass,
     _subgroup_data,
+    _theory_record,
     algebra_group_sct,
     alternate_theta,
     ambient_group,
@@ -121,7 +123,7 @@ def test_theta_lambda_f_orthonormal_on_elements(groups):
     bg = _bg(groups, family="UO", n=4, p=3)
     theta = standard_theta(bg)
     fwd, _ = bg.springer("cayley")
-    points = [bg.u_space.coords(bg.flatten(fwd(u))) for u in bg.U]
+    points = [bg.u_space.coords(bg.flatten_encs(fwd(u.encs))) for u in bg.U]
     rows = []
     for lam in bg.u_points[0]:
         rows.append(
@@ -374,7 +376,7 @@ def _reference_points(rec):
     if rec.symbol == "G":
         return [bg.flatten(g.nilpotent_part()) for g in rec.elements]
     fwd, _ = bg.springer(rec.springer_name)
-    return [bg.u_space.coords(bg.flatten(fwd(e))) for e in rec.elements]
+    return [bg.u_space.coords(bg.flatten_encs(fwd(e.encs))) for e in rec.elements]
 
 
 @pytest.mark.parametrize(
@@ -402,17 +404,42 @@ def test_record_points_are_f_of_elements(kw, springer):
 
 def test_log_record_refuses_a_non_bijective_exp(monkeypatch):
     # exp sending a second point of u to the identity leaves an element of U
-    # without a point
-    real = involution_group.trunc_exp
+    # without a point; cayley, which builds U, is left as it is
     bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
-    target = bg.u_basis.element(bg.u_points[0][1]).encs
+    springer = bg.springer
+    target = bg.u_basis.element_encs(bg.u_points[0][1])
 
-    def collapse(y, bound):
-        return real(y.scale(0) if y.encs == target else y, bound)
+    def collapsed(name):
+        fwd, inverse = springer(name)
+        if name != "log":
+            return fwd, inverse
+        return fwd, lambda y: inverse((0,) * len(y) if y == target else y)
 
-    monkeypatch.setattr(involution_group, "trunc_exp", collapse)
+    monkeypatch.setattr(bg, "springer", collapsed)
     with pytest.raises(VerificationError, match="not a bijection"):
         superclasses(bg, "log")
+
+
+def test_springer_pairings_and_image_pass_take_no_matrix_arithmetic(monkeypatch):
+    # both Springer maps run as layout kernels on slot encodings: the log
+    # record's pairing and the image and leading-term pass build no
+    # TriMatrix product and scale none
+    bg = build_group(GroupSpec(family="USp", n=4, p=5))
+
+    def refuse(*args):
+        raise AssertionError("TriMatrix arithmetic on a Springer path")
+
+    monkeypatch.setattr(TriMatrix, "__mul__", refuse)
+    monkeypatch.setattr(TriMatrix, "scale", refuse)
+    assert _theory_record(bg, "log").elements is bg.U
+    rep = Report("springer")
+    _springer_image_pass(bg, rep)
+    assert [(r.name, r.passed) for r in rep.results] == [
+        ("springer-cayley-image", True),
+        ("springer-log-image", True),
+        ("springer-cayley-leading-term", True),
+        ("springer-log-leading-term", True),
+    ]
 
 
 def _counted_induction(bg, lam, theta, sct, conj):

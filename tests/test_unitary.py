@@ -360,5 +360,5 @@ def test_stabilizer_description_a2ulambda(uu4):
                 in_kernel.add(x.serialize())
         for u in stabilizer_subgroup(bg, g_eta):
             fwd, _ = bg.springer("cayley")
-            springer_image.add(fwd(u).serialize())
+            springer_image.add(fwd(u.encs))
         assert described == in_kernel == springer_image
