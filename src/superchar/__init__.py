@@ -34,10 +34,7 @@ from .triangular import (
     MirrorPoset,
     TriMatrix,
     cayley,
-    cayley_inv,
     pattern_space,
-    trunc_exp,
-    trunc_log,
 )
 from .unitary import (
     TwistedSetPartition,

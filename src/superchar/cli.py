@@ -130,7 +130,7 @@ def _table_payload(spec, springer_name, theta_name, classes, rows) -> dict:
         "springer": springer_name,
         "theta": theta_name,
         "superclasses": [
-            {"rep": list(K.rep.serialize()), "size": K.size} for K in classes
+            {"rep": list(K.rep), "size": K.size} for K in classes
         ],
         "rows": [
             {
@@ -146,7 +146,7 @@ def _table_payload(spec, springer_name, theta_name, classes, rows) -> dict:
 
 def _table_csv(classes, rows) -> str:
     header = ["lambda", "n_lambda", "degree"] + [
-        "K" + "_".join(str(x) for x in K.rep.serialize()) for K in classes
+        "K" + "_".join(str(x) for x in K.rep) for K in classes
     ]
     lines = [",".join(header)]
     for r in rows:
@@ -270,17 +270,16 @@ def cmd_orbits(args) -> int:
     bg = build_group(spec, force=args.force)
     if args.space in ("u", "dual") and spec.family == "UT":
         raise _UsageError("family UT has no involution; use --space two-sided")
+    # each orbit is printed with its least point, read as slot encodings on u
+    # and g
     if args.space == "u":
-        oi = orbit_partition_u(bg)
-        lines = orbit_dump_lines(oi)
+        oi, key = orbit_partition_u(bg), bg.u_basis.element_encs
     elif args.space == "dual":
-        oi = orbit_partition_dual(bg)
-        lines = orbit_dump_lines(oi)
+        oi, key = orbit_partition_dual(bg), lambda v: v
     else:
         amb = ambient_group(bg) if spec.family != "UT" else bg
-        oi = two_sided_orbit_partition_g(amb)
-        lines = orbit_dump_lines(oi)
-    _write_output(args, "\n".join(lines) + "\n")
+        oi, key = two_sided_orbit_partition_g(amb), amb.g_basis.element_encs
+    _write_output(args, "\n".join(orbit_dump_lines(oi, key)) + "\n")
     return EXIT_OK
 
 

@@ -285,11 +285,6 @@ class FieldTower:
         """F_q, the scalar field of all functionals and bases."""
         return self.subfield(self.e)
 
-    @property
-    def full(self) -> "Subfield":
-        """F_{q^k} viewed as the (improper) subfield of itself."""
-        return self.subfield(self.degree)
-
 
 class Subfield:
     """A subfield F_{p^d} of the tower, presented as canonical encodings.

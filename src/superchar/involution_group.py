@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from pathlib import Path
 
 from .errors import ShapeError, SizeGuardError, SpringerUndefinedError, VerificationError
@@ -136,10 +137,6 @@ class SpaceBasis:
     def coords(self, mat: TriMatrix):
         return self.space.coords(self.group.flatten(mat))
 
-    def element(self, coords) -> TriMatrix:
-        """sum c_i b_i over the basis matrices b_i (``element_encs``)."""
-        return TriMatrix.from_encs(self.group.n, self.group.tower, self.element_encs(coords))
-
     def __repr__(self):
         return f"SpaceBasis(dim={self.dim} over F_{self.group.sc.size})"
 
@@ -206,10 +203,10 @@ class BuiltGroup:
         self.order_H = self.tower.size ** len(self.h_positions)
         h_set = set(self.h_positions)
         self._outside_h = [s for pos, s in slot_index(self.n).items() if pos not in h_set]
-        h_flat = [self.flatten(m) for m in self.g_basis_mats if self.in_h(m)]
+        h_flat = [self.flatten(m) for m in self.g_basis_mats if self.in_h_encs(m.encs)]
         self.h_space = Subspace.from_spanning(self.sc, self.flat_dim, h_flat)
         self.h_basis = SpaceBasis(self, self.h_space)
-        self.H_gens = [g for g in self.G_gens if self.in_h(g)]
+        self.H_gens = [g for g in self.G_gens if self.in_h_encs(g.encs)]
         # what the orbit walks close under: the root elements at unsplit positions
         self.G_walk = walk_generators(self.G_gens, self.positions)
         self.H_walk = walk_generators(self.H_gens, self.h_positions)
@@ -228,12 +225,9 @@ class BuiltGroup:
             self.cache[key] = build()
         return self.cache[key]
 
-    def in_h(self, mat: TriMatrix) -> bool:
-        """Whether mat vanishes off the positions of H, so lies in H or h."""
-        return self.in_h_encs(mat.encs)
-
     def in_h_encs(self, encs) -> bool:
-        """``in_h`` of the matrix with slot encodings ``encs``."""
+        """Whether the matrix with slot encodings ``encs`` vanishes off the
+        positions of H, so lies in H or h."""
         return not any(encs[s] for s in self._outside_h)
 
     # -- flattening ---------------------------------------------------------
@@ -287,36 +281,42 @@ class BuiltGroup:
 
     @functools.cached_property
     def U(self):
-        """The elements of U sorted by serialization, the first half of
-        ``cayley_pairing``; built on first use, None for family UT."""
-        return None if self.involution is None else self.cayley_pairing[0]
+        """``cayley_pairing``'s elements as TriMatrix objects, built on
+        first use; None for family UT.  The library reads the slot
+        encodings themselves; this view is for ``perfbench/layers.py``
+        and the tests, which take U as matrices."""
+        if self.involution is None:
+            return None
+        return [TriMatrix.from_encs(self.n, self.tower, u, True) for u in self.cayley_pairing[0]]
 
     @functools.cached_property
     def cayley_pairing(self):
-        """(elements, points): U = cayley^-1(u), one element per point of
-        ``u_points``, sorted by serialization, and the point of u that each
-        element came from, so points[i] = cayley(elements[i]) without
-        evaluating cayley."""
+        """(elements, points): U = cayley^-1(u) as slot encodings, one
+        element per point of ``u_points``, sorted by serialization, and the
+        point of u that each element came from, so points[i] =
+        cayley(elements[i]) without evaluating cayley."""
         element, dagger = self.u_basis.element_encs, self.involution.apply_encs
-        _, cayley_inv = self.springer("cayley")
+        _, preimage = self.springer("cayley")
         inverse = kernel(self.tower, "inverse", self.n)
-        elems = []
+        pairs = []
         for coords in self.u_points[0]:
-            u = cayley_inv(element(coords))
-            # u in U: u^dagger = u^-1, compared on slot encodings
+            u = preimage(element(coords))
+            # u in U: u^dagger = u^-1
             if dagger(u) != inverse(u):
                 raise VerificationError("Springer preimage left U; involution broken")
-            elems.append(TriMatrix.from_encs(self.n, self.tower, u, True))
-        elems, points = sort_paired(elems, self.u_points[0])
+            pairs.append((u, coords))
+        pairs.sort()
+        elems = [u for u, _ in pairs]
         # q^dim u points give |U| = q^dim u elements only if no two coincide
-        if any(a.encs == b.encs for a, b in zip(elems, elems[1:])):
+        if any(map(operator.eq, elems, elems[1:])):
             raise VerificationError("|U| disagrees with q^dim(u): cayley^-1 is not injective")
-        return elems, points
+        return elems, [x for _, x in pairs]
 
     @functools.cached_property
     def U_index(self):
-        """The position of each element of U in ``U``, by serialization."""
-        return {m.encs: i for i, m in enumerate(self.U)}
+        """The position of each element of U in ``cayley_pairing``, by its
+        slot encodings."""
+        return {u: i for i, u in enumerate(self.cayley_pairing[0])}
 
     # -- enumerated coordinate spaces ------------------------------------------
 
@@ -445,12 +445,6 @@ def walk_generators(root_elements, positions):
     return [g for g in root_elements if next(iter(g.entries)) in unsplit]
 
 
-def sort_paired(elements, points):
-    """elements sorted by serialization, and points reordered with them."""
-    order = sorted(range(len(elements)), key=lambda i: elements[i].encs)
-    return [elements[i] for i in order], [points[i] for i in order]
-
-
 # -- the bilinear-form rows behind eta and g_eta ---------------------------------
 
 
@@ -478,5 +472,5 @@ def kernel_in_g(group: BuiltGroup, rows) -> Subspace:
 
 def h_u_product_order(group: BuiltGroup) -> int:
     """|H U| computed from |H| |U| / |H ∩ U|; equals |G| when G = HU."""
-    hu = [u for u in group.U if group.in_h(u)]
+    hu = [u for u in group.cayley_pairing[0] if group.in_h_encs(u)]
     return group.order_H * group.order_U // len(hu)

@@ -5,8 +5,8 @@ generator's action is linear, so it is applied as its matrix compiled
 to straight-line code (``triangular.linear_kernel``), once per group by
 ``walk_moves``, which drops the maps that act as the identity and the
 repeats.  Each orbit is the BFS closure of one point under those maps
-(``closure_of``); the output is deterministic because the final order
-is a canonical sort.
+(``closure_of``), started at the least point not yet in an orbit, so
+every partition numbers its orbits by their least members.
 The walks close under ``BuiltGroup.G_walk`` and ``H_walk``, the root
 elements at positions that no intermediate index splits (for G, the
 covering relations of the poset); commutators give every other root
@@ -29,17 +29,16 @@ from .triangular import TriMatrix, linear_kernel, slot_index
 
 class Orbit(Record):
     orbit_id: int
-    rep_key: tuple
-    rep: tuple
-    members: list
+    rep: tuple  # the least member
+    members: list  # point ids, ascending
     size: int
 
 
 class OrbitIndex:
-    """A partition of an enumerated space into orbits, canonically ordered
-    by each orbit's lexicographically least serialized member.  ``space``
-    and ``index`` are the group's shared (points, index) pair, and
-    ``maps`` the maps whose walks found the orbits."""
+    """A partition of an enumerated space into orbits, numbered by each
+    orbit's least member in space order.  ``space`` and ``index`` are the
+    group's shared (points, index) pair, and ``maps`` the maps whose walks
+    found the orbits."""
 
     def __init__(self, points, orbits, orbit_of, maps):
         self.space, self.index = points
@@ -72,36 +71,30 @@ def closure_of(start, maps) -> frozenset:
     return frozenset(seen)
 
 
-def partition_space(points, maps, canon_key=None) -> OrbitIndex:
+def partition_space(points, maps) -> OrbitIndex:
     """Partition the space of ``points``, a (list, index) pair such as
     ``BuiltGroup.u_points``, into orbits of the group generated by ``maps``.
 
-    Each point not yet labelled, in space order, starts one ``closure_of``
-    walk, whose members are its orbit: every map is a bijection of a
-    finite set, and generators of finite order close the group.  A member
+    The least point not yet labelled starts one ``closure_of`` walk, whose
+    members are its orbit: every map is a bijection of a finite set, and
+    generators of finite order close the group.  So each orbit is numbered
+    as it is found, by its least member, which is its rep.  A member
     outside the space raises VerificationError.
     """
     space, index = points
-    orbit_of = [-1] * len(space)  # the walk's start until the orbits are sorted
-    key_fn = canon_key or (lambda v: v)
-    raw = []
+    orbit_of = [-1] * len(space)
+    orbits = []
     for start, v in enumerate(space):
         if orbit_of[start] < 0:
-            keyed = []
+            members = []
             for w in closure_of(v, maps):
                 i = index.get(w)
                 if i is None:
                     raise VerificationError("generator image left the space")
-                orbit_of[i] = start
-                keyed.append((key_fn(w), i))
-            keyed.sort()
-            raw.append((keyed[0][0], space[keyed[0][1]], [i for _, i in keyed]))
-    raw.sort(key=lambda t: t[0])
-    orbits = []
-    for oid, (rep_key, rep, members) in enumerate(raw):
-        orbits.append(Orbit(oid, rep_key, rep, members, len(members)))
-        for i in members:
-            orbit_of[i] = oid
+                orbit_of[i] = len(orbits)
+                members.append(i)
+            members.sort()
+            orbits.append(Orbit(len(orbits), v, members, len(members)))
     return OrbitIndex(points, orbits, orbit_of, maps)
 
 
@@ -144,8 +137,8 @@ def walk_moves(bg: BuiltGroup, gens, actions, dual=False):
     kernel on coordinate tuples.  With ``dual`` each map is mu -> P^T mu
     instead, so (P^T mu) . x = mu . (P x): the dual action
     (g mu)(x) = mu(g^-1 x) of g^-1, and the inverses of a generating set
-    generate the same group.  The identity and the repeats are dropped,
-    which leaves the generated group, so every walk, whole-space or
+    generate the same group.  The identities are dropped before they are
+    compiled and the repeats after, which leaves the generated group, so every walk, whole-space or
     single orbit, finds the same orbits with fewer map calls."""
     key = ("walk moves", tuple(g.encs for g in gens), tuple(actions), dual)
 
@@ -153,9 +146,9 @@ def walk_moves(bg: BuiltGroup, gens, actions, dual=False):
         mats = [_MATRIX_FNS[a](bg, g) for a in actions for g in gens]
         if dual:
             mats = [transpose(M) for M in mats]
-        maps = [linear_kernel(bg.tower, M, len(M)) for M in mats]
+        mats = [M for M in mats if not _is_identity(M)]
         # equal matrices share one kernel, so dict.fromkeys drops repeats
-        return list(dict.fromkeys(mp for M, mp in zip(mats, maps) if not _is_identity(M)))
+        return list(dict.fromkeys(linear_kernel(bg.tower, M, len(M)) for M in mats))
 
     return bg.cached(key, build)
 
@@ -171,7 +164,7 @@ def _is_identity(matrix) -> bool:
 def orbit_partition_u(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G acting by g . x = g x g^dagger on the enumerated u."""
     maps = walk_moves(bg, bg.G_walk, ["u"])
-    return bg.cached("u", lambda: partition_space(bg.u_points, maps, bg.u_basis.element_encs))
+    return bg.cached("u", lambda: partition_space(bg.u_points, maps))
 
 
 def orbit_partition_dual(bg: BuiltGroup) -> OrbitIndex:
@@ -245,11 +238,12 @@ def _slot_grid(n: int):
     )
 
 
-def two_sided_canonical(mat: TriMatrix) -> tuple:
+def two_sided_canonical(encs, n: int, tower) -> tuple:
     """The slot encodings of the quasi-monomial matrix (at most one nonzero
-    entry in each row and column) in the orbit of the nilpotent ``mat``
-    under x -> g x h^{-1}, g, h in UT_n over the full field.  Only the
-    slot encodings are read, so a group element 1 + x stands for x.
+    entry in each row and column) in the orbit of the nilpotent size-n
+    matrix x with slot encodings ``encs`` over ``tower``, under
+    x -> g x h^{-1}, g, h in UT_n over the full field.  A group element
+    1 + x shares its slot encodings with x, so it stands for x.
 
     Rows are taken from the last up.  The leftmost nonzero (i, j) of row
     i clears the rest of its row by column operations col_l -= c col_j
@@ -258,11 +252,9 @@ def two_sided_canonical(mat: TriMatrix) -> tuple:
     (a pivot clears its column above it), so neither step disturbs them.
     Each orbit holds exactly one quasi-monomial matrix, so the result
     names the orbit."""
-    n = mat.n
-    tower = mat.tower
     add, mul, neg = tower.add_table, tower.mul_table, tower.neg_table
     grid = _slot_grid(n)
-    x = list(mat.encs)
+    x = list(encs)
     for i in range(n - 1, 0, -1):
         row = grid[i]
         for j in range(i + 1, n + 1):
@@ -286,10 +278,8 @@ def two_sided_canonical(mat: TriMatrix) -> tuple:
 
 def two_sided_orbit_partition_g(bg: BuiltGroup) -> OrbitIndex:
     """Orbits of G x G acting by (g, h) . x = g x h^{-1} on g."""
-    # g's basis is the standard one, so a point's coordinates are its flat
-    # form and element_encs gives unflatten's slot encodings
     maps = walk_moves(bg, bg.G_walk, ["left", "right"])
-    return bg.cached("g2", lambda: partition_space(bg.g_points, maps, bg.g_basis.element_encs))
+    return bg.cached("g2", lambda: partition_space(bg.g_points, maps))
 
 
 def two_sided_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
@@ -304,12 +294,14 @@ def left_orbit_partition_g_dual(bg: BuiltGroup) -> OrbitIndex:
     return bg.cached("g_left_dual", lambda: partition_space(bg.g_points, maps))
 
 
-def orbit_dump_lines(oi: OrbitIndex):
+def orbit_dump_lines(oi: OrbitIndex, key):
     """JSON-lines rendering {"rep": [...], "size": s, "orbit_id": i}, with
-    each orbit's least key as its rep."""
+    each orbit's least key(point) as its rep, and the orbits numbered in
+    the order of those reps."""
     import json
 
+    reps = sorted((min(key(oi.space[i]) for i in o.members), o.size) for o in oi.orbits)
     return [
-        json.dumps({"rep": list(o.rep_key), "size": o.size, "orbit_id": o.orbit_id})
-        for o in oi.orbits
+        json.dumps({"rep": list(rep), "size": size, "orbit_id": i})
+        for i, (rep, size) in enumerate(reps)
     ]

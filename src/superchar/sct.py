@@ -42,7 +42,6 @@ from .involution_group import (
     build_group,
     h_u_product_order,
     kernel_in_g,
-    sort_paired,
     unsplit_positions,
 )
 from .linalg import Subspace
@@ -76,7 +75,9 @@ class TheoryRecord(Record):
     """What one supercharacter theory takes from its group, made once per
     group and Springer name by ``_theory_record``.
 
-    ``elements`` is sorted by serialization.  ``points[i]`` = f(elements[i])
+    ``elements`` holds the slot encodings of each element, sorted; that is
+    its serialization, so ``index`` maps each element to its position.
+    ``points[i]`` = f(elements[i])
     is the vector that dual vectors are dotted with: each point x of the
     primal space is paired with its element f^-1(x) as the two lists are
     built, so only ``verify_structure``'s image check evaluates f.
@@ -107,7 +108,7 @@ class TheoryRecord(Record):
     springer_name: str
     symbol: str  # how reports name the element set: "U" or "G"
     elements: list
-    index: dict  # serialization -> position in ``elements``
+    index: dict  # slot encodings -> position in ``elements``
     points: list
     primal: Callable
     dual: Callable
@@ -116,11 +117,10 @@ class TheoryRecord(Record):
 
     def element_data(self):
         """flat(e - 1) for every element, in element order, made once per
-        element set; e and e - 1 share their slot encodings, which are all
-        that ``flatten`` reads."""
+        element set; e and e - 1 share their slot encodings."""
         return self.group.cached(
             ("element data", self.symbol),
-            lambda: list(map(self.group.flatten, self.elements)),
+            lambda: list(map(self.group.flatten_encs, self.elements)),
         )
 
     def walk_order(self):
@@ -136,7 +136,7 @@ class TheoryRecord(Record):
 
         def build():
             heights = [j - i for i, j in strict_positions(self.group.n)]
-            weight = [sum(itertools.compress(heights, e.encs)) for e in self.elements]
+            weight = [sum(itertools.compress(heights, e)) for e in self.elements]
             return sorted(range(len(weight)), key=weight.__getitem__)
 
         return self.group.cached(("walk order", self.symbol), build)
@@ -160,7 +160,7 @@ def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
     else:
         _, inverse = bg.springer(springer_name)
         element, index = bg.u_basis.element_encs, bg.U_index
-        elements, points = bg.U, [None] * bg.order_U
+        elements, points = bg.cayley_pairing[0], [None] * bg.order_U
         for x in bg.u_points[0]:
             i = index.get(inverse(element(x)))
             # |u| = |U|, so a map into U that hits no element twice hits each once
@@ -193,15 +193,18 @@ def _involution_record(bg: BuiltGroup, springer_name: str) -> TheoryRecord:
 
 def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
     """The record of the pattern group G, with f(g) = g - 1: each point x
-    of g is paired with 1 + x."""
+    of g is paired with 1 + x.  g's basis is the standard one, so a point
+    is the flat form of x, and ``element_encs`` gives x's slot encodings,
+    which 1 + x shares."""
     if bg.kdim != 1:
         raise ValueError("algebra theory expects a UT-family group over its full field")
     if bg.order_G > _ALGEBRA_ENUM_GUARD and not bg.force:
         raise SizeGuardError(
             f"|G| = {bg.order_G} too large to enumerate for the algebra theory"
         )
-    elements, points = sort_paired(list(bg.enumerate_G()), bg.g_points[0])
-    index = {m.serialize(): i for i, m in enumerate(elements)}
+    pairs = sorted(zip(map(bg.g_basis.element_encs, bg.g_points[0]), bg.g_points[0]))
+    elements, points = [e for e, _ in pairs], [x for _, x in pairs]
+    index = {e: i for i, e in enumerate(elements)}
 
     def subgroup(lam_coeffs):
         # L_lam = 1 + l_lam with l_lam = {x : lam(y x) = 0 for all y in g}
@@ -226,7 +229,7 @@ def _algebra_record(bg: BuiltGroup) -> TheoryRecord:
 
 class Superclass(Record):
     class_id: int
-    rep: TriMatrix
+    rep: tuple  # the slot encodings of the least member
     size: int
     member_ids: list
 
@@ -253,7 +256,7 @@ class SuperclassTable(Record):
         rep, read once per table for every row of the induction oracle."""
         rec = self.record
         class_of = conjugacy_classes(rec).class_of
-        return [class_of[rec.index[K.rep.serialize()]] for K in self.classes]
+        return [class_of[rec.index[K.rep]] for K in self.classes]
 
 
 class SupercharRow(Record):
@@ -319,7 +322,7 @@ def superclasses(bg: BuiltGroup, springer_name: str) -> SuperclassTable:
     classes = [
         Superclass(cid, rec.elements[ids[0]], len(ids), ids) for cid, ids in enumerate(member_ids)
     ]
-    if classes[0].rep != TriMatrix.identity(bg.n, bg.tower):
+    if classes[0].rep != TriMatrix.identity(bg.n, bg.tower).encs:
         raise VerificationError("identity superclass is not first")
     return SuperclassTable(rec, classes, class_of)
 
@@ -465,10 +468,15 @@ def supercharacters(
     [E : S], and axiom-orthogonality fails on a row scaled by a wrong
     n_lambda.
 
-    The dual space is listed once, in orbit order, as ``DigitColumns``;
-    for each class rep x, one call gives the histogram of the exponents
-    theta(mu(f(x))) over every dual orbit at once.  Equal cells of equal
-    n_lambda share one divided value, made once per table."""
+    There is one row per dual orbit, in orbit order.  The dual space is
+    the product space in ``itertools.product`` order over the ascending
+    field elements, which is lexicographic, so each orbit's rep lam is its
+    least point and the rows come sorted by lam, the zero functional
+    first.  The dual space is listed once, in orbit order, as
+    ``DigitColumns``; for each class rep x, one call gives the histogram
+    of the exponents theta(mu(f(x))) over every dual orbit at once.  Equal
+    cells of equal n_lambda share one divided value, made once per
+    table."""
     rec = sc_table.record
     od = rec.dual(bg)
     points = [rec.points[K.member_ids[0]] for K in sc_table.classes]
@@ -504,7 +512,6 @@ def supercharacters(
         row.degree = row.values[0].as_integer()
         if row.degree != row.h_orbit_size:
             raise VerificationError("chi(1) != stabiliser-orbit size; orbit bookkeeping broken")
-    rows.sort(key=lambda r: r.lam)
     if any(not v == 1 for v in rows[0].values):
         raise VerificationError("the zero functional did not give the trivial character")
     return SupercharTable(sc_table, theta, rows)
@@ -544,11 +551,12 @@ def algebra_group_sct(bg: BuiltGroup, theta: Theta | None = None) -> SupercharTa
 
 def conjugation_index(bg: BuiltGroup, sc_table: SuperclassTable):
     """For each class rep g, the list [index of h g h^{-1} for h in the
-    elements]."""
+    elements], on slot encodings through the product and inverse kernels."""
     rec = sc_table.record
-    pairs = [(h, h.inverse()) for h in rec.elements]
+    umul, inverse = kernel(bg.tower, "umul", bg.n), kernel(bg.tower, "inverse", bg.n)
+    pairs = [(h, inverse(h)) for h in rec.elements]
     return [
-        [rec.index[(h * K.rep * h_inv).serialize()] for h, h_inv in pairs]
+        [rec.index[umul(umul(h, K.rep), h_inv)] for h, h_inv in pairs]
         for K in sc_table.classes
     ]
 
@@ -591,10 +599,9 @@ def _generator_walk(rec: TheoryRecord, members):
             right.append([])
             while any(len(row) < len(reached) for row in right):
                 for t, row in zip(gens, right):
-                    t_encs = elements[t].encs
                     while len(row) < len(reached):
                         r = reached[len(row)]
-                        k = index.get(product(elements[r].encs, t_encs))
+                        k = index.get(product(elements[r], elements[t]))
                         if k not in inside:
                             raise VerificationError(f"{what} is not closed under multiplication")
                         row.append(k)
@@ -618,7 +625,7 @@ def conjugation_table(rec: TheoryRecord):
         elements, index = rec.elements, rec.index
         inverse = kernel(rec.group.tower, "inverse", rec.group.n)
         gens, reached, right = _generator_walk(rec, range(len(elements)))
-        inv = [index[inverse(e.encs)] for e in elements]
+        inv = [index[inverse(e)] for e in elements]
         tables = []
         for row in right:
             times_t = [0] * len(elements)  # g -> g t, by element id
@@ -1068,14 +1075,14 @@ def intersection_check(bg: BuiltGroup, springer_name: str = "cayley") -> Report:
     element is keyed as it is."""
     rep = Report(f"intersection {bg.label()}")
     if bg.poset == MirrorPoset.chain(bg.n):
-        ambient_key = two_sided_canonical
+        ambient_key = lambda x: two_sided_canonical(x, bg.n, bg.tower)
     else:
         amb = ambient_group(bg)
         o2 = two_sided_orbit_partition_g(amb)
-        ambient_key = lambda x: o2.orbit_id(amb.flatten(x))
+        ambient_key = lambda x: o2.orbit_id(amb.flatten_encs(x))
     sct = _superclass_table(bg, springer_name)
     by_ambient: dict = {}
-    for idx, u in enumerate(bg.U):
+    for idx, u in enumerate(sct.record.elements):
         by_ambient.setdefault(ambient_key(u), []).append(idx)
     ours = sct.partition_sets()
     theirs = {frozenset(ids) for ids in by_ambient.values()}
@@ -1124,8 +1131,8 @@ def _springer_image_pass(bg: BuiltGroup, rep: Report):
         image = lead = True
         for e, x in zip(rec.elements, rec.points):
             y = element(x)
-            image = image and fwd(e.encs) == y
-            lead = lead and [y[s] for s in unsplit] == [e.encs[s] for s in unsplit]
+            image = image and fwd(e) == y
+            lead = lead and [y[s] for s in unsplit] == [e[s] for s in unsplit]
         rep.add(f"springer-{name}-image", image, "f(U) = u")
         leading.append((f"springer-{name}-leading-term", lead))
     for name, lead in leading:
@@ -1171,7 +1178,7 @@ def verify_structure(bg: BuiltGroup) -> Report:
 
     base = _theory_record(bg, "cayley")
     gen_ids, tables = conjugation_table(base)
-    gens = [base.elements[t] for t in gen_ids]
+    gens = [TriMatrix.from_encs(bg.n, tower, base.elements[t], True) for t in gen_ids]
     # 1 + t x t^dagger against t (1 + x) t^-1 = 1 + t x t^-1
     ok = all(
         bg.act(t, x).as_unipotent() == t * x.as_unipotent() * t.inverse() for t in gens for x in ub
@@ -1204,7 +1211,7 @@ def verify_structure(bg: BuiltGroup) -> Report:
 
     _springer_image_pass(bg, rep)
 
-    # every record pairs the same list of elements, bg.U, that the table
+    # every record pairs the same elements, cayley_pairing's, that the table
     # indexes; one map per generator t, made once per group and zipped with
     # t's table
     def equivariance_maps():
@@ -1289,7 +1296,7 @@ def verify_subfield_independence(bg: BuiltGroup) -> Report:
     other = build_group(spec.replace(scalar_degree=1), force=bg.force)
     sct_a, scht_a = theory(bg)
     sct_b, scht_b = theory(other)
-    same_u = [u.serialize() for u in bg.U] == [u.serialize() for u in other.U]
+    same_u = bg.cayley_pairing[0] == other.cayley_pairing[0]
     part_a, part_b = sct_a.partition_sets(), sct_b.partition_sets()
     rep.add(
         "subfield-partitions",

@@ -5,7 +5,10 @@ A TriMatrix stores its strictly-upper entries as a tuple of field
 encodings, one per slot of the row-major layout defined here; that tuple
 is also its serialization.  Every constructor and ``scale`` take
 encodings, and ``entries`` is a read-only view of the nonzero slots as
-FieldElements; no arithmetic goes through them.
+FieldElements; no arithmetic goes through them.  A TriMatrix is the
+value type of a group's construction (bases, generators, action
+matrices); once a group is built, its elements are the slot-encoding
+tuples themselves, and the layout kernels act on them directly.
 The ``unipotent`` flag says whether it stands for 1+x (a group element)
 or x (an algebra element).  The two readings share a representation but
 the Springer morphisms are the only sanctioned bridge between them, so
@@ -19,7 +22,7 @@ variable is substituted wherever it is read, and in the returned tuple.
 ``kernel`` compiles the product, the inverse, both Cayley maps and the
 truncated logarithm and exponential once per (tower, n, name) on first
 use; ``linear_kernel`` compiles each distinct F_q-linear map once per
-tower, as the orbit walks and ``SpaceBasis.element`` use them.
+tower, as the orbit walks and ``SpaceBasis.element_encs`` use them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import functools
 from types import MappingProxyType
 
-from .errors import ShapeError, SpringerUndefinedError
+from .errors import ShapeError
 from .gf import FieldElement, FieldTower
 
 
@@ -249,10 +252,6 @@ class TriMatrix:
         positions = _layout(self.n)[0]
         return {pos: FieldElement(self.tower, v) for pos, v in zip(positions, self.encs) if v}
 
-    def serialize(self) -> tuple:
-        """Row-major strict-upper entries as canonical integer encodings."""
-        return self.encs
-
     def _check(self, other: "TriMatrix"):
         if (
             other.n != self.n
@@ -472,46 +471,6 @@ def cayley(g: TriMatrix) -> TriMatrix:
     return TriMatrix.from_encs(g.n, g.tower, kernel(g.tower, "cayley", g.n)(g.encs))
 
 
-def cayley_inv(y: TriMatrix) -> TriMatrix:
-    """Inverse of ``cayley``: y -> 1 + 2y(2-y)^(-1) = 1 + y(1 - y/2)^(-1)."""
-    if y.unipotent:
-        raise ShapeError("cayley_inv maps algebra elements to group elements")
-    return TriMatrix.from_encs(y.n, y.tower, kernel(y.tower, "cayley_inv", y.n)(y.encs), True)
-
-
 def nilpotency_index(poset: MirrorPoset) -> int:
     """Least m with x^m = 0 for every x in the pattern subalgebra."""
     return poset.longest_chain()
-
-
-def trunc_log(g: TriMatrix, bound: int | None = None) -> TriMatrix:
-    """The truncated logarithm sum (-1)^(i+1) x^i / i over i < bound
-    (default n), the layout kernel "log".
-
-    Only a Springer morphism when x^p = 0 for all x in the ambient
-    algebra; the caller passes the algebra's nilpotency index so the map
-    can refuse rather than silently truncate.
-    """
-    if not g.unipotent:
-        raise ShapeError("trunc_log maps group elements to algebra elements")
-    m = _series_bound(g, bound, "logarithm")
-    return TriMatrix.from_encs(g.n, g.tower, kernel(g.tower, "log", g.n, m)(g.encs))
-
-
-def trunc_exp(y: TriMatrix, bound: int | None = None) -> TriMatrix:
-    """Inverse of ``trunc_log``: the truncated exponential series, the
-    layout kernel "exp"."""
-    if y.unipotent:
-        raise ShapeError("trunc_exp maps algebra elements to group elements")
-    m = _series_bound(y, bound, "exponential")
-    return TriMatrix.from_encs(y.n, y.tower, kernel(y.tower, "exp", y.n, m)(y.encs), True)
-
-
-def _series_bound(x: TriMatrix, bound, what) -> int:
-    """The truncation bound (default n), refused above p."""
-    m = bound if bound is not None else x.n
-    if m > x.tower.p:
-        raise SpringerUndefinedError(
-            f"truncated {what} needs nilpotency index <= p; got {m} > {x.tower.p}"
-        )
-    return m

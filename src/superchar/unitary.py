@@ -439,7 +439,7 @@ def formula_grid_check(
     seen_classes = set()
     for nu in partitions:
         u = rep_group_element(bg, nu, sct.record.springer_name)
-        cid = sct.class_of[bg.U_index[u.serialize()]]
+        cid = sct.class_of[bg.U_index[u.encs]]
         if cid in seen_classes:
             rep.add("class-transversal", False, f"{nu!r} repeats a superclass")
             return rep

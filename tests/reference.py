@@ -13,7 +13,7 @@ from superchar.cyclotomic import CycloRational, CycloValue
 from superchar.linalg import Subspace, combine
 from superchar.orbits import closure_of, g_left_matrix
 from superchar.sct import _generator_walk
-from superchar.triangular import _layout, slot_index
+from superchar.triangular import TriMatrix, _layout, slot_index
 
 
 def _dot_slots(acc, terms, x, y, add, mul) -> int:
@@ -91,7 +91,7 @@ def left_orbit_of_g_element(bg, flat) -> frozenset:
 def full_sweep_orbit_u(bg, coords) -> frozenset:
     """{g . x : g in G} by enumerating all of G; the generator-sufficiency
     oracle for the orbit walks."""
-    x = bg.u_basis.element(coords)
+    x = TriMatrix.from_encs(bg.n, bg.tower, bg.u_basis.element_encs(coords))
     return frozenset(bg.u_space.coords(bg.flatten(bg.act(g, x))) for g in bg.enumerate_G())
 
 

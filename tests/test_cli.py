@@ -113,6 +113,11 @@ COMMAND_SHA256 = {
     # pair at a time
     ("verify", "UT", "3", "7"): "15d1aed552b31f29e72ded0017ec93352660e48e3c56a049fccb83e78030e5cc",
     ("verify", "UO", "4", "7"): "c880ee1cda3699fde761249a37d857df12fb4fa1f4c40d755e3ef77639aaa4ac",
+    # captured while each orbit partition was sorted by a key: scalars F_3
+    # inside F_9, so a point's coordinates and its slot encodings, the key
+    # the dump prints, order the orbits differently
+    ("orbits", "UT", "3", "3", "--k", "2", "--space", "two-sided"):
+        "e040345062517f5d935fb2662d4abc79edeae3ccaab080d20e5953e8a4b034c6",
 }
 
 
@@ -567,6 +572,29 @@ NON_CHAIN_ORBITS_SHA256 = {
 }
 
 
+# sha256 of `superchar verify` on two non-chain posets, captured while U
+# was a list of TriMatrix objects: the intersection check keys each element
+# of U by its orbit in the scan of the ambient g, not by a normal form
+POSET_VERIFY_SHA256 = {
+    ("UU", "4", "3", "2", "4\n1 2\n3 4\n"):
+        "fd53dba016a6ab5f4bc550b6c40521aa94c92d176addb115cc0a049f31c8a955",
+    ("UO", "5", "3", "1", "5\n1 2\n4 5\n1 3\n3 5\n"):
+        "c6f90aefa4836928e3765ad0d766e20de4be6630b9c4e439dd586ecfa712e797",
+}
+
+
+def test_non_chain_verify_matches_pinned_digests(capsys, tmp_path):
+    for (family, n, p, k, pairs), digest in POSET_VERIFY_SHA256.items():
+        poset = tmp_path / f"{family}.txt"
+        poset.write_text(pairs)
+        code, out, _ = run(
+            capsys, "verify", "--family", family, "--n", n, "--p", p, "--k", k,
+            "--poset", str(poset),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, family
+
+
 def test_non_chain_orbit_dumps_match_pinned_digests(capsys, tmp_path):
     poset = tmp_path / "poset.txt"
     poset.write_text("4\n1 2\n3 4\n")
@@ -658,11 +686,13 @@ def test_verify_and_orbits_bytes_match_pinned_digests(capsys):
 # towers that hold no compiled kernel yet.  Each distinct map compiles once,
 # and each H-orbit is walked once, so a compile or walk done twice moves
 # these counts; before that, UO4 took 26 compiles and 39 walks, UU4 39 and 383.
-# USp4(F_5) has the truncated log, whose two kernels are among its compiles
+# A walk matrix that is the identity is never compiled (17, 30 and 24
+# compiles while it was).  USp4(F_5) has the truncated log, whose two kernels
+# are among its compiles
 VERIFY_WORK = {
-    ("UO", "4", "3"): (17, 29),
-    ("UU", "4", "3"): (30, 221),
-    ("USp", "4", "5"): (24, 245),
+    ("UO", "4", "3"): (16, 29),
+    ("UU", "4", "3"): (28, 221),
+    ("USp", "4", "5"): (22, 245),
 }
 
 
@@ -683,6 +713,34 @@ def test_verify_compiles_and_walks_each_job_once(capsys, monkeypatch, family, n,
     code, out, _ = run(capsys, "verify", "--family", family, "--n", n, "--p", p, "--k", k)
     assert code == 0 and "FAIL" not in out
     assert (len(compiles), len(walks)) == VERIFY_WORK[family, n, p]
+
+
+# Once a group is built its elements are slot-encoding tuples, so no
+# command builds a TriMatrix for each element: on USp4(F_5), |U| = 625, each
+# command below builds fewer than |U|/2 of them, counted through
+# TriMatrix.__init__ and from_encs.  While U was a list of TriMatrix objects
+# they built 726, 726, 839, 678 and 727
+@pytest.mark.parametrize(
+    "argv",
+    [("table",)]
+    + [
+        ("verify", "--check", check)
+        for check in ("axioms", "induction", "intersection", "springer-independence")
+    ],
+    ids=["table", "axioms", "induction", "intersection", "springer-independence"],
+)
+def test_no_command_builds_a_trimatrix_per_element(capsys, monkeypatch, argv):
+    from superchar.triangular import TriMatrix
+
+    built = []
+    init, from_encs = TriMatrix.__init__, TriMatrix.from_encs.__func__
+    monkeypatch.setattr(TriMatrix, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(
+        TriMatrix, "from_encs", classmethod(lambda cls, *a: built.append(a) or from_encs(cls, *a))
+    )
+    code, out, _ = run(capsys, argv[0], "--family", "USp", "--n", "4", "--p", "5", *argv[1:])
+    assert code == 0 and "FAIL" not in out
+    assert 0 < len(built) < 625 // 2
 
 
 def test_ambient_scan_guard_refuses_ut6_f3(capsys):

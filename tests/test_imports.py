@@ -18,14 +18,24 @@ defined as ``_cached``, so one hook there sees every such build.
 
 ``triangular.straight_line`` is the one place code is generated: no
 other code names the builtins ``exec``, ``eval`` or ``compile``, neither
-bare nor as an attribute of ``builtins``."""
+bare nor as an attribute of ``builtins``.
+
+No definition is dead: every module-level function or class and every
+method that is not a dunder is read by name (as a name or an attribute)
+in some module other than ``__init__.py``, or imported or read as an
+attribute by ``perfbench/layers.py``, or listed in ``UNREAD`` with the
+reason it stays.  The match is by bare name, so a local variable of the
+same name hides a dead definition; the guard catches wrappers that
+nothing reads at all."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "superchar"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "superchar"
+LAYERS = ROOT / "perfbench" / "layers.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
 TEARDOWN_MODULES = {"atexit", "threading", "concurrent", "multiprocessing"}
@@ -215,3 +225,106 @@ def test_generated_code_is_found():
     tree = ast.parse(source)
     assert _generated_code(tree, "straight_line") == ["eval", "builtins.exec", "compile"]
     assert _generated_code(tree) == ["exec", "eval", "builtins.exec", "compile"]
+
+
+# definitions that no module reads by name, by "module.qualified name", and
+# why each stays
+UNREAD = {
+    "cli._Parser.error": "argparse calls it on a bad command line",
+    "cyclotomic.CycloValue.conjugate": "the tests' reference for conjugate_lift",
+}
+
+
+def _definitions(tree):
+    """(qualified name, name) of each module-level function or class and
+    each method of a module-level class that is not a dunder."""
+    defs = ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef | ast.AsyncFunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _read_names(tree):
+    """Every name the module loads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name | ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _layers_names(tree):
+    """Every name the tracer imports from superchar or reads as an
+    attribute."""
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("superchar")
+        for alias in node.names
+    }
+    return imported | {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _dead_definitions(modules, layers, unread=()):
+    """The "module.qualified name" of each definition in ``modules``, a
+    {stem: tree} map, that no module other than ``__init__`` reads, that
+    ``layers`` neither imports nor reads, and that ``unread`` does not
+    list."""
+    read = _layers_names(layers).union(
+        *(_read_names(tree) for stem, tree in modules.items() if stem != "__init__")
+    )
+    return [
+        f"{stem}.{qualified}"
+        for stem, tree in modules.items()
+        for qualified, name in _definitions(tree)
+        if name not in read and f"{stem}.{qualified}" not in unread
+    ]
+
+
+def test_every_definition_is_read():
+    modules = {path.stem: ast.parse(path.read_text(), str(path)) for path in ALL_MODULES}
+    layers = ast.parse(LAYERS.read_text(), str(LAYERS))
+    assert _dead_definitions(modules, layers, UNREAD) == []
+    # each entry of UNREAD names a definition that is still there
+    defined = {f"{stem}.{q}" for stem, tree in modules.items() for q, _ in _definitions(tree)}
+    assert set(UNREAD) <= defined
+
+
+def test_dead_definitions_are_found():
+    source = (
+        "class A:\n"
+        "    def used(self):\n"
+        "        return self.traced()\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "    def traced(self):\n"
+        "        pass\n"
+        "    def listed(self):\n"
+        "        pass\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+        "def helper():\n"
+        "    return A().used()\n"
+        "def exported():\n"
+        "    pass\n"
+        "def imported():\n"
+        "    pass\n"
+    )
+    modules = {
+        "m": ast.parse(source),
+        "n": ast.parse("def f():\n    return helper\n"),
+        "__init__": ast.parse("from .m import exported\nexported\n"),
+    }
+    layers = ast.parse("from superchar.m import imported\nx.traced\n")
+    found = _dead_definitions(modules, layers, {"m.A.listed"})
+    assert found == ["m.A.unused", "m.exported", "n.f"]

@@ -15,10 +15,9 @@ from superchar.linalg import Subspace
 from superchar.triangular import (
     MirrorPoset,
     TriMatrix,
+    kernel,
     slot_index,
     strict_positions,
-    trunc_exp,
-    trunc_log,
 )
 
 import reference
@@ -28,7 +27,7 @@ from reference import element_encs, evaluate, stabilizer_subgroup
 def exhaustive_U(bg):
     """Oracle: filter the enumerated pattern group for u^dagger = u^(-1)."""
     return sorted(
-        (g.serialize() for g in bg.enumerate_G() if bg.dagger(g) == g.inverse()),
+        (g.encs for g in bg.enumerate_G() if bg.dagger(g) == g.inverse()),
     )
 
 
@@ -61,7 +60,7 @@ def test_build_U_and_u_dimensions(kwargs, dim, order):
 )
 def test_build_U_matches_exhaustive_filter(kwargs):
     bg = build_group(GroupSpec(**kwargs))
-    assert [u.serialize() for u in bg.U] == exhaustive_U(bg)
+    assert bg.cayley_pairing[0] == [u.encs for u in bg.U] == exhaustive_U(bg)
 
 
 def test_ut2_order():
@@ -73,7 +72,7 @@ def test_ut2_order():
 def test_u_antisymmetry_exhaustive():
     bg = build_group(GroupSpec(family="UU", n=3, p=3, k=2))
     for coords in bg.u_points[0]:
-        x = bg.u_basis.element(coords)
+        x = TriMatrix.from_encs(bg.n, bg.tower, bg.u_basis.element_encs(coords))
         assert bg.dagger(x) == -x
 
 
@@ -190,21 +189,16 @@ def test_log_and_exp_kernels_are_the_truncated_series(kwargs):
     log, exp = bg.springer("log")
     for g in bg.U:
         x = _series(g.nilpotent_part(), log_c)
-        assert trunc_log(g, m) == x and log(g.encs) == x.encs
-        assert trunc_exp(x, m) == _series(x, exp_c).as_unipotent() == g
+        assert log(g.encs) == x.encs
+        assert exp(x.encs) == _series(x, exp_c).encs == g.encs
         assert exp(log(g.encs)) == g.encs
-    if m < bg.n:
-        with pytest.raises(SpringerUndefinedError):
-            trunc_log(bg.U[0])  # the default bound n > p
+    # the series stop at the nilpotency index m, not at n, which may pass p
+    assert (log, exp) == (kernel(bg.tower, "log", bg.n, m), kernel(bg.tower, "exp", bg.n, m))
 
 
 def test_log_and_exp_refuse_nilpotency_above_p():
     bg = build_group(GroupSpec(family="UO", n=4, p=3))  # m = 4 > p = 3
-    g = bg.U[-1]
-    with pytest.raises(SpringerUndefinedError):
-        trunc_log(g, 4)
-    with pytest.raises(SpringerUndefinedError):
-        trunc_exp(g.nilpotent_part(), 4)
+    assert "log" not in bg.springer_names()
     with pytest.raises(SpringerUndefinedError):
         bg.springer("log")
 
@@ -221,13 +215,13 @@ def test_log_and_exp_refuse_nilpotency_above_p():
     ],
 )
 def test_element_combines_basis_slots(kwargs):
-    """element(c) sums the basis matrices' slots; it must equal the
+    """element_encs(c) sums the basis matrices' slots; it must equal the
     unflattened combination of the flat basis rows at every point of u,
     and the interpreted slot-by-slot combination."""
     bg = build_group(GroupSpec(**kwargs))
     for c in bg.u_points[0]:
-        encs = bg.u_basis.element(c).encs
-        assert encs == bg.unflatten(bg.u_space.combine(c)).serialize()
+        encs = bg.u_basis.element_encs(c)
+        assert encs == bg.unflatten(bg.u_space.combine(c)).encs
         assert encs == element_encs(bg.u_basis, c)
 
 

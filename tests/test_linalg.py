@@ -11,8 +11,8 @@ import reference
 # F_3 inside F_9 (the unitary scalar case), F_5, and F_25 over itself
 SCALARS = {
     "F_3<F_9": lambda: make_tower(3, 1, 2).subfield(1),
-    "F_5": lambda: make_tower(5, 1, 1).full,
-    "F_25": lambda: make_tower(5, 2, 1).full,
+    "F_5": lambda: make_tower(5, 1, 1).base,
+    "F_25": lambda: make_tower(5, 2, 1).base,
 }
 # small enough to enumerate every vector of the ambient space
 AMBIENT = {"F_3<F_9": 5, "F_5": 4, "F_25": 3}
@@ -85,7 +85,7 @@ def test_kernel_rows_annihilate_the_constraints(name):
 @pytest.mark.parametrize("tower", [(3, 1, 1), (3, 2, 1), (5, 2, 1), (3, 7, 1)])
 def test_rref_matches_per_entry_reference(tower):
     # F_3^7 is above the size where the tower keeps full tables
-    sc = make_tower(*tower).full
+    sc = make_tower(*tower).base
     rng = random.Random(sum(tower))
     for _ in range(40):
         width = rng.randint(1, 7)

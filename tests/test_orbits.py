@@ -129,7 +129,7 @@ def test_dual_orbits_equal_full_group_sweep(kwargs):
     for g in bg.enumerate_G():
         g_inv = g.inverse()
         rows = [bg.u_space.coords(bg.flatten(bg.act(g_inv, b))) for b in bg.u_basis.matrices]
-        sweep.append((bg.in_h(g), rows))
+        sweep.append((bg.in_h_encs(g.encs), rows))
     assert sum(in_h for in_h, _ in sweep) == bg.order_H
     for oi, only_h in [(orbit_partition_dual(bg), False), (h_orbit_partition_dual(bg), True)]:
         for orbit in oi.orbits:
@@ -162,8 +162,8 @@ def test_walk_partitions_equal_all_root_element_partitions(kwargs):
     same walk over every root element with the reference linear maps."""
     bg = build_group(GroupSpec(**kwargs))
 
-    def by_roots(points, matrices, canon_key=None):
-        return partition_space(points, [map_from_matrix(M, bg.sc) for M in matrices], canon_key)
+    def by_roots(points, matrices):
+        return partition_space(points, [map_from_matrix(M, bg.sc) for M in matrices])
 
     def dual(gens, matrix_fn):
         return [transpose(matrix_fn(bg, g.inverse())) for g in gens]
@@ -175,7 +175,6 @@ def test_walk_partitions_equal_all_root_element_partitions(kwargs):
             by_roots(
                 bg.g_points,
                 [g_left_matrix(bg, g) for g in G] + [g_right_matrix(bg, g) for g in G],
-                bg.g_basis.element_encs,
             ),
         ),
     ]
@@ -183,7 +182,7 @@ def test_walk_partitions_equal_all_root_element_partitions(kwargs):
         pairs += [
             (
                 orbit_partition_u(bg),
-                by_roots(bg.u_points, [u_action_matrix(bg, g) for g in G], bg.u_basis.element_encs),
+                by_roots(bg.u_points, [u_action_matrix(bg, g) for g in G]),
             ),
             (orbit_partition_dual(bg), by_roots(bg.u_points, dual(G, u_action_matrix))),
             (h_orbit_partition_dual(bg), by_roots(bg.u_points, dual(H, u_action_matrix))),
@@ -199,6 +198,10 @@ def test_walk_partitions_equal_all_root_element_partitions(kwargs):
     for walked, full in pairs:
         assert walked.orbit_of == full.orbit_of
         assert [o.rep for o in walked.orbits] == [o.rep for o in full.orbits]
+        # each orbit is numbered by its least member, which is its rep
+        least = [min(o.members) for o in walked.orbits]
+        assert least == sorted(least) and all(o.members == sorted(o.members) for o in walked.orbits)
+        assert [walked.space[i] for i in least] == [o.rep for o in walked.orbits]
 
 
 def test_partition_space_rejects_a_map_leaving_the_space():
@@ -360,7 +363,7 @@ def test_walk_moves_find_the_orbits_of_walk_maps(monkeypatch, kwargs):
     the dual partition's."""
     bg = build_group(GroupSpec(**kwargs))
 
-    def against_reference(partition, points, gens, actions, dual=False, canon_key=None):
+    def against_reference(partition, points, gens, actions, dual=False):
         maps, oi = _per_generator_maps(bg, gens, actions, dual), partition(bg)
         moves = oi.maps
         assert moves == walk_moves(bg, gens, actions, dual)
@@ -370,20 +373,18 @@ def test_walk_moves_find_the_orbits_of_walk_maps(monkeypatch, kwargs):
         units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
         assert all(any(mp(e) != e for e in units) for mp in moves)
         dropped.append(len(maps) - len(moves))
-        by_maps = partition_space(points, maps, canon_key)
+        by_maps = partition_space(points, maps)
         assert oi.orbit_of == by_maps.orbit_of
         assert [o.rep for o in oi.orbits] == [o.rep for o in by_maps.orbits]
 
     dropped = []
     if bg.involution is None:
         both = ["left", "right"]
-        key = bg.g_basis.element_encs
-        against_reference(two_sided_orbit_partition_g, bg.g_points, bg.G_walk, both, False, key)
+        against_reference(two_sided_orbit_partition_g, bg.g_points, bg.G_walk, both)
         against_reference(two_sided_orbit_partition_g_dual, bg.g_points, bg.G_walk, both, True)
         against_reference(left_orbit_partition_g_dual, bg.g_points, bg.G_walk, ["left"], True)
     else:
-        u = bg.u_basis.element_encs
-        against_reference(orbit_partition_u, bg.u_points, bg.G_walk, ["u"], False, u)
+        against_reference(orbit_partition_u, bg.u_points, bg.G_walk, ["u"])
         against_reference(orbit_partition_dual, bg.u_points, bg.G_walk, ["u"], True)
         against_reference(h_orbit_partition_dual, bg.u_points, bg.H_walk, ["u"], True)
         h_left = _per_generator_maps(bg, bg.H_walk, ["left"], True)
@@ -435,11 +436,14 @@ def test_row_stabiliser_orbit_is_the_whole_space_partitions_orbit(kwargs):
 
 def test_orbit_dump_lines_format():
     bg = build_group(GroupSpec(family="UO", n=3, p=3))
-    lines = orbit_dump_lines(orbit_partition_u(bg))
+    oi, key = orbit_partition_u(bg), bg.u_basis.element_encs
+    lines = [json.loads(line) for line in orbit_dump_lines(oi, key)]
     assert len(lines) == 3
-    first = json.loads(lines[0])
-    assert set(first) == {"rep", "size", "orbit_id"}
-    assert first["orbit_id"] == 0
+    assert set(lines[0]) == {"rep", "size", "orbit_id"}
+    # each rep is its orbit's least key, and the orbits are numbered by it
+    reps = sorted(min(key(oi.space[i]) for i in o.members) for o in oi.orbits)
+    assert [line["rep"] for line in lines] == list(map(list, reps))
+    assert [line["orbit_id"] for line in lines] == [0, 1, 2]
 
 
 
@@ -452,7 +456,7 @@ def test_two_sided_canonical_matches_scan(n, p, e):
     oi = two_sided_orbit_partition_g(bg)
     by_form: dict = {}
     for i, flat in enumerate(oi.space):
-        by_form.setdefault(two_sided_canonical(bg.unflatten(flat)), []).append(i)
+        by_form.setdefault(two_sided_canonical(bg.unflatten(flat).encs, n, bg.tower), []).append(i)
     assert {frozenset(ids) for ids in by_form.values()} == {
         frozenset(o.members) for o in oi.orbits
     }
@@ -461,6 +465,4 @@ def test_two_sided_canonical_matches_scan(n, p, e):
         support = list(x.entries)
         assert len({i for i, _ in support}) == len({j for _, j in support}) == len(support)
         assert oi.orbit_id(bg.flatten(x)) == oi.orbit_of[ids[0]]
-        assert two_sided_canonical(x) == form
-        # only the slot encodings are read, so the element 1 + x names x's orbit
-        assert two_sided_canonical(x.as_unipotent()) == form
+        assert two_sided_canonical(form, n, bg.tower) == form

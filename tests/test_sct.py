@@ -80,7 +80,7 @@ def _bg(groups, **kw):
 def test_identity_superclass_is_singleton(groups):
     bg = _bg(groups, family="UU", n=3, p=3, k=2)
     sct = superclasses(bg, "cayley")
-    assert sct.classes[0].rep == TriMatrix.identity(3, bg.tower)
+    assert sct.classes[0].rep == TriMatrix.identity(3, bg.tower).encs
     assert sct.classes[0].size == 1
 
 
@@ -335,9 +335,9 @@ def test_conjugacy_classes_match_brute_force(nonabelian, groups, which):
     bg = _oracle_group(nonabelian, groups, which)
     rec = superclasses(bg, "cayley").record
     cc = conjugacy_classes(rec)
-    E = rec.elements
+    E = [TriMatrix.from_encs(bg.n, bg.tower, e, True) for e in rec.elements]
     orbits = {
-        frozenset(rec.index[(h * x * h.inverse()).serialize()] for h in E)
+        frozenset(rec.index[(h * x * h.inverse()).encs] for h in E)
         for x in E
     }
     members: dict = {}
@@ -374,9 +374,10 @@ def _reference_points(rec):
     Springer map, or flat(g - 1) for the algebra-group theory."""
     bg = rec.group
     if rec.symbol == "G":
-        return [bg.flatten(g.nilpotent_part()) for g in rec.elements]
+        elements = [TriMatrix.from_encs(bg.n, bg.tower, e, True) for e in rec.elements]
+        return [bg.flatten(g.nilpotent_part()) for g in elements]
     fwd, _ = bg.springer(rec.springer_name)
-    return [bg.u_space.coords(bg.flatten_encs(fwd(e.encs))) for e in rec.elements]
+    return [bg.u_space.coords(bg.flatten_encs(fwd(e))) for e in rec.elements]
 
 
 @pytest.mark.parametrize(
@@ -398,7 +399,7 @@ def test_record_points_are_f_of_elements(kw, springer):
     assert rec.points == _reference_points(rec)
     assert sorted(rec.points) == sorted((bg.u_points if rec.symbol == "U" else bg.g_points)[0])
     if rec.symbol == "U":
-        assert rec.elements is bg.U
+        assert rec.elements is bg.cayley_pairing[0]
     assert superclasses(bg, springer).record is rec
 
 
@@ -431,7 +432,7 @@ def test_springer_pairings_and_image_pass_take_no_matrix_arithmetic(monkeypatch)
 
     monkeypatch.setattr(TriMatrix, "__mul__", refuse)
     monkeypatch.setattr(TriMatrix, "scale", refuse)
-    assert _theory_record(bg, "log").elements is bg.U
+    assert _theory_record(bg, "log").elements is bg.cayley_pairing[0]
     rep = Report("springer")
     _springer_image_pass(bg, rep)
     assert [(r.name, r.passed) for r in rep.results] == [
@@ -761,8 +762,10 @@ def test_generator_walk_reaches_members_and_records_products(nonabelian, groups,
         assert reached[0] == 0 and sorted(reached) == list(members)
         assert set(gens) <= set(members) and len(right) == len(gens)
         for t, row in zip(gens, right):
+            t_mat = TriMatrix.from_encs(bg.n, bg.tower, rec.elements[t], True)
             assert row == [
-                rec.index[(rec.elements[r] * rec.elements[t]).serialize()] for r in reached
+                rec.index[(TriMatrix.from_encs(bg.n, bg.tower, rec.elements[r], True) * t_mat).encs]
+                for r in reached
             ]
         walks[members] = walk
     assert len({id(w) for w in walks.values()}) == len(subsets)
@@ -800,7 +803,7 @@ def test_verify_axioms_refuses_u_not_closed(monkeypatch):
     bg = build_group(GroupSpec(family="UO", n=5, p=3))
     sct, scht = theory(bg)
     rec = sct.record
-    dropped = rec.elements[len(rec.elements) // 2].serialize()
+    dropped = rec.elements[len(rec.elements) // 2]
     monkeypatch.setattr(rec, "index", {k: v for k, v in rec.index.items() if k != dropped})
     with pytest.raises(VerificationError, match="U is not closed under multiplication"):
         verify_axioms(bg, sct, scht)
@@ -901,7 +904,7 @@ def test_row_cells_match_orbit_sums(nonabelian, groups, which, theta_fn):
     rec = sct.record
     od = rec.dual(bg)
     reference = _reference_points(rec)
-    points = [reference[rec.index[K.rep.serialize()]] for K in sct.classes]
+    points = [reference[rec.index[K.rep]] for K in sct.classes]
     for row in scht.rows:
         members = [od.space[i] for i in od.orbits[od.orbit_id(row.lam)].members]
         sums = orbit_sum_values(bg.tower.p, members, points, bg.sc.dot, theta.exponent)
@@ -1106,7 +1109,7 @@ def _h_without_its_corner(monkeypatch, bg):
 
 def _h_gens_with_an_outsider(monkeypatch, bg):
     # a generator of G outside H listed among H's: its conjugates leave H
-    outsider = next(g for g in bg.G_gens if not bg.in_h(g))
+    outsider = next(g for g in bg.G_gens if not bg.in_h_encs(g.encs))
     monkeypatch.setattr(bg, "H_gens", bg.H_gens + [outsider])
 
 

@@ -355,9 +355,9 @@ def test_stabilizer_description_a2ulambda(uu4):
                 if any(ik == i and j < k for (ik, k) in arcs) and 2 * j <= bg.n + 1
             ]
             if not blocked_positions:
-                described.add(x.serialize())
+                described.add(x.encs)
             if g_eta.contains(flat):
-                in_kernel.add(x.serialize())
+                in_kernel.add(x.encs)
         for u in stabilizer_subgroup(bg, g_eta):
             fwd, _ = bg.springer("cayley")
             springer_image.add(fwd(u.encs))
