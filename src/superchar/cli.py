@@ -11,9 +11,9 @@ output files.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import ShapeError, SizeGuardError, SpringerUndefinedError, VerificationError
 from .involution_group import GroupSpec, build_group, load_spec
@@ -39,13 +39,6 @@ from .sct import (
     verify_theta_independence,
 )
 from .triangular import MirrorPoset
-from .unitary import (
-    count_twisted,
-    degree_audit,
-    ennola_degree_check,
-    enumerate_labeled,
-    formula_grid_check,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,27 +49,6 @@ EXIT_IO = 4
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _add_spec_args(sub):
-    sub.add_argument("--spec", help="JSON spec file (overrides the inline flags)")
-    sub.add_argument("--family", choices=["UT", "UO", "USp", "UU"])
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--e", type=int, default=1)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--poset", help="poset file (first line n, then 'i j' generators)")
-    sub.add_argument("--force", action="store_true", help="override the size guards")
-
-
-def _add_table_args(sub):
-    sub.add_argument("--springer", choices=["cayley", "log"])
-    sub.add_argument("--theta", choices=["standard", "alternate"], default="standard")
 
 
 def _spec_from_args(args) -> GroupSpec:
@@ -181,7 +153,23 @@ def _on_chain(bg) -> bool:
     return bg.poset == MirrorPoset.chain(bg.n)
 
 
+# The unitary module is imported where a UU check or command reads it, so
+# a run on any other family never loads it
+def _unitary_formula(bg, args):
+    from .unitary import formula_grid_check
+
+    return formula_grid_check(bg, *_tables(bg, args))
+
+
+def _ennola_degrees(bg, args):
+    from .unitary import ennola_degree_check
+
+    return ennola_degree_check(_tables(bg, args)[1])
+
+
 def _audit_report(bg) -> Report:
+    from .unitary import degree_audit
+
     rep, rows = Report(f"degree audit {bg.label()}"), degree_audit(bg)
     for row in rows:
         rep.add("degree-audit", None, row.line())
@@ -214,10 +202,8 @@ _CHECKS = {
     "theta-independence": (
         _INVOLUTION, lambda bg, _, springer: verify_theta_independence(bg, springer)
     ),
-    "unitary-formula": (("UU",), lambda bg, args, _: formula_grid_check(bg, *_tables(bg, args))),
-    "ennola-degrees": (
-        ("UU", "UU|poset"), lambda bg, args, _: ennola_degree_check(_tables(bg, args)[1])
-    ),
+    "unitary-formula": (("UU",), lambda bg, args, _: _unitary_formula(bg, args)),
+    "ennola-degrees": (("UU", "UU|poset"), lambda bg, args, _: _ennola_degrees(bg, args)),
     "degree-audit": (("UU",), lambda bg, *_: _audit_report(bg)),
     "subfield-independence": ((), lambda bg, *_: verify_subfield_independence(bg)),
 }
@@ -287,6 +273,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_unitary_check(args) -> int:
+    from .unitary import degree_audit, ennola_degree_check, formula_grid_check
+
     spec = _spec_from_args(args)
     if spec.family != "UU":
         raise _UsageError("unitary-check requires --family UU")
@@ -318,6 +306,8 @@ def cmd_unitary_check(args) -> int:
 
 
 def cmd_count_partitions(args) -> int:
+    from .unitary import count_twisted, enumerate_labeled
+
     spec = _spec_from_args(args)
     if spec.family == "UU":
         count = count_twisted(spec.n, spec.tower)
@@ -333,79 +323,137 @@ def cmd_count_partitions(args) -> int:
 
 # -- entry point ------------------------------------------------------------------------
 
+# Each option of the commands, once: its flags and the keywords argparse's
+# add_argument takes for it
+_SPEC_OPTIONS = (
+    (("--spec",), {"help": "JSON spec file (overrides the inline flags)"}),
+    (("--family",), {"choices": ["UT", "UO", "USp", "UU"]}),
+    (("--n",), {"type": int}),
+    (("--p",), {"type": int}),
+    (("--e",), {"type": int, "default": 1}),
+    (("--k",), {"type": int, "default": None}),
+    (("--poset",), {"help": "poset file (first line n, then 'i j' generators)"}),
+    (("--force",), {"action": "store_true", "help": "override the size guards"}),
+)
+_TABLE_OPTIONS = (
+    (("--springer",), {"choices": ["cayley", "log"]}),
+    (("--theta",), {"choices": ["standard", "alternate"], "default": "standard"}),
+)
+_OUTPUT = (("--output", "-o"), {})
 
-def _table_parser(t):
-    _add_spec_args(t)
-    _add_table_args(t)
-    t.add_argument("--format", choices=["json", "csv"], default="json")
-    t.add_argument("--output", "-o")
-    t.set_defaults(func=cmd_table)
-
-
-def _verify_parser(v):
-    _add_spec_args(v)
-    _add_table_args(v)
-    v.add_argument("--check", help="run a single named check")
-    v.add_argument("--output", "-o")
-    v.set_defaults(func=cmd_verify)
-
-
-def _orbits_parser(o):
-    _add_spec_args(o)
-    o.add_argument("--space", choices=["u", "dual", "two-sided"], default="u")
-    o.add_argument("--output", "-o")
-    o.set_defaults(func=cmd_orbits)
-
-
-def _unitary_check_parser(u):
-    _add_spec_args(u)
-    _add_table_args(u)
-    u.add_argument("--output", "-o")
-    u.set_defaults(func=cmd_unitary_check)
-
-
-def _count_partitions_parser(c):
-    _add_spec_args(c)
-    c.set_defaults(func=cmd_count_partitions)
-
-
-# Every subcommand in help order: name -> (help, the function that fills in
-# its arguments)
+# Every subcommand in help order: name -> (help, its options in help order,
+# the function that runs it)
 _COMMANDS = {
-    "table": ("compute and write a supercharacter table", _table_parser),
-    "verify": ("run the named verification checks", _verify_parser),
-    "orbits": ("dump an orbit partition as JSON lines", _orbits_parser),
-    "unitary-check": ("closed-form value grid and degree audit (UU)", _unitary_check_parser),
-    "count-partitions": ("count the indexing set partitions", _count_partitions_parser),
+    "table": (
+        "compute and write a supercharacter table",
+        _SPEC_OPTIONS
+        + _TABLE_OPTIONS
+        + ((("--format",), {"choices": ["json", "csv"], "default": "json"}), _OUTPUT),
+        cmd_table,
+    ),
+    "verify": (
+        "run the named verification checks",
+        _SPEC_OPTIONS
+        + _TABLE_OPTIONS
+        + ((("--check",), {"help": "run a single named check"}), _OUTPUT),
+        cmd_verify,
+    ),
+    "orbits": (
+        "dump an orbit partition as JSON lines",
+        _SPEC_OPTIONS
+        + ((("--space",), {"choices": ["u", "dual", "two-sided"], "default": "u"}), _OUTPUT),
+        cmd_orbits,
+    ),
+    "unitary-check": (
+        "closed-form value grid and degree audit (UU)",
+        _SPEC_OPTIONS + _TABLE_OPTIONS + (_OUTPUT,),
+        cmd_unitary_check,
+    ),
+    "count-partitions": ("count the indexing set partitions", _SPEC_OPTIONS, cmd_count_partitions),
 }
 
 
-def build_parser(argv=()) -> _Parser:
-    """The parser with every subcommand registered, and the arguments of
-    only the one that ``argv`` names filled in; of all five when it names
-    none.  argparse reads the command as the first argument that is not
-    an option, and no name starts with "-", so the first name in ``argv``
-    is the command whenever the command is valid; otherwise parsing stops
-    at the root parser, before any subcommand's arguments are read."""
+def _dest(flags) -> str:
+    """The attribute argparse stores an option in, named by its first flag."""
+    return flags[0].lstrip("-").replace("-", "_")
+
+
+def _read_exact(argv):
+    """The namespace argparse makes of ``argv``, read without argparse
+    when ``argv`` has the exact form: a command, then options of that
+    command, none twice, each an exact flag of the table, and each but
+    ``--force`` followed by one value that converts by its type, lies in
+    its choices and does not start with "-".  None for any other
+    ``argv`` (help, abbreviations, --opt=value, repeats, unknown tokens,
+    bad values, an option before the command), which argparse reads, so
+    it alone writes help and usage errors."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, func = _COMMANDS[argv[0]]
+    option_of = {flag: (flags, keywords) for flags, keywords in options for flag in flags}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in option_of:
+            return None
+        flags, keywords = option_of[token]
+        dest = _dest(flags)
+        if dest in values:
+            return None
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a flag at the end has no value
+        if value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", [value]):
+            return None
+        values[dest] = value
+    # argparse's defaults: the keyword's, else False for a store_true flag
+    # and None for an option with a value
+    attrs = {
+        _dest(flags): keywords.get(
+            "default", False if keywords.get("action") == "store_true" else None
+        )
+        for flags, keywords in options
+    }
+    return SimpleNamespace(command=argv[0], **{**attrs, **values}, func=func)
+
+
+def build_parser(argv=()):
+    """The argparse parser with every subcommand registered, and the
+    arguments of only the one that ``argv`` names filled in; of all five
+    when it names none.  argparse reads the command as the first argument
+    that is not an option, and no name starts with "-", so the first name
+    in ``argv`` is the command whenever the command is valid; otherwise
+    parsing stops at the root parser, before any subcommand's arguments
+    are read.  argparse is imported here, for help and usage errors only."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(prog="superchar", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     named = next((arg for arg in argv if arg in _COMMANDS), None)
-    for name, (help_text, fill) in _COMMANDS.items():
+    for name, (help_text, options, func) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         if named in (None, name):
-            fill(sub)
+            for flags, keywords in options:
+                sub.add_argument(*flags, **keywords)
+            sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _read_exact(argv) or build_parser(argv).parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from pathlib import Path
 
 from .errors import ShapeError, SizeGuardError, SpringerUndefinedError, VerificationError
 from .gf import FieldTower, Subfield, make_tower
@@ -80,6 +79,7 @@ class GroupSpec(FrozenRecord):
 def load_spec(path) -> GroupSpec:
     """Read a spec file {"family","n","p","e","k","poset": optional path}."""
     import json
+    from pathlib import Path
 
     path = Path(path)
     data = json.loads(path.read_text())

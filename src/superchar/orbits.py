@@ -139,11 +139,17 @@ def walk_moves(bg: BuiltGroup, gens, actions, dual=False):
     (g mu)(x) = mu(g^-1 x) of g^-1, and the inverses of a generating set
     generate the same group.  The identities are dropped before they are
     compiled and the repeats after, which leaves the generated group, so every walk, whole-space or
-    single orbit, finds the same orbits with fewer map calls."""
+    single orbit, finds the same orbits with fewer map calls.  Each
+    generator's matrix for an action is built once per group, and a dual
+    walk reads its transpose."""
     key = ("walk moves", tuple(g.encs for g in gens), tuple(actions), dual)
 
     def build():
-        mats = [_MATRIX_FNS[a](bg, g) for a in actions for g in gens]
+        mats = [
+            bg.cached(("action matrix", a, g.encs), lambda: _MATRIX_FNS[a](bg, g))
+            for a in actions
+            for g in gens
+        ]
         if dual:
             mats = [transpose(M) for M in mats]
         mats = [M for M in mats if not _is_identity(M)]

@@ -1211,74 +1211,89 @@ def verify_structure(bg: BuiltGroup) -> Report:
 
     _springer_image_pass(bg, rep)
 
-    # every record pairs the same elements, cayley_pairing's, that the table
-    # indexes; one map per generator t, made once per group and zipped with
-    # t's table
-    def equivariance_maps():
-        mats = [u_action_matrix(bg, t.inverse()) for t in gens]
-        return [linear_kernel(tower, M, len(M)) for M in mats]
+    # the lemmas from here on read the u action through its matrices, and
+    # building one raises VerificationError if the action leaves u: the
+    # check that is running fails by name, and the lemmas after it stop
+    running = "springer-adjoint-equivariance"
+    try:
+        # every record pairs the same elements, cayley_pairing's, that the
+        # table indexes; one map per generator t, made once per group and
+        # zipped with t's table
+        def equivariance_maps():
+            mats = [u_action_matrix(bg, t.inverse()) for t in gens]
+            return [linear_kernel(tower, M, len(M)) for M in mats]
 
-    acts = bg.cached("equivariance maps", equivariance_maps)
-    ok = True
-    for name in bg.springer_names():
-        points = _theory_record(bg, name).points
-        for act, table in zip(acts, tables):
-            ok = ok and list(map(act, points)) == [points[j] for j in table]
-    rep.add("springer-adjoint-equivariance", ok, "f(hgh^-1) = h.f(g), U's generators x U")
+        acts = bg.cached("equivariance maps", equivariance_maps)
+        ok = True
+        for name in bg.springer_names():
+            points = _theory_record(bg, name).points
+            for act, table in zip(acts, tables):
+                ok = ok and list(map(act, points)) == [points[j] for j in table]
+        rep.add("springer-adjoint-equivariance", ok, "f(hgh^-1) = h.f(g), U's generators x U")
 
-    # uniqueness of the antisymmetric extension: the homogeneous system
-    # {mu|_u = 0, mu(b + b^dagger) = 0 for b in g's basis} must have
-    # trivial kernel
-    u_rows = bg.u_space.rows
-    sym = [bg.flatten(b + bg.dagger(b)) for b in bg.g_basis_mats]
-    kern = Subspace.kernel(sc, bg.flat_dim, u_rows + sym)
-    rep.add("extension-unique", kern.dim == 0, f"kernel dim {kern.dim}")
+        # uniqueness of the antisymmetric extension: the homogeneous system
+        # {mu|_u = 0, mu(b + b^dagger) = 0 for b in g's basis} must have
+        # trivial kernel
+        running = "extension-unique"
+        u_rows = bg.u_space.rows
+        sym = [bg.flatten(b + bg.dagger(b)) for b in bg.g_basis_mats]
+        kern = Subspace.kernel(sc, bg.flat_dim, u_rows + sym)
+        rep.add("extension-unique", kern.dim == 0, f"kernel dim {kern.dim}")
 
-    # every functional is its coefficient tuple: lambda against u's basis,
-    # eta against g's standard basis, so eta(x) = eta . flat(x), and
-    # restrict(mu) = (mu(b_i)) over u's basis b_i is mu|_u
-    dot = sc.dot
-    restrict = linear_kernel(tower, u_rows, bg.flat_dim)
-    ok_restr = ok_anti = ok_kernel = ok_hlam = ok_seteq = True
-    for orbit in orbit_partition_dual(bg).orbits:
-        lam = orbit.rep
-        eta = bg.extension_map(lam)
-        ok_restr = ok_restr and restrict(eta) == lam
-        ok_anti = ok_anti and not any(dot(eta, s) for s in sym)
-        # eta(x y) = eta . flat(x y) on the oracle's own g_eta, whose distinct
-        # nonzero flat(x y) over basis pairs are made once per distinct g_eta
-        g_eta = base.subgroup(lam).rows
-        products = bg.cached(("g_eta products", tuple(g_eta)), lambda: _basis_products(bg, g_eta))
-        ok_kernel = ok_kernel and not any(dot(eta, z) for z in products)
-        # H eta (left action on g*) = {mu : mu|_l = eta|_l} = eta + ann(l_eta),
-        # and l_eta is the kernel of the rows eta(y b), y in h, so its
-        # annihilator is their span
-        h_eta = left_orbit_of_g_functional(bg, eta, bg.H_walk)
-        rows = bg.eta_forms(eta)
-        left = Subspace.from_spanning(sc, bg.flat_dim, rows[: len(rows) // 2])
-        ok_hlam = ok_hlam and h_eta == frozenset(left.coset(eta))
-        # {mu|_u : mu in H eta} = H . lambda
-        ok_seteq = ok_seteq and set(map(restrict, h_eta)) == h_orbit_of_functional(bg, lam)
-    rep.add("extension-restriction", ok_restr, "eta|_u = lambda (all dual-orbit representatives)")
-    rep.add("extension-antisymmetry", ok_anti, "eta(x^dagger) = -eta(x)")
-    rep.add("eta-kernel-on-g_eta", ok_kernel, "eta(xy) = 0 on g_eta, basis pairs")
-    rep.add("h-orbit-as-affine-set", ok_hlam, "H.eta = {mu : mu|_l = eta|_l}")
-    rep.add("restriction-set-equality", ok_seteq, "{mu|_u : mu in H.eta} = H.lambda")
-
-    # G x ∩ u = x + W for each u-orbit rep x, read point by point in
-    # u-coordinates straight off the u partition
-    oi = orbit_partition_u(bg)
-    ok = True
-    for o in oi.orbits:
-        meet = left_orbit_in_u(bg, o.rep)
-        ok = ok and meet is not None and all(
-            oi.orbit_id(y) == o.orbit_id for y in meet.coset(o.rep)
+        # every functional is its coefficient tuple: lambda against u's basis,
+        # eta against g's standard basis, so eta(x) = eta . flat(x), and
+        # restrict(mu) = (mu(b_i)) over u's basis b_i is mu|_u
+        running = "extension-restriction"
+        dot = sc.dot
+        restrict = linear_kernel(tower, u_rows, bg.flat_dim)
+        ok_restr = ok_anti = ok_kernel = ok_hlam = ok_seteq = True
+        for orbit in orbit_partition_dual(bg).orbits:
+            lam = orbit.rep
+            eta = bg.extension_map(lam)
+            ok_restr = ok_restr and restrict(eta) == lam
+            ok_anti = ok_anti and not any(dot(eta, s) for s in sym)
+            # eta(x y) = eta . flat(x y) on the oracle's own g_eta, whose
+            # distinct nonzero flat(x y) over basis pairs are made once per
+            # distinct g_eta
+            g_eta = base.subgroup(lam).rows
+            products = bg.cached(
+                ("g_eta products", tuple(g_eta)), lambda: _basis_products(bg, g_eta)
+            )
+            ok_kernel = ok_kernel and not any(dot(eta, z) for z in products)
+            # H eta (left action on g*) = {mu : mu|_l = eta|_l} =
+            # eta + ann(l_eta), and l_eta is the kernel of the rows eta(y b),
+            # y in h, so its annihilator is their span
+            h_eta = left_orbit_of_g_functional(bg, eta, bg.H_walk)
+            rows = bg.eta_forms(eta)
+            left = Subspace.from_spanning(sc, bg.flat_dim, rows[: len(rows) // 2])
+            ok_hlam = ok_hlam and h_eta == frozenset(left.coset(eta))
+            # {mu|_u : mu in H eta} = H . lambda
+            ok_seteq = ok_seteq and set(map(restrict, h_eta)) == h_orbit_of_functional(bg, lam)
+        rep.add(
+            "extension-restriction", ok_restr, "eta|_u = lambda (all dual-orbit representatives)"
         )
-    rep.add(
-        "left-multiplication-collapse",
-        ok,
-        "Gx ∩ u stays inside the dagger orbit",
-    )
+        rep.add("extension-antisymmetry", ok_anti, "eta(x^dagger) = -eta(x)")
+        rep.add("eta-kernel-on-g_eta", ok_kernel, "eta(xy) = 0 on g_eta, basis pairs")
+        rep.add("h-orbit-as-affine-set", ok_hlam, "H.eta = {mu : mu|_l = eta|_l}")
+        rep.add("restriction-set-equality", ok_seteq, "{mu|_u : mu in H.eta} = H.lambda")
+
+        # G x ∩ u = x + W for each u-orbit rep x, read point by point in
+        # u-coordinates straight off the u partition
+        running = "left-multiplication-collapse"
+        oi = orbit_partition_u(bg)
+        ok = True
+        for o in oi.orbits:
+            meet = left_orbit_in_u(bg, o.rep)
+            ok = ok and meet is not None and all(
+                oi.orbit_id(y) == o.orbit_id for y in meet.coset(o.rep)
+            )
+        rep.add(
+            "left-multiplication-collapse",
+            ok,
+            "Gx ∩ u stays inside the dagger orbit",
+        )
+    except VerificationError as exc:
+        rep.add(running, False, str(exc))
     return rep
 
 

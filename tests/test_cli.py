@@ -1,5 +1,9 @@
+import ast
 import hashlib
 import json
+import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from superchar import cli
 from superchar.cli import main
 from superchar.cyclotomic import CycloValue
 from superchar.involution_group import G_SPACE_GUARD
+
+BENCH_RUNNER = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 # sha256 of `superchar table` stdout, captured before the involution and
 # algebra-group theories shared one pipeline
@@ -715,6 +721,21 @@ def test_verify_compiles_and_walks_each_job_once(capsys, monkeypatch, family, n,
     assert (len(compiles), len(walks)) == VERIFY_WORK[family, n, p]
 
 
+def test_each_action_matrix_is_built_once_per_group(capsys, monkeypatch):
+    """table USp4(F_5) walks u, u* and u* under H, over 4 distinct
+    generators; each generator's u-action matrix is built once and the
+    dual walks read its transpose (9 builds while each walk built its own)."""
+    from superchar import orbits
+
+    built, build = [], orbits._MATRIX_FNS["u"]
+    monkeypatch.setitem(
+        orbits._MATRIX_FNS, "u", lambda bg, g: built.append(g.encs) or build(bg, g)
+    )
+    code, _, _ = run(capsys, "table", "--family", "USp", "--n", "4", "--p", "5")
+    assert code == 0
+    assert len(built) == len(set(built)) == 4
+
+
 # Once a group is built its elements are slot-encoding tuples, so no
 # command builds a TriMatrix for each element: on USp4(F_5), |U| = 625, each
 # command below builds fewer than |U|/2 of them, counted through
@@ -832,3 +853,141 @@ def test_parser_fills_in_only_the_named_command():
     assert parser.parse_args(["verify", "--n", "3"]).n == 3
     with pytest.raises(cli._UsageError, match="unrecognized arguments: --n 3"):
         parser.parse_args(["table", "--n", "3"])
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of main(argv) with
+# COLUMNS=80, keyed by " ".join(argv): the root's help, each subcommand's
+# help and each usage error of PARSE_CASES; captured while argparse read
+# every command line
+PARSE_SHA256 = {
+    "--help": "f924c4a50132d5d5fdd3ff0b24fdffa9d92c6966032afb0c803be54fa8c308a5",
+    "table --help": "b0b10ef12dac83db52db56c26a5114c9cd8987eaa9f1d5ae60e6db4c3cb0aff1",
+    "verify --help": "ee30fd519d6782207fb5b2ed6c6fe7f0da7e7e3f8430c632b16571e0d1964dfa",
+    "orbits --help": "47acb99b2ba8b9c6e9c33e2b4d76939712238cb7832785760076d6bdcab6a96a",
+    "unitary-check --help": "355e3e3dcb2898076d675bbbb307a562f8e520992ca86ab96b0d849a17be343a",
+    "count-partitions --help": "c645787d304e6ef427bfcdc687010326231553e2b749467f40f401ded50db70f",
+    "table --format xml": "66ad05b12369db388dd32f2fb1151c3d928c88e93028ee9b38fcc7175795847f",
+    "verify --n four": "e88f35d05f564dbab26ab6b446e8d7a974f83318055b36819d8d35b4f8a27830",
+    "orbits --space left": "ee09dc124fdd994994fbd59f2269bc0a70493913d0b338ff92a17f7f3e1b7818",
+    "unitary-check --theta other":
+        "8f358851e9984d4a514464c464e00a75ca943e180d600b253814a48d7aff009f",
+    "count-partitions --bogus": "d10fb04e6d7418e3f7d5d234af46aa9f5a4aaf2fe3d23f71769d73735f1852f4",
+    "": "5804634dee7c84ec973dcce5fb0209817910960c7c8422d8b49044721fed11ba",
+    "frobnicate --family UO": "6240d0c7889e7c433919bd0335350d558aaa034da42663ab5c386f23181b2989",
+    "--family UO verify": "c0deadccfdd70f8b2943af7c635c488f706b96ac49f56948f198669e2f10719e",
+}
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_help_and_usage_errors_match_pinned_digests(capsys, monkeypatch, argv):
+    """The exact-form reader refuses each case, so argparse writes the
+    same bytes as when it read every command line."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._read_exact(argv) is None
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --help exits from inside argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    got = json.dumps([code, captured.out, captured.err]).encode()
+    assert hashlib.sha256(got).hexdigest() == PARSE_SHA256[" ".join(argv)]
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, from the lazy and the full
+    parser, which agree."""
+    lazy = vars(cli.build_parser(argv).parse_args(argv))
+    assert lazy == vars(cli.build_parser().parse_args(argv))
+    return lazy
+
+
+def _benchmark_specs():
+    """The benchmark's cmd:family:n:p specs, read from perfbench/run.py
+    without running it."""
+    tree = ast.parse(BENCH_RUNNER.read_text(), str(BENCH_RUNNER))
+    (workloads,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WORKLOADS"]
+    ]
+    return sorted({spec for specs in workloads.values() for spec in specs})
+
+
+def _scripted_command_lines():
+    """The benchmark's command lines, each spec as both verify and table
+    (the runner's argv form), and the README's CLI examples."""
+    from test_readme import _examples
+
+    lines = []
+    for spec in _benchmark_specs():
+        _, family, n, p = spec.split(":")
+        for command in ("verify", "table"):
+            lines.append([command, "--family", family, "--n", n, "--p", p])
+    for line in _examples():
+        lines.append(shlex.split(line.partition("#")[0])[1:])
+    return lines
+
+
+@pytest.mark.parametrize("argv", _scripted_command_lines(), ids=" ".join)
+def test_reader_takes_every_scripted_command_line(argv):
+    args = cli._read_exact(argv)
+    assert args is not None
+    assert vars(args) == _argparse_vars(argv)
+
+
+# values for each option, all valid; int() takes signs, padding, underscores
+# and other digits as argparse's type=int does
+_STRINGS = ["spec.json", "a b", "", "=", "verify", "UU", "x=1"]
+_INTS = ["3", "007", "+4", " 5 ", "1_0", "٣"]
+
+
+def _valid_values(keywords):
+    if "choices" in keywords:
+        return keywords["choices"]
+    return _INTS if keywords.get("type") is int else _STRINGS
+
+
+def _broken_forms(argv, i):
+    """argv broken at the option that starts at argv[i], in each way the
+    exact form excludes."""
+    flag, rest = argv[i], argv[i + 1 :]
+    valued = bool(rest) and not rest[0].startswith("-")
+    token = argv[i : i + 1 + valued]
+    forms = [
+        argv + token,  # a repeat
+        argv + ["--bogus"],
+        argv + ["stray"],
+        argv + ["--help"],
+        argv[1:] + argv[:1],  # the options before the command
+    ]
+    if len(flag) > 4:
+        forms.append(argv[:i] + [flag[:-1]] + rest)  # an abbreviation
+    if valued:
+        forms += [
+            argv[:i] + [f"{flag}={rest[0]}"] + rest[1:],
+            argv[: i + 1] + ["-1"] + rest[1:],  # a value starting with "-"
+            argv[:i] + rest[1:] + [flag],  # no value
+        ]
+    return forms
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_reader_matches_argparse_on_generated_command_lines(command):
+    """Random subsets of a command's options in random orders, with valid
+    values: the reader takes each, with argparse's namespace.  Each
+    command line broken at one option in a way the exact form excludes
+    is refused and left to argparse."""
+    rng = random.Random(command)
+    options = cli._COMMANDS[command][1]
+    for _ in range(150):
+        argv, starts = [command], []
+        for flags, keywords in rng.sample(options, rng.randint(0, len(options))):
+            starts.append(len(argv))
+            argv.append(rng.choice(flags))
+            if "action" not in keywords:
+                argv.append(rng.choice(_valid_values(keywords)))
+        args = cli._read_exact(argv)
+        assert args is not None, argv
+        assert vars(args) == _argparse_vars(argv), argv
+        for form in _broken_forms(argv, rng.choice(starts)) if starts else [argv + ["-h"]]:
+            assert cli._read_exact(form) is None, form

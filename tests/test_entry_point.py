@@ -85,6 +85,34 @@ def test_module_run_matches_in_process_main(capsys, monkeypatch, tmp_path, case)
         assert sides["child"][1] == b"" and sides["child"][3]
 
 
+# A well-formed command line is read without argparse, so a run loads
+# neither argparse nor the gettext and locale that its messages import; nor
+# the unitary module off the UU family.  Help and usage errors come from
+# argparse.
+@pytest.mark.parametrize(
+    "argv,code,parser",
+    [
+        (["verify", *UO4], 0, False),
+        (["table", *UO4], 0, False),
+        (["--help"], 0, True),
+        (["verify", "--n", "four"], 1, True),
+    ],
+    ids=["verify", "table", "help", "usage"],
+)
+def test_only_help_and_usage_errors_import_argparse(argv, code, parser):
+    done = _child(argv, entry=("-X", "importtime", "-m", "superchar.cli"))
+    assert done.returncode == code
+    lines = done.stderr.decode().splitlines()
+    loaded = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    assert "superchar.sct" in loaded  # the trace sees the CLI's own imports
+    if parser:
+        assert "argparse" in loaded
+    else:
+        assert not loaded & {"argparse", "gettext", "locale", "superchar.unitary"}
+    if argv == ["--help"]:
+        assert done.stdout.startswith(b"usage: superchar [-h]")
+
+
 REFERENCE = ("-c", "import sys; from superchar.cli import main; sys.exit(main())")
 COUNT = ["count-partitions", "--family", "UU", "--n", "4", "--p", "3"]
 

@@ -11,6 +11,10 @@ run), ``threading``, ``concurrent`` or ``multiprocessing`` (whose workers
 would never be joined), or defines ``__del__`` (which would never be
 called).
 
+No module imports ``argparse`` or ``pathlib`` when it is itself imported,
+only inside a function that needs it: the CLI reads a well-formed command
+line without argparse, and only ``load_spec`` reads a path.
+
 Every keyed build of a group goes through ``BuiltGroup.cached``: no
 attribute named ``cache`` is read or written outside
 ``BuiltGroup.__init__`` and ``BuiltGroup.cached``, and nothing is
@@ -133,6 +137,54 @@ def test_teardown_reliance_is_found():
     ]
 
 
+LAZY_IMPORTS = {"argparse", "pathlib"}
+
+
+def _eager_imports(tree):
+    """Each module of LAZY_IMPORTS imported outside every function body,
+    that is, when the module itself is imported, in source order."""
+    in_functions = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda)
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in in_functions:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.split(".")[0] in LAZY_IMPORTS]
+    return [what for _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_argparse_and_pathlib_are_imported_only_where_used(path):
+    assert _eager_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_eager_imports_are_found():
+    source = (
+        "import os, argparse\n"
+        "from pathlib import Path\n"
+        "from .pathlib import x\n"
+        "class C:\n"
+        "    import pathlib.posix\n"
+        "    def run(self):\n"
+        "        import argparse\n"
+        "def f():\n"
+        "    from pathlib import Path\n"
+        "if x:\n"
+        "    import argparse as a\n"
+    )
+    assert _eager_imports(ast.parse(source)) == ["argparse", "pathlib", "pathlib.posix", "argparse"]
+
+
 def _stray_caches(tree):
     """Each ``.cache`` attribute outside ``BuiltGroup.__init__`` and
     ``BuiltGroup.cached`` and each definition named ``_cached``, in
@@ -230,7 +282,7 @@ def test_generated_code_is_found():
 # definitions that no module reads by name, by "module.qualified name", and
 # why each stays
 UNREAD = {
-    "cli._Parser.error": "argparse calls it on a bad command line",
+    "__init__.__getattr__": "the interpreter calls it for an export not yet imported (PEP 562)",
     "cyclotomic.CycloValue.conjugate": "the tests' reference for conjugate_lift",
 }
 

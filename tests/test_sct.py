@@ -1136,6 +1136,36 @@ def test_structure_check_fails_on_its_fault(monkeypatch, check, kw):
     assert check in {r.name for r in verify_structure(bg).results if r.passed is False}
 
 
+def _dagger_term_dropped(monkeypatch, bg):
+    monkeypatch.setattr(bg, "act", lambda g, x: x + g.nilpotent_part() * x)
+
+
+U_ACTION_FAULTS = {
+    "dagger-action-restricts-to-conjugation": _dagger_term_dropped,
+    "u-lie-closed": _u_cut_to_height_one,
+}
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(family="UO", n=5, p=3), dict(family="UU", n=4, p=3, k=2)], ids=["UO5", "UU4"]
+)
+@pytest.mark.parametrize("check", sorted(U_ACTION_FAULTS))
+def test_structure_fails_by_name_where_the_u_action_leaves_u(monkeypatch, check, kw):
+    # no warm-up run: the fault reaches the first build of a u-action
+    # matrix, which fails the lemma that was running, and the lemmas after
+    # it stop there
+    bg = build_group(GroupSpec(**kw))
+    U_ACTION_FAULTS[check](monkeypatch, bg)
+    results = verify_structure(bg).results
+    assert check in {r.name for r in results if r.passed is False}
+    last = results[-1]
+    assert (last.name, last.passed, last.detail) == (
+        "springer-adjoint-equivariance",
+        False,
+        "the dagger action left u",
+    )
+
+
 def _one_row_repeated(sct, scht):
     return sct, scht.replace(rows=scht.rows + scht.rows[-1:])
 
