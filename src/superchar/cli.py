@@ -16,7 +16,7 @@ import sys
 from types import SimpleNamespace
 
 from .errors import ShapeError, SizeGuardError, SpringerUndefinedError, VerificationError
-from .involution_group import GroupSpec, build_group, load_spec
+from .involution_group import GroupSpec, build_group, default_k, load_spec
 from .orbits import (
     orbit_dump_lines,
     orbit_partition_dual,
@@ -56,7 +56,7 @@ def _spec_from_args(args) -> GroupSpec:
         return load_spec(args.spec)
     if args.family is None or args.n is None or args.p is None:
         raise _UsageError("need either --spec or --family/--n/--p")
-    k = args.k if args.k is not None else (2 if args.family == "UU" else 1)
+    k = args.k if args.k is not None else default_k(args.family)
     poset = MirrorPoset.from_file(args.poset) if args.poset else None
     return GroupSpec(family=args.family, n=args.n, p=args.p, e=args.e, k=k, poset=poset)
 
@@ -153,24 +153,16 @@ def _on_chain(bg) -> bool:
     return bg.poset == MirrorPoset.chain(bg.n)
 
 
-# The unitary module is imported where a UU check or command reads it, so
-# a run on any other family never loads it
-def _unitary_formula(bg, args):
-    from .unitary import formula_grid_check
+def _unitary():
+    """The unitary module, imported where a UU check or command reads it,
+    so that a run on any other family never loads it."""
+    from . import unitary
 
-    return formula_grid_check(bg, *_tables(bg, args))
-
-
-def _ennola_degrees(bg, args):
-    from .unitary import ennola_degree_check
-
-    return ennola_degree_check(_tables(bg, args)[1])
+    return unitary
 
 
 def _audit_report(bg) -> Report:
-    from .unitary import degree_audit
-
-    rep, rows = Report(f"degree audit {bg.label()}"), degree_audit(bg)
+    rep, rows = Report(f"degree audit {bg.label()}"), _unitary().degree_audit(bg)
     for row in rows:
         rep.add("degree-audit", None, row.line())
     flagged = sum(not r.all_match for r in rows)
@@ -202,11 +194,27 @@ _CHECKS = {
     "theta-independence": (
         _INVOLUTION, lambda bg, _, springer: verify_theta_independence(bg, springer)
     ),
-    "unitary-formula": (("UU",), lambda bg, args, _: _unitary_formula(bg, args)),
-    "ennola-degrees": (("UU", "UU|poset"), lambda bg, args, _: _ennola_degrees(bg, args)),
+    "unitary-formula": (
+        ("UU",), lambda bg, args, _: _unitary().formula_grid_check(bg, *_tables(bg, args))
+    ),
+    "ennola-degrees": (
+        ("UU", "UU|poset"), lambda bg, args, _: _unitary().ennola_degree_check(_tables(bg, args)[1])
+    ),
     "degree-audit": (("UU",), lambda bg, *_: _audit_report(bg)),
     "subfield-independence": ((), lambda bg, *_: verify_subfield_independence(bg)),
 }
+
+
+def _run_checks(bg, args, names):
+    """The reports of the named checks of ``_CHECKS``, in order, and the
+    size guard that stopped them, if one did."""
+    springer, reports = _springer(bg, args), []
+    try:
+        for name in names:
+            reports.append(_CHECKS[name][1](bg, args, springer))
+    except SizeGuardError as exc:
+        return reports, exc
+    return reports, None
 
 
 def _report(args, lines, guard, failed) -> int:
@@ -230,13 +238,8 @@ def cmd_verify(args) -> int:
                 f"unknown or inapplicable check {args.check!r}; choose from {valid}"
             )
         checks = [args.check]
-    springer = _springer(bg, args)
-    results, guard = [], None
-    try:
-        for name in checks:
-            results.extend(_CHECKS[name][1](bg, args, springer).results)
-    except SizeGuardError as exc:
-        guard = exc
+    reports, guard = _run_checks(bg, args, checks)
+    results = [r for rep in reports for r in rep.results]
     lines = [f"== verify {spec.label()} =="]
     lines += [r.line() for r in results]
     failed = [r for r in results if r.passed is False]
@@ -273,47 +276,37 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_unitary_check(args) -> int:
-    from .unitary import degree_audit, ennola_degree_check, formula_grid_check
-
+    """verify's unitary-formula and ennola-degrees checks, each report under
+    its header, then the degree audit; exit 2 when any check it runs fails."""
     spec = _spec_from_args(args)
     if spec.family != "UU":
         raise _UsageError("unitary-check requires --family UU")
     bg = build_group(spec, force=args.force)
     if not _on_chain(bg):
         raise _UsageError("unitary-check requires the full chain poset")
-    lines, failed, guard = [], False, None
-    try:
-        sct, scht = _tables(bg, args)
-    except SizeGuardError as exc:
-        guard = exc
-    else:
-        grid = formula_grid_check(bg, sct, scht)
-        lines += grid.lines()
-        lines += ennola_degree_check(scht).lines()
-        failed = any(r.passed is False for r in grid.results)
+    reports, guard = _run_checks(bg, args, ("unitary-formula", "ennola-degrees"))
+    lines = [line for rep in reports for line in rep.lines()]
     lines.append(f"== degree audit {bg.label()}")
-    rows = degree_audit(bg)
+    rows = _unitary().degree_audit(bg)
     lines += [r.line() for r in rows]
     flagged = [r for r in rows if not r.all_match]
     lines.append(
         f"== {len(flagged)} printed degree formulas disagree with brute force"
         " (reported, not patched)"
     )
-    return _report(args, lines, guard, failed)
+    return _report(args, lines, guard, not all(rep.ok for rep in reports))
 
 
 # -- count-partitions ----------------------------------------------------------------
 
 
 def cmd_count_partitions(args) -> int:
-    from .unitary import count_twisted, enumerate_labeled
-
     spec = _spec_from_args(args)
     if spec.family == "UU":
-        count = count_twisted(spec.n, spec.tower)
+        count = _unitary().count_twisted(spec.n, spec.tower)
         kind = "twisted"
     elif spec.family == "UT":
-        count = enumerate_labeled(spec.n, spec.tower.size - 1)
+        count = _unitary().enumerate_labeled(spec.n, spec.tower.size - 1)
         kind = "labeled"
     else:
         raise _UsageError("count-partitions supports families UU and UT")

@@ -76,6 +76,11 @@ class GroupSpec(FrozenRecord):
         return base
 
 
+def default_k(family) -> int:
+    """k for a spec file or command line that gives none: 2 for UU, else 1."""
+    return 2 if family == "UU" else 1
+
+
 def load_spec(path) -> GroupSpec:
     """Read a spec file {"family","n","p","e","k","poset": optional path}."""
     import json
@@ -104,7 +109,7 @@ def load_spec(path) -> GroupSpec:
         n=data["n"],
         p=data["p"],
         e=data.get("e", 1),
-        k=data.get("k", 1),
+        k=data.get("k", default_k(data["family"])),
         poset=poset,
     )
 

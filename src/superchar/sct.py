@@ -999,11 +999,10 @@ def verify_induction(bg, sct, scht) -> Report:
     return rep
 
 
-def verify_algebra_axioms(bg, th: SupercharTable, with_induction: bool = True) -> Report:
+def verify_algebra_axioms(bg, th: SupercharTable) -> Report:
     """verify_axioms, then verify_induction, on an algebra_group_sct table."""
     rep = verify_axioms(bg, th.sc_table, th)
-    if with_induction:
-        rep.extend(verify_induction(bg, th.sc_table, th).results)
+    rep.extend(verify_induction(bg, th.sc_table, th).results)
     return rep
 
 

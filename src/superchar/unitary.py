@@ -90,23 +90,14 @@ class TwistedSetPartition(FrozenRecord):
         return tuple(sorted(self.arcs))
 
     def mirror_orbits(self):
-        """Arcs grouped into mirror orbits, ordered by left endpoint."""
-        seen = set()
+        """Arcs grouped into mirror orbits, ordered by left endpoint: each
+        orbit at its arc with the lesser left endpoint, whose mirror's
+        label ``labels`` holds."""
         out = []
-        for arc in sorted(self.arcs):
-            if arc in seen:
-                continue
-            (i, j, a) = arc
+        for (i, j, a) in sorted(self.arcs):
             mi, mj = _mirror_pos(self.n, i, j)
-            group = {arc}
-            seen.add(arc)
-            if (mi, mj) != (i, j):
-                mirror = next(
-                    x for x in self.arcs if (x[0], x[1]) == (mi, mj)
-                )
-                group.add(mirror)
-                seen.add(mirror)
-            out.append(frozenset(group))
+            if i <= mi:
+                out.append(frozenset({(i, j, a), (mi, mj, self.labels[mi, mj])}))
         return out
 
     def __repr__(self):
@@ -217,16 +208,13 @@ def rep_group_element(
 def lambda_functional(bg: BuiltGroup, eta: TwistedSetPartition) -> tuple:
     """lambda_eta(x) = sum of a * x_{ij} over arcs, as its coefficient
     tuple against u's basis; lands in F_q on u."""
-    slots = [(a, slot_index(bg.n)[i, j]) for (i, j, a) in eta.arcs]
-    coeffs = []
-    for b in bg.u_basis.matrices:
-        acc = 0
-        for a, s in slots:
-            acc = bg.tower.add_enc(acc, bg.tower.mul_enc(a, b.encs[s]))
-        if not bg.sc.contains(acc):
-            raise VerificationError("lambda_eta left the scalar subfield")
-        coeffs.append(acc)
-    return tuple(coeffs)
+    labels = [0] * len(slot_index(bg.n))
+    for (i, j, a) in eta.arcs:
+        labels[slot_index(bg.n)[i, j]] = a
+    coeffs = tuple(bg.sc.dot(labels, b.encs) for b in bg.u_basis.matrices)
+    if not all(map(bg.sc.contains, coeffs)):
+        raise VerificationError("lambda_eta left the scalar subfield")
+    return coeffs
 
 
 # -- the value formula --------------------------------------------------------------
@@ -268,10 +256,7 @@ def elementary_degree(bg: BuiltGroup, eta_r: TwistedSetPartition) -> int:
 
 
 def bruteforce_degree(bg: BuiltGroup, eta: TwistedSetPartition) -> int:
-    deg = 1
-    for part in factor_elementary(eta):
-        deg *= elementary_degree(bg, part)
-    return deg
+    return math.prod(elementary_degree(bg, part) for part in factor_elementary(eta))
 
 
 def formula_value(
@@ -423,40 +408,33 @@ def formula_grid_check(
         f"{len(partitions)} partitions, {len(scht.rows)} rows, {len(sct.classes)} classes",
     )
     od = orbit_partition_dual(bg)
-    row_by_rep = {row.lam: i for i, row in enumerate(scht.rows)}
-    row_of = {}
-    seen_orbits = set()
+    row_by_rep = {row.lam: row for row in scht.rows}
+    # each partition's row, by its dual orbit, and its superclass, in
+    # enumeration order; a repeat of either fails its transversal check
+    rows, classes, seen_orbits, seen_classes = [], [], set(), set()
     for eta in partitions:
-        lam = lambda_functional(bg, eta)
-        oid = od.orbit_id(lam)
+        oid = od.orbit_id(lambda_functional(bg, eta))
         if oid in seen_orbits:
             rep.add("lambda-transversal", False, f"{eta!r} repeats a dual orbit")
             return rep
-        seen_orbits.add(oid)
-        row_of[eta.sort_key()] = row_by_rep[od.orbits[oid].rep]
-    rep.add("lambda-transversal", True, "one dual orbit per twisted partition")
-    class_of = {}
-    seen_classes = set()
-    for nu in partitions:
-        u = rep_group_element(bg, nu, sct.record.springer_name)
+        u = rep_group_element(bg, eta, sct.record.springer_name)
         cid = sct.class_of[bg.U_index[u.encs]]
         if cid in seen_classes:
-            rep.add("class-transversal", False, f"{nu!r} repeats a superclass")
+            rep.add("class-transversal", False, f"{eta!r} repeats a superclass")
             return rep
+        seen_orbits.add(oid)
         seen_classes.add(cid)
-        class_of[nu.sort_key()] = cid
+        rows.append(row_by_rep[od.orbits[oid].rep])
+        classes.append(cid)
+    rep.add("lambda-transversal", True, "one dual orbit per twisted partition")
     rep.add("class-transversal", True, "one superclass per twisted partition")
 
-    degrees = {
-        eta.sort_key(): bruteforce_degree(bg, eta) for eta in partitions
-    }
     mismatches = 0
     zero_mismatches = 0
-    classes = [class_of[nu.sort_key()] for nu in partitions]
-    powers: dict = {}
-    for eta in partitions:
-        row = scht.rows[row_of[eta.sort_key()]]
-        if degrees[eta.sort_key()] != row.degree:
+    powers, theta = {}, scht.theta
+    for eta, row in zip(partitions, rows):
+        degree, values = row.degree, row.values
+        if bruteforce_degree(bg, eta) != degree:
             rep.add(
                 "degree-product",
                 False,
@@ -464,12 +442,13 @@ def formula_grid_check(
             )
             return rep
         for nu, cid in zip(partitions, classes):
-            want = row.values[cid]
-            got = formula_value(bg, eta, nu, scht.theta, degree=row.degree, powers=powers)
+            want = values[cid]
+            got = formula_value(bg, eta, nu, theta, degree, powers)
+            # equal values vanish together: only a mismatch can break the zero pattern
             if got != want:
                 mismatches += 1
-            if got.is_zero() != want.is_zero():
-                zero_mismatches += 1
+                if got.is_zero() != want.is_zero():
+                    zero_mismatches += 1
     total = len(partitions) ** 2
     rep.add("degree-product", True, "elementary factorization consistent")
     rep.add(

@@ -86,7 +86,8 @@ def test_criterion_01_axiom_suite():
         assert rep.ok, (kw, [r.line() for r in rep.results if r.passed is False])
     for kw in ALGEBRA_SPECS:
         bg = build_group(GroupSpec(**kw))
-        rep = verify_algebra_axioms(bg, algebra_group_sct(bg), with_induction=False)
+        th = algebra_group_sct(bg)
+        rep = verify_axioms(bg, th.sc_table, th)
         assert rep.ok, (kw, [r.line() for r in rep.results if r.passed is False])
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

@@ -462,6 +462,42 @@ def test_unitary_check(capsys):
     assert "MISMATCH" in out  # the flagged n-odd self-arc degree formula
 
 
+def test_unitary_check_exits_2_when_the_ennola_check_fails(capsys, monkeypatch):
+    from superchar import unitary
+    from superchar.sct import Report
+
+    def failing(scht):
+        rep = Report("ennola degrees")
+        rep.add("ennola-degree-powers", False, "injected")
+        return rep
+
+    monkeypatch.setattr(unitary, "ennola_degree_check", failing)
+    code, out, _ = run(
+        capsys, "unitary-check", "--family", "UU", "--n", "3", "--p", "3", "--k", "2"
+    )
+    assert code == 2
+    assert "FAIL   ennola-degree-powers: injected" in out.splitlines()
+
+
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_unitary_check_runs_the_checks_of_verify(capsys, n):
+    """The PASS and FAIL lines of unitary-check are those of verify
+    --check unitary-formula, then of verify --check ennola-degrees."""
+
+    def results(out):
+        return [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+
+    spec = ["--family", "UU", "--n", n, "--p", "3", "--k", "2"]
+    code, out, _ = run(capsys, "unitary-check", *spec)
+    assert code == 0
+    verified = []
+    for check in ("unitary-formula", "ennola-degrees"):
+        code, checked, _ = run(capsys, "verify", *spec, "--check", check)
+        assert code == 0
+        verified += results(checked)
+    assert results(out) == verified and len(verified) == 7
+
+
 def test_verify_hit_by_a_guard_keeps_the_report(capsys, monkeypatch, tmp_path):
     """Off the chain the intersection check scans the ambient g (|g| =
     3^5 for the type-D UO4 poset).  With the guard below that, the
@@ -543,6 +579,23 @@ def test_spec_file(capsys, tmp_path):
     code, out, _ = run(capsys, "table", "--spec", str(spec))
     assert code == 0
     assert json.loads(out)["spec"]["n"] == 2
+
+
+@pytest.mark.parametrize(
+    "fields, flags",
+    [
+        ({"family": "UU", "n": 3, "p": 3}, ["--family", "UU", "--n", "3", "--p", "3"]),
+        ({"family": "UO", "n": 3, "p": 3}, ["--family", "UO", "--n", "3", "--p", "3"]),
+    ],
+    ids=["UU", "UO"],
+)
+def test_spec_file_without_k_takes_the_flags_default(capsys, tmp_path, fields, flags):
+    # k defaults to 2 for UU and 1 otherwise, from a spec file as from flags
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fields))
+    code, out, err = run(capsys, "table", "--spec", str(spec))
+    assert (code, err) == (0, "")
+    assert run(capsys, "table", *flags) == (0, out, "")
 
 
 @pytest.mark.parametrize(
