@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 usage, 2 verification failure, 3 size guard
 exceeded, 4 I/O error; any other exception is a bug and ends in a
-traceback.  ``unitary-check`` writes its degree audit, which needs no
-table, even when its tables hit a guard, and then exits 3; ``verify``
-hit by a guard writes the results of the checks before it, with no
-summary line, and exits 3.  Identical invocations produce byte-identical
-output files.
+traceback.  ``verify`` and ``unitary-check`` exit 2 when any check they
+run writes a FAIL line.  ``unitary-check`` writes its degree audit, which
+needs no table, even when its tables hit a guard, and then exits 3;
+``verify`` hit by a guard writes the results of the checks before it,
+with no summary line, and exits 3.  Identical invocations produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .sct import (
     intersection_check,
     standard_theta,
     theory,
+    torus_moves,
     verify_axioms,
     verify_duality,
     verify_induction,
@@ -37,6 +39,7 @@ from .sct import (
     verify_structure,
     verify_subfield_independence,
     verify_theta_independence,
+    verify_torus_equivariance,
 )
 from .triangular import MirrorPoset
 
@@ -72,10 +75,10 @@ def _theta(bg, args):
     return alternate_theta(bg) if args.theta == "alternate" else standard_theta(bg)
 
 
-def _tables(bg, args):
+def _tables(bg, args, moves=()):
     """The superclass and supercharacter tables for the --springer and
-    --theta flags."""
-    return theory(bg, _springer(bg, args), _theta(bg, args))
+    --theta flags, the rows filled along ``moves``."""
+    return theory(bg, _springer(bg, args), _theta(bg, args), moves)
 
 
 def _spec_json(spec: GroupSpec) -> dict:
@@ -131,7 +134,9 @@ def _table_csv(classes, rows) -> str:
 def cmd_table(args) -> int:
     spec = _spec_from_args(args)
     bg = build_group(spec, force=args.force)
-    sct, scht = _tables(bg, args)
+    # the involution families fill the rows along their torus moves; UT,
+    # whose torus is all of the diagonal, has none here and builds every column
+    sct, scht = _tables(bg, args, () if spec.family == "UT" else torus_moves(bg))
     if args.format == "csv":
         _write_output(args, _table_csv(sct.classes, scht.rows))
     else:
@@ -193,6 +198,9 @@ _CHECKS = {
     "springer-independence": (_INVOLUTION, lambda bg, *_: verify_springer_independence(bg)),
     "theta-independence": (
         _INVOLUTION, lambda bg, _, springer: verify_theta_independence(bg, springer)
+    ),
+    "torus-equivariance": (
+        _INVOLUTION, lambda bg, args, _: verify_torus_equivariance(bg, *_tables(bg, args))
     ),
     "unitary-formula": (
         ("UU",), lambda bg, args, _: _unitary().formula_grid_check(bg, *_tables(bg, args))
@@ -431,7 +439,10 @@ def build_parser(argv=()):
         def error(self, message):
             raise _UsageError(message)
 
-    parser = _Parser(prog="superchar", description=__doc__)
+    parser = _Parser(
+        prog="superchar",
+        description="Compute and verify exact supercharacter tables of unipotent groups.",
+    )
     subs = parser.add_subparsers(dest="command", required=True)
     named = next((arg for arg in argv if arg in _COMMANDS), None)
     for name, (help_text, options, func) in _COMMANDS.items():

@@ -189,6 +189,17 @@ class FieldTower:
             mul.append([0, *map(exp[log[a] :].__getitem__, logs)])
         return add, mul
 
+    @functools.cached_property
+    def primitive(self) -> int:
+        """The least primitive element of the top field, whose powers
+        ``_tables`` lays out: the least g with g^((size - 1) / r) != 1 for
+        every prime r dividing size - 1."""
+        order = self.size - 1
+        primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
+        return next(
+            g for g in range(2, self.size) if all(self.pow_enc(g, order // r) != 1 for r in primes)
+        )
+
     @staticmethod
     def _smallest_irreducible(p, degree):
         # lexicographic on (c0, ..., c_{d-1}), constant coefficient first

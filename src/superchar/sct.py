@@ -29,6 +29,7 @@ value.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from array import array
 from collections.abc import Callable
@@ -44,7 +45,7 @@ from .involution_group import (
     kernel_in_g,
     unsplit_positions,
 )
-from .linalg import Subspace
+from .linalg import Subspace, combine, transpose
 from .orbits import (
     closure_of,
     h_orbit_of_functional,
@@ -448,11 +449,87 @@ def _dual_kernel(rec: TheoryRecord) -> DigitColumns:
     return bg.cached(("dual kernel", rec.symbol), build)
 
 
+def torus_moves(bg: BuiltGroup) -> tuple:
+    """The torus and scalar moves of an involution group, made once per
+    group: each is a linear map A on u-coordinates, given as the images
+    A b_k of u's basis vectors, so A x = combine(images, x).
+
+    A diagonal d with d d^dagger = 1, that is d_{n+1-i} = sigma(d_i)^-1,
+    has d^dagger = d^-1, so (d x d^-1)^dagger = d x^dagger d^-1: x -> d x
+    d^-1, which scales slot (i, j) by d_i / d_j, keeps u, normalises the
+    pattern group G, U and H on any poset, and so permutes the U-orbits on
+    u, and by its transpose the G- and H-orbits on u*.  The torus is
+    generated by one move per mirror pair i < n + 1 - i, d_i = g and
+    d_{n+1-i} = sigma(g)^-1 for the primitive g of the top field, and for
+    odd n one more: the middle entry a generator of {a : a sigma(a) = 1},
+    which is g^((|F| - 1) / gcd(1 + s, |F| - 1)) for sigma(g) = g^s.  Last
+    comes x -> c x for a primitive c of u's scalar field, which commutes
+    with every action.  sigma is the q-Frobenius for UU, else the
+    identity."""
+
+    def build():
+        tower, n = bg.tower, bg.n
+        mul, inv, power = tower.mul_table, tower.inv_enc, tower.pow_enc
+        g, order = tower.primitive, tower.size - 1
+        s = tower.q if bg.spec.family == "UU" else 1
+        diagonals = []
+        for i in range(n // 2):
+            d = [1] * n
+            d[i], d[n - 1 - i] = g, inv(power(g, s))
+            diagonals.append(d)
+        if n % 2:
+            d = [1] * n
+            d[n // 2] = power(g, order // math.gcd(1 + s, order))
+            diagonals.append(d)
+        positions = strict_positions(n)
+        scalings = [[mul[d[i - 1]][inv(d[j - 1])] for i, j in positions] for d in diagonals]
+        scalings.append([power(g, order // (bg.sc.size - 1))] * len(positions))
+        moves = []
+        for scale in scalings:
+            images = []
+            for b in bg.u_basis.matrices:
+                scaled = [mul[c][x] for c, x in zip(scale, b.encs)]
+                coords = bg.u_space.coords(bg.flatten_encs(scaled))
+                if coords is None:
+                    raise VerificationError("a torus move left u")
+                images.append(coords)
+            moves.append(tuple(images))
+        return tuple(moves)
+
+    return bg.cached("torus moves", build)
+
+
+def _move_maps(sc_table: SuperclassTable, rows, images):
+    """(class map, row map) of the move A with basis images ``images``:
+    class K goes to the class of A x_K, for x_K the point of K's rep, and
+    row r to the row of A^T lam_r.  Both are read at the reps alone, by
+    matrix-vector products (``linalg.combine``).  A normalises the
+    actions only if both are permutations and the row map keeps
+    n_lambda; VerificationError otherwise."""
+    rec = sc_table.record
+    bg = rec.group
+    oi, od = rec.primal(bg), rec.dual(bg)
+    tower, dim = bg.tower, len(images)
+    points = [rec.points[K.member_ids[0]] for K in sc_table.classes]
+    class_of_orbit = {oi.orbit_id(x): k for k, x in enumerate(points)}
+    class_map = [class_of_orbit[oi.orbit_id(combine(tower, images, x, dim))] for x in points]
+    transposed = transpose(images)
+    row_map = [od.orbit_id(combine(tower, transposed, row.lam, dim)) for row in rows]
+    if sorted(class_map) != list(range(len(points))):
+        raise VerificationError("a torus move's class map is not a permutation")
+    if sorted(row_map) != list(range(len(rows))):
+        raise VerificationError("a torus move's row map is not a permutation")
+    if any(rows[b].n_lambda != row.n_lambda for row, b in zip(rows, row_map)):
+        raise VerificationError("a torus move's row map does not keep n_lambda")
+    return class_map, row_map
+
+
 def supercharacters(
     bg: BuiltGroup,
     springer_name: str,
     theta: Theta,
     sc_table: SuperclassTable,
+    moves=(),
 ) -> SupercharTable:
     """chi_lambda = (1/n_lambda) sum over the dual orbit of lambda of
     theta(mu(f(.))), with n_lambda = |dual orbit| / |stabiliser orbit|,
@@ -473,10 +550,18 @@ def supercharacters(
     field elements, which is lexicographic, so each orbit's rep lam is its
     least point and the rows come sorted by lam, the zero functional
     first.  The dual space is listed once, in orbit order, as
-    ``DigitColumns``; for each class rep x, one call gives the histogram
+    ``DigitColumns``; for a class rep x, one call gives the histogram
     of the exponents theta(mu(f(x))) over every dual orbit at once.  Equal
     cells of equal n_lambda share one divided value, made once per
-    table."""
+    table.
+
+    ``moves`` (``torus_moves``, or none) are linear maps A on u that
+    permute the classes and the rows together (``_move_maps``): mu . (A x)
+    = (A^T mu) . x, so chi_lam(A x) = chi_{A^T lam}(x) when A^T keeps
+    n_lambda.  Only the first class of each orbit of the moves takes a
+    histogram; every other column is a permutation of one already made.
+    ``verify``'s torus-equivariance check compares both sides on the
+    direct table, built with no moves."""
     rec = sc_table.record
     od = rec.dual(bg)
     points = [rec.points[K.member_ids[0]] for K in sc_table.classes]
@@ -499,7 +584,9 @@ def supercharacters(
         rows.append(SupercharRow(orbit.rep, orbit.size, h_size, orbit.size // h_size, 0, []))
     kernel = _dual_kernel(rec)
     cells: dict = {}  # (n_lambda, counts) -> the divided cell
-    for x in points:
+
+    def column(x):
+        out = []
         for row, counts in zip(rows, kernel.histograms(x, theta)):
             key = (row.n_lambda, counts)
             cell = cells.get(key)
@@ -507,9 +594,23 @@ def supercharacters(
                 cell = cells[key] = _divexact(
                     CycloValue.from_exponents(p, counts), row.n_lambda, "orbit sum"
                 )
-            row.values.append(cell)
-    for row in rows:
-        row.degree = row.values[0].as_integer()
+            out.append(cell)
+        return out
+
+    maps = [_move_maps(sc_table, rows, images) for images in moves]
+    columns = [None] * len(points)
+    for start, x in enumerate(points):
+        if columns[start] is None:
+            columns[start], reached = column(x), [start]
+            # column(A K)[r] = column(K)[row of A^T lam_r], for each move A
+            for k in reached:
+                for class_map, row_map in maps:
+                    if columns[class_map[k]] is None:
+                        columns[class_map[k]] = list(map(columns[k].__getitem__, row_map))
+                        reached.append(class_map[k])
+    for row, values in zip(rows, zip(*columns)):
+        row.values = list(values)
+        row.degree = values[0].as_integer()
         if row.degree != row.h_orbit_size:
             raise VerificationError("chi(1) != stabiliser-orbit size; orbit bookkeeping broken")
     if any(not v == 1 for v in rows[0].values):
@@ -522,18 +623,21 @@ def _superclass_table(bg: BuiltGroup, springer_name: str) -> SuperclassTable:
     return bg.cached(("classes", springer_name), lambda: superclasses(bg, springer_name))
 
 
-def theory(bg: BuiltGroup, springer_name: str = "cayley", theta: Theta | None = None):
+def theory(
+    bg: BuiltGroup, springer_name: str = "cayley", theta: Theta | None = None, moves=()
+):
     """(superclass table, supercharacter table) for the Springer map and
-    theta (the standard one by default).  Every table is built here, once
-    per group: the superclass table per Springer name, the rows per name
-    and theta's multiplier; both are kept by ``bg.cached``, and every check
+    theta (the standard one by default), the rows filled along ``moves``
+    (``supercharacters``).  Every table is built here, once per group: the
+    superclass table per Springer name, the rows per name, theta's
+    multiplier and moves; both are kept by ``bg.cached``, and every check
     that reads them fetches them here.  The tables are shared, so callers
     do not mutate them."""
     theta = theta or standard_theta(bg)
     sct = _superclass_table(bg, springer_name)
     scht = bg.cached(
-        ("rows", springer_name, theta.c_enc),
-        lambda: supercharacters(bg, springer_name, theta, sc_table=sct),
+        ("rows", springer_name, theta.c_enc, moves),
+        lambda: supercharacters(bg, springer_name, theta, sc_table=sct, moves=moves),
     )
     return sct, scht
 
@@ -1003,6 +1107,38 @@ def verify_algebra_axioms(bg, th: SupercharTable) -> Report:
     """verify_axioms, then verify_induction, on an algebra_group_sct table."""
     rep = verify_axioms(bg, th.sc_table, th)
     rep.extend(verify_induction(bg, th.sc_table, th).results)
+    return rep
+
+
+def verify_torus_equivariance(bg, sct: SuperclassTable, scht: SupercharTable) -> Report:
+    """The symmetry that ``table`` fills its columns by, on a table built
+    without it: for every move A of ``torus_moves``, every class K and
+    every row r, column(A K)[r] = column(K)[row of A^T lam_r], with the
+    maps of ``_move_maps``, which must be permutations that keep
+    n_lambda.  It is exhaustive, so a pass certifies every filled column
+    of the same table."""
+    rep = Report(f"torus equivariance {bg.label()}")
+    columns = list(zip(*(map(_coeffs, row.values) for row in scht.rows)))
+    try:
+        moves = torus_moves(bg)
+        for m, images in enumerate(moves):
+            class_map, row_map = _move_maps(sct, scht.rows, images)
+            for k, column in enumerate(columns):
+                if columns[class_map[k]] != tuple(map(column.__getitem__, row_map)):
+                    rep.add(
+                        "torus-equivariance",
+                        False,
+                        f"move {m} maps class {k} to {class_map[k]} but not its column",
+                    )
+                    return rep
+    except VerificationError as exc:
+        rep.add("torus-equivariance", False, str(exc))
+        return rep
+    rep.add(
+        "torus-equivariance",
+        True,
+        f"{len(moves)} moves x {len(columns)} classes x {len(scht.rows)} rows, exhaustive",
+    )
     return rep
 
 

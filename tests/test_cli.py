@@ -38,16 +38,18 @@ TABLE_SHA256 = {
 # only the detail strings of dagger-action-restricts-to-conjugation,
 # springer-*-leading-term, springer-adjoint-equivariance,
 # extension-restriction and axiom-constancy changed, and for unitary-check
-# the two report headers, which lost their "(sample seed N)"
+# the two report headers, which lost their "(sample seed N)".  Every
+# UO, USp and UU verify pin was re-captured when torus-equivariance joined
+# verify: only its PASS line and the summary count changed
 COMMAND_SHA256 = {
     # exhaustive
-    ("verify", "UO", "4", "3"): "7331f37eb5fdd39a6b45e0104d820b8f7d5e0888ff6999daa917d8086f02e12d",
+    ("verify", "UO", "4", "3"): "dfd5f6775b741d656cec6a37042e9abeb39d8d0e93a526a2ab5d117d62f1788f",
     # exhaustive
     ("verify", "USp", "4", "3"):
-        "b4fa436bbb78fa0b52103c19949671fc900a3adf39deeed67308dcd5ca8fd0cb",
+        "0625b34bcc07cc6996e9754b7d36521e3182c3b6a812415dbea75dd0d541aa7a",
     ("verify", "UT", "3", "3"): "068daf6f1a60ef93b9ba40359f7e152992fb0d7a9ec07a9ea4e2df79ae874f19",
     # exhaustive
-    ("verify", "UU", "3", "3"): "86a428316ad782beb4bb6ba692218e7bc53749167cac6bb46a5d1b046ecf0003",
+    ("verify", "UU", "3", "3"): "6894ba84c4aef32e1b4862e11e15ba47b0ca1ce3ac8402d54cf9d718819d90d0",
     ("orbits", "UO", "4", "3", "--space", "u"):
         "e6b20e4b7bb3368f7083b9f50b341fa8b9f0c58c3398bea031cd8ad9936f73fc",
     ("orbits", "UO", "4", "3", "--space", "dual"):
@@ -63,11 +65,11 @@ COMMAND_SHA256 = {
     # captured before the oracle used Frobenius's formula over conjugacy
     # classes; exhaustive
     ("verify", "UO", "5", "3"):
-        "a9488e33f7f12679c7907651d53d304cb4b2075a07d59ce75bad6cbbd251d17f",
+        "d45047aaeaed45124c18b668b70d4cd57bdd134897adc68b3c1b1164bed19045",
     # captured after it: |U| = 729, and union-of-conjugacy became exhaustive
     # (it sampled 200 pairs before; no other line changed); exhaustive
     ("verify", "UU", "4", "3"):
-        "c03a0079dc58636c21b18f46cf15c844e49f2a7d2f519a7277f545cde075d0eb",
+        "2c08345742ae5e1868bf3d3f0a7f47584e4746ceff837a043d9b775040470bdc",
     # captured while left-multiplication-collapse walked all of G x; exhaustive
     ("verify", "UO", "6", "3", "--check", "structure"):
         "0e14df12745f86c5ca63eff0e56783f25ae19aa833e691ac30e9acb5b2e4dbaf",
@@ -81,31 +83,31 @@ COMMAND_SHA256 = {
         "8669ce56a4103faae548c1b595ac7f6228d131a391e833cf0e0abad53a50454a",
     ("table", "USp", "4", "5", "--springer", "log"):
         "dfb8b721728faaf26746bae463fa53001c45962d45140a400fe38cbd6606fae2",
-    ("verify", "USp", "4", "5"): "fcf84a195daec104e1578f1f17efb754446086f549b89eb2f8d8ed62a071d2d6",
-    ("verify", "UO", "4", "5"): "2f7f067cb181a46ce455f6a65b0228cecbb3d4232363717486ba81e94510d33a",
+    ("verify", "USp", "4", "5"): "cb9de9e64b23ddb6d62259ffca9120c65bd1535a8159d290d0e68d45853c5369",
+    ("verify", "UO", "4", "5"): "863f5d1326954b6b95c07304cb15721e324cbc42fe4a9776a764b3cfb12c8e32",
     # edge layouts, captured before the kernels were generated: dim u = 0
     # (UO1, and UO2 with its one slot outside u) and a single slot (UT2);
     # the UO1 and UO2 verify pins exhaustive
     ("table", "UO", "1", "3"): "a13b04061072132a08d3d5f1fb9f84b9f497b63a0ec327bb93879acebac9785f",
-    ("verify", "UO", "1", "3"): "6e180ba778aafb209300d0c13fcffb6e4d475d7f90e8efe564574a8756cd3340",
+    ("verify", "UO", "1", "3"): "2612ed40643280e39a2141a74d5848735125c9b89500d7979c3660272693c301",
     ("table", "UO", "2", "3"): "86dfdaeb66a4b59ce7922f5e69ab9e3f604a8cfcfe62dd8082bb738675c1589b",
-    ("verify", "UO", "2", "3"): "6ac94c4e8d8c70b57057963de9acf90cc8579e93e547de664db88c85def03f49",
+    ("verify", "UO", "2", "3"): "9d82ce37556dc57d24b9d09b8c151a30b1c74a3a25c0f52938722811687c6aee",
     ("table", "UT", "2", "3"): "b605f37e9c5c0fda37415d1eed4edfeba5403a03fb6f40f3a54acb12d3648f44",
     ("verify", "UT", "2", "3"): "854fa88af1de4d3f8eed3a1e4727d51af999e8c742150a15ee58f4e24c3023aa",
     # scalars F_9 with p = 3: the F_p-span of a set of vectors is larger
     # than its F_q-span; captured while the oracle checked every row's
     # additivity along the walk; exhaustive
     ("verify", "UO", "4", "3", "--e", "2"):
-        "4e037692b88bbe4a71111486ab55294d5dca93167bf6b0c1f2221b9f42fd7b1d",
+        "10cdca636c2cbe530a2e06bd89385e2eca86fa452cdcb4bac70b4fb2df9107f2",
     ("verify", "UU", "3", "3", "--e", "2"):
-        "6c3a61fe003335d625d2dc61f9c0b19ccc089e2640ffe322bb9ed018d34ba2c2",
+        "ae27462843fc2d3d2798b1973b1b0d0365a97eb83e05ecf8b073c0fafa682b83",
     # the log map with the alternate theta, and the unitary check under it;
     # captured while the CLI kept each run's tables in its own state; all
     # three exhaustive
     ("verify", "UU", "3", "3", "--springer", "log", "--theta", "alternate"):
-        "86a428316ad782beb4bb6ba692218e7bc53749167cac6bb46a5d1b046ecf0003",
+        "6894ba84c4aef32e1b4862e11e15ba47b0ca1ce3ac8402d54cf9d718819d90d0",
     ("verify", "USp", "4", "5", "--springer", "log", "--theta", "alternate"):
-        "fcf84a195daec104e1578f1f17efb754446086f549b89eb2f8d8ed62a071d2d6",
+        "cb9de9e64b23ddb6d62259ffca9120c65bd1535a8159d290d0e68d45853c5369",
     ("unitary-check", "UU", "3", "3", "--theta", "alternate"):
         "f37a09920ec4a8be606e8b6fe6cc2223f0ab0b931426997472f380da99632476",
     # captured while the rows and the oracle read exponent vectors laid out
@@ -118,7 +120,7 @@ COMMAND_SHA256 = {
     # orthogonality and regular-sum checks summed CycloValue objects one
     # pair at a time
     ("verify", "UT", "3", "7"): "15d1aed552b31f29e72ded0017ec93352660e48e3c56a049fccb83e78030e5cc",
-    ("verify", "UO", "4", "7"): "c880ee1cda3699fde761249a37d857df12fb4fa1f4c40d755e3ef77639aaa4ac",
+    ("verify", "UO", "4", "7"): "2cd25df5ae4a57f3efd5ec14e17c439b0c334f90af9baafcac763a7a38ab6290",
     # captured while each orbit partition was sorted by a key: scalars F_3
     # inside F_9, so a point's coordinates and its slot encodings, the key
     # the dump prints, order the orbits differently
@@ -295,10 +297,11 @@ def test_inject_fault_is_not_a_verify_flag(capsys):
 # shared, faulted table reaches only the checks that read it, and
 # theta-independence still compares clean rows.  Re-captured when every
 # sampled check became exhaustive: only the structure checks' detail
-# strings changed
+# strings changed; and when torus-equivariance joined verify: it reads
+# the faulted table and fails, so its FAIL line and the summary changed
 FAULT_SHA256 = {
-    "UO": "182a2c3ef006b1ebeacda11d72be4716ebf725fbf20880998d514a3954a824a6",
-    "USp": "08fa71195099396d0571c4be4186a3b927440e7ec02ae9215df11ba4b260fe1c",
+    "UO": "759e98ffab1fefc60d0a83d47fdae20dae1ba2e73aac06befee7379d2ce86e68",
+    "USp": "ab066d5cc6a37ff5665cf162647dbaad6b10dc9cf730f3b38266772671b7c9f9",
 }
 
 
@@ -317,17 +320,20 @@ def test_verify_fault_injection_with_flags_is_pinned(capsys, faulted):
     out of the cache.  Captured while the CLI kept each run's tables in
     its own state; re-captured when every sampled check became
     exhaustive: |U| = 625, where axiom-constancy used to sample, and it
-    now fails too (27/31 checks pass, not 28/31)."""
+    now fails too (27/31 checks pass, not 28/31).  Re-captured when
+    torus-equivariance joined verify: it reads the faulted rows and fails
+    too (27/32)."""
     code, out, _ = run(
         capsys, "verify", "--family", "USp", "--n", "4", "--p", "5",
         "--springer", "log", "--theta", "alternate",
     )
     assert code == 2
     assert "PASS   springer-rows" in out and "PASS   theta-row-set" in out
-    assert "FAIL   axiom-constancy" in out and "== 27/31 checks passed" in out
+    assert "FAIL   axiom-constancy" in out and "== 27/32 checks passed" in out
+    assert "FAIL   torus-equivariance" in out
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "d864b8b0b4b21c2b31e2d2fc235da32be3268df1a29f58534076d109ee02e5bd"
+        == "88ec93600674af10f6e34fcbde43c381382b85637b5fc42a291734fc8fb78c6a"
     )
 
 
@@ -633,12 +639,14 @@ NON_CHAIN_ORBITS_SHA256 = {
 
 # sha256 of `superchar verify` on two non-chain posets, captured while U
 # was a list of TriMatrix objects: the intersection check keys each element
-# of U by its orbit in the scan of the ambient g, not by a normal form
+# of U by its orbit in the scan of the ambient g, not by a normal form.
+# Re-captured when torus-equivariance joined verify: only its PASS line and
+# the summary count changed
 POSET_VERIFY_SHA256 = {
     ("UU", "4", "3", "2", "4\n1 2\n3 4\n"):
-        "fd53dba016a6ab5f4bc550b6c40521aa94c92d176addb115cc0a049f31c8a955",
+        "46f4776acc7b033df61abd411b40239df941dbf079725986a7cef41e3434ac14",
     ("UO", "5", "3", "1", "5\n1 2\n4 5\n1 3\n3 5\n"):
-        "c6f90aefa4836928e3765ad0d766e20de4be6630b9c4e439dd586ecfa712e797",
+        "41467352dfe4bdcc3fc770588842964163212b5b8e1c14fa5093d7285a911701",
 }
 
 
@@ -911,9 +919,10 @@ def test_parser_fills_in_only_the_named_command():
 # sha256 of json.dumps([exit code, stdout, stderr]) of main(argv) with
 # COLUMNS=80, keyed by " ".join(argv): the root's help, each subcommand's
 # help and each usage error of PARSE_CASES; captured while argparse read
-# every command line
+# every command line; "--help" re-captured when the root parser took a
+# one-line description of its own instead of the module's docstring
 PARSE_SHA256 = {
-    "--help": "f924c4a50132d5d5fdd3ff0b24fdffa9d92c6966032afb0c803be54fa8c308a5",
+    "--help": "db3f0ceaefed6a54c00eed846690cd7e4de2b41c88900ab1b0e1dc521f3fd694",
     "table --help": "b0b10ef12dac83db52db56c26a5114c9cd8987eaa9f1d5ae60e6db4c3cb0aff1",
     "verify --help": "ee30fd519d6782207fb5b2ed6c6fe7f0da7e7e3f8430c632b16571e0d1964dfa",
     "orbits --help": "47acb99b2ba8b9c6e9c33e2b4d76939712238cb7832785760076d6bdcab6a96a",

@@ -296,3 +296,21 @@ def test_tables_equal_raw_arithmetic_on_a_sample():
         add_row, mul_row = tower.add_table[a], tower.mul_table[a]
         assert [add_row[b] for b in sample] == [tower._add_raw(a, b) for b in sample], a
         assert [mul_row[b] for b in sample] == [tower._mul_raw(a, b) for b in sample], a
+
+
+@pytest.mark.parametrize("p,e,k", [(3, 1, 1), (3, 1, 2), (5, 1, 2), (3, 3, 1), (3, 2, 2), (7, 1, 2)])
+def test_primitive_is_the_least_generator(p, e, k):
+    tower = make_tower(p, e, k)
+    orders = [len({tower.pow_enc(g, i) for i in range(tower.size - 1)}) for g in range(2, tower.size)]
+    assert tower.primitive == 2 + orders.index(tower.size - 1)
+
+
+def test_primitive_of_a_field_without_full_tables():
+    # F_{3^10}: 59,049 elements, past the table limit; the order test takes
+    # a few powers per candidate rather than a walk of each one's powers
+    tower = make_tower(3, 10, 1)
+    assert tower.size > _TABLE_LIMIT
+    g, order = tower.primitive, tower.size - 1
+    assert tower.pow_enc(g, order) == 1
+    assert all(tower.pow_enc(g, order // r) != 1 for r in (2, 11, 61))
+    assert all(any(tower.pow_enc(h, order // r) == 1 for r in (2, 11, 61)) for h in range(2, g))
